@@ -423,12 +423,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", help="output directory (created if missing)")
     sp.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
     sp.add_argument("--config", help="JSON file supplying flag defaults")
-    sp.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker budget (results are deterministic regardless of value)",
-    )
 
 
 def _add_hash_flags(sp: argparse.ArgumentParser) -> None:

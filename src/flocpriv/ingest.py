@@ -231,7 +231,7 @@ class MachineWeekTable:
     """Columnar store of machine-weeks (rows sorted by machine, week).
 
     Domains are interned in a vocabulary; each row's domain indices are
-    kept sorted by the 64-bit domain hash so the hashing kernels can run
+    kept sorted by the 64-bit domain hash so the hashing kernel can run
     straight over the CSR arrays.
     """
 
@@ -283,7 +283,7 @@ class MachineWeekTable:
             self.dom_indices = new_dom
             self.offsets = new_offsets
         # Within each row, order domain indices by hash value (column
-        # order required by the hashing kernels).
+        # order required by the hashing kernel).
         if len(self.dom_indices):
             row_of = np.repeat(
                 np.arange(len(self), dtype=np.int64), np.diff(self.offsets)

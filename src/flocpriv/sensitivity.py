@@ -63,19 +63,22 @@ def cohort_category_counts(panel: Panel, attribute: str) -> np.ndarray:
 
 def anomalous_category(
     cohort_counts: np.ndarray, pop_freqs: np.ndarray
-) -> tuple[int, float]:
+) -> tuple[np.ndarray | np.intp, np.ndarray | np.float64]:
     """Category with the largest cohort-over-population frequency excess.
 
-    Ties break toward the lower category index (the canonical group
-    order), making the result deterministic.
+    ``cohort_counts`` holds one cohort's (C,) category counts or a (..., C)
+    stack of them; the returned indices and excesses have the leading
+    shape, so a single cohort gives NumPy scalars (use ``int()`` and
+    ``float()`` for Python ones). Ties break toward the lower category
+    index (the canonical group order), making the result deterministic.
     """
     counts = np.asarray(cohort_counts, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
+    totals = counts.sum(axis=-1, keepdims=True)
+    if np.any(totals <= 0):
         raise ValueError("cohort is empty")
-    excess = counts / total - np.asarray(pop_freqs, dtype=np.float64)
-    best = int(np.argmax(excess))  # argmax returns the first maximum
-    return best, float(excess[best])
+    excess = counts / totals - np.asarray(pop_freqs, dtype=np.float64)
+    # argmax returns the first maximum
+    return np.argmax(excess, axis=-1), excess.max(axis=-1)
 
 
 @dataclass
@@ -88,17 +91,11 @@ class TViolations:
     categories: np.ndarray
 
 
-def _max_excess(panel: Panel, attribute: str) -> tuple[np.ndarray, np.ndarray]:
-    counts = cohort_category_counts(panel, attribute)
-    freqs = counts / counts.sum(axis=1, keepdims=True)
-    excess = freqs - population_freqs(panel, attribute)
-    categories = np.argmax(excess, axis=1)
-    return excess[np.arange(len(excess)), categories], categories.astype(np.int64)
-
-
 def t_violations(panel: Panel, t: float, attribute: str) -> TViolations:
     """Flag cohorts whose anomalous-category excess strictly exceeds t."""
-    excesses, categories = _max_excess(panel, attribute)
+    categories, excesses = anomalous_category(
+        cohort_category_counts(panel, attribute), population_freqs(panel, attribute)
+    )
     flags = excesses > t
     return TViolations(
         t=float(t),
@@ -112,7 +109,9 @@ def t_violations(panel: Panel, t: float, attribute: str) -> TViolations:
 
 def violation_curve(panel: Panel, t_grid: Sequence[float], attribute: str) -> np.ndarray:
     """Violating fraction at every t (one pass over the excesses)."""
-    excesses, _ = _max_excess(panel, attribute)
+    _, excesses = anomalous_category(
+        cohort_category_counts(panel, attribute), population_freqs(panel, attribute)
+    )
     return np.array([(excesses > t).mean() for t in t_grid], dtype=np.float64)
 
 
@@ -447,14 +446,12 @@ def ot_scale_control(
         done += size
 
     grid = counts.reshape(num_cohorts, len(RACE_GROUPS), len(INCOME_GROUPS))
-    totals = grid.sum(axis=(1, 2)).astype(np.float64)
     violations: dict[str, int] = {}
     max_excess: dict[str, float] = {}
     for attribute, axis in (("race", 2), ("income", 1)):
         attr_counts = grid.sum(axis=axis)  # (num_cohorts, 4)
         pop = attr_counts.sum(axis=0) / attr_counts.sum()
-        excess = attr_counts / totals[:, None] - pop
-        worst = excess.max(axis=1)
+        _, worst = anomalous_category(attr_counts, pop)
         violations[attribute] = int((worst > t).sum())
         max_excess[attribute] = float(worst.max())
     return OTControlResult(

@@ -5,7 +5,7 @@ feature drawn from a counter-based stream keyed by the domain hash and a
 seed. Bit b of a set's hash is 1 iff the features of its members sum to a
 strictly positive value, so machines with similar domain sets collide in
 nearby bitvectors. The feature is a sum of 12 uniforms minus 6 (unit
-variance, zero mean), which keeps the compiled and NumPy paths exactly
+variance, zero mean), built from exact integer draws so hash values are
 reproducible across platforms; tests pin its moments and decorrelation.
 """
 

@@ -69,12 +69,15 @@ def build_sequences(table: MachineWeekTable, window: int = 4) -> SequenceSet:
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     n = len(table)
-    weeks = table.week_indices.astype(np.int64)
-    win_of_row = weeks // window
-    composite = table.machine_ids * (int(weeks.max()) // window + 2 if n else 1) + win_of_row
-    # Rows are sorted by (machine, week), so equal composites are adjacent
-    # and their rows are already in ascending week order.
-    _, starts, counts = np.unique(composite, return_index=True, return_counts=True)
+    win_of_row = table.week_indices.astype(np.int64) // window
+    # Rows are sorted by (machine, week), so each (machine, window) group is
+    # a run of adjacent rows already in ascending week order. Comparing
+    # neighbours (no arithmetic on machine IDs) keeps any int64 ID exact.
+    ids = table.machine_ids
+    new_group = np.ones(n, dtype=bool)
+    new_group[1:] = (ids[1:] != ids[:-1]) | (win_of_row[1:] != win_of_row[:-1])
+    starts = np.flatnonzero(new_group)
+    counts = np.diff(starts, append=n)
     full = counts == window
     starts = starts[full]
     row_matrix = starts[:, None] + np.arange(window, dtype=np.int64)

@@ -59,10 +59,11 @@ class TestUsageErrors:
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"k": 5, "banana": 1}))
-        with pytest.raises(SystemExit) as exc:
-            _run("unicity", "--out", tmp_path / "o", "--table", "t.tsv", "--config", cfg)
-        assert exc.value.code == 2
+        for payload in ({"k": 5, "banana": 1}, {"k": 5, "workers": 2}):
+            cfg.write_text(json.dumps(payload))
+            with pytest.raises(SystemExit) as exc:
+                _run("unicity", "--out", tmp_path / "o", "--table", "t.tsv", "--config", cfg)
+            assert exc.value.code == 2
 
 
 class TestPipelineErrors:

@@ -52,23 +52,27 @@ class TestAnomalousCategory:
         assert excess == pytest.approx(0.8 - 0.25)
 
     def test_matches_brute_force_scan(self, rng):
-        for _ in range(50):
-            counts = rng.integers(0, 30, size=4)
-            if counts.sum() == 0:
-                counts[0] = 1
-            freqs = rng.dirichlet(np.ones(4))
-            idx, excess = anomalous_category(counts, freqs)
+        freqs = rng.dirichlet(np.ones(4), size=50)
+        stack = rng.integers(0, 30, size=(50, 4))
+        stack[stack.sum(axis=1) == 0, 0] = 1
+        stack_idx, stack_excess = anomalous_category(stack, freqs)
+        assert stack_idx.shape == stack_excess.shape == (50,)
+        for i, counts in enumerate(stack):
+            idx, excess = anomalous_category(counts, freqs[i])
             shares = counts / counts.sum()
-            best, best_val = 0, shares[0] - freqs[0]
+            best, best_val = 0, shares[0] - freqs[i, 0]
             for j in range(1, 4):
-                if shares[j] - freqs[j] > best_val:
-                    best, best_val = j, shares[j] - freqs[j]
-            assert idx == best
+                if shares[j] - freqs[i, j] > best_val:
+                    best, best_val = j, shares[j] - freqs[i, j]
+            assert idx == best == stack_idx[i]
             assert excess == pytest.approx(best_val)
+            assert excess == stack_excess[i]
 
     def test_empty_cohort_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             anomalous_category([0, 0, 0, 0], [0.25] * 4)
+        with pytest.raises(ValueError, match="empty"):
+            anomalous_category([[1, 0, 0, 0], [0, 0, 0, 0]], [0.25] * 4)
 
 
 class TestTViolations:

@@ -1,4 +1,4 @@
-"""Hash-bitvector computation: determinism, moments, locality, kernels.
+"""Hash-bitvector computation: determinism, moments, locality, the kernel.
 
 Monte-Carlo thresholds were fixed from an oracle run recorded before
 writing these tests: feature mean -0.0030 / var 0.9976 over 100k draws,
@@ -6,21 +6,22 @@ cross-seed correlation 0.0013, and a Hamming gap of 2.60 vs 23.83 bits
 between high- and low-overlap set pairs (Spearman rho -0.884).
 """
 
-import subprocess
-import sys
+import io
 
 import numpy as np
 import pytest
 
+from flocpriv import kernels
+from flocpriv.fixtures import bundled_table1_sessions
 from flocpriv.hashing import (
-    GOLDEN,
     derive_seed,
     domain_hash64,
     mix64,
     seed_key,
     uniform_draw,
 )
-from flocpriv.kernels import KERNEL_NAME, simhash_rows
+from flocpriv.ingest import FormatConfig, WeekConfig, build_machine_weeks, parse_sessions
+from flocpriv.kernels import _feature_table, simhash_rows
 from flocpriv.simhash import (
     DEFAULT_BIT_LENGTH,
     SimHashConfig,
@@ -88,8 +89,8 @@ class TestGaussianFeature:
         assert flat.size == 100_000
         assert abs(flat.mean()) < 0.02
         assert abs(flat.var() - 1.0) < 0.05
-        # spot-check the vectorized helper against the scalar API
-        assert big[3, 17] == gaussian_feature("mc3.example", 17, 7)
+        # the kernel's feature table is exactly the scalar API
+        assert big[3].tolist() == [gaussian_feature("mc3.example", b, 7) for b in range(50)]
         assert values.size == 2500
 
     def test_seed_decorrelation(self):
@@ -110,22 +111,7 @@ def _feature_matrix(n_domains: int, bits: int, seed: int) -> np.ndarray:
         [mix64(domain_hash64(f"mc{i}.example") ^ seed_key(seed)) for i in range(n_domains)],
         dtype=np.uint64,
     )
-    out = np.zeros((n_domains, bits))
-    mask = np.uint64(0xFFFFFFFFFFFFFFFF)
-    with np.errstate(over="ignore"):
-        for b in range(bits):
-            s = np.zeros(n_domains)
-            for j in range(12):
-                t = b * 12 + j
-                v = (keys + np.uint64((GOLDEN * (t + 1)) & int(mask))).copy()
-                v ^= v >> np.uint64(33)
-                v *= np.uint64(0xFF51AFD7ED558CCD)
-                v ^= v >> np.uint64(33)
-                v *= np.uint64(0xC4CEB9FE1A85EC53)
-                v ^= v >> np.uint64(33)
-                s += (v >> np.uint64(11)) * 2.0**-53
-            out[:, b] = s - 6.0
-    return out
+    return _feature_table(keys, bits)
 
 
 class TestSimhash:
@@ -213,45 +199,61 @@ class TestLocality:
         assert rho < -0.5
 
 
+# Pinned hashes of the bundled worked-example rows (sorted by machine, week);
+# any change to the feature stream or the accumulation order shows up here.
+TABLE1_HASHES = {
+    (50, 7): [
+        0x13963DED87A22, 0x5939A72A56A, 0x83BFF575DAED, 0x11BE36F1DE775,
+        0x2CDEBC7B7D753, 0x34D92E04090D9, 0x13BA79348CA1F, 0x2A7E1E928F756,
+        0x171BF5B55EE16, 0x30FC0E27CEAD0, 0xFAF04BF575C4, 0x1D70AE4D10256,
+        0x23E0416FF24E7, 0x62378B77D247, 0x3A5EA4E916CFF, 0x25A1E533FC180,
+        0x3E4935C143EAE, 0x22323D401C7BB,
+    ],
+    (64, 0): [
+        0xBB82D52CC6548EDF, 0xE958CF30B84D72CD, 0x1A73492F07E49FB3, 0x87E08014EDD44924,
+        0x4A8844D8308F4C02, 0x7D76A48DA7D25929, 0xB66D7AD5DBC9FE1F, 0x8940E75A0C26CC3F,
+        0x99377BE371F706AC, 0x922FBDB6410E33B0, 0x0EEC031070A519CC, 0x19F08E7B8E689430,
+        0x9E747C996619E475, 0x82D61445B5E2D009, 0x4ADEDA12D0DD2B9B, 0xEF90C3D1C6E6CB4B,
+        0x972EC7E57297242A, 0xB675E430581B5126,
+    ],
+}
+
+
 class TestKernels:
-    def _random_csr(self, rng, n_rows=40, max_len=30):
-        lengths = rng.integers(0, max_len, size=n_rows)
-        offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-        values = rng.integers(0, 2**63, size=int(offsets[-1]), dtype=np.uint64)
-        for i in range(n_rows):
-            lo, hi = offsets[i], offsets[i + 1]
-            values[lo:hi] = np.sort(values[lo:hi])
-        return values, offsets
-
-    def test_implementations_bit_identical(self, rng):
+    def test_matches_scalar_feature_sums(self, rng, monkeypatch):
+        # Oracle: bit b is the sign of a sequential sum of gaussian_feature
+        # over the row's domains in ascending hash order. Rows share
+        # domains, some are empty, and one repeats a domain. Small scratch
+        # budgets make the table chunks and row blocks cross many
+        # boundaries, including blocks that end between rows of different
+        # lengths.
+        pool = [f"k{i}.example" for i in range(30)]
+        rows = [list(rng.choice(pool, size=int(rng.integers(0, 9)))) for _ in range(24)]
+        rows += [[], ["dup.example", "dup.example", "k1.example"]]
+        rows = [sorted(row, key=domain_hash64) for row in rows]
+        values = np.array([domain_hash64(d) for row in rows for d in row], dtype=np.uint64)
+        offsets = np.cumsum([0] + [len(row) for row in rows]).astype(np.int64)
         for bits in (1, 17, 50, 64):
-            values, offsets = self._random_csr(rng)
-            a = simhash_rows(values, offsets, bits, seed_key(7), impl="python")
-            b = simhash_rows(values, offsets, bits, seed_key(7), impl="compiled")
-            assert np.array_equal(a, b), f"bit_length={bits}"
+            expected = []
+            for row in rows:
+                value = 0
+                for b in range(bits):
+                    total = 0.0
+                    for d in row:
+                        total += gaussian_feature(d, b, 7)
+                    value = (value << 1) | (total > 0.0)
+                expected.append(value)
+            for budget in (kernels._CHUNK_BUDGET, 64, 20):
+                monkeypatch.setattr(kernels, "_CHUNK_BUDGET", budget)
+                got = simhash_rows(values, offsets, bits, seed_key(7))
+                assert got.tolist() == expected, (bits, budget)
+                monkeypatch.undo()
 
-    def test_compiled_kernel_is_active(self):
-        # The build must produce the extension; the fallback is only for
-        # FLOCPRIV_PURE_PYTHON=1 or missing-compiler environments.
-        assert KERNEL_NAME == "compiled"
-
-    def test_pure_python_env_selects_fallback(self):
-        code = (
-            "from flocpriv.kernels import KERNEL_NAME\n"
-            "from flocpriv.simhash import simhash\n"
-            "print(KERNEL_NAME)\n"
-            "print(simhash(['example.com', 'news.org', 'shop.net']))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={"PATH": "/usr/bin:/bin", "FLOCPRIV_PURE_PYTHON": "1"},
-        )
-        assert proc.returncode == 0, proc.stderr
-        name, value = proc.stdout.split()
-        assert name == "numpy-fallback"
-        assert int(value) == simhash(["example.com", "news.org", "shop.net"])
+    def test_table1_fixture_hashes_pinned(self):
+        parsed = parse_sessions(io.StringIO(bundled_table1_sessions()), FormatConfig())
+        table = build_machine_weeks(parsed.records, WeekConfig()).table
+        for (bits, seed), expected in TABLE1_HASHES.items():
+            assert table.hashes(bits, seed).tolist() == expected, (bits, seed)
 
     def test_empty_rows_hash_to_zero(self):
         values = np.array([], dtype=np.uint64)

@@ -90,6 +90,14 @@ class TestBuildSequences:
         assert seqs.n_samples == 2
         assert sorted(seqs.machine_ids.tolist()) == [1, 2]
 
+    def test_huge_machine_ids_do_not_merge_windows(self):
+        # 2**62 + 1 times a small window count wraps onto 1's range in int64.
+        table = _table({1: range(12), 2: range(12), 2**62 + 1: range(12)})
+        seqs = build_sequences(table, window=4)
+        assert seqs.n_samples == 9
+        assert seqs.machine_ids.tolist() == [1] * 3 + [2] * 3 + [2**62 + 1] * 3
+        assert seqs.window_index.tolist() == [0, 1, 2] * 3
+
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
             build_sequences(_table({1: range(4)}), window=0)

@@ -5,10 +5,9 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .cohorts import CohortAssignment, WeeklyCohorts, compute_weekly_cohorts
+from .cohorts import WeeklyCohorts, compute_weekly_cohorts
 from .ingest import (
     FormatConfig,
-    MachineWeek,
     MachineWeekTable,
     SessionRecord,
     WeekConfig,
@@ -32,7 +31,6 @@ from .sensitivity import (
 from .simhash import SimHashConfig, gaussian_feature, simhash
 from .synth import SynthConfig, generate_population
 from .unicity import (
-    SequenceSample,
     UnicityReport,
     assign_sequence_cohorts,
     build_sequences,
@@ -43,16 +41,13 @@ from .unicity import (
 
 __all__ = [
     "__version__",
-    "CohortAssignment",
     "CohortError",
     "CohortMap",
     "FormatConfig",
     "JointDistribution",
-    "MachineWeek",
     "MachineWeekTable",
     "Panel",
     "PrefixBucket",
-    "SequenceSample",
     "SessionRecord",
     "SimHashConfig",
     "SuffixSet",

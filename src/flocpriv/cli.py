@@ -405,7 +405,10 @@ def _cmd_report(args: argparse.Namespace) -> None:
             raise PipelineError(f"{run_dir}: no manifest.json (not a run directory?)")
         with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-        summary[os.path.basename(os.path.normpath(run_dir))] = {
+        run_name = os.path.basename(os.path.normpath(run_dir))
+        if run_name in summary:
+            raise PipelineError(f"{run_dir}: another run directory is also named {run_name!r}")
+        summary[run_name] = {
             "manifest": manifest,
             "files": sorted(
                 name for name in os.listdir(run_dir) if name != "manifest.json"

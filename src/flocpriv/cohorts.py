@@ -8,20 +8,11 @@ hashed, clustered at the requested k, and every machine-week row gets a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
 from .ingest import MachineWeekTable
 from .prefixlsh import CohortError, CohortMap, build_cohort_map
 from .simhash import SimHashConfig
-
-
-@dataclass(frozen=True)
-class CohortAssignment:
-    machine_id: int
-    week_index: int
-    cohort_id: int
 
 
 @dataclass
@@ -35,14 +26,6 @@ class WeeklyCohorts:
 
     def num_cohorts(self, week: int) -> int:
         return self.maps[week].num_cohorts
-
-    def iter_assignments(self, table: MachineWeekTable) -> Iterator[CohortAssignment]:
-        for i in range(len(table)):
-            yield CohortAssignment(
-                machine_id=int(table.machine_ids[i]),
-                week_index=int(table.week_indices[i]),
-                cohort_id=int(self.cohort_ids[i]),
-            )
 
 
 def compute_weekly_cohorts(

@@ -1,18 +1,19 @@
 """Session-log parsing and weekly per-machine domain profiles.
 
-The pipeline is: raw session rows -> validated ``SessionRecord`` ->
-one ``MachineWeek`` per (machine, epoch week) holding the set of
+The pipeline is: raw session rows -> validated ``SessionRecord`` -> one
+row per (machine, epoch week) of ``MachineWeekTable`` holding the
 registrable domains visited, the machine's state (from its ZIP) and its
 demographic groups. Profiles with fewer distinct domains than the cutoff
-are dropped. The columnar ``MachineWeekTable`` is the working
-representation for everything downstream.
+are dropped. The table's columnar CSR arrays are the only representation
+of machine-weeks; ``build_machine_weeks`` and ``MachineWeekTable.load``
+fill them through one builder.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -215,24 +216,14 @@ class WeekConfig:
         return (date - self.epoch).days // 7
 
 
-@dataclass(frozen=True)
-class MachineWeek:
-    """One machine's distinct registrable domains for one epoch week."""
-
-    machine_id: int
-    week_index: int
-    state: str
-    race_group: str
-    income_group: str
-    domains: frozenset[str]
-
-
 class MachineWeekTable:
-    """Columnar store of machine-weeks (rows sorted by machine, week).
+    """Columnar store of machine-weeks, one row per (machine, epoch week).
 
-    Domains are interned in a vocabulary; each row's domain indices are
-    kept sorted by the 64-bit domain hash so the hashing kernel can run
-    straight over the CSR arrays.
+    Rows are strictly ascending by ``(machine_id, week_index)``, so no
+    (machine, week) appears twice; the constructor raises ``ValueError``
+    otherwise. Domains are interned in a vocabulary; each row's domain
+    indices are kept sorted by the 64-bit domain hash so the hashing kernel
+    can run straight over the CSR arrays.
     """
 
     def __init__(
@@ -259,29 +250,15 @@ class MachineWeekTable:
         self.vocab_hashes = np.fromiter(
             (domain_hash64(d) for d in self.vocab), dtype=np.uint64, count=len(self.vocab)
         )
-        self._sort_rows_and_domains()
-        self._hash_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def _sort_rows_and_domains(self) -> None:
-        order = np.lexsort((self.week_indices, self.machine_ids))
-        if not np.array_equal(order, np.arange(len(order))):
-            lengths = np.diff(self.offsets)[order]
-            new_offsets = np.zeros(len(order) + 1, dtype=np.int64)
-            np.cumsum(lengths, out=new_offsets[1:])
-            new_dom = np.empty_like(self.dom_indices)
-            old_starts = self.offsets[:-1]
-            for new_i, old_i in enumerate(order):
-                lo, n = old_starts[old_i], lengths[new_i]
-                new_dom[new_offsets[new_i] : new_offsets[new_i] + n] = self.dom_indices[
-                    lo : lo + n
-                ]
-            self.machine_ids = self.machine_ids[order]
-            self.week_indices = self.week_indices[order]
-            self.race_idx = self.race_idx[order]
-            self.income_idx = self.income_idx[order]
-            self.state_idx = self.state_idx[order]
-            self.dom_indices = new_dom
-            self.offsets = new_offsets
+        ids, weeks = self.machine_ids, self.week_indices
+        unordered = (ids[1:] < ids[:-1]) | ((ids[1:] == ids[:-1]) & (weeks[1:] <= weeks[:-1]))
+        if unordered.any():
+            i = int(np.argmax(unordered)) + 1
+            raise ValueError(
+                f"row {i} (machine {ids[i]}, week {weeks[i]}) does not follow row {i - 1} "
+                f"(machine {ids[i - 1]}, week {weeks[i - 1]}): rows must be strictly "
+                "ascending by (machine_id, week_index)"
+            )
         # Within each row, order domain indices by hash value (column
         # order required by the hashing kernel).
         if len(self.dom_indices):
@@ -290,19 +267,54 @@ class MachineWeekTable:
             )
             perm = np.lexsort((self.vocab_hashes[self.dom_indices], row_of))
             self.dom_indices = self.dom_indices[perm]
+        self._hash_cache: dict[tuple[int, int], np.ndarray] = {}
+
+    @classmethod
+    def _from_rows(
+        cls, rows: Mapping[tuple[int, int], tuple[str, str, str, Iterable[str]]]
+    ) -> "MachineWeekTable":
+        """Table from ``{(machine_id, week): (state, race, income, domains)}``."""
+        keys = sorted(rows)
+        n = len(keys)
+        vocab: dict[str, int] = {}
+        states: dict[str, int] = {UNKNOWN_STATE: 0}
+        race_idx = np.empty(n, dtype=np.int8)
+        income_idx = np.empty(n, dtype=np.int8)
+        state_idx = np.empty(n, dtype=np.int16)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        dom_indices: list[int] = []
+        for i, key in enumerate(keys):
+            state, race, income, domains = rows[key]
+            state_idx[i] = states.setdefault(state, len(states))
+            race_idx[i] = RACE_GROUPS.index(race)
+            income_idx[i] = INCOME_GROUPS.index(income)
+            dom_indices.extend(vocab.setdefault(d, len(vocab)) for d in sorted(domains))
+            offsets[i + 1] = len(dom_indices)
+        return cls(
+            np.array([m for m, _ in keys], dtype=np.int64),
+            np.array([w for _, w in keys], dtype=np.int32),
+            list(states),
+            race_idx,
+            income_idx,
+            state_idx,
+            np.array(dom_indices, dtype=np.int32),
+            offsets,
+            list(vocab),
+        )
 
     def __len__(self) -> int:
         return len(self.machine_ids)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self)
 
     def week_values(self) -> np.ndarray:
         return np.unique(self.week_indices)
 
     def rows_for_week(self, week: int) -> np.ndarray:
         return np.nonzero(self.week_indices == week)[0]
+
+    def domains(self, i: int) -> list[str]:
+        """Row i's domain names, sorted."""
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return sorted(self.vocab[j] for j in self.dom_indices[lo:hi])
 
     def hashes(self, bit_length: int, seed: int) -> np.ndarray:
         """Per-row hash bitvectors, cached per (bit_length, seed)."""
@@ -317,95 +329,15 @@ class MachineWeekTable:
             self._hash_cache[key] = cached
         return cached
 
-    def row(self, i: int) -> MachineWeek:
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        return MachineWeek(
-            machine_id=int(self.machine_ids[i]),
-            week_index=int(self.week_indices[i]),
-            state=self.state_labels[self.state_idx[i]],
-            race_group=RACE_GROUPS[self.race_idx[i]],
-            income_group=INCOME_GROUPS[self.income_idx[i]],
-            domains=frozenset(self.vocab[j] for j in self.dom_indices[lo:hi]),
-        )
-
-    def __iter__(self) -> Iterator[MachineWeek]:
-        return (self.row(i) for i in range(len(self)))
-
-    def subset(self, row_indices: np.ndarray) -> "MachineWeekTable":
-        """New table holding the selected rows (bool mask or index array)."""
-        idx = np.asarray(row_indices)
-        if idx.dtype == bool:
-            idx = np.nonzero(idx)[0]
-        idx = idx.astype(np.int64, copy=False)
-        lengths = np.diff(self.offsets)[idx]
-        new_offsets = np.zeros(len(idx) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=new_offsets[1:])
-        new_dom = np.empty(int(new_offsets[-1]), dtype=np.int32)
-        for out_i, row_i in enumerate(idx):
-            lo = self.offsets[row_i]
-            new_dom[new_offsets[out_i] : new_offsets[out_i + 1]] = self.dom_indices[
-                lo : lo + lengths[out_i]
-            ]
-        return MachineWeekTable(
-            self.machine_ids[idx],
-            self.week_indices[idx],
-            self.state_labels,
-            self.race_idx[idx],
-            self.income_idx[idx],
-            self.state_idx[idx],
-            new_dom,
-            new_offsets,
-            self.vocab,
-        )
-
-    @classmethod
-    def from_machine_weeks(cls, rows: Iterable[MachineWeek]) -> "MachineWeekTable":
-        rows = list(rows)
-        vocab_index: dict[str, int] = {}
-        states: dict[str, int] = {UNKNOWN_STATE: 0}
-        machine_ids = np.empty(len(rows), dtype=np.int64)
-        week_indices = np.empty(len(rows), dtype=np.int32)
-        race_idx = np.empty(len(rows), dtype=np.int8)
-        income_idx = np.empty(len(rows), dtype=np.int8)
-        state_idx = np.empty(len(rows), dtype=np.int16)
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        dom_chunks: list[list[int]] = []
-        for i, mw in enumerate(rows):
-            machine_ids[i] = mw.machine_id
-            week_indices[i] = mw.week_index
-            race_idx[i] = RACE_GROUPS.index(mw.race_group)
-            income_idx[i] = INCOME_GROUPS.index(mw.income_group)
-            state_idx[i] = states.setdefault(mw.state, len(states))
-            chunk = [vocab_index.setdefault(d, len(vocab_index)) for d in sorted(mw.domains)]
-            dom_chunks.append(chunk)
-            offsets[i + 1] = offsets[i] + len(chunk)
-        dom_indices = np.fromiter(
-            (j for chunk in dom_chunks for j in chunk), dtype=np.int32, count=int(offsets[-1])
-        )
-        state_labels = [s for s, _ in sorted(states.items(), key=lambda kv: kv[1])]
-        return cls(
-            machine_ids,
-            week_indices,
-            state_labels,
-            race_idx,
-            income_idx,
-            state_idx,
-            dom_indices,
-            offsets,
-            list(vocab_index),
-        )
-
     def save_text(self) -> str:
         """The table as deterministic TSV text (domains sorted, |-joined)."""
         lines = ["machine_id\tweek_index\tstate\trace_group\tincome_group\tdomains"]
         for i in range(len(self)):
-            lo, hi = self.offsets[i], self.offsets[i + 1]
-            domains = "|".join(sorted(self.vocab[j] for j in self.dom_indices[lo:hi]))
             lines.append(
                 f"{self.machine_ids[i]}\t{self.week_indices[i]}\t"
                 f"{self.state_labels[self.state_idx[i]]}\t"
                 f"{RACE_GROUPS[self.race_idx[i]]}\t"
-                f"{INCOME_GROUPS[self.income_idx[i]]}\t{domains}"
+                f"{INCOME_GROUPS[self.income_idx[i]]}\t{'|'.join(self.domains(i))}"
             )
         return "\n".join(lines) + "\n"
 
@@ -415,26 +347,44 @@ class MachineWeekTable:
 
     @classmethod
     def load(cls, path: str) -> "MachineWeekTable":
-        rows: list[MachineWeek] = []
+        """Read a table written by ``save``; lines may come in any order.
+
+        A malformed line raises ``ValueError("<path>:<line>: ...")``: a
+        wrong field count, a non-integer machine ID or week, an unknown
+        race or income label, a domain listed twice, or a (machine, week)
+        already seen on an earlier line.
+        """
+        rows: dict[tuple[int, int], tuple[str, str, str, list[str]]] = {}
         with open(path, encoding="utf-8") as fh:
             header = fh.readline()
             if not header.startswith("machine_id\t"):
                 raise ValueError(f"{path}: not a machine-week table")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
-                mid, week, state, race, income, domains = line.rstrip("\n").split("\t")
-                rows.append(
-                    MachineWeek(
-                        machine_id=int(mid),
-                        week_index=int(week),
-                        state=state,
-                        race_group=race,
-                        income_group=income,
-                        domains=frozenset(domains.split("|")) if domains else frozenset(),
+                fields = line.rstrip("\n").split("\t")
+                if len(fields) != 6:
+                    raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
+                mid, week, state, race, income, domains = fields
+                try:
+                    key = (int(mid), int(week))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: machine_id and week_index must be integers"
+                    ) from None
+                if race not in RACE_GROUPS or income not in INCOME_GROUPS:
+                    raise ValueError(
+                        f"{path}:{lineno}: unknown race/income label {race!r}/{income!r}"
                     )
-                )
-        return cls.from_machine_weeks(rows)
+                if key in rows:
+                    raise ValueError(
+                        f"{path}:{lineno}: machine {key[0]}, week {key[1]} appears twice"
+                    )
+                names = domains.split("|") if domains else []
+                if len(set(names)) != len(names):
+                    raise ValueError(f"{path}:{lineno}: a domain is listed twice")
+                rows[key] = (state, race, income, names)
+        return cls._from_rows(rows)
 
 
 @dataclass
@@ -483,25 +433,15 @@ def build_machine_weeks(
             continue
         weeks.setdefault((rec.machine_id, week), set()).add(rd)
 
-    rows: list[MachineWeek] = []
+    rows: dict[tuple[int, int], tuple[str, str, str, set[str]]] = {}
     dropped_small = 0
-    for (machine_id, week), domains in weeks.items():
+    for key, domains in weeks.items():
         if len(domains) < cfg.min_domains:
             dropped_small += 1
             continue
-        race, income, zip_code = machine_demo[machine_id]
-        state = state_for_zip(zip_code) or UNKNOWN_STATE
-        rows.append(
-            MachineWeek(
-                machine_id=machine_id,
-                week_index=week,
-                state=state,
-                race_group=race,
-                income_group=income,
-                domains=frozenset(domains),
-            )
-        )
-    table = MachineWeekTable.from_machine_weeks(rows)
+        race, income, zip_code = machine_demo[key[0]]
+        rows[key] = (state_for_zip(zip_code) or UNKNOWN_STATE, race, income, domains)
+    table = MachineWeekTable._from_rows(rows)
     report = {
         "n_records": len(records),
         "n_machines": len(machine_demo),

@@ -25,7 +25,7 @@ import numpy as np
 from . import special
 from .hashing import derive_seed
 from .ingest import INCOME_GROUPS, RACE_GROUPS, MachineWeekTable
-from .panels import JointDistribution, Panel, cluster_panel
+from .panels import JointDistribution, Panel
 
 ATTRIBUTES = ("race", "income")
 
@@ -118,13 +118,14 @@ def violation_curve(panel: Panel, t_grid: Sequence[float], attribute: str) -> np
 def shuffle_baseline(panel: Panel, seed: int) -> Panel:
     """Panel with demographics decoupled from browsing.
 
-    Permutes the demographic columns against the hash column and re-runs
-    cohort assignment; marginals are untouched, so any remaining
-    cohort-demographic association is sampling noise.
+    Permutes the demographic columns against the hash column; marginals
+    are untouched, so any remaining cohort-demographic association is
+    sampling noise. The hashes do not move, so the shuffled panel shares
+    the panel's cohort map and ids (re-clustering could only rebuild them).
     """
     rng = np.random.default_rng(seed)
     perm = rng.permutation(panel.size)
-    shuffled = Panel(
+    return Panel(
         panel_id=panel.panel_id,
         week_index=panel.week_index,
         rows=panel.rows,
@@ -132,10 +133,9 @@ def shuffle_baseline(panel: Panel, seed: int) -> Panel:
         race_idx=panel.race_idx[perm],
         income_idx=panel.income_idx[perm],
         hashes=panel.hashes,
+        cohort_map=panel.cohort_map,
+        cohort_ids=panel.cohort_ids,
     )
-    if panel.cohort_map is not None:
-        cluster_panel(shuffled, panel.cohort_map.k, panel.cohort_map.bit_length)
-    return shuffled
 
 
 def binomial_baseline(n: int, p_r: float, t: float) -> float:
@@ -418,6 +418,9 @@ def ot_scale_control(
     are i.i.d. from the target joint. Only per-cohort demographic count
     matrices are held in memory, never the member-level population.
     """
+    for name, value in (("num_cohorts", num_cohorts), ("k", k), ("chunk_size", chunk_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     n_members = int(round(num_cohorts * k * cohort_size_ratio))
     n_direct = num_cohorts * k
     if n_direct > n_members:

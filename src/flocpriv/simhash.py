@@ -71,12 +71,3 @@ def simhash(domains: Iterable[str], config: SimHashConfig = SimHashConfig()) -> 
         raise ValueError("cannot hash an empty domain set")
     values = np.fromiter((domain_hash64(d) for d in unique), dtype=np.uint64, count=len(unique))
     return simhash_hashes(values, config)
-
-
-def simhash_csr(
-    values: np.ndarray,
-    offsets: np.ndarray,
-    config: SimHashConfig = SimHashConfig(),
-) -> np.ndarray:
-    """Hash bitvectors for many sets in CSR form (rows sorted ascending)."""
-    return kernels.simhash_rows(values, offsets, config.bit_length, seed_key(config.seed))

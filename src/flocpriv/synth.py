@@ -221,8 +221,7 @@ def write_sessions(
         income = _INCOME_TO_CODE[INCOME_GROUPS[pop.income_idx[pos]]]
         race = _RACE_TO_CODE[RACE_GROUPS[pop.race_idx[pos]]]
         zip_code = representative_zip(pop.config.states[pop.state_idx[pos]])
-        lo, hi = table.offsets[i], table.offsets[i + 1]
-        for j in sorted(table.vocab[v] for v in table.dom_indices[lo:hi]):
+        for j in table.domains(i):
             session_id += 1
             fh.write(
                 f"{mid}\t{session_id}\t{j}\t{date}\t12:00:00\t1\t60\t{income}\t{race}\t{zip_code}\n"

@@ -22,16 +22,6 @@ from .prefixlsh import CohortError, CohortMap, build_cohort_map
 from .simhash import SimHashConfig
 
 
-@dataclass(frozen=True)
-class SequenceSample:
-    """Record view of one pooled sample (mostly for tests and debugging)."""
-
-    machine_id: int
-    window_index: int
-    state: str
-    cohort_ids: tuple[int, ...]
-
-
 @dataclass
 class SequenceSet:
     """All complete windows of a table, pooled across machines and time."""
@@ -123,16 +113,6 @@ def assign_sequence_cohorts(
         maps.append(cmap)
         ids[:, p] = cmap.assign(position_hashes)
     return SequenceCohorts(k=k, window=seqs.window, maps=maps, cohort_ids=ids)
-
-
-def iter_samples(seqs: SequenceSet, cohorts: SequenceCohorts):
-    for i in range(seqs.n_samples):
-        yield SequenceSample(
-            machine_id=int(seqs.machine_ids[i]),
-            window_index=int(seqs.window_index[i]),
-            state=seqs.table.state_labels[seqs.state_idx[i]],
-            cohort_ids=tuple(int(c) for c in cohorts.cohort_ids[i]),
-        )
 
 
 def _unique_fraction(keys: np.ndarray) -> float:

@@ -86,6 +86,16 @@ class TestPipelineErrors:
         assert _run("report", "--out", tmp_path / "o", empty) == 1
         assert "manifest.json" in json.loads(capsys.readouterr().err)["message"]
 
+    def test_report_rejects_repeated_run_names(self, capsys, tmp_path):
+        runs = [tmp_path / parent / "run" for parent in ("a", "b")]
+        for run in runs:
+            run.mkdir(parents=True)
+            (run / "manifest.json").write_text("{}")
+        assert _run("report", "--out", tmp_path / "o", *runs) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "PipelineError"
+        assert "also named 'run'" in err["message"]
+
 
 class TestSynthCommand:
     def test_outputs_and_manifest(self, synth_dir):

@@ -1,12 +1,15 @@
 """Session parsing, machine-week aggregation, and representativeness."""
 
 import io
+import re
 
 import numpy as np
 import pytest
 
 from flocpriv.geo import UNKNOWN_STATE, representative_zip, state_for_zip
 from flocpriv.ingest import (
+    INCOME_GROUPS,
+    RACE_GROUPS,
     FormatConfig,
     MachineWeekTable,
     SchemaError,
@@ -125,7 +128,7 @@ class TestBuildMachineWeeks:
         parsed = _parse(_sessions_for(1, DOMAINS_7))
         built = build_machine_weeks(parsed.records, WeekConfig())
         assert len(built.table) == 1
-        assert built.table.row(0).domains == frozenset(DOMAINS_7)
+        assert built.table.domains(0) == DOMAINS_7
 
     def test_six_domains_dropped(self):
         parsed = _parse(_sessions_for(1, DOMAINS_7[:6]))
@@ -137,13 +140,13 @@ class TestBuildMachineWeeks:
         rows = _sessions_for(1, DOMAINS_7) + _sessions_for(1, ["d0.com"] * 5)
         parsed = _parse(rows)
         built = build_machine_weeks(parsed.records, WeekConfig())
-        assert built.table.row(0).domains == frozenset(DOMAINS_7)
+        assert built.table.domains(0) == DOMAINS_7
 
     def test_invalid_domains_filtered(self):
         rows = _sessions_for(1, DOMAINS_7 + ["not_a_tld.nosuchtld", "192.168.0.1"])
         parsed = _parse(rows)
         built = build_machine_weeks(parsed.records, WeekConfig())
-        assert built.table.row(0).domains == frozenset(DOMAINS_7)
+        assert built.table.domains(0) == DOMAINS_7
         assert built.report["rejected_domains"] == 2
 
     def test_week_binning(self):
@@ -163,13 +166,14 @@ class TestBuildMachineWeeks:
     def test_unknown_zip_keeps_row_with_sentinel(self):
         parsed = _parse(_sessions_for(1, DOMAINS_7, zip_code="00000"))
         built = build_machine_weeks(parsed.records, WeekConfig())
-        assert built.table.row(0).state == UNKNOWN_STATE
+        table = built.table
+        assert table.state_labels[table.state_idx[0]] == UNKNOWN_STATE
 
     def test_demographic_conflicts_first_seen_wins(self):
         rows = _sessions_for(1, DOMAINS_7[:4], race=1) + _sessions_for(1, DOMAINS_7[4:], race=2)
         parsed = _parse(rows)
         built = build_machine_weeks(parsed.records, WeekConfig())
-        assert built.table.row(0).race_group == "white"
+        assert RACE_GROUPS[built.table.race_idx[0]] == "white"
         assert built.report["demographic_conflicts"] > 0
 
     def test_idempotence(self):
@@ -187,13 +191,14 @@ class TestBuildMachineWeeks:
         re_expanded = []
         code_of_race = {"white": 1, "black": 2, "asian": 4, "other": 3}
         code_of_income = {"lt25k": 4, "25k_75k": 10, "75k_150k": 14, "ge150k": 16}
-        for i in range(len(built.table)):
-            mw = built.table.row(i)
-            date = f"201701{1 + 7 * mw.week_index:02d}"
+        table = built.table
+        for i in range(len(table)):
+            date = f"201701{1 + 7 * int(table.week_indices[i]):02d}"
             re_expanded += _sessions_for(
-                mw.machine_id, list(mw.domains), date=date,
-                zip_code=representative_zip(mw.state),
-                race=code_of_race[mw.race_group], income=code_of_income[mw.income_group],
+                int(table.machine_ids[i]), table.domains(i), date=date,
+                zip_code=representative_zip(table.state_labels[table.state_idx[i]]),
+                race=code_of_race[RACE_GROUPS[table.race_idx[i]]],
+                income=code_of_income[INCOME_GROUPS[table.income_idx[i]]],
             )
         rebuilt = build_machine_weeks(_parse(re_expanded).records, WeekConfig())
         assert rebuilt.table.save_text() == built.table.save_text()
@@ -214,12 +219,36 @@ class TestMachineWeekTable:
         keys = list(zip(small_table.machine_ids.tolist(), small_table.week_indices.tolist()))
         assert keys == sorted(keys)
 
-    def test_subset_preserves_rows(self, small_table):
-        mask = np.zeros(len(small_table), dtype=bool)
-        mask[10:20] = True
-        sub = small_table.subset(mask)
-        assert len(sub) == 10
-        assert sub.row(0).domains == small_table.row(10).domains
+    def test_constructor_rejects_rows_out_of_order(self):
+        args = (["XX"], [0, 0], [0, 0], [0, 0], [0, 1], [0, 1, 2], ["a.com", "b.com"])
+        MachineWeekTable([1, 1], [0, 1], *args)
+        for machine_ids, weeks in (([2, 1], [0, 0]), ([1, 1], [1, 0]), ([1, 1], [0, 0])):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                MachineWeekTable(machine_ids, weeks, *args)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("1\t0\tAL\twhite\tlt25k\ta.com|b.com", "machine 1, week 0 appears twice"),
+            ("2\t0\tAL\twhite\tlt25k", "expected 6 fields, got 5"),
+            ("2\t0\tAL\twhite\tlt25k\ta.com\tx", "expected 6 fields, got 7"),
+            ("x2\t0\tAL\twhite\tlt25k\ta.com", "machine_id and week_index must be integers"),
+            ("2\t0.5\tAL\twhite\tlt25k\ta.com", "machine_id and week_index must be integers"),
+            ("2\t0\tAL\tpurple\tlt25k\ta.com", "unknown race/income label"),
+            ("2\t0\tAL\twhite\trich\ta.com", "unknown race/income label"),
+            ("2\t0\tAL\twhite\tlt25k\ta.com|a.com", "a domain is listed twice"),
+        ],
+        ids=["duplicate", "short", "long", "machine", "week", "race", "income", "domain"],
+    )
+    def test_load_rejects_malformed_lines(self, tmp_path, line, message):
+        path = tmp_path / "table.tsv"
+        good = "1\t0\tAL\twhite\tlt25k\ta.com|c.com"
+        path.write_text(
+            "machine_id\tweek_index\tstate\trace_group\tincome_group\tdomains\n"
+            f"{good}\n\n{line}\n"
+        )
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:4: {message}")):
+            MachineWeekTable.load(path)
 
 
 class TestRepresentativeness:

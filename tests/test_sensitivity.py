@@ -126,8 +126,8 @@ class TestShuffleBaseline:
     def test_cohort_structure_is_untouched(self, clustered_panels):
         panel = clustered_panels[0]
         shuffled = shuffle_baseline(panel, seed=11)
+        assert shuffled.cohort_map is panel.cohort_map
         assert np.array_equal(shuffled.cohort_ids, panel.cohort_ids)
-        assert shuffled.cohort_map.to_json_dict() == panel.cohort_map.to_json_dict()
 
     def test_deterministic_in_seed(self, clustered_panels):
         panel = clustered_panels[0]
@@ -329,9 +329,21 @@ class TestOTScaleControl:
         b = ot_scale_control(10, 10, 1.5, default_joint, t=0.9, seed=3, chunk_size=7)
         assert a.to_json_dict() == b.to_json_dict()
 
-    def test_ratio_below_one_rejected(self, default_joint):
-        with pytest.raises(ValueError, match=">= 1"):
-            ot_scale_control(10, 10, 0.5, default_joint, t=0.1, seed=0)
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"cohort_size_ratio": 0.5}, "cohort_size_ratio must be >= 1"),
+            ({"num_cohorts": 0}, "num_cohorts must be >= 1, got 0"),
+            ({"k": 0}, "k must be >= 1, got 0"),
+            ({"chunk_size": 0}, "chunk_size must be >= 1, got 0"),
+            ({"chunk_size": -5}, "chunk_size must be >= 1, got -5"),
+        ],
+        ids=["ratio", "num_cohorts", "k", "chunk_zero", "chunk_negative"],
+    )
+    def test_ratio_below_one_rejected(self, default_joint, changes, message):
+        kwargs = {"num_cohorts": 10, "k": 10, "cohort_size_ratio": 1.5, **changes}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ot_scale_control(**kwargs, target=default_joint, t=0.1, seed=0)
 
     def test_tight_threshold_flags_everything(self, default_joint):
         res = ot_scale_control(8, 5, 1.0, default_joint, t=-1.0, seed=0)

@@ -20,7 +20,6 @@ from flocpriv.unicity import (
     SequenceSet,
     assign_sequence_cohorts,
     build_sequences,
-    iter_samples,
     sweep_k,
     sweep_population,
     unicity_fractions,
@@ -247,13 +246,6 @@ class TestUnicityFractions:
         csv = report.to_csv_text()
         assert csv.splitlines()[0] == "horizon,frac_sequence,frac_fingerprint,frac_sequence_known"
         assert len(csv.splitlines()) == 5
-
-    def test_iter_samples_mirrors_arrays(self, pool):
-        seqs, cohorts, _ = pool
-        samples = list(iter_samples(seqs, cohorts))
-        assert len(samples) == seqs.n_samples
-        assert samples[0].cohort_ids == tuple(cohorts.cohort_ids[0].tolist())
-        assert samples[0].machine_id == int(seqs.machine_ids[0])
 
 
 class TestSweeps:

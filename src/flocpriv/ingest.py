@@ -28,6 +28,10 @@ INCOME_GROUPS: tuple[str, ...] = ("lt25k", "25k_75k", "75k_150k", "ge150k")
 #: Distinct registrable domains a machine-week must reach to be kept.
 MIN_WEEKLY_DOMAINS = 7
 
+# Machine IDs are stored as int64 and week indices as int32.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
+
 
 def _default_race_codes() -> dict[str, str]:
     codes = {"1": "white", "2": "black", "4": "asian"}
@@ -127,7 +131,8 @@ def parse_sessions(source: Iterable[str] | TextIO, fmt: FormatConfig | None = No
     """Parse raw session rows, counting (not raising on) malformed ones.
 
     The first line must be a header naming every configured column;
-    a missing column raises ``SchemaError``.
+    a missing column raises ``SchemaError``. A machine ID outside signed
+    64-bit counts as a ``bad_integer_field`` reject, like a non-integer one.
     """
     fmt = fmt or FormatConfig()
     records: list[SessionRecord] = []
@@ -160,6 +165,9 @@ def parse_sessions(source: Iterable[str] | TextIO, fmt: FormatConfig | None = No
             pages = int(pages_s)
             duration = int(dur_s)
         except ValueError:
+            rejects.add("bad_integer_field", line)
+            continue
+        if not _INT64_MIN <= machine_id <= _INT64_MAX:
             rejects.add("bad_integer_field", line)
             continue
         if pages < 0 or duration < 0:
@@ -350,9 +358,10 @@ class MachineWeekTable:
         """Read a table written by ``save``; lines may come in any order.
 
         A malformed line raises ``ValueError("<path>:<line>: ...")``: a
-        wrong field count, a non-integer machine ID or week, an unknown
-        race or income label, a domain listed twice, or a (machine, week)
-        already seen on an earlier line.
+        wrong field count, a non-integer machine ID or week, a machine ID
+        outside int64 or a week outside int32, an unknown race or income
+        label, a domain listed twice, or a (machine, week) already seen on
+        an earlier line.
         """
         rows: dict[tuple[int, int], tuple[str, str, str, list[str]]] = {}
         with open(path, encoding="utf-8") as fh:
@@ -372,6 +381,10 @@ class MachineWeekTable:
                     raise ValueError(
                         f"{path}:{lineno}: machine_id and week_index must be integers"
                     ) from None
+                if not (_INT64_MIN <= key[0] <= _INT64_MAX and _INT32_MIN <= key[1] <= _INT32_MAX):
+                    raise ValueError(
+                        f"{path}:{lineno}: machine_id must fit in int64 and week_index in int32"
+                    )
                 if race not in RACE_GROUPS or income not in INCOME_GROUPS:
                     raise ValueError(
                         f"{path}:{lineno}: unknown race/income label {race!r}/{income!r}"

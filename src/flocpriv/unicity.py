@@ -7,6 +7,11 @@ position's pooled population is clustered independently, and a sample's
 signature at horizon h is its cohort ids at positions 1..h (optionally
 prefixed with the machine's state). The unicity fraction is the share of
 samples whose signature is unique in the pool.
+
+Signatures are grouped by refinement: a sample's group at horizon h is the
+dense rank of one int64 key, its group at h-1 times (the largest cohort
+ID at h + 1) plus its cohort ID at h, so each horizon sorts a 1-D array
+of keys (one more over the known-state subset for the fingerprint).
 """
 
 from __future__ import annotations
@@ -115,11 +120,9 @@ def assign_sequence_cohorts(
     return SequenceCohorts(k=k, window=seqs.window, maps=maps, cohort_ids=ids)
 
 
-def _unique_fraction(keys: np.ndarray) -> float:
-    if len(keys) == 0:
-        return 0.0
-    _, counts = np.unique(keys, axis=0, return_counts=True)
-    return float((counts == 1).sum()) / len(keys)
+def _singleton_share(counts: np.ndarray, total: int) -> float:
+    """Share of ``total`` samples that sit in a group of size 1."""
+    return float((counts == 1).sum()) / total if total else 0.0
 
 
 @dataclass
@@ -178,25 +181,43 @@ def unicity_fractions(seqs: SequenceSet, cohorts: SequenceCohorts) -> UnicityRep
 
     The fingerprint column is computed over the subpopulation whose state
     is known; unknown-state samples are excluded from it and counted.
+
+    Groups are refined one horizon at a time: ``gid`` starts at 0 for every
+    sample and becomes the dense rank of ``gid * (c.max() + 1) + c``, where
+    ``c`` is the horizon's (non-negative) cohort-ID column; ``gid`` < n
+    keeps the key within int64. Two samples share a group exactly when
+    their first h cohort IDs agree. The known-state column counts the same
+    groups within the known subset, and the fingerprint column ranks
+    ``gid * n_states + state`` on that subset.
     """
     known = seqs.known_state
+    n = seqs.n_samples
     n_known = int(known.sum())
     report = UnicityReport(
         k=cohorts.k,
         window=seqs.window,
-        n_samples=seqs.n_samples,
+        n_samples=n,
         n_known_state=n_known,
-        n_unknown_excluded=seqs.n_samples - n_known,
+        n_unknown_excluded=n - n_known,
         cohorts_per_position=cohorts.cohorts_per_position(),
     )
-    ids = cohorts.cohort_ids
-    states = seqs.state_idx[known, None].astype(np.int32)
+    states = seqs.state_idx[known].astype(np.int64)
+    n_states = int(states.max(initial=0)) + 1
+    gid = np.zeros(n, dtype=np.int64)
     for h in range(1, seqs.window + 1):
-        frac_seq = _unique_fraction(ids[:, :h])
-        known_ids = ids[known, :h]
-        frac_fp = _unique_fraction(np.hstack([states, known_ids]))
-        frac_seq_known = _unique_fraction(known_ids)
-        report.rows.append(HorizonRow(h, frac_seq, frac_fp, frac_seq_known))
+        col = cohorts.cohort_ids[:, h - 1].astype(np.int64)
+        key = gid * (int(col.max(initial=0)) + 1) + col
+        _, gid, counts = np.unique(key, return_inverse=True, return_counts=True)
+        known_gid = gid[known]
+        _, fp_counts = np.unique(known_gid * n_states + states, return_counts=True)
+        report.rows.append(
+            HorizonRow(
+                h,
+                _singleton_share(counts, n),
+                _singleton_share(fp_counts, n_known),
+                _singleton_share(np.bincount(known_gid), n_known),
+            )
+        )
     return report
 
 

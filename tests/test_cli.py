@@ -80,6 +80,29 @@ class TestPipelineErrors:
         assert err["error"] == "CohortError"
         assert "week 0" in err["message"]
 
+    @pytest.mark.parametrize("machine, week", [(2**64 + 1, 0), (1, 99999999999)])
+    def test_out_of_range_table_line_is_a_json_error(self, capsys, tmp_path, machine, week):
+        table = tmp_path / "table.tsv"
+        table.write_text(
+            "machine_id\tweek_index\tstate\trace_group\tincome_group\tdomains\n"
+            f"{machine}\t{week}\tAL\twhite\tlt25k\ta.com\n"
+        )
+        assert _run("cohorts", "--out", tmp_path / "o", "--table", table) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"] == (
+            f"{table}:2: machine_id must fit in int64 and week_index in int32"
+        )
+
+    def test_preprocess_rejects_out_of_range_machine_ids(self, tmp_path):
+        sessions = tmp_path / "sessions.tsv"
+        lines = bundled_table1_sessions().splitlines(keepends=True)
+        huge = [f"{2**64 + 1}\t" + line.split("\t", 1)[1] for line in lines[1:]]
+        sessions.write_text(lines[0] + "".join(lines[1:] + huge))
+        assert _run("preprocess", "--out", tmp_path / "pre", "--sessions", sessions) == 0
+        rejects = json.loads((tmp_path / "pre" / "rejects.json").read_text())
+        assert rejects["counts"] == {"bad_integer_field": len(huge)}
+
     def test_report_requires_manifests(self, capsys, tmp_path):
         empty = tmp_path / "not_a_run"
         empty.mkdir()

@@ -85,6 +85,13 @@ class TestParseSessions:
         assert result.rejects.total == 1
         assert result.rejects.counts["bad_integer_field"] == 1
 
+    def test_machine_id_outside_int64_rejected_not_fatal(self):
+        inside = [2**63 - 1, -(2**63)]
+        outside = [2**63, -(2**63) - 1, 2**64 + 1]
+        result = _parse([_row(machine=m) for m in inside + outside])
+        assert [r.machine_id for r in result.records] == inside
+        assert result.rejects.counts == {"bad_integer_field": len(outside)}
+
     def test_negative_duration_rejected(self):
         result = _parse([_row(duration=-5)])
         assert result.rejects.counts["negative_count"] == 1
@@ -204,6 +211,9 @@ class TestBuildMachineWeeks:
         assert rebuilt.table.save_text() == built.table.save_text()
 
 
+_OUT_OF_RANGE = "machine_id must fit in int64 and week_index in int32"
+
+
 class TestMachineWeekTable:
     def test_save_load_round_trip(self, tmp_path, small_table):
         path = tmp_path / "table.tsv"
@@ -237,8 +247,17 @@ class TestMachineWeekTable:
             ("2\t0\tAL\tpurple\tlt25k\ta.com", "unknown race/income label"),
             ("2\t0\tAL\twhite\trich\ta.com", "unknown race/income label"),
             ("2\t0\tAL\twhite\tlt25k\ta.com|a.com", "a domain is listed twice"),
+            (f"{2**64 + 1}\t0\tAL\twhite\tlt25k\ta.com", _OUT_OF_RANGE),
+            (f"{2**63}\t0\tAL\twhite\tlt25k\ta.com", _OUT_OF_RANGE),
+            (f"{-(2**63) - 1}\t0\tAL\twhite\tlt25k\ta.com", _OUT_OF_RANGE),
+            ("2\t99999999999\tAL\twhite\tlt25k\ta.com", _OUT_OF_RANGE),
+            (f"2\t{-(2**31) - 1}\tAL\twhite\tlt25k\ta.com", _OUT_OF_RANGE),
         ],
-        ids=["duplicate", "short", "long", "machine", "week", "race", "income", "domain"],
+        ids=[
+            "duplicate", "short", "long", "machine", "week", "race", "income", "domain",
+            "machine_2**64+1", "machine_2**63", "machine_below_int64", "week_above_int32",
+            "week_below_int32",
+        ],
     )
     def test_load_rejects_malformed_lines(self, tmp_path, line, message):
         path = tmp_path / "table.tsv"
@@ -249,6 +268,17 @@ class TestMachineWeekTable:
         )
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}:4: {message}")):
             MachineWeekTable.load(path)
+
+    def test_load_keeps_int64_and_int32_extremes(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        path.write_text(
+            "machine_id\tweek_index\tstate\trace_group\tincome_group\tdomains\n"
+            f"{-(2**63)}\t{2**31 - 1}\tAL\twhite\tlt25k\ta.com\n"
+            f"{2**63 - 1}\t{-(2**31)}\tAL\twhite\tlt25k\ta.com\n"
+        )
+        table = MachineWeekTable.load(path)
+        assert table.machine_ids.tolist() == [-(2**63), 2**63 - 1]
+        assert table.week_indices.tolist() == [2**31 - 1, -(2**31)]
 
 
 class TestRepresentativeness:

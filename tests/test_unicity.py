@@ -1,9 +1,12 @@
 """Cohort-sequence unicity: windowing, pooled clustering, fractions, sweeps."""
 
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flocpriv.cohorts import compute_weekly_cohorts
 from flocpriv.fixtures import (
@@ -17,6 +20,7 @@ from flocpriv.ingest import FormatConfig, WeekConfig, build_machine_weeks, parse
 from flocpriv.prefixlsh import CohortError
 from flocpriv.simhash import SimHashConfig
 from flocpriv.unicity import (
+    SequenceCohorts,
     SequenceSet,
     assign_sequence_cohorts,
     build_sequences,
@@ -246,6 +250,64 @@ class TestUnicityFractions:
         csv = report.to_csv_text()
         assert csv.splitlines()[0] == "horizon,frac_sequence,frac_fingerprint,frac_sequence_known"
         assert len(csv.splitlines()) == 5
+
+
+def _direct_pool(ids, state_idx, known):
+    """A SequenceSet/SequenceCohorts pair carrying only what the fractions read."""
+    n, window = ids.shape
+    zeros = np.zeros(n, dtype=np.int64)
+    seqs = SequenceSet(
+        table=None,
+        window=window,
+        row_matrix=np.zeros((n, window), dtype=np.int64),
+        machine_ids=zeros,
+        window_index=zeros,
+        state_idx=np.asarray(state_idx, dtype=np.int64),
+        known_state=np.asarray(known, dtype=bool),
+    )
+    return seqs, SequenceCohorts(k=1, window=window, maps=[], cohort_ids=ids)
+
+
+def _brute_unique_share(keys):
+    counts = Counter(keys)
+    return sum(counts[key] == 1 for key in keys) / len(keys) if keys else 0.0
+
+
+@st.composite
+def _id_matrices(draw):
+    """Cohort IDs from a small palette (so signatures collide) that may hold
+    values up to 2**31 - 1, with states and a known-state mask."""
+    window = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 200))
+    palette = draw(st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=5, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = rng.choice(np.array(palette, dtype=np.int32), size=(n, window))
+    state_idx = rng.integers(0, draw(st.integers(1, 4)), size=n)
+    known = draw(st.sampled_from(["all", "none", "mixed"]))
+    mask = {"all": np.ones(n, bool), "none": np.zeros(n, bool), "mixed": rng.random(n) < 0.5}
+    return ids, state_idx, mask[known]
+
+
+class TestUnicityMatchesBruteForce:
+    @settings(max_examples=300, deadline=None)
+    @given(_id_matrices())
+    @example((np.zeros((0, 3), np.int32), np.zeros(0, np.int64), np.zeros(0, bool)))
+    # The second column spans 2**31 values, so the horizon-2 keys are
+    # gid * 2**31 + c; in int32 the key of (2, 0) would wrap onto (0, 0).
+    @example((np.array([[0, 0], [1, 0], [2, 0], [0, 2**31 - 1]], np.int32),
+              np.zeros(4, np.int64), np.ones(4, bool)))
+    def test_every_column_matches_row_tuple_counts(self, pool):
+        ids, state_idx, known = pool
+        report = unicity_fractions(*_direct_pool(ids, state_idx, known))
+        assert report.n_known_state == int(known.sum())
+        assert [r.horizon for r in report.rows] == list(range(1, ids.shape[1] + 1))
+        for row in report.rows:
+            rows = [tuple(r) for r in ids[:, : row.horizon].tolist()]
+            known_rows = [r for r, k in zip(rows, known) if k]
+            fingerprints = [(s, *r) for r, s, k in zip(rows, state_idx.tolist(), known) if k]
+            assert row.frac_sequence == _brute_unique_share(rows)
+            assert row.frac_sequence_known == _brute_unique_share(known_rows)
+            assert row.frac_fingerprint == _brute_unique_share(fingerprints)
 
 
 class TestSweeps:

@@ -3,8 +3,10 @@
 Wires ingestion/synthesis through cohort computation into the unicity
 and demographic-leakage reports. Every subcommand writes its outputs
 plus a ``manifest.json`` echoing the resolved configuration; identical
-manifests produce byte-identical outputs. A JSON config file may supply
-any flag (keys = flag dest names); explicit flags override the file.
+manifests produce byte-identical outputs. A run that fails writes
+nothing: ``--out`` is created and filled only once the handler returns.
+A JSON config file may supply any flag (keys = flag dest names);
+explicit flags override the file.
 
 Exit codes: 0 success, 1 pipeline failure, 2 usage error.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import io
 import json
 import os
 import sys
@@ -34,7 +37,7 @@ from .ingest import (
     parse_sessions,
     representativeness,
 )
-from .manifest import write_json, write_manifest, write_text
+from .manifest import dump_json, write_manifest, write_text
 from .panels import JointDistribution, PanelError, cluster_panel, stratified_panels
 from .prefixlsh import CohortError
 from .psl import SuffixSet
@@ -57,30 +60,49 @@ class PipelineError(RuntimeError):
     pass
 
 
+#: Flags naming input files; a run digests each one it was given.
+_INPUT_FLAGS = ("sessions", "psl", "reference", "table", "target")
+
+
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise PipelineError(f"bad integer list {text!r}") from exc
+    if not values:
+        raise PipelineError(f"integer list {text!r} has no values")
+    return values
 
 
 def _parse_t_grid(text: str) -> list[float]:
     """Either "start:stop:step" (inclusive, rounded to 10 places) or a
     comma-separated list."""
-    if ":" in text:
-        try:
-            start_s, stop_s, step_s = text.split(":")
-            start, stop, step = float(start_s), float(stop_s), float(step_s)
-        except ValueError as exc:
-            raise PipelineError(f"bad t-grid {text!r}") from exc
-        if step <= 0:
-            raise PipelineError("t-grid step must be positive")
-        n = int(round((stop - start) / step))
-        return [round(start + i * step, 10) for i in range(n + 1)]
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        if ":" in text:
+            start, stop, step = (float(x) for x in text.split(":"))
+            if step <= 0:
+                raise PipelineError("t-grid step must be positive")
+            n = int(round((stop - start) / step))
+            values = [round(start + i * step, 10) for i in range(n + 1)]
+        else:
+            values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise PipelineError(f"bad t-grid {text!r}") from exc
+    if not values:
+        raise PipelineError(f"t-grid {text!r} has no values")
+    return values
+
+
+def _non_negative(value: int, flag: str) -> int:
+    if value < 0:
+        raise PipelineError(f"{flag} must be non-negative, got {value}")
+    return value
+
+
+def _machine_demographics(table: MachineWeekTable) -> tuple[np.ndarray, np.ndarray]:
+    """Race and income index of each machine (by ascending ID), from its first row."""
+    _, first = np.unique(table.machine_ids, return_index=True)
+    return table.race_idx[first], table.income_idx[first]
 
 
 def _load_joint(path: str | None, table: MachineWeekTable | None = None) -> JointDistribution:
@@ -89,12 +111,8 @@ def _load_joint(path: str | None, table: MachineWeekTable | None = None) -> Join
     if path == "empirical":
         if table is None:
             raise PipelineError("empirical target needs a table")
-        ids, first = np.unique(table.machine_ids, return_index=True)
-        del ids
-        cells = (
-            table.race_idx[first].astype(np.int64) * len(INCOME_GROUPS)
-            + table.income_idx[first]
-        )
+        race, income = _machine_demographics(table)
+        cells = race.astype(np.int64) * len(INCOME_GROUPS) + income
         counts = np.bincount(cells, minlength=len(RACE_GROUPS) * len(INCOME_GROUPS))
         probs = counts / counts.sum()
         grid = probs.reshape(len(RACE_GROUPS), len(INCOME_GROUPS))
@@ -104,11 +122,8 @@ def _load_joint(path: str | None, table: MachineWeekTable | None = None) -> Join
 
 
 def _attributes(selection: str) -> tuple[str, ...]:
-    if selection == "both":
-        return ATTRIBUTES
-    if selection in ATTRIBUTES:
-        return (selection,)
-    raise PipelineError(f"attribute must be race, income or both, got {selection!r}")
+    # argparse and _apply_config_file both hold selection to the flag's choices.
+    return ATTRIBUTES if selection == "both" else (selection,)
 
 
 def _config_echo(args: argparse.Namespace) -> dict[str, Any]:
@@ -118,9 +133,11 @@ def _config_echo(args: argparse.Namespace) -> dict[str, Any]:
     return {k: v for k, v in vars(args).items() if k not in skip and not callable(v)}
 
 
-def _ensure_out(args: argparse.Namespace) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
+def _inputs(args: argparse.Namespace) -> dict[str, str]:
+    given = {flag: getattr(args, flag, None) for flag in _INPUT_FLAGS}
+    if given["target"] == "empirical":  # derived from --table, not read from a file
+        del given["target"]
+    return {flag: path for flag, path in given.items() if path is not None}
 
 
 def _sim_config(args: argparse.Namespace) -> SimHashConfig:
@@ -131,11 +148,11 @@ def _sim_config(args: argparse.Namespace) -> SimHashConfig:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each maps the parsed flags to {output file name: text}
+# and writes nothing; main writes the files and the manifest.
 
 
-def _cmd_preprocess(args: argparse.Namespace) -> None:
-    out = _ensure_out(args)
+def _cmd_preprocess(args: argparse.Namespace) -> dict[str, str]:
     fmt = FormatConfig(delimiter=args.delimiter, date_format=args.date_format)
     suffixes = SuffixSet.from_file(args.psl) if args.psl else None
     try:
@@ -151,48 +168,24 @@ def _cmd_preprocess(args: argparse.Namespace) -> None:
     built = build_machine_weeks(
         parsed.records, week_cfg, suffixes, implicit_star=args.implicit_star
     )
-    built.table.save(os.path.join(out, "machine_weeks.tsv"))
-    write_json(os.path.join(out, "rejects.json"), parsed.rejects.to_json_dict())
     report = dict(built.report)
     if args.reference:
         with open(args.reference, encoding="utf-8") as fh:
             reference = json.load(fh)
-        ids, first = np.unique(built.table.machine_ids, return_index=True)
-        del ids
-        obs_race = {
-            g: float((built.table.race_idx[first] == i).mean())
-            for i, g in enumerate(RACE_GROUPS)
-        }
-        obs_income = {
-            g: float((built.table.income_idx[first] == i).mean())
-            for i, g in enumerate(INCOME_GROUPS)
-        }
-        report["representativeness"] = {
-            "race": dict(
-                zip(("r", "p_value"), representativeness(obs_race, reference["race"]))
-            ),
-            "income": dict(
-                zip(("r", "p_value"), representativeness(obs_income, reference["income"]))
-            ),
-        }
-    write_json(os.path.join(out, "ingest_report.json"), report)
-    inputs = {"sessions": args.sessions}
-    if args.psl:
-        inputs["psl"] = args.psl
-    if args.reference:
-        inputs["reference"] = args.reference
-    write_manifest(
-        out,
-        "preprocess",
-        __version__,
-        _config_echo(args),
-        inputs,
-        ["machine_weeks.tsv", "rejects.json", "ingest_report.json"],
-    )
+        race, income = _machine_demographics(built.table)
+        report["representativeness"] = {}
+        for attribute, idx, groups in (("race", race, RACE_GROUPS), ("income", income, INCOME_GROUPS)):
+            observed = {g: float((idx == i).mean()) for i, g in enumerate(groups)}
+            r, p = representativeness(observed, reference[attribute])
+            report["representativeness"][attribute] = {"r": r, "p_value": p}
+    return {
+        "machine_weeks.tsv": built.table.save_text(),
+        "rejects.json": dump_json(parsed.rejects.to_json_dict()),
+        "ingest_report.json": dump_json(report),
+    }
 
 
-def _cmd_synth(args: argparse.Namespace) -> None:
-    out = _ensure_out(args)
+def _cmd_synth(args: argparse.Namespace) -> dict[str, str]:
     joint = _load_joint(args.target)
     cfg = SynthConfig(
         n_machines=args.machines,
@@ -207,99 +200,56 @@ def _cmd_synth(args: argparse.Namespace) -> None:
         seed=args.seed,
     )
     pop = generate_population(cfg)
-    outputs = ["demographics.json"]
+    files = {"demographics.json": dump_json(pop.demographics_json())}
     if args.emit in ("table", "both"):
-        pop.table.save(os.path.join(out, "machine_weeks.tsv"))
-        outputs.append("machine_weeks.tsv")
+        files["machine_weeks.tsv"] = pop.table.save_text()
     if args.emit in ("sessions", "both"):
-        with open(os.path.join(out, "sessions.tsv"), "w", encoding="utf-8", newline="\n") as fh:
-            write_sessions(pop, fh)
-        outputs.append("sessions.tsv")
-    write_json(os.path.join(out, "demographics.json"), pop.demographics_json())
-    inputs = {} if args.target in (None, "empirical") else {"target": args.target}
-    write_manifest(out, "synth", __version__, _config_echo(args), inputs, outputs)
+        buf = io.StringIO()
+        write_sessions(pop, buf)
+        files["sessions.tsv"] = buf.getvalue()
+    return files
 
 
-def _cmd_cohorts(args: argparse.Namespace) -> None:
-    out = _ensure_out(args)
+def _cmd_cohorts(args: argparse.Namespace) -> dict[str, str]:
     table = MachineWeekTable.load(args.table)
     weekly = compute_weekly_cohorts(table, args.k, _sim_config(args))
-    write_json(
-        os.path.join(out, "cohort_maps.json"),
-        {str(week): cmap.to_json_dict() for week, cmap in sorted(weekly.maps.items())},
-    )
-    lines = ["machine_id\tweek_index\tcohort_id"]
-    for i in range(len(table)):
-        lines.append(
-            f"{table.machine_ids[i]}\t{table.week_indices[i]}\t{weekly.cohort_ids[i]}"
-        )
-    write_text(os.path.join(out, "assignments.tsv"), "\n".join(lines) + "\n")
-    write_manifest(
-        out,
-        "cohorts",
-        __version__,
-        _config_echo(args),
-        {"table": args.table},
-        ["cohort_maps.json", "assignments.tsv"],
-    )
+    rows = zip(table.machine_ids.tolist(), table.week_indices.tolist(), weekly.cohort_ids.tolist())
+    return {
+        "cohort_maps.json": dump_json(
+            {str(week): cmap.to_json_dict() for week, cmap in sorted(weekly.maps.items())}
+        ),
+        "assignments.tsv": "machine_id\tweek_index\tcohort_id\n"
+        + "".join(f"{m}\t{w}\t{c}\n" for m, w, c in rows),
+    }
 
 
-def _cmd_unicity(args: argparse.Namespace) -> None:
-    out = _ensure_out(args)
+def _cmd_unicity(args: argparse.Namespace) -> dict[str, str]:
     table = MachineWeekTable.load(args.table)
     seqs = build_sequences(table, args.window)
     cohorts = assign_sequence_cohorts(seqs, args.k, _sim_config(args))
     report = unicity_fractions(seqs, cohorts)
-    write_json(os.path.join(out, "unicity.json"), report.to_json_dict())
-    write_text(os.path.join(out, "unicity.csv"), report.to_csv_text())
-    write_manifest(
-        out,
-        "unicity",
-        __version__,
-        _config_echo(args),
-        {"table": args.table},
-        ["unicity.json", "unicity.csv"],
-    )
+    return {"unicity.json": dump_json(report.to_json_dict()), "unicity.csv": report.to_csv_text()}
 
 
-def _cmd_sweep_n(args: argparse.Namespace) -> None:
-    out = _ensure_out(args)
+def _cmd_sweep_n(args: argparse.Namespace) -> dict[str, str]:
+    grid = _parse_int_list(args.grid)
     table = MachineWeekTable.load(args.table)
     seqs = build_sequences(table, args.window)
-    result = sweep_population(
-        seqs, args.k, _parse_int_list(args.grid), derive_seed(args.seed, "sweep-n"), _sim_config(args)
-    )
-    write_json(os.path.join(out, "sweep_n.json"), result.to_json_dict())
-    write_text(os.path.join(out, "sweep_n.csv"), result.to_csv_text())
-    write_manifest(
-        out,
-        "sweep-n",
-        __version__,
-        _config_echo(args),
-        {"table": args.table},
-        ["sweep_n.json", "sweep_n.csv"],
-    )
+    result = sweep_population(seqs, args.k, grid, derive_seed(args.seed, "sweep-n"), _sim_config(args))
+    return {"sweep_n.json": dump_json(result.to_json_dict()), "sweep_n.csv": result.to_csv_text()}
 
 
-def _cmd_sweep_k(args: argparse.Namespace) -> None:
-    out = _ensure_out(args)
+def _cmd_sweep_k(args: argparse.Namespace) -> dict[str, str]:
+    grid = _parse_int_list(args.grid)
     table = MachineWeekTable.load(args.table)
     seqs = build_sequences(table, args.window)
-    result = sweep_k(seqs, _parse_int_list(args.grid), _sim_config(args))
-    write_json(os.path.join(out, "sweep_k.json"), result.to_json_dict())
-    write_text(os.path.join(out, "sweep_k.csv"), result.to_csv_text())
-    write_manifest(
-        out,
-        "sweep-k",
-        __version__,
-        _config_echo(args),
-        {"table": args.table},
-        ["sweep_k.json", "sweep_k.csv"],
-    )
+    result = sweep_k(seqs, grid, _sim_config(args))
+    return {"sweep_k.json": dump_json(result.to_json_dict()), "sweep_k.csv": result.to_csv_text()}
 
 
-def _cmd_t_closeness(args: argparse.Namespace) -> None:
-    out = _ensure_out(args)
+def _cmd_t_closeness(args: argparse.Namespace) -> dict[str, str]:
+    shuffles = _non_negative(args.shuffles, "--shuffles")
+    t_grid = _parse_t_grid(args.t_grid) if args.t_grid else list(DEFAULT_T_GRID)
     table = MachineWeekTable.load(args.table)
     target = _load_joint(args.target, table)
     sim = _sim_config(args)
@@ -315,70 +265,44 @@ def _cmd_t_closeness(args: argparse.Namespace) -> None:
         cluster_panel(panel, args.k, args.bit_length)
     shuffled = [
         shuffle_baseline(panel, derive_seed(args.seed, "shuffle", i * len(panels) + panel.panel_id))
-        for i in range(args.shuffles)
+        for i in range(shuffles)
         for panel in panels
     ]
-    t_grid = _parse_t_grid(args.t_grid) if args.t_grid else list(DEFAULT_T_GRID)
-    outputs = []
+    files = {}
     for attribute in _attributes(args.attribute):
         report = t_closeness_curve(panels, t_grid, attribute, shuffled=shuffled or None)
-        write_json(os.path.join(out, f"tcloseness_{attribute}.json"), report.to_json_dict())
-        write_text(os.path.join(out, f"tcloseness_{attribute}.csv"), report.to_csv_text())
-        outputs += [f"tcloseness_{attribute}.json", f"tcloseness_{attribute}.csv"]
-    inputs = {"table": args.table}
-    if args.target not in (None, "empirical"):
-        inputs["target"] = args.target
-    write_manifest(out, "t-closeness", __version__, _config_echo(args), inputs, outputs)
+        files[f"tcloseness_{attribute}.json"] = dump_json(report.to_json_dict())
+        files[f"tcloseness_{attribute}.csv"] = report.to_csv_text()
+    return files
 
 
-def _cmd_chisq(args: argparse.Namespace) -> None:
-    out = _ensure_out(args)
-    table = MachineWeekTable.load(args.table)
+def _cmd_chisq(args: argparse.Namespace) -> dict[str, str]:
+    control_runs = _non_negative(args.control_runs, "--control-runs")
     d_grid = _parse_int_list(args.d_grid)
+    table = MachineWeekTable.load(args.table)
     rows = []
     for attribute in _attributes(args.attribute):
         rows.extend(chi_square_by_group(table, attribute, d_grid))
-    write_text(os.path.join(out, "chisq.csv"), chi_square_csv(rows))
-    payload: dict[str, Any] = {
-        "rows": [
-            {
-                "attribute": r.attribute,
-                "group": r.group,
-                "D": r.d,
-                "statistic": r.statistic,
-                "p_value": r.p_value,
-            }
-            for r in rows
-        ]
-    }
-    if args.control_runs:
+    payload: dict[str, Any] = {"rows": [r.to_json_dict() for r in rows]}
+    if control_runs:
         d = max(d_grid)
         pvals = [
             random_subsample_pvalue(
                 table, d, args.control_fraction, derive_seed(args.seed, "chisq-control", i)
             )
-            for i in range(args.control_runs)
+            for i in range(control_runs)
         ]
         payload["control"] = {
             "D": d,
             "fraction": args.control_fraction,
-            "runs": args.control_runs,
+            "runs": control_runs,
             "p_values": pvals,
             "share_above_0.05": float(np.mean([p > 0.05 for p in pvals])),
         }
-    write_json(os.path.join(out, "chisq.json"), payload)
-    write_manifest(
-        out,
-        "chisq",
-        __version__,
-        _config_echo(args),
-        {"table": args.table},
-        ["chisq.csv", "chisq.json"],
-    )
+    return {"chisq.csv": chi_square_csv(rows), "chisq.json": dump_json(payload)}
 
 
-def _cmd_ot_control(args: argparse.Namespace) -> None:
-    out = _ensure_out(args)
+def _cmd_ot_control(args: argparse.Namespace) -> dict[str, str]:
     target = _load_joint(args.target)
     result = ot_scale_control(
         num_cohorts=args.cohorts,
@@ -389,15 +313,10 @@ def _cmd_ot_control(args: argparse.Namespace) -> None:
         seed=args.seed,
         chunk_size=args.chunk_size,
     )
-    write_json(os.path.join(out, "ot_control.json"), result.to_json_dict())
-    inputs = {} if args.target in (None, "empirical") else {"target": args.target}
-    write_manifest(
-        out, "ot-control", __version__, _config_echo(args), inputs, ["ot_control.json"]
-    )
+    return {"ot_control.json": dump_json(result.to_json_dict())}
 
 
-def _cmd_report(args: argparse.Namespace) -> None:
-    out = _ensure_out(args)
+def _cmd_report(args: argparse.Namespace) -> dict[str, str]:
     summary: dict[str, Any] = {}
     for run_dir in sorted(args.runs):
         manifest_path = os.path.join(run_dir, "manifest.json")
@@ -414,8 +333,7 @@ def _cmd_report(args: argparse.Namespace) -> None:
                 name for name in os.listdir(run_dir) if name != "manifest.json"
             ),
         }
-    write_json(os.path.join(out, "report.json"), summary)
-    write_manifest(out, "report", __version__, _config_echo(args), {}, ["report.json"])
+    return {"report.json": dump_json(summary)}
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +346,12 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON file supplying flag defaults")
 
 
-def _add_hash_flags(sp: argparse.ArgumentParser) -> None:
+def _add_analysis_flags(sp: argparse.ArgumentParser, k: bool = True, window: bool = True) -> None:
+    sp.add_argument("--table", help="machine-week TSV from preprocess/synth (required)")
+    if k:
+        sp.add_argument("--k", type=int, default=30)
+    if window:
+        sp.add_argument("--window", type=int, default=4)
     sp.add_argument("--bit-length", type=int, default=DEFAULT_BIT_LENGTH)
     sp.add_argument("--hash-seed", type=int, default=DEFAULT_SEED)
 
@@ -442,7 +365,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     subs = parser.add_subparsers(dest="subcommand", required=True)
     registry: dict[str, argparse.ArgumentParser] = {}
 
-    def sub(name: str, func: Callable[[argparse.Namespace], None], help_text: str):
+    def sub(name: str, func: Callable[[argparse.Namespace], dict[str, str]], help_text: str):
         sp = subs.add_parser(name, help=help_text)
         _add_common(sp)
         sp.set_defaults(func=func)
@@ -477,39 +400,24 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--target", help="joint distribution JSON (default: bundled)")
     sp.add_argument("--emit", choices=("table", "sessions", "both"), default="table")
 
-    sp = sub("cohorts", _cmd_cohorts, "weekly cohort maps and assignments")
-    sp.add_argument("--table", help="machine-week TSV from preprocess/synth (required)")
-    sp.add_argument("--k", type=int, default=30)
-    _add_hash_flags(sp)
-
-    sp = sub("unicity", _cmd_unicity, "sequence unicity report")
-    sp.add_argument("--table")
-    sp.add_argument("--k", type=int, default=30)
-    sp.add_argument("--window", type=int, default=4)
-    _add_hash_flags(sp)
+    _add_analysis_flags(sub("cohorts", _cmd_cohorts, "weekly cohort maps and assignments"), window=False)
+    _add_analysis_flags(sub("unicity", _cmd_unicity, "sequence unicity report"))
 
     sp = sub("sweep-n", _cmd_sweep_n, "unicity vs population size")
-    sp.add_argument("--table")
-    sp.add_argument("--k", type=int, default=30)
-    sp.add_argument("--window", type=int, default=4)
+    _add_analysis_flags(sp)
     sp.add_argument("--grid", help="comma-separated machine counts (required)")
-    _add_hash_flags(sp)
 
     sp = sub("sweep-k", _cmd_sweep_k, "unicity vs anonymity level")
-    sp.add_argument("--table")
-    sp.add_argument("--window", type=int, default=4)
+    _add_analysis_flags(sp, k=False)
     sp.add_argument("--grid", help="comma-separated k values (required)")
-    _add_hash_flags(sp)
 
     sp = sub("t-closeness", _cmd_t_closeness, "violation curves with baselines")
-    sp.add_argument("--table")
-    sp.add_argument("--k", type=int, default=30)
+    _add_analysis_flags(sp, window=False)
     sp.add_argument("--panels", type=int, default=10, help="panels per week")
     sp.add_argument("--attribute", choices=("race", "income", "both"), default="both")
     sp.add_argument("--t-grid", help='"start:stop:step" or comma list (default 0:0.5:0.01)')
     sp.add_argument("--shuffles", type=int, default=1, help="shuffled copies per panel")
     sp.add_argument("--target", help='joint JSON, or "empirical" (default: bundled)')
-    _add_hash_flags(sp)
 
     sp = sub("chisq", _cmd_chisq, "browsing-difference chi-square tests")
     sp.add_argument("--table")
@@ -532,70 +440,58 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, registry
 
 
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "preprocess": ("out", "sessions"),
-    "synth": ("out",),
-    "cohorts": ("out", "table"),
-    "unicity": ("out", "table"),
-    "sweep-n": ("out", "table", "grid"),
-    "sweep-k": ("out", "table", "grid"),
-    "t-closeness": ("out", "table"),
-    "chisq": ("out", "table"),
-    "ot-control": ("out",),
-    "report": ("out",),
-}
+#: Flags every subcommand that has them requires. They are checked after
+#: parsing, not by argparse, because a config file may supply them.
+_REQUIRED = ("out", "sessions", "table", "grid")
 
 
-def _apply_config_file(argv: Sequence[str], registry: dict[str, argparse.ArgumentParser]) -> None:
+def _apply_config_file(path: str, sp: argparse.ArgumentParser) -> None:
     """Make config-file values the parser defaults for the subcommand."""
-    if not argv:
-        return
-    name = argv[0]
-    if name not in registry:
-        return
-    config_path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-        elif token.startswith("--config="):
-            config_path = token.split("=", 1)[1]
-    if config_path is None:
-        return
-    with open(config_path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         values = json.load(fh)
-    sp = registry[name]
+    if not isinstance(values, dict):
+        sp.error(f"config file must hold a JSON object, not {type(values).__name__}")
     known = {a.dest for a in sp._actions}
     unknown = set(values) - known
     if unknown:
         sp.error(f"unknown config keys: {sorted(unknown)}")
+    # set_defaults bypasses argparse's choices check, so do it here.
+    invalid = {
+        a.dest: values[a.dest]
+        for a in sp._actions
+        if a.choices is not None and a.dest in values and values[a.dest] not in a.choices
+    }
+    if invalid:
+        sp.error(f"config values not among the flag's choices: {invalid}")
     sp.set_defaults(**values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
-    try:
-        _apply_config_file(argv, registry)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"flocpriv: cannot read config file: {exc}", file=sys.stderr)
-        return 2
     args = parser.parse_args(argv)
-    missing = [
-        f"--{name.replace('_', '-')}"
-        for name in _REQUIRED[args.subcommand]
-        if getattr(args, name, None) in (None, [])
-    ]
+    if args.config is not None:
+        try:
+            _apply_config_file(args.config, registry[args.subcommand])
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"flocpriv: cannot read config file: {exc}", file=sys.stderr)
+            return 2
+        args = parser.parse_args(argv)  # explicit flags still beat the file
+    missing = [f"--{name}" for name in _REQUIRED if name in args and getattr(args, name) is None]
     if missing:
         registry[args.subcommand].print_usage(sys.stderr)
         print(f"flocpriv {args.subcommand}: missing required: {', '.join(missing)}", file=sys.stderr)
         return 2
     try:
-        args.func(args)
-    except (PipelineError, CohortError, PanelError, ValueError, OSError) as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
+        files = args.func(args)
+        os.makedirs(args.out, exist_ok=True)
+        for name, text in files.items():
+            write_text(os.path.join(args.out, name), text)
+        write_manifest(
+            args.out, args.subcommand, __version__, _config_echo(args), _inputs(args), list(files)
         )
+    except (PipelineError, CohortError, PanelError, ValueError, OSError) as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
     return 0
 

@@ -334,6 +334,15 @@ class ChiSquareRow:
     statistic: float
     p_value: float
 
+    def to_json_dict(self) -> dict[str, Any]:
+        return {
+            "attribute": self.attribute,
+            "group": self.group,
+            "D": self.d,
+            "statistic": self.statistic,
+            "p_value": self.p_value,
+        }
+
 
 def chi_square_by_group(
     table: MachineWeekTable, attribute: str, d_grid: Sequence[int]
@@ -356,7 +365,12 @@ def chi_square_by_group(
 def random_subsample_pvalue(
     table: MachineWeekTable, d: int, fraction: float, seed: int
 ) -> float:
-    """Control: chi-square p of a demographics-blind row subsample."""
+    """Control: chi-square p of a demographics-blind row subsample.
+
+    Raises ``ValueError`` unless ``0 < fraction <= 1``.
+    """
+    if not 0 < fraction <= 1:
+        raise ValueError(f"control fraction must be in (0, 1], got {fraction!r}")
     rng = np.random.default_rng(seed)
     mask = np.zeros(len(table), dtype=bool)
     take = int(round(len(table) * fraction))

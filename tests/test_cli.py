@@ -1,11 +1,13 @@
 """End-to-end CLI behavior: exit codes, outputs, config files, determinism."""
 
 import json
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from flocpriv.cli import main
+from flocpriv.ingest import INCOME_GROUPS, RACE_GROUPS
 from flocpriv.fixtures import (
     EXPECTED_FINGERPRINT_FRACTIONS,
     EXPECTED_SEQUENCE_FRACTIONS,
@@ -66,6 +68,34 @@ class TestUsageErrors:
             assert exc.value.code == 2
 
 
+    def test_config_file_must_hold_an_object(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('["k"]')
+        with pytest.raises(SystemExit) as exc:
+            _run("unicity", "--out", tmp_path / "o", "--table", "t.tsv", "--config", cfg)
+        assert exc.value.code == 2
+        assert "must hold a JSON object, not list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, flags, payload",
+        [
+            ("synth", [], {"emit": "tabel"}),
+            ("chisq", ["--table", "t.tsv"], {"attribute": "sex"}),
+            ("t-closeness", ["--table", "t.tsv"], {"k": 5, "attribute": "gender"}),
+        ],
+        ids=["synth-emit", "chisq-attribute", "t-closeness-attribute"],
+    )
+    def test_config_value_outside_choices_rejected(self, capsys, tmp_path, name, flags, payload):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            _run(name, "--out", out, *flags, "--config", cfg)
+        assert exc.value.code == 2
+        assert "not among the flag's choices" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestPipelineErrors:
     def test_missing_table_file(self, capsys, tmp_path):
         assert _run("unicity", "--out", tmp_path / "o", "--table", tmp_path / "no.tsv") == 1
@@ -103,6 +133,37 @@ class TestPipelineErrors:
         rejects = json.loads((tmp_path / "pre" / "rejects.json").read_text())
         assert rejects["counts"] == {"bad_integer_field": len(huge)}
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep-k", "--grid", ","], "integer list ',' has no values"),
+            (["sweep-n", "--grid", " , ", "--k", 10], "integer list ' , ' has no values"),
+            (["chisq", "--d-grid", ","], "integer list ',' has no values"),
+            (["t-closeness", "--t-grid", "0.5:0:0.1"], "t-grid '0.5:0:0.1' has no values"),
+            (["t-closeness", "--t-grid", ","], "t-grid ',' has no values"),
+            (["t-closeness", "--shuffles", -3], "--shuffles must be non-negative, got -3"),
+            (["chisq", "--control-runs", -1], "--control-runs must be non-negative, got -1"),
+            (["chisq", "--control-runs", 1, "--control-fraction", 0],
+             "control fraction must be in (0, 1], got 0.0"),
+            (["chisq", "--control-runs", 1, "--control-fraction", 1.5],
+             "control fraction must be in (0, 1], got 1.5"),
+        ],
+        ids=[
+            "sweep-k-empty-grid", "sweep-n-blank-grid", "chisq-empty-d-grid",
+            "t-closeness-descending-t-grid", "t-closeness-empty-t-grid",
+            "negative-shuffles", "negative-control-runs",
+            "control-fraction-zero", "control-fraction-above-one",
+        ],
+    )
+    def test_bad_values_fail_and_write_nothing(self, capsys, tmp_path, synth_table, argv, message):
+        name, *flags = argv
+        if name == "t-closeness":
+            flags += ["--k", 10, "--panels", 1]
+        out = tmp_path / "o"
+        assert _run(name, "--out", out, "--table", synth_table, *flags) == 1
+        assert json.loads(capsys.readouterr().err)["message"] == message
+        assert not out.exists()
+
     def test_report_requires_manifests(self, capsys, tmp_path):
         empty = tmp_path / "not_a_run"
         empty.mkdir()
@@ -118,6 +179,70 @@ class TestPipelineErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "PipelineError"
         assert "also named 'run'" in err["message"]
+
+
+class TestRunOutputs:
+    def test_every_subcommand_pins_inputs_and_outputs(self, tmp_path):
+        data = resources.files("flocpriv.data")
+        psl = tmp_path / "psl.dat"
+        psl.write_text(data.joinpath("public_suffix_list.dat").read_text("utf-8"))
+        joint = tmp_path / "joint.json"
+        joint.write_text(data.joinpath("joint_default.json").read_text("utf-8"))
+        reference = tmp_path / "reference.json"
+        reference.write_text(json.dumps({
+            "race": {g: (i + 1) / 10 for i, g in enumerate(RACE_GROUPS)},
+            "income": {g: (i + 1) / 10 for i, g in enumerate(INCOME_GROUPS)},
+        }))
+        runs = tmp_path / "runs"
+        table = runs / "preprocess" / "machine_weeks.tsv"
+        # subcommand, flags, manifest input labels, manifest outputs
+        cases = [
+            ("synth", ["--machines", 60, "--weeks", 3, "--vocab", 300, "--emit", "both",
+                       "--target", joint],
+             ["target"], ["demographics.json", "machine_weeks.tsv", "sessions.tsv"]),
+            ("preprocess", ["--sessions", runs / "synth" / "sessions.tsv", "--psl", psl,
+                            "--reference", reference],
+             ["psl", "reference", "sessions"],
+             ["ingest_report.json", "machine_weeks.tsv", "rejects.json"]),
+            ("cohorts", ["--table", table, "--k", 10],
+             ["table"], ["assignments.tsv", "cohort_maps.json"]),
+            ("unicity", ["--table", table, "--k", 10, "--window", 3],
+             ["table"], ["unicity.csv", "unicity.json"]),
+            ("sweep-k", ["--table", table, "--grid", "10,20", "--window", 3],
+             ["table"], ["sweep_k.csv", "sweep_k.json"]),
+            ("sweep-n", ["--table", table, "--k", 10, "--grid", "30,60", "--window", 3],
+             ["table"], ["sweep_n.csv", "sweep_n.json"]),
+            ("t-closeness", ["--table", table, "--k", 10, "--panels", 1, "--shuffles", 1,
+                             "--t-grid", "0:0.2:0.1", "--target", "empirical",
+                             "--attribute", "race"],
+             ["table"], ["tcloseness_race.csv", "tcloseness_race.json"]),
+            ("chisq", ["--table", table, "--d-grid", "10", "--control-runs", 1],
+             ["table"], ["chisq.csv", "chisq.json"]),
+            ("ot-control", ["--cohorts", 5, "--k", 10, "--target", joint],
+             ["target"], ["ot_control.json"]),
+        ]
+        cases.append(("report", [runs / name for name, *_ in cases], [], ["report.json"]))
+        for name, flags, inputs, outputs in cases:
+            out = runs / name
+            assert _run(name, "--out", out, *flags) == 0, name
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["subcommand"] == name
+            assert sorted(manifest["inputs"]) == inputs, name
+            assert manifest["outputs"] == outputs, name
+            assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["manifest.json"])
+        report = json.loads((runs / "preprocess" / "ingest_report.json").read_text())
+        assert sorted(report["representativeness"]) == ["income", "race"]
+
+    def test_failed_run_writes_nothing(self, capsys, tmp_path):
+        sessions = tmp_path / "sessions.tsv"
+        sessions.write_text(bundled_table1_sessions())
+        out = tmp_path / "pre"
+        assert _run(
+            "preprocess", "--out", out, "--sessions", sessions,
+            "--reference", tmp_path / "missing.json",
+        ) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+        assert not out.exists()
 
 
 class TestSynthCommand:

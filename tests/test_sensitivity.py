@@ -308,11 +308,22 @@ class TestChiSquare:
         assert a == b
         assert 0.0 <= a <= 1.0
 
+    @pytest.mark.parametrize("fraction", [0.0, -0.25, 1.5, float("nan")])
+    def test_random_subsample_rejects_fraction_outside_unit_interval(self, small_table, fraction):
+        with pytest.raises(ValueError, match=r"control fraction must be in \(0, 1\]"):
+            random_subsample_pvalue(small_table, 20, fraction, seed=6)
+
+    def test_random_subsample_takes_every_row_at_fraction_one(self, small_table):
+        assert random_subsample_pvalue(small_table, 20, 1.0, seed=6) == pytest.approx(1.0)
+
     def test_csv_layout(self):
         rows = [ChiSquareRow("race", "white", 10, 1.5, 0.25)]
         text = chi_square_csv(rows)
         assert text.splitlines()[0] == "attribute,group,D,statistic,p_value"
         assert "race,white,10,1.5,0.25" in text
+        assert rows[0].to_json_dict() == {
+            "attribute": "race", "group": "white", "D": 10, "statistic": 1.5, "p_value": 0.25
+        }
 
 
 class TestOTScaleControl:

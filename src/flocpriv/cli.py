@@ -17,6 +17,7 @@ import argparse
 import datetime as dt
 import io
 import json
+import math
 import os
 import sys
 from typing import Any, Callable, Sequence
@@ -52,6 +53,7 @@ from .sensitivity import (
     t_closeness_curve,
 )
 from .simhash import DEFAULT_BIT_LENGTH, DEFAULT_SEED, SimHashConfig
+from .special import ConstantInputError
 from .synth import SynthConfig, generate_population, write_sessions
 from .unicity import assign_sequence_cohorts, build_sequences, sweep_k, sweep_population, unicity_fractions
 
@@ -75,18 +77,22 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_t_grid(text: str) -> list[float]:
-    """Either "start:stop:step" (inclusive, rounded to 10 places) or a
-    comma-separated list."""
+    """Either "start:stop:step" or a comma-separated list.
+
+    The range holds start + i * step (rounded to 10 places) for every i
+    that keeps it at most stop, up to a 1e-9 step tolerance, so the stop is
+    an inclusive bound that float rounding does not drop.
+    """
     try:
         if ":" in text:
             start, stop, step = (float(x) for x in text.split(":"))
             if step <= 0:
                 raise PipelineError("t-grid step must be positive")
-            n = int(round((stop - start) / step))
+            n = math.floor((stop - start) / step + 1e-9)
             values = [round(start + i * step, 10) for i in range(n + 1)]
         else:
             values = [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an infinite range
         raise PipelineError(f"bad t-grid {text!r}") from exc
     if not values:
         raise PipelineError(f"t-grid {text!r} has no values")
@@ -176,8 +182,12 @@ def _cmd_preprocess(args: argparse.Namespace) -> dict[str, str]:
         report["representativeness"] = {}
         for attribute, idx, groups in (("race", race, RACE_GROUPS), ("income", income, INCOME_GROUPS)):
             observed = {g: float((idx == i).mean()) for i, g in enumerate(groups)}
-            r, p = representativeness(observed, reference[attribute])
-            report["representativeness"][attribute] = {"r": r, "p_value": p}
+            try:
+                r, p = representativeness(observed, reference[attribute])
+                fit = {"r": r, "p_value": p}
+            except ConstantInputError:
+                fit = {"r": None, "p_value": None, "reason": "constant shares"}
+            report["representativeness"][attribute] = fit
     return {
         "machine_weeks.tsv": built.table.save_text(),
         "rejects.json": dump_json(parsed.rejects.to_json_dict()),
@@ -463,6 +473,18 @@ def _apply_config_file(path: str, sp: argparse.ArgumentParser) -> None:
     }
     if invalid:
         sp.error(f"config values not among the flag's choices: {invalid}")
+    # argparse converts string defaults only, so check that every other
+    # value would convert as the flag's text does (2.5 and true are no int).
+    for a in sp._actions:
+        if a.type is None or a.dest not in values:
+            continue
+        value = values[a.dest]
+        if value is None and a.default is None:  # the flag's own "unset"
+            continue
+        try:
+            a.type(str(value))
+        except ValueError:
+            sp.error(f"config value {a.dest}={value!r} is not a valid {a.type.__name__}")
     sp.set_defaults(**values)
 
 

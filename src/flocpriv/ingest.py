@@ -276,6 +276,7 @@ class MachineWeekTable:
             perm = np.lexsort((self.vocab_hashes[self.dom_indices], row_of))
             self.dom_indices = self.dom_indices[perm]
         self._hash_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._ranking: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def _from_rows(
@@ -336,6 +337,23 @@ class MachineWeekTable:
             cached = kernels.simhash_rows(values, self.offsets, bit_length, seed_key(seed))
             self._hash_cache[key] = cached
         return cached
+
+    def domain_ranking(self) -> tuple[np.ndarray, np.ndarray]:
+        """Visited domains ranked by machine-week visit count, cached.
+
+        Returns ``(order, counts)``: ``counts[v]`` is the number of rows
+        holding vocabulary entry ``v``, and ``order`` lists the entries with
+        a nonzero count by descending count, ties by ascending name, so the
+        top-D domains are ``order[:D]``.
+        """
+        if self._ranking is None:
+            counts = np.bincount(self.dom_indices, minlength=len(self.vocab))
+            by_name = sorted(range(len(self.vocab)), key=self.vocab.__getitem__)
+            name_rank = np.empty(len(self.vocab), dtype=np.int64)
+            name_rank[by_name] = np.arange(len(self.vocab))
+            order = np.lexsort((name_rank, -counts))
+            self._ranking = (order[: np.count_nonzero(counts)], counts)
+        return self._ranking
 
     def save_text(self) -> str:
         """The table as deterministic TSV text (domains sorted, |-joined)."""
@@ -472,7 +490,9 @@ def representativeness(
 ) -> tuple[float, float]:
     """Pearson r (and two-sided p) between two categorical distributions.
 
-    Both mappings must cover the same categories.
+    Both mappings must cover the same categories. Raises
+    ``special.ConstantInputError`` when either gives every category the
+    same share, since r is then undefined.
     """
     if set(observed) != set(reference):
         raise ValueError("distributions cover different categories")

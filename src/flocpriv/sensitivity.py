@@ -108,11 +108,17 @@ def t_violations(panel: Panel, t: float, attribute: str) -> TViolations:
 
 
 def violation_curve(panel: Panel, t_grid: Sequence[float], attribute: str) -> np.ndarray:
-    """Violating fraction at every t (one pass over the excesses)."""
+    """Violating fraction at every t.
+
+    The excesses are sorted once; the share strictly above t is then
+    ``(n - searchsorted(sorted, t, side="right")) / n`` for the whole grid.
+    """
     _, excesses = anomalous_category(
         cohort_category_counts(panel, attribute), population_freqs(panel, attribute)
     )
-    return np.array([(excesses > t).mean() for t in t_grid], dtype=np.float64)
+    n = len(excesses)
+    t = np.asarray(t_grid, dtype=np.float64)
+    return (n - np.searchsorted(np.sort(excesses), t, side="right")) / n
 
 
 def shuffle_baseline(panel: Panel, seed: int) -> Panel:
@@ -228,12 +234,10 @@ def t_closeness_curve(
     if len(panels) < 2:
         raise ValueError("need at least 2 panels for a confidence interval")
     curves = np.stack([violation_curve(p, t_grid, attribute) for p in panels])
-    means, lows, highs = [], [], []
-    for j in range(curves.shape[1]):
-        m, lo, hi = special.mean_confidence_interval(curves[:, j].tolist(), confidence)
-        means.append(m)
-        lows.append(lo)
-        highs.append(hi)
+    intervals = special.mean_confidence_intervals(curves.T.tolist(), confidence)
+    means = [m for m, _, _ in intervals]
+    lows = [lo for _, lo, _ in intervals]
+    highs = [hi for _, _, hi in intervals]
 
     shuffle_mean = None
     if shuffled:
@@ -267,42 +271,65 @@ def t_closeness_curve(
 # Browsing-difference chi-square tests
 
 
+def _top_ranked(table: MachineWeekTable, d: int) -> np.ndarray:
+    """Vocabulary indices of the top-D domains (a prefix of the table's ranking)."""
+    if d < 1:
+        raise ValueError(f"D must be >= 1, got {d}")
+    order, _ = table.domain_ranking()
+    if d > len(order):
+        warnings.warn(
+            f"requested top {d} domains but only {len(order)} distinct exist; truncating",
+            stacklevel=3,
+        )
+    return order[:d]
+
+
 def top_domains(table: MachineWeekTable, d: int) -> list[tuple[str, int]]:
     """Top-D domains by machine-week visit count (ties: lexicographic).
 
     A "visit" is one machine-week containing the domain; repeat visits
     within a week were already collapsed at ingest.
     """
-    if d < 1:
-        raise ValueError(f"D must be >= 1, got {d}")
-    counts = np.bincount(table.dom_indices, minlength=len(table.vocab))
-    pairs = [(int(c), dom) for dom, c in zip(table.vocab, counts) if c > 0]
-    pairs.sort(key=lambda pc: (-pc[0], pc[1]))
-    if d > len(pairs):
-        warnings.warn(
-            f"requested top {d} domains but only {len(pairs)} distinct exist; truncating",
-            stacklevel=2,
-        )
-    return [(dom, c) for c, dom in pairs[:d]]
+    _, counts = table.domain_ranking()
+    return [(table.vocab[v], int(counts[v])) for v in _top_ranked(table, d).tolist()]
+
+
+def _count_visits(
+    table: MachineWeekTable, column: np.ndarray, n_columns: int, labels: np.ndarray, n_labels: int
+) -> np.ndarray:
+    """(n_labels, n_columns) visit counts in one ``bincount``.
+
+    A visit to vocabulary entry v counts in column ``column[v]`` (not at
+    all when that is ``n_columns``) of the row label of the visiting row.
+    """
+    cols = column[table.dom_indices]
+    keep = cols < n_columns
+    row_labels = np.repeat(labels, np.diff(table.offsets))[keep].astype(np.int64)
+    flat = row_labels * n_columns + cols[keep]
+    return np.bincount(flat, minlength=n_labels * n_columns).reshape(n_labels, n_columns)
+
+
+def _top_visit_counts(
+    table: MachineWeekTable, top: np.ndarray, labels: np.ndarray, n_labels: int
+) -> np.ndarray:
+    """(n_labels, len(top)) visit counts of the ``top`` vocabulary entries."""
+    column = np.full(len(table.vocab), len(top), dtype=np.int64)
+    column[top] = np.arange(len(top))
+    return _count_visits(table, column, len(top), labels, n_labels)
 
 
 def domain_visit_counts(
     table: MachineWeekTable, domains: Sequence[str], row_mask: np.ndarray | None = None
 ) -> np.ndarray:
     """Visit counts for the given domains, optionally over a row subset."""
-    index = {dom: i for i, dom in enumerate(domains)}
-    remap = np.full(len(table.vocab), -1, dtype=np.int64)
-    for v, dom in enumerate(table.vocab):
-        hit = index.get(dom)
-        if hit is not None:
-            remap[v] = hit
-    dom_idx = table.dom_indices
-    if row_mask is not None:
-        row_of = np.repeat(np.arange(len(table)), np.diff(table.offsets))
-        dom_idx = dom_idx[row_mask[row_of]]
-    mapped = remap[dom_idx]
-    mapped = mapped[mapped >= 0]
-    return np.bincount(mapped, minlength=len(domains))
+    index = dict(zip(table.vocab, range(len(table.vocab))))
+    column = np.full(len(table.vocab), len(domains), dtype=np.int64)
+    for j, dom in enumerate(domains):
+        if dom in index:
+            column[index[dom]] = j
+    if row_mask is None:
+        row_mask = np.ones(len(table), dtype=bool)
+    return _count_visits(table, column, len(domains), row_mask, 2)[1]
 
 
 def chi_square_test(
@@ -350,14 +377,16 @@ def chi_square_by_group(
     """Chi-square of every demographic subpopulation against the aggregate."""
     groups = attribute_groups(attribute)
     attr_idx = table.race_idx if attribute == "race" else table.income_idx
+    widths = [len(_top_ranked(table, d)) for d in d_grid]
+    # Top-D is a prefix of the ranking, so counting the largest D once gives
+    # every smaller D as a column prefix; every row is in exactly one group.
+    order, _ = table.domain_ranking()
+    by_group = _top_visit_counts(table, order[: max(widths, default=0)], attr_idx, len(groups))
+    aggregate = by_group.sum(axis=0)
     rows: list[ChiSquareRow] = []
-    for d in d_grid:
-        domains = [dom for dom, _ in top_domains(table, d)]
-        aggregate = domain_visit_counts(table, domains)
+    for d, width in zip(d_grid, widths):
         for gi, group in enumerate(groups):
-            mask = attr_idx == gi
-            sub = domain_visit_counts(table, domains, row_mask=mask)
-            stat, p = chi_square_test(sub, aggregate)
+            stat, p = chi_square_test(by_group[gi, :width], aggregate[:width])
             rows.append(ChiSquareRow(attribute, group, int(d), stat, p))
     return rows
 
@@ -375,10 +404,8 @@ def random_subsample_pvalue(
     mask = np.zeros(len(table), dtype=bool)
     take = int(round(len(table) * fraction))
     mask[rng.choice(len(table), size=take, replace=False)] = True
-    domains = [dom for dom, _ in top_domains(table, d)]
-    aggregate = domain_visit_counts(table, domains)
-    sub = domain_visit_counts(table, domains, row_mask=mask)
-    _, p = chi_square_test(sub, aggregate)
+    counts = _top_visit_counts(table, _top_ranked(table, d), mask, 2)
+    _, p = chi_square_test(counts[1], counts.sum(axis=0))
     return p
 
 
@@ -415,6 +442,36 @@ class OTControlResult:
         }
 
 
+_CELL_BINS = 2**16
+_SPLIT_BIN = np.iinfo(np.uint8).max
+
+
+def _cell_lookup_table(cell_cum: np.ndarray) -> np.ndarray:
+    """Cell of every uniform in each of ``_CELL_BINS`` equal bins of [0, 1).
+
+    Entry b is ``searchsorted(cell_cum, u, side="right")`` for every u in
+    [b, b + 1) / _CELL_BINS, or ``_SPLIT_BIN`` when a threshold lies strictly
+    inside the bin (at most ``len(cell_cum) - 1`` bins), where it depends on u.
+    """
+    edges = np.arange(_CELL_BINS + 1) / _CELL_BINS
+    low = np.searchsorted(cell_cum, edges[:-1], side="right")
+    high = np.searchsorted(cell_cum, edges[1:], side="left")
+    return np.where(low == high, low, _SPLIT_BIN).astype(np.uint8)
+
+
+def _uniform_cells(u: np.ndarray, cell_cum: np.ndarray, cell_lut: np.ndarray) -> np.ndarray:
+    """``searchsorted(cell_cum, u, side="right")`` as uint8, for u in [0, 1).
+
+    Reads each cell from ``cell_lut`` (``_cell_lookup_table(cell_cum)``) by
+    u's bin and searches only in split bins. Scales ``u`` in place.
+    """
+    u *= _CELL_BINS  # exact: a power-of-two scaling
+    cells = cell_lut[u.astype(np.uint16)]
+    split = np.flatnonzero(cells == _SPLIT_BIN)
+    cells[split] = np.searchsorted(cell_cum, u[split] / _CELL_BINS, side="right")
+    return cells
+
+
 def ot_scale_control(
     num_cohorts: int,
     k: int,
@@ -447,19 +504,21 @@ def ot_scale_control(
     # independent of how the population is chunked.
     rng_cohort = np.random.default_rng(derive_seed(seed, "ot-control", 0))
     rng_cell = np.random.default_rng(derive_seed(seed, "ot-control", 1))
+    cell_lut = _cell_lookup_table(cell_cum)
 
     done = 0
     while done < n_members:
         size = min(chunk_size, n_members - done)
-        idx = np.arange(done, done + size, dtype=np.int64)
-        cohorts = idx // k
-        n_tail = int((idx >= n_direct).sum())
+        n_tail = min(size, max(0, done + size - n_direct))
+        cohorts = np.arange(done, done + size, dtype=np.int64)
+        cohorts[: size - n_tail] //= k
         if n_tail:
-            cohorts[size - n_tail :] = np.floor(
-                rng_cohort.random(n_tail) * num_cohorts
-            ).astype(np.int64)
-        cells = np.searchsorted(cell_cum, rng_cell.random(size), side="right")
-        counts += np.bincount(cohorts * n_cells + cells, minlength=len(counts))
+            tail = rng_cohort.random(n_tail)
+            tail *= num_cohorts
+            cohorts[size - n_tail :] = np.floor(tail, out=tail)
+        cohorts *= n_cells
+        cohorts += _uniform_cells(rng_cell.random(size), cell_cum, cell_lut)
+        counts += np.bincount(cohorts, minlength=len(counts))
         done += size
 
     grid = counts.reshape(num_cohorts, len(RACE_GROUPS), len(INCOME_GROUPS))

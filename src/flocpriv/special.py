@@ -21,7 +21,7 @@ Numerical notes
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 _MAX_ITER = 500
 _EPS = 1e-16
@@ -204,22 +204,42 @@ def mean_confidence_interval(
 
     With fewer than two values the interval collapses to the mean.
     """
-    n = len(values)
-    if n == 0:
-        raise ValueError("cannot form an interval from an empty sample")
-    mean = math.fsum(values) / n
-    if n == 1:
-        return mean, mean, mean
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-    half = student_t_ppf(0.5 + confidence / 2.0, n - 1) * math.sqrt(var / n)
-    return mean, mean - half, mean + half
+    (interval,) = mean_confidence_intervals([values], confidence)
+    return interval
+
+
+def mean_confidence_intervals(
+    samples: Iterable[Sequence[float]], confidence: float = 0.95
+) -> list[tuple[float, float, float]]:
+    """``mean_confidence_interval`` of every sample, computing the t
+    quantile once per sample size rather than once per sample."""
+    quantiles: dict[int, float] = {}
+    intervals = []
+    for values in samples:
+        n = len(values)
+        if n == 0:
+            raise ValueError("cannot form an interval from an empty sample")
+        mean = math.fsum(values) / n
+        if n == 1:
+            intervals.append((mean, mean, mean))
+            continue
+        if n not in quantiles:
+            quantiles[n] = student_t_ppf(0.5 + confidence / 2.0, n - 1)
+        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+        half = quantiles[n] * math.sqrt(var / n)
+        intervals.append((mean, mean - half, mean + half))
+    return intervals
+
+
+class ConstantInputError(ValueError):
+    """A correlation was asked of an input whose values are all equal."""
 
 
 def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     """Pearson correlation and its two-sided p-value (t approximation).
 
-    Raises ``ValueError`` when either input is constant, since r is then
-    undefined.
+    Raises ``ConstantInputError`` (a ``ValueError``) when either input is
+    constant, since r is then undefined.
     """
     n = len(xs)
     if n != len(ys):
@@ -231,7 +251,7 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     sxx = math.fsum((x - mx) ** 2 for x in xs)
     syy = math.fsum((y - my) ** 2 for y in ys)
     if sxx == 0.0 or syy == 0.0:
-        raise ValueError("correlation undefined for a constant input")
+        raise ConstantInputError("correlation undefined for a constant input")
     sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
     r = max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
     df = n - 2

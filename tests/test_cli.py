@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from flocpriv.cli import main
+from flocpriv.cli import _parse_t_grid, main
 from flocpriv.ingest import INCOME_GROUPS, RACE_GROUPS
+from flocpriv.sensitivity import DEFAULT_T_GRID
 from flocpriv.fixtures import (
     EXPECTED_FINGERPRINT_FRACTIONS,
     EXPECTED_SEQUENCE_FRACTIONS,
@@ -95,6 +96,40 @@ class TestUsageErrors:
         assert "not among the flag's choices" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "name, flags, payload, message",
+        [
+            ("unicity", ["--table", "t.tsv"], {"k": 2.5}, "k=2.5 is not a valid int"),
+            ("unicity", ["--table", "t.tsv"], {"k": True}, "k=True is not a valid int"),
+            ("ot-control", [], {"t": "x"}, "t='x' is not a valid float"),
+            ("synth", [], {"weeks": None}, "weeks=None is not a valid int"),
+        ],
+        ids=["int-given-float", "int-given-bool", "float-given-text", "int-given-null"],
+    )
+    def test_config_value_of_wrong_type_rejected(self, capsys, tmp_path, name, flags, payload, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            _run(name, "--out", out, *flags, "--config", cfg)
+        assert exc.value.code == 2
+        assert f"config value {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestTGrid:
+    @pytest.mark.parametrize(
+        "text, values",
+        [
+            ("0:0.5:0.3", [0.0, 0.3]),
+            ("0:0.5:0.2", [0.0, 0.2, 0.4]),
+            ("0:0.5:0.01", DEFAULT_T_GRID),
+            ("0.1:0.3:0.1", [0.1, 0.2, 0.3]),
+        ],
+    )
+    def test_stop_is_an_inclusive_bound(self, text, values):
+        assert _parse_t_grid(text) == values
+
 
 class TestPipelineErrors:
     def test_missing_table_file(self, capsys, tmp_path):
@@ -141,6 +176,7 @@ class TestPipelineErrors:
             (["chisq", "--d-grid", ","], "integer list ',' has no values"),
             (["t-closeness", "--t-grid", "0.5:0:0.1"], "t-grid '0.5:0:0.1' has no values"),
             (["t-closeness", "--t-grid", ","], "t-grid ',' has no values"),
+            (["t-closeness", "--t-grid", "0:inf:0.1"], "bad t-grid '0:inf:0.1'"),
             (["t-closeness", "--shuffles", -3], "--shuffles must be non-negative, got -3"),
             (["chisq", "--control-runs", -1], "--control-runs must be non-negative, got -1"),
             (["chisq", "--control-runs", 1, "--control-fraction", 0],
@@ -151,6 +187,7 @@ class TestPipelineErrors:
         ids=[
             "sweep-k-empty-grid", "sweep-n-blank-grid", "chisq-empty-d-grid",
             "t-closeness-descending-t-grid", "t-closeness-empty-t-grid",
+            "t-closeness-infinite-t-grid",
             "negative-shuffles", "negative-control-runs",
             "control-fraction-zero", "control-fraction-above-one",
         ],
@@ -232,6 +269,20 @@ class TestRunOutputs:
             assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["manifest.json"])
         report = json.loads((runs / "preprocess" / "ingest_report.json").read_text())
         assert sorted(report["representativeness"]) == ["income", "race"]
+
+    def test_constant_reference_shares_have_no_correlation(self, tmp_path):
+        sessions = tmp_path / "sessions.tsv"
+        sessions.write_text(bundled_table1_sessions())
+        reference = tmp_path / "reference.json"
+        reference.write_text(json.dumps({
+            "race": {g: 0.25 for g in RACE_GROUPS},
+            "income": {g: (i + 1) / 10 for i, g in enumerate(INCOME_GROUPS)},
+        }))
+        out = tmp_path / "pre"
+        assert _run("preprocess", "--out", out, "--sessions", sessions, "--reference", reference) == 0
+        fits = json.loads((out / "ingest_report.json").read_text())["representativeness"]
+        assert fits["race"] == {"r": None, "p_value": None, "reason": "constant shares"}
+        assert sorted(fits["income"]) == ["p_value", "r"]
 
     def test_failed_run_writes_nothing(self, capsys, tmp_path):
         sessions = tmp_path / "sessions.tsv"
@@ -380,6 +431,24 @@ class TestConfigFile:
         assert manifest["config"]["window"] == 2  # file beats default
         blob = json.loads((out / "unicity.json").read_text())
         assert blob["k"] == 9 and blob["window"] == 2
+
+    def test_valid_config_gives_the_manifest_of_its_flags(self, tmp_path, synth_table):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 30, "window": 2}))
+        by_file, by_flags = tmp_path / "file", tmp_path / "flags"
+        assert _run("unicity", "--out", by_file, "--table", synth_table, "--config", cfg) == 0
+        assert _run("unicity", "--out", by_flags, "--table", synth_table, "--k", 30, "--window", 2) == 0
+        for name in ("manifest.json", "unicity.json"):
+            assert (by_file / name).read_text() == (by_flags / name).read_text()
+
+    def test_null_is_accepted_where_it_is_the_default(self, tmp_path):
+        sessions = tmp_path / "sessions.tsv"
+        sessions.write_text(bundled_table1_sessions())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"weeks": None}))
+        out = tmp_path / "pre"
+        assert _run("preprocess", "--out", out, "--sessions", sessions, "--config", cfg) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["weeks"] is None
 
 
 class TestWorkedExampleThroughCli:

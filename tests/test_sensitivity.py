@@ -1,10 +1,22 @@
 """Demographic leakage analyses: t-closeness, baselines, chi-square, controls."""
 
+import warnings
+from collections import Counter
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flocpriv import sensitivity
+from flocpriv.geo import UNKNOWN_STATE
+from flocpriv.hashing import derive_seed
+from flocpriv.ingest import MachineWeekTable
 from flocpriv.panels import JointDistribution, Panel, cluster_panel, stratified_panels
 from flocpriv.sensitivity import (
+    DEFAULT_T_GRID,
     ChiSquareRow,
     anomalous_category,
     attribute_groups,
@@ -38,6 +50,64 @@ def clustered_panels(small_table, default_joint):
         small_table, default_joint, 3, seed=2, bit_length=50, sim_seed=7, weeks=[0, 1]
     )
     return [cluster_panel(p, k=15, bit_length=50) for p in panels]
+
+
+def _balanced_panel():
+    """16 cohorts of 4 members with every group at exactly 1/4 of the panel,
+    so every excess is exactly 0, 0.25, 0.5 or 0.75 (points of the default
+    grid)."""
+    patterns = [(0, 0, 0, 0), (0, 0, 1, 2), (0, 0, 0, 1), (0, 1, 2, 3)]
+    labels = np.array([(g + r) % 4 for p in patterns for r in range(4) for g in p], np.int8)
+    n = len(labels)
+    return Panel(
+        panel_id=0,
+        week_index=0,
+        rows=np.arange(n),
+        machine_ids=np.arange(n),
+        race_idx=labels,
+        income_idx=labels[::-1].copy(),
+        hashes=np.zeros(n, np.uint64),
+        cohort_map=SimpleNamespace(num_cohorts=n // 4),
+        cohort_ids=np.repeat(np.arange(n // 4), 4),
+    )
+
+
+@st.composite
+def _tables(draw):
+    """A small table over short names, so visit counts tie often and some
+    names are never visited; returns it with its rows as name lists and a
+    random row mask."""
+    names = draw(
+        st.lists(st.text("ab.", min_size=1, max_size=3), min_size=1, max_size=10, unique=True)
+    )
+    rows = draw(st.lists(st.frozensets(st.integers(0, len(names) - 1)), max_size=12))
+    n = len(rows)
+    labels = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    table = MachineWeekTable(
+        np.arange(n),
+        np.zeros(n),
+        [UNKNOWN_STATE],
+        draw(labels),
+        draw(labels),
+        np.zeros(n),
+        [v for row in rows for v in sorted(row)],
+        np.cumsum([0] + [len(row) for row in rows]),
+        names,
+    )
+    return table, [[names[v] for v in row] for row in rows], np.array(mask, dtype=bool)
+
+
+def _visits(rows, keep=None):
+    """Per-name visit counts over the rows whose ``keep`` entry is true."""
+    return Counter(
+        name for i, row in enumerate(rows) if keep is None or keep[i] for name in row
+    )
+
+
+def _ranked(rows):
+    """(name, visits) by descending visits, ties by name: the top-D oracle."""
+    return sorted(_visits(rows).items(), key=lambda nc: (-nc[1], nc[0]))
 
 
 class TestAnomalousCategory:
@@ -106,6 +176,25 @@ class TestTViolations:
         assert np.all(np.diff(curve) <= 0.0)
         for t, frac in zip(grid, curve):
             assert frac == t_violations(clustered_panels[0], t, "race").fraction
+
+    def test_curve_matches_per_t_comparison(self, clustered_panels):
+        """The sorted-excess lookup equals counting ``excess > t`` for every
+        t, also where excesses sit exactly on grid points and for grids
+        that are not sorted."""
+        panels = [*clustered_panels, shuffle_baseline(clustered_panels[0], seed=3), _balanced_panel()]
+        for panel in panels:
+            for attribute in ("race", "income"):
+                excesses = t_violations(panel, 0.0, attribute).excesses
+                grids = [
+                    DEFAULT_T_GRID,
+                    [0.3, 0.1, 0.2, 0.5, -1.0, 0.25, 2.0, 0.0, 0.75],
+                    sorted(set(excesses.tolist()), reverse=True),
+                ]
+                for grid in grids:
+                    expected = [(excesses > t).mean() for t in grid]
+                    assert np.array_equal(violation_curve(panel, grid, attribute), expected)
+        balanced = t_violations(_balanced_panel(), 0.0, "race").excesses
+        assert set(balanced.tolist()) == {0.0, 0.25, 0.5, 0.75}
 
     def test_unclustered_panel_rejected(self, small_table, default_joint):
         (panel,) = stratified_panels(
@@ -252,6 +341,66 @@ class TestTopDomains:
         with pytest.raises(ValueError, match=">= 1"):
             top_domains(small_table, 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(_tables(), st.integers(1, 12))
+    def test_ranking_and_counts_match_brute_force(self, drawn, d):
+        table, rows, mask = drawn
+        ranked = _ranked(rows)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            top = top_domains(table, d)
+        assert top == ranked[:d]
+        assert [str(w.message) for w in caught] == (
+            [f"requested top {d} domains but only {len(ranked)} distinct exist; truncating"]
+            if d > len(ranked)
+            else []
+        )
+        names = [name for name, _ in top] + ["absent.example"]
+        masked = _visits(rows, mask)
+        assert domain_visit_counts(table, names, row_mask=mask).tolist() == [
+            masked[name] for name in names
+        ]
+        assert domain_visit_counts(table, names).tolist() == [c for _, c in top] + [0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _tables(),
+        st.lists(st.integers(1, 12), min_size=1, max_size=4),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.25, 0.5, 1.0]),
+    )
+    def test_chi_square_inputs_match_brute_force(self, drawn, d_grid, seed, fraction):
+        """Every (subpopulation, aggregate) pair handed to the test equals
+        a per-domain recount over the top-D names."""
+        table, rows, _ = drawn
+        passed = []
+
+        def record(sub, aggregate):
+            passed.append((sub.tolist(), aggregate.tolist()))
+            return 0.0, 1.0
+
+        with mock.patch.object(sensitivity, "chi_square_test", record), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for attribute in ("race", "income"):
+                chi_square_by_group(table, attribute, d_grid)
+            random_subsample_pvalue(table, d_grid[0], fraction, seed)
+
+        ranked = [name for name, _ in _ranked(rows)]
+        total = _visits(rows)
+        expected = []
+        for labels in (table.race_idx, table.income_idx):
+            for d in d_grid:
+                top = ranked[:d]
+                for group in range(4):
+                    sub = _visits(rows, labels == group)
+                    expected.append(([sub[n] for n in top], [total[n] for n in top]))
+        chosen = np.zeros(len(rows), dtype=bool)
+        take = int(round(len(rows) * fraction))
+        chosen[np.random.default_rng(seed).choice(len(rows), size=take, replace=False)] = True
+        sub, top = _visits(rows, chosen), ranked[: d_grid[0]]
+        expected.append(([sub[n] for n in top], [total[n] for n in top]))
+        assert passed == expected
+
     def test_visit_counts_recount(self, small_table):
         domains = [d for d, _ in top_domains(small_table, 5)]
         counts = domain_visit_counts(small_table, domains)
@@ -326,6 +475,36 @@ class TestChiSquare:
         }
 
 
+_OT_JOINTS = {
+    "uniform": [1 / 16] * 16,  # every threshold on a bin edge
+    "zero_mass": [0.5, 0, 0, 0, 0, 0, 0.25, 0, 0, 0, 0, 0, 0.125, 0, 0, 0.125],
+    "thresholds_at_one": [0.5, 0.5] + [0] * 14,
+    "thirds": [1 / 3, 0, 0, 0, 0, 1 / 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1 / 3],
+    "default": JointDistribution.default().flat().tolist(),
+}
+
+
+def _reference_control(num_cohorts, k, ratio, joint, t, seed):
+    """The control in one chunk, each cell by ``searchsorted``."""
+    n = int(round(num_cohorts * k * ratio))
+    n_direct = num_cohorts * k
+    cohorts = np.arange(n) // k
+    tail = np.random.default_rng(derive_seed(seed, "ot-control", 0)).random(n - n_direct)
+    cohorts[n_direct:] = np.floor(tail * num_cohorts)
+    cum = np.cumsum(joint.flat())
+    cum[-1] = 1.0
+    u = np.random.default_rng(derive_seed(seed, "ot-control", 1)).random(n)
+    cells = np.searchsorted(cum, u, side="right")
+    grid = np.bincount(cohorts * 16 + cells, minlength=num_cohorts * 16).reshape(-1, 4, 4)
+    violations, max_excess = {}, {}
+    for attribute, axis in (("race", 2), ("income", 1)):
+        counts = grid.sum(axis=axis)
+        _, excess = anomalous_category(counts, counts.sum(axis=0) / counts.sum())
+        violations[attribute] = int((excess > t).sum())
+        max_excess[attribute] = float(excess.max())
+    return violations, max_excess
+
+
 class TestOTScaleControl:
     def test_tiny_control_run(self, default_joint):
         res = ot_scale_control(10, 10, 1.5, default_joint, t=0.9, seed=3)
@@ -336,9 +515,39 @@ class TestOTScaleControl:
         assert blob["num_cohorts"] == 10 and blob["k"] == 10
 
     def test_chunking_does_not_change_the_result(self, default_joint):
+        # 100 members get their cohort by index and the last 50 draw one;
+        # the chunk sizes straddle that boundary
         a = ot_scale_control(10, 10, 1.5, default_joint, t=0.9, seed=3)
-        b = ot_scale_control(10, 10, 1.5, default_joint, t=0.9, seed=3, chunk_size=7)
-        assert a.to_json_dict() == b.to_json_dict()
+        for chunk_size in (1, 7, 99, 100, 101, 149, 150):
+            b = ot_scale_control(10, 10, 1.5, default_joint, t=0.9, seed=3, chunk_size=chunk_size)
+            assert a.to_json_dict() == b.to_json_dict(), chunk_size
+
+    @pytest.mark.parametrize("cells", list(_OT_JOINTS.values()), ids=list(_OT_JOINTS))
+    def test_cell_lookup_matches_searchsorted(self, cells):
+        cum = np.cumsum(cells)
+        cum[-1] = 1.0
+        near = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
+        u = np.concatenate([
+            np.arange(2**16) / 2**16,  # every bin edge
+            near[near < 1.0],
+            [np.nextafter(1.0, 0.0)],
+            np.random.default_rng(0).random(100_000),
+        ])
+        lut = sensitivity._cell_lookup_table(cum)
+        # only the bins with a threshold strictly inside them need a search
+        inside = {int(c * 2**16) for c in cum if c < 1.0 and c * 2**16 % 1}
+        assert np.flatnonzero(lut == sensitivity._SPLIT_BIN).tolist() == sorted(inside)
+        cells_of_u = sensitivity._uniform_cells(u.copy(), cum, lut)
+        assert np.array_equal(cells_of_u, np.searchsorted(cum, u, side="right"))
+
+    @pytest.mark.parametrize("chunk_size", [7, 11_999, 12_001, 4_000_000])
+    @pytest.mark.parametrize("cells", list(_OT_JOINTS.values()), ids=list(_OT_JOINTS))
+    def test_matches_unchunked_searchsorted_reference(self, cells, chunk_size):
+        joint = JointDistribution(tuple(tuple(cells[r * 4 : r * 4 + 4]) for r in range(4)))
+        res = ot_scale_control(40, 300, 1.5, joint, t=0.05, seed=8, chunk_size=chunk_size)
+        ref_violations, ref_max = _reference_control(40, 300, 1.5, joint, t=0.05, seed=8)
+        assert res.violations == ref_violations
+        assert res.max_excess == ref_max
 
     @pytest.mark.parametrize(
         "changes, message",

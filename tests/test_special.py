@@ -13,10 +13,12 @@ import scipy.special as sp
 import scipy.stats as st
 
 from flocpriv.special import (
+    ConstantInputError,
     binomial_cdf,
     binomial_sf,
     chi_square_sf,
     mean_confidence_interval,
+    mean_confidence_intervals,
     pearson_r,
     regularized_beta,
     regularized_gamma_p,
@@ -122,6 +124,20 @@ class TestMeanConfidenceInterval:
         with pytest.raises(ValueError):
             mean_confidence_interval([])
 
+    def test_many_samples_match_the_per_sample_formula(self):
+        rng = np.random.default_rng(3)
+        samples = [rng.random(n).tolist() for n in (2, 5, 5, 1, 3, 5, 2)]
+        intervals = mean_confidence_intervals(samples, 0.9)
+        assert len(intervals) == len(samples)
+        for values, interval in zip(samples, intervals):
+            n = len(values)
+            mean = math.fsum(values) / n
+            half = 0.0
+            if n > 1:
+                var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+                half = student_t_ppf(0.5 + 0.9 / 2.0, n - 1) * math.sqrt(var / n)
+            assert interval == (mean, mean - half, mean + half)
+
 
 class TestPearson:
     def test_identical_vectors(self):
@@ -148,8 +164,10 @@ class TestPearson:
         assert p1 == pytest.approx(p2, abs=1e-12)
 
     def test_constant_input_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConstantInputError):
             pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ConstantInputError):
+            pearson_r([1.0, 2.0, 3.0], [0.25, 0.25, 0.25])
 
     def test_against_scipy(self, rng):
         for _ in range(100):

@@ -81,7 +81,8 @@ def _parse_t_grid(text: str) -> list[float]:
 
     The range holds start + i * step (rounded to 10 places) for every i
     that keeps it at most stop, up to a 1e-9 step tolerance, so the stop is
-    an inclusive bound that float rounding does not drop.
+    an inclusive bound that float rounding does not drop. Every value must
+    be finite.
     """
     try:
         if ":" in text:
@@ -96,6 +97,8 @@ def _parse_t_grid(text: str) -> list[float]:
         raise PipelineError(f"bad t-grid {text!r}") from exc
     if not values:
         raise PipelineError(f"t-grid {text!r} has no values")
+    if not all(map(math.isfinite, values)):
+        raise PipelineError(f"bad t-grid {text!r}")
     return values
 
 

@@ -1,19 +1,27 @@
 """Session-log parsing and weekly per-machine domain profiles.
 
-The pipeline is: raw session rows -> validated ``SessionRecord`` -> one
-row per (machine, epoch week) of ``MachineWeekTable`` holding the
+The pipeline is: raw session rows -> validated ``SessionRecord`` tuples ->
+one row per (machine, epoch week) of ``MachineWeekTable`` holding the
 registrable domains visited, the machine's state (from its ZIP) and its
 demographic groups. Profiles with fewer distinct domains than the cutoff
 are dropped. The table's columnar CSR arrays are the only representation
 of machine-weeks; ``build_machine_weeks`` and ``MachineWeekTable.load``
 fill them through one builder.
+
+Work that depends only on a value is done once per distinct value: each
+date string is parsed and checked once per ``parse_sessions`` call, and
+each date's week and each hostname's registrable domain once per
+``build_machine_weeks`` call. Integer fields are ASCII digits with an
+optional leading "-"; any other spelling is rejected, not converted.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, TextIO
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -31,6 +39,11 @@ MIN_WEEKLY_DOMAINS = 7
 # Machine IDs are stored as int64 and week indices as int32.
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
+
+# Integer fields of outside input: ASCII digits with an optional leading
+# "-". ``int`` alone also takes "1_000", "+1", padding and non-ASCII digits
+# such as "١٠٠٠", which would silently merge distinct machine IDs.
+_is_integer = re.compile(r"-?[0-9]+").fullmatch
 
 
 def _default_race_codes() -> dict[str, str]:
@@ -82,8 +95,9 @@ class FormatConfig:
     income_code_map: Mapping[str, str] = field(default_factory=_default_income_codes)
 
 
-@dataclass(frozen=True)
-class SessionRecord:
+class SessionRecord(NamedTuple):
+    """One validated session line, as a plain tuple in field order."""
+
     machine_id: int
     session_id: int
     domain: str
@@ -127,12 +141,25 @@ class ParseResult:
     rejects: RejectReport
 
 
+def _parse_date(text: str, date_format: str) -> dt.date | None:
+    """The date ``text`` names in ``date_format``, or None if it is invalid."""
+    try:
+        date = dt.datetime.strptime(text, date_format).date()
+    except ValueError:
+        return None
+    # strptime tolerates short month/day fields ("2017051"); require the
+    # canonical rendering so truncated dates are rejected, not guessed at.
+    return date if date.strftime(date_format) == text else None
+
+
 def parse_sessions(source: Iterable[str] | TextIO, fmt: FormatConfig | None = None) -> ParseResult:
     """Parse raw session rows, counting (not raising on) malformed ones.
 
     The first line must be a header naming every configured column;
-    a missing column raises ``SchemaError``. A machine ID outside signed
-    64-bit counts as a ``bad_integer_field`` reject, like a non-integer one.
+    a missing column raises ``SchemaError``. An integer field that is not
+    ASCII digits with an optional leading "-", or a machine ID outside
+    signed 64-bit, counts as a ``bad_integer_field`` reject. Each distinct
+    date string is parsed and checked once per call.
     """
     fmt = fmt or FormatConfig()
     records: list[SessionRecord] = []
@@ -142,13 +169,15 @@ def parse_sessions(source: Iterable[str] | TextIO, fmt: FormatConfig | None = No
     if header_line is None:
         raise SchemaError("empty stream: no header row")
     header = header_line.rstrip("\n").split(fmt.delimiter)
-    positions: dict[str, int] = {}
+    positions: list[int] = []
     for logical in _FIELDS:
         name = fmt.columns.get(logical, logical)
         if name not in header:
             raise SchemaError(f"required column {name!r} ({logical}) missing from header")
-        positions[logical] = header.index(name)
+        positions.append(header.index(name))
+    pick = itemgetter(*positions)
     n_columns = len(header)
+    dates: dict[str, dt.date | None] = {}
     for line in lines:
         if not line.strip():
             continue
@@ -156,20 +185,18 @@ def parse_sessions(source: Iterable[str] | TextIO, fmt: FormatConfig | None = No
         if len(parts) != n_columns:
             rejects.add("field_count", line)
             continue
-        mid, sid, domain, date_s, time_s, pages_s, dur_s, inc_s, race_s, zip_s = (
-            parts[positions[f]] for f in _FIELDS
-        )
-        try:
-            machine_id = int(mid)
-            session_id = int(sid)
-            pages = int(pages_s)
-            duration = int(dur_s)
-        except ValueError:
+        mid, sid, domain, date_s, time_s, pages_s, dur_s, inc_s, race_s, zip_s = pick(parts)
+        if not (
+            _is_integer(mid) and _is_integer(sid) and _is_integer(pages_s) and _is_integer(dur_s)
+        ):
             rejects.add("bad_integer_field", line)
             continue
+        machine_id = int(mid)
         if not _INT64_MIN <= machine_id <= _INT64_MAX:
             rejects.add("bad_integer_field", line)
             continue
+        pages = int(pages_s)
+        duration = int(dur_s)
         if pages < 0 or duration < 0:
             rejects.add("negative_count", line)
             continue
@@ -178,13 +205,10 @@ def parse_sessions(source: Iterable[str] | TextIO, fmt: FormatConfig | None = No
             rejects.add("empty_domain", line)
             continue
         try:
-            date = dt.datetime.strptime(date_s, fmt.date_format).date()
-        except ValueError:
-            rejects.add("bad_date", line)
-            continue
-        # strptime tolerates short month/day fields ("2017051"); require the
-        # canonical rendering so truncated dates are rejected, not guessed at.
-        if date.strftime(fmt.date_format) != date_s:
+            date = dates[date_s]
+        except KeyError:
+            date = dates[date_s] = _parse_date(date_s, fmt.date_format)
+        if date is None:
             rejects.add("bad_date", line)
             continue
         income = fmt.income_code_map.get(inc_s.strip())
@@ -197,16 +221,8 @@ def parse_sessions(source: Iterable[str] | TextIO, fmt: FormatConfig | None = No
             continue
         records.append(
             SessionRecord(
-                machine_id=machine_id,
-                session_id=session_id,
-                domain=domain,
-                date=date,
-                time=time_s.strip(),
-                pages=pages,
-                duration=duration,
-                income_group=income,
-                race_group=race,
-                zip_code=zip_s.strip(),
+                machine_id, int(sid), domain, date, time_s.strip(), pages, duration,
+                income, race, zip_s.strip(),
             )
         )
     return ParseResult(records, rejects)
@@ -376,10 +392,10 @@ class MachineWeekTable:
         """Read a table written by ``save``; lines may come in any order.
 
         A malformed line raises ``ValueError("<path>:<line>: ...")``: a
-        wrong field count, a non-integer machine ID or week, a machine ID
-        outside int64 or a week outside int32, an unknown race or income
-        label, a domain listed twice, or a (machine, week) already seen on
-        an earlier line.
+        wrong field count, a machine ID or week that is not ASCII digits
+        with an optional leading "-", a machine ID outside int64 or a week
+        outside int32, an unknown race or income label, a domain listed
+        twice, or a (machine, week) already seen on an earlier line.
         """
         rows: dict[tuple[int, int], tuple[str, str, str, list[str]]] = {}
         with open(path, encoding="utf-8") as fh:
@@ -393,12 +409,9 @@ class MachineWeekTable:
                 if len(fields) != 6:
                     raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
                 mid, week, state, race, income, domains = fields
-                try:
-                    key = (int(mid), int(week))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: machine_id and week_index must be integers"
-                    ) from None
+                if not (_is_integer(mid) and _is_integer(week)):
+                    raise ValueError(f"{path}:{lineno}: machine_id and week_index must be integers")
+                key = (int(mid), int(week))
                 if not (_INT64_MIN <= key[0] <= _INT64_MAX and _INT32_MIN <= key[1] <= _INT32_MAX):
                     raise ValueError(
                         f"{path}:{lineno}: machine_id must fit in int64 and week_index in int32"
@@ -440,29 +453,38 @@ def build_machine_weeks(
     """
     cfg = week_config or WeekConfig()
     domain_cache: dict[str, str | None] = {}
+    week_cache: dict[dt.date, int | None] = {}  # None: outside the week range
     machine_demo: dict[int, tuple[str, str, str]] = {}
     conflicts = 0
     bad_domains = 0
     out_of_range = 0
     weeks: dict[tuple[int, int], set[str]] = {}
 
-    for rec in records:
-        demo = (rec.race_group, rec.income_group, rec.zip_code)
-        seen = machine_demo.setdefault(rec.machine_id, demo)
+    for machine_id, _, host, date, _, _, _, income, race, zip_code in records:
+        demo = (race, income, zip_code)
+        seen = machine_demo.setdefault(machine_id, demo)
         if seen != demo:
             conflicts += 1
-        week = cfg.week_index(rec.date)
-        if week < 0 or (cfg.n_weeks is not None and week >= cfg.n_weeks):
+        try:
+            week = week_cache[date]
+        except KeyError:
+            week = cfg.week_index(date)
+            if week < 0 or (cfg.n_weeks is not None and week >= cfg.n_weeks):
+                week = None
+            week_cache[date] = week
+        if week is None:
             out_of_range += 1
             continue
-        rd = domain_cache.get(rec.domain, "")
-        if rd == "":
-            rd = registrable_domain(rec.domain, suffixes, implicit_star=implicit_star)
-            domain_cache[rec.domain] = rd
+        try:
+            rd = domain_cache[host]
+        except KeyError:
+            rd = domain_cache[host] = registrable_domain(
+                host, suffixes, implicit_star=implicit_star
+            )
         if rd is None:
             bad_domains += 1
             continue
-        weeks.setdefault((rec.machine_id, week), set()).add(rd)
+        weeks.setdefault((machine_id, week), set()).add(rd)
 
     rows: dict[tuple[int, int], tuple[str, str, str, set[str]]] = {}
     dropped_small = 0

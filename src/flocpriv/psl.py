@@ -14,6 +14,7 @@ suffixes, which is what the upstream conformance vectors assume.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -27,10 +28,6 @@ def _ascii_label(label: str) -> str:
         return label.encode("idna").decode("ascii")
     except UnicodeError:
         return label
-
-
-def _canonical(labels: tuple[str, ...]) -> str:
-    return ".".join(_ascii_label(lb) for lb in labels)
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,7 @@ class SuffixSet:
                 line = line[2:]
             else:
                 target = exact
-            target.add(_canonical(tuple(line.split("."))))
+            target.add(".".join(_ascii_label(lb) for lb in line.split(".")))
         return cls(frozenset(exact), frozenset(wildcard), frozenset(exception))
 
     @classmethod
@@ -89,38 +86,34 @@ def _strip_host(host: str) -> str | None:
     return host or None
 
 
-def _is_ipv4(labels: tuple[str, ...]) -> bool:
+def _is_ipv4(labels: list[str]) -> bool:
     return len(labels) == 4 and all(lb.isdigit() for lb in labels)
 
 
-def _valid_label(label: str) -> bool:
-    """Hostname labels: nonempty, and LDH (plus underscore) once punycoded."""
-    if not label:
-        return False
-    ascii_form = _ascii_label(label)
-    return all(c.isalnum() or c in "-_" for c in ascii_form) and ascii_form.isascii()
+# Hostname labels: nonempty, and LDH plus underscore once punycoded.
+_LABEL = re.compile(r"[A-Za-z0-9_-]+")
+_ASCII_HOST = re.compile(rf"{_LABEL.pattern}(?:\.{_LABEL.pattern})*")
 
 
-def _suffix_label_count(labels: tuple[str, ...], suffixes: SuffixSet, implicit_star: bool) -> int | None:
-    """Number of labels in the prevailing public suffix, or None."""
-    n = len(labels)
-    for i in range(n):
-        if _canonical(labels[i:]) in suffixes.exception:
+def _suffix_label_count(canon: list[str], suffixes: SuffixSet, implicit_star: bool) -> int | None:
+    """Number of labels in the prevailing public suffix, or None.
+
+    ``canon`` holds the host's canonical labels. The suffix starting at each
+    label is built once, right to left; scanning them from the left, the
+    first match is the longest.
+    """
+    n = len(canon)
+    tails = canon[:]
+    for i in range(n - 2, -1, -1):
+        tails[i] = canon[i] + "." + tails[i + 1]
+    for i, tail in enumerate(tails):
+        if tail in suffixes.exception:
             # An exception rule wins outright; its suffix is the rule
             # minus its leftmost label.
             return n - i - 1
-    best = 0
-    matched = False
-    for i in range(n):
-        if _canonical(labels[i:]) in suffixes.exact:
-            best = max(best, n - i)
-            matched = True
-    for i in range(n - 1):
-        if _canonical(labels[i + 1 :]) in suffixes.wildcard:
-            best = max(best, n - i)
-            matched = True
-    if matched:
-        return best
+    for i, tail in enumerate(tails):
+        if tail in suffixes.exact or (i + 1 < n and tails[i + 1] in suffixes.wildcard):
+            return n - i
     return 1 if implicit_star else None
 
 
@@ -141,12 +134,18 @@ def registrable_domain(
     stripped = _strip_host(host)
     if stripped is None:
         return None
-    labels = tuple(stripped.split("."))
-    if any(not _valid_label(lb) for lb in labels):
-        return None
+    labels = stripped.split(".")
+    if stripped.isascii():
+        if not _ASCII_HOST.fullmatch(stripped):
+            return None
+        canon = labels
+    else:
+        canon = [_ascii_label(lb) for lb in labels]
+        if not all(_LABEL.fullmatch(lb) for lb in canon):
+            return None
     if _is_ipv4(labels):
         return None
-    count = _suffix_label_count(labels, suffixes, implicit_star)
+    count = _suffix_label_count(canon, suffixes, implicit_star)
     if count is None or count >= len(labels):
         return None
     return ".".join(labels[len(labels) - count - 1 :])

@@ -177,6 +177,10 @@ class TestPipelineErrors:
             (["t-closeness", "--t-grid", "0.5:0:0.1"], "t-grid '0.5:0:0.1' has no values"),
             (["t-closeness", "--t-grid", ","], "t-grid ',' has no values"),
             (["t-closeness", "--t-grid", "0:inf:0.1"], "bad t-grid '0:inf:0.1'"),
+            (["t-closeness", "--t-grid", "nan,0.1"], "bad t-grid 'nan,0.1'"),
+            (["t-closeness", "--t-grid", "inf,0.1"], "bad t-grid 'inf,0.1'"),
+            (["t-closeness", "--t-grid", "0.1,-inf"], "bad t-grid '0.1,-inf'"),
+            (["t-closeness", "--t-grid", "nan:0.5:0.1"], "bad t-grid 'nan:0.5:0.1'"),
             (["t-closeness", "--shuffles", -3], "--shuffles must be non-negative, got -3"),
             (["chisq", "--control-runs", -1], "--control-runs must be non-negative, got -1"),
             (["chisq", "--control-runs", 1, "--control-fraction", 0],
@@ -187,7 +191,9 @@ class TestPipelineErrors:
         ids=[
             "sweep-k-empty-grid", "sweep-n-blank-grid", "chisq-empty-d-grid",
             "t-closeness-descending-t-grid", "t-closeness-empty-t-grid",
-            "t-closeness-infinite-t-grid",
+            "t-closeness-infinite-t-grid", "t-closeness-nan-in-t-grid",
+            "t-closeness-inf-in-t-grid", "t-closeness-minus-inf-in-t-grid",
+            "t-closeness-nan-t-grid-start",
             "negative-shuffles", "negative-control-runs",
             "control-fraction-zero", "control-fraction-above-one",
         ],

@@ -1,5 +1,6 @@
 """Session parsing, machine-week aggregation, and representativeness."""
 
+import datetime as dt
 import io
 import re
 
@@ -92,6 +93,23 @@ class TestParseSessions:
         assert [r.machine_id for r in result.records] == inside
         assert result.rejects.counts == {"bad_integer_field": len(outside)}
 
+    @pytest.mark.parametrize(
+        "field, attribute",
+        [("machine", "machine_id"), ("session", "session_id"), ("pages", "pages"),
+         ("duration", "duration")],
+    )
+    def test_only_ascii_digits_are_integers(self, field, attribute):
+        lenient = ["1_000", "١٠٠٠", "+1000", " 1000", "1000 ", "", "-", "1e3", "0x10"]
+        result = _parse([_row(**{field: v}) for v in lenient] + [_row(**{field: "1000"})])
+        assert [getattr(r, attribute) for r in result.records] == [1000]
+        assert result.rejects.counts == {"bad_integer_field": len(lenient)}
+
+    def test_distinct_machine_spellings_do_not_merge(self):
+        result = _parse([_row(machine="1_000"), _row(machine="١٠٠٠"),
+                         _row(machine="1000"), _row(machine="-0042")])
+        assert [r.machine_id for r in result.records] == [1000, -42]
+        assert result.rejects.counts == {"bad_integer_field": 2}
+
     def test_negative_duration_rejected(self):
         result = _parse([_row(duration=-5)])
         assert result.rejects.counts["negative_count"] == 1
@@ -100,6 +118,45 @@ class TestParseSessions:
         result = _parse([_row(date="2017051"), _row(race=99), _row(income=99)])
         assert result.rejects.total == 3
         assert set(result.rejects.counts) == {"bad_date", "bad_race_code", "bad_income_code"}
+
+    def test_repeated_bad_dates_each_rejected(self):
+        bad = ["2017051", "20170230", "2017051", "20170230", "2017051"]
+        result = _parse([_row(date=d) for d in bad] + [_row(date="20170105")])
+        assert len(result.records) == 1
+        assert result.rejects.counts == {"bad_date": len(bad)}
+        assert result.rejects.samples["bad_date"] == [_row(date=d) for d in bad]
+
+    def test_custom_date_format_matches_per_line_strptime(self):
+        fmt = FormatConfig(date_format="%d/%m/%Y")
+        dates = ["01/01/2017", "08/01/2017", "01/01/2017", "1/1/2017", "31/12/2017", "08/01/2017"]
+        rows = [r for m, d in enumerate(dates) for r in _sessions_for(m, DOMAINS_7, date=d)]
+        result = _parse(rows, fmt)
+        assert result.rejects.counts == {"bad_date": len(DOMAINS_7)}  # "1/1/2017" is not canonical
+        epoch = WeekConfig().epoch
+        expected = [
+            (m, (dt.datetime.strptime(d, fmt.date_format).date() - epoch).days // 7)
+            for m, d in enumerate(dates)
+            if m != 3
+        ]
+        table = build_machine_weeks(result.records, WeekConfig()).table
+        assert list(zip(table.machine_ids.tolist(), table.week_indices.tolist())) == expected
+        assert [w for _, w in expected] == [0, 1, 0, 52, 1]
+
+    def test_parses_share_no_date_memo(self):
+        default = _parse([_row(date="20170102"), _row(date="02/01/2017")])
+        slashed = _parse([_row(date="20170102"), _row(date="02/01/2017")],
+                         FormatConfig(date_format="%d/%m/%Y"))
+        again = _parse([_row(date="20170102"), _row(date="02/01/2017")])
+        for result, bad in ((default, "02/01/2017"), (slashed, "20170102"), (again, "02/01/2017")):
+            assert [r.date for r in result.records] == [dt.date(2017, 1, 2)]
+            assert result.rejects.samples["bad_date"] == [_row(date=bad)]
+
+    def test_records_are_plain_tuples(self):
+        rec = _parse([_row()]).records[0]
+        assert rec == (1, 1, "example.com", dt.date(2017, 1, 1), "10:00:00", 1, 5,
+                       "75k_150k", "white", "36832")
+        machine_id, *_, zip_code = rec
+        assert (machine_id, zip_code) == (1, "36832")
 
     def test_reject_report_keeps_samples(self):
         result = _parse([_row(pages="bad") for _ in range(9)])
@@ -212,6 +269,7 @@ class TestBuildMachineWeeks:
 
 
 _OUT_OF_RANGE = "machine_id must fit in int64 and week_index in int32"
+_NOT_INTEGERS = "machine_id and week_index must be integers"
 
 
 class TestMachineWeekTable:
@@ -242,8 +300,8 @@ class TestMachineWeekTable:
             ("1\t0\tAL\twhite\tlt25k\ta.com|b.com", "machine 1, week 0 appears twice"),
             ("2\t0\tAL\twhite\tlt25k", "expected 6 fields, got 5"),
             ("2\t0\tAL\twhite\tlt25k\ta.com\tx", "expected 6 fields, got 7"),
-            ("x2\t0\tAL\twhite\tlt25k\ta.com", "machine_id and week_index must be integers"),
-            ("2\t0.5\tAL\twhite\tlt25k\ta.com", "machine_id and week_index must be integers"),
+            ("x2\t0\tAL\twhite\tlt25k\ta.com", _NOT_INTEGERS),
+            ("2\t0.5\tAL\twhite\tlt25k\ta.com", _NOT_INTEGERS),
             ("2\t0\tAL\tpurple\tlt25k\ta.com", "unknown race/income label"),
             ("2\t0\tAL\twhite\trich\ta.com", "unknown race/income label"),
             ("2\t0\tAL\twhite\tlt25k\ta.com|a.com", "a domain is listed twice"),
@@ -252,11 +310,17 @@ class TestMachineWeekTable:
             (f"{-(2**63) - 1}\t0\tAL\twhite\tlt25k\ta.com", _OUT_OF_RANGE),
             ("2\t99999999999\tAL\twhite\tlt25k\ta.com", _OUT_OF_RANGE),
             (f"2\t{-(2**31) - 1}\tAL\twhite\tlt25k\ta.com", _OUT_OF_RANGE),
+            ("1_000\t0\tAL\twhite\tlt25k\ta.com", _NOT_INTEGERS),
+            ("\u0661\u0660\u0660\u0660\t0\tAL\twhite\tlt25k\ta.com", _NOT_INTEGERS),
+            ("+2\t0\tAL\twhite\tlt25k\ta.com", _NOT_INTEGERS),
+            ("2\t 0\tAL\twhite\tlt25k\ta.com", _NOT_INTEGERS),
+            ("2\t\u0660\tAL\twhite\tlt25k\ta.com", _NOT_INTEGERS),
         ],
         ids=[
             "duplicate", "short", "long", "machine", "week", "race", "income", "domain",
             "machine_2**64+1", "machine_2**63", "machine_below_int64", "week_above_int32",
-            "week_below_int32",
+            "week_below_int32", "machine_underscore", "machine_arabic_indic", "machine_plus",
+            "week_padded", "week_arabic_indic",
         ],
     )
     def test_load_rejects_malformed_lines(self, tmp_path, line, message):

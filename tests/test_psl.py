@@ -6,7 +6,11 @@ for rejection). They assume unlisted TLDs act as suffixes, so they run
 with implicit_star=True; strict-mode behavior has its own tests.
 """
 
+from importlib import resources
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flocpriv.psl import SuffixSet, default_suffixes, registrable_domain
 
@@ -162,3 +166,180 @@ class TestSuffixSet:
         s = SuffixSet.from_text("com\nfoo.com\n")
         assert registrable_domain("bar.foo.com", s) == "bar.foo.com"
         assert registrable_domain("foo.com", s) is None
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-position suffix search (re-canonicalising and re-joining
+# every candidate suffix), which registrable_domain must agree with.
+
+
+def _oracle_ascii_label(label):
+    if label.isascii():
+        return label
+    try:
+        return label.encode("idna").decode("ascii")
+    except UnicodeError:
+        return label
+
+
+def _oracle_canonical(labels):
+    return ".".join(_oracle_ascii_label(lb) for lb in labels)
+
+
+def _oracle_strip_host(host):
+    host = host.strip().lower()
+    if host.endswith("."):
+        host = host[:-1]
+    if host.startswith("["):
+        return None
+    if ":" in host:
+        head, _, tail = host.rpartition(":")
+        if not tail.isdigit() or ":" in head:
+            return None
+        host = head
+    return host or None
+
+
+def _oracle_valid_label(label):
+    if not label:
+        return False
+    ascii_form = _oracle_ascii_label(label)
+    return all(c.isalnum() or c in "-_" for c in ascii_form) and ascii_form.isascii()
+
+
+def _oracle_suffix_label_count(labels, suffixes, implicit_star):
+    n = len(labels)
+    for i in range(n):
+        if _oracle_canonical(labels[i:]) in suffixes.exception:
+            return n - i - 1
+    best = 0
+    matched = False
+    for i in range(n):
+        if _oracle_canonical(labels[i:]) in suffixes.exact:
+            best = max(best, n - i)
+            matched = True
+    for i in range(n - 1):
+        if _oracle_canonical(labels[i + 1 :]) in suffixes.wildcard:
+            best = max(best, n - i)
+            matched = True
+    if matched:
+        return best
+    return 1 if implicit_star else None
+
+
+def oracle_registrable_domain(host, suffixes, implicit_star):
+    stripped = _oracle_strip_host(host)
+    if stripped is None:
+        return None
+    labels = tuple(stripped.split("."))
+    if any(not _oracle_valid_label(lb) for lb in labels):
+        return None
+    if len(labels) == 4 and all(lb.isdigit() for lb in labels):
+        return None
+    count = _oracle_suffix_label_count(labels, suffixes, implicit_star)
+    if count is None or count >= len(labels):
+        return None
+    return ".".join(labels[len(labels) - count - 1 :])
+
+
+def _bundled_rules():
+    """The bundled list's rules as written (IDN rules in Unicode) and as
+    stored (punycode)."""
+    text = resources.files("flocpriv.data").joinpath("public_suffix_list.dat").read_text("utf-8")
+    rules = {line.split()[0] for line in text.splitlines() if line.strip() and not line.startswith("//")}
+    suffixes = default_suffixes()
+    rules.update(suffixes.exact)
+    rules.update("*." + w for w in suffixes.wildcard)
+    rules.update("!" + e for e in suffixes.exception)
+    return sorted(rules)
+
+
+BUNDLED_RULES = _bundled_rules()
+
+
+#: Labels that exercise canonicalisation and validation: IDN (one that
+#: nameprep maps to ASCII, one that holds an ideographic full stop, one too
+#: long to punycode), mixed case, underscores, digits, spaces and empties.
+ODD_LABELS = [
+    "www", "a", "b", "foo", "bar", "x_y", "-", "_", "0", "192", "255", "WwW", "ExAmPlE",
+    "食狮", "bücher", "ｅｘａｍｐｌｅ", "食狮。com", "ü" * 70, "\u0661", "ab cd", "",
+    "xn--85x722f", "city", "www",
+]
+
+
+@st.composite
+def hosts_from_rules(draw, rules, extra_labels):
+    """A rule with its wildcard filled in and up to three labels in front,
+    perhaps cut from the left, then decorated."""
+    rule = draw(st.sampled_from(rules))
+    if rule.startswith("!"):
+        rule = rule[1:]
+    labels = rule.split(".")
+    if labels[0] == "*":
+        labels[0] = draw(st.sampled_from(extra_labels))
+    labels = draw(st.lists(st.sampled_from(extra_labels), max_size=3)) + labels
+    if draw(st.booleans()):
+        labels = labels[draw(st.integers(0, len(labels) - 1)) :]
+    host = ".".join(labels)
+    if draw(st.booleans()):
+        host = host.upper()
+    host += draw(st.sampled_from(["", "", ".", ":8080", ":", ":x", ":\u0661\u0662", "..", " "]))
+    return draw(st.sampled_from([host, host, "[" + host, "1.2.3.4", "1.2.3." + host, "::1"]))
+
+
+NESTED_RULES = """\
+com
+foo.com
+*.foo.com
+!bar.foo.com
+*.bar.foo.com
+b.bar.foo.com
+*.b.bar.foo.com
+!x.b.bar.foo.com
+a.x.b.bar.foo.com
+*.y.com
+!z.y.com
+y.com
+"""
+
+NESTED_LABELS = ["com", "foo", "bar", "b", "x", "a", "y", "z", "w"]
+
+
+class TestAgainstPerPositionOracle:
+    @settings(max_examples=1000, deadline=None)
+    @given(host=hosts_from_rules(BUNDLED_RULES, ODD_LABELS), implicit_star=st.booleans())
+    def test_bundled_list(self, host, implicit_star):
+        suffixes = default_suffixes()
+        assert registrable_domain(host, suffixes, implicit_star=implicit_star) == (
+            oracle_registrable_domain(host, suffixes, implicit_star)
+        )
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        host=st.one_of(
+            hosts_from_rules(NESTED_RULES.split(), NESTED_LABELS),
+            st.lists(st.sampled_from(NESTED_LABELS), min_size=1, max_size=7).map(".".join),
+        ),
+        implicit_star=st.booleans(),
+    )
+    def test_nested_overlapping_rules(self, host, implicit_star):
+        suffixes = SuffixSet.from_text(NESTED_RULES)
+        assert registrable_domain(host, suffixes, implicit_star=implicit_star) == (
+            oracle_registrable_domain(host, suffixes, implicit_star)
+        )
+
+    def test_nested_rules_cover_every_kind_of_match(self):
+        suffixes = SuffixSet.from_text(NESTED_RULES)
+        cases = {
+            "q.w.foo.com": "q.w.foo.com",  # wildcard beats the shorter exact rule
+            "q.bar.foo.com": "bar.foo.com",  # exception beats a wildcard
+            "q.w.bar.foo.com": "bar.foo.com",  # a shorter exception still wins
+            "q.x.b.bar.foo.com": "x.b.bar.foo.com",
+            "q.a.x.b.bar.foo.com": "x.b.bar.foo.com",  # exception beats a longer exact rule
+            "q.w.b.bar.foo.com": "bar.foo.com",
+            "q.z.y.com": "z.y.com",
+            "q.w.y.com": "q.w.y.com",
+        }
+        for host, expected in cases.items():
+            assert registrable_domain(host, suffixes) == expected, host
+            assert oracle_registrable_domain(host, suffixes, False) == expected, host

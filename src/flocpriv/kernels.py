@@ -8,6 +8,10 @@ scramble, then an exact power-of-two scale), each feature adds its 12
 uniforms in order before subtracting 6.0, and each row adds its features in
 ascending domain-hash order. ``np.sum`` is pairwise and would round
 differently, so both reductions are written as explicit sequential adds.
+
+Both the table fill and the row sums work through blocks of about
+``_BLOCK`` elements, in buffers allocated once per call, so the working set
+stays in cache and scratch memory does not grow with the input.
 """
 
 from __future__ import annotations
@@ -22,38 +26,57 @@ _U64 = np.uint64
 _SHIFT_33 = _U64(33)
 _SHIFT_11 = _U64(11)
 
-# Bound on each (domains or rows, bit_length) scratch block, in elements.
-_CHUNK_BUDGET = 1 << 20
+_MIX_C1 = _U64(MIX_C1)
+_MIX_C2 = _U64(MIX_C2)
+
+# Elements in each (domains or rows, bit_length) scratch block: small
+# enough that a block's buffers stay in cache.
+_BLOCK = 1 << 15
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    x = x ^ (x >> _SHIFT_33)
-    x = x * _U64(MIX_C1)
-    x = x ^ (x >> _SHIFT_33)
-    x = x * _U64(MIX_C2)
-    return x ^ (x >> _SHIFT_33)
+def _mix64(x: np.ndarray, tmp: np.ndarray) -> None:
+    """``hashing.mix64`` of every element of ``x``, in place; ``tmp`` is
+    scratch of x's shape."""
+    np.right_shift(x, _SHIFT_33, out=tmp)
+    x ^= tmp
+    x *= _MIX_C1
+    np.right_shift(x, _SHIFT_33, out=tmp)
+    x ^= tmp
+    x *= _MIX_C2
+    np.right_shift(x, _SHIFT_33, out=tmp)
+    x ^= tmp
 
 
 def _feature_table(keys: np.ndarray, bit_length: int) -> np.ndarray:
     """``F[v, b]`` for stream keys ``keys[v]``, shape (len(keys), bit_length).
 
     Draw j of bit b uses counter t = b * 12 + j, i.e. the scramble of
-    ``key + GOLDEN * (t + 1)`` (wrapping mod 2**64).
+    ``key + GOLDEN * (t + 1)`` (wrapping mod 2**64). The table is filled
+    block by block of whole key rows; each draw is scrambled, shifted and
+    scaled in the reused ``x``/``tmp``/``u`` buffers.
     """
     counters = (
         np.arange(1, bit_length * DRAWS_PER_FEATURE + 1, dtype=np.uint64) * _U64(GOLDEN)
-    ).reshape(bit_length, DRAWS_PER_FEATURE)
+    ).reshape(bit_length, DRAWS_PER_FEATURE).T.copy()  # row j: draw j of every bit
     table = np.empty((len(keys), bit_length))
-    block = max(1, _CHUNK_BUDGET // bit_length)
+    block = max(1, min(_BLOCK // bit_length, len(keys)))
+    x = np.empty((block, bit_length), dtype=np.uint64)
+    tmp = np.empty_like(x)
+    u = np.empty((block, bit_length))
     for lo in range(0, len(keys), block):
         chunk = keys[lo : lo + block, None]
-        acc = table[lo : lo + block]
+        n = len(chunk)
+        acc = table[lo : lo + n]
         for j in range(DRAWS_PER_FEATURE):
-            u = (_mix64(chunk + counters[:, j]) >> _SHIFT_11).astype(np.float64) * INV_2_53
+            np.add(chunk, counters[j], out=x[:n])
+            _mix64(x[:n], tmp[:n])
+            x[:n] >>= _SHIFT_11
+            # exact: a 53-bit integer times a power of two
             if j == 0:
-                acc[...] = u
+                np.multiply(x[:n], INV_2_53, out=acc)
             else:
-                acc += u
+                np.multiply(x[:n], INV_2_53, out=u[:n])
+                acc += u[:n]
         acc -= 6.0
     return table
 
@@ -71,7 +94,8 @@ def simhash_rows(
     array. Bit b of a result (counting from the most significant end of a
     ``bit_length``-wide value) is 1 iff the row's summed feature is > 0, so
     empty rows hash to 0. Memory is O(distinct hashes × bit_length) for the
-    feature table plus scratch capped by ``_CHUNK_BUDGET``.
+    feature table plus a constant scratch of a few ``_BLOCK``-element
+    buffers.
     """
     values = np.asarray(values, dtype=np.uint64)
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -80,7 +104,9 @@ def simhash_rows(
     if not len(values):
         return out
     distinct, inv = np.unique(values, return_inverse=True)
-    table = _feature_table(_mix64(distinct ^ _U64(seed_key)), bit_length)
+    keys = distinct ^ _U64(seed_key)
+    _mix64(keys, np.empty_like(keys))
+    table = _feature_table(keys, bit_length)
 
     # Longest rows first, so the rows still open at position p are a prefix.
     lengths = np.diff(offsets)
@@ -88,11 +114,14 @@ def simhash_rows(
     lengths = lengths[order]
     starts = offsets[:-1][order]
     shifts = np.arange(bit_length - 1, -1, -1, dtype=np.uint64)
-    block = max(1, _CHUNK_BUDGET // bit_length)
-    for lo in range(0, int(np.count_nonzero(lengths)), block):
+    n_rows = int(np.count_nonzero(lengths))
+    block = max(1, min(_BLOCK // bit_length, n_rows))
+    sums = np.empty((block, bit_length))
+    for lo in range(0, n_rows, block):
         rows_len = lengths[lo : lo + block]
         rows_start = starts[lo : lo + block]
-        acc = np.zeros((len(rows_len), bit_length))
+        acc = sums[: len(rows_len)]
+        acc[...] = 0.0
         for p in range(int(rows_len[0])):
             n_open = int(np.count_nonzero(rows_len > p))
             acc[:n_open] += table[inv[rows_start[:n_open] + p]]

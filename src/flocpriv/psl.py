@@ -78,9 +78,9 @@ def _strip_host(host: str) -> str | None:
         host = host[:-1]
     if host.startswith("["):  # bracketed IPv6 literal
         return None
-    if ":" in host:  # port suffix or bare IPv6 literal
+    if ":" in host:  # port suffix (ASCII digits) or bare IPv6 literal
         head, _, tail = host.rpartition(":")
-        if not tail.isdigit() or ":" in head:
+        if not (tail.isascii() and tail.isdigit()) or ":" in head:
             return None
         host = head
     return host or None

@@ -445,6 +445,9 @@ class OTControlResult:
 _CELL_BINS = 2**16
 _SPLIT_BIN = np.iinfo(np.uint8).max
 
+# Most members drawn per block: the block's buffers stay in cache.
+_OT_BLOCK = 1 << 16
+
 
 def _cell_lookup_table(cell_cum: np.ndarray) -> np.ndarray:
     """Cell of every uniform in each of ``_CELL_BINS`` equal bins of [0, 1).
@@ -459,17 +462,21 @@ def _cell_lookup_table(cell_cum: np.ndarray) -> np.ndarray:
     return np.where(low == high, low, _SPLIT_BIN).astype(np.uint8)
 
 
-def _uniform_cells(u: np.ndarray, cell_cum: np.ndarray, cell_lut: np.ndarray) -> np.ndarray:
-    """``searchsorted(cell_cum, u, side="right")`` as uint8, for u in [0, 1).
+def _uniform_cells(
+    u: np.ndarray, cell_cum: np.ndarray, cell_lut: np.ndarray, bins: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """``searchsorted(cell_cum, u, side="right")`` into the uint8 ``out``, for u in [0, 1).
 
     Reads each cell from ``cell_lut`` (``_cell_lookup_table(cell_cum)``) by
-    u's bin and searches only in split bins. Scales ``u`` in place.
+    u's bin and searches only in split bins. Scales ``u`` in place and uses
+    the uint16 ``bins`` (of u's length) as scratch.
     """
     u *= _CELL_BINS  # exact: a power-of-two scaling
-    cells = cell_lut[u.astype(np.uint16)]
-    split = np.flatnonzero(cells == _SPLIT_BIN)
-    cells[split] = np.searchsorted(cell_cum, u[split] / _CELL_BINS, side="right")
-    return cells
+    np.copyto(bins, u, casting="unsafe")  # truncation gives the bin
+    np.take(cell_lut, bins, out=out, mode="clip")  # bins are in range; "clip" is unbuffered
+    split = np.flatnonzero(out == _SPLIT_BIN)
+    out[split] = np.searchsorted(cell_cum, u[split] / _CELL_BINS, side="right")
+    return out
 
 
 def ot_scale_control(
@@ -486,8 +493,10 @@ def ot_scale_control(
 
     Members number num_cohorts * k * ratio. The first num_cohorts * k get
     cohort id (index // k); the rest draw cohorts uniformly. Demographics
-    are i.i.d. from the target joint. Only per-cohort demographic count
-    matrices are held in memory, never the member-level population.
+    are i.i.d. from the target joint. Members are streamed in fixed blocks
+    of at most ``min(_OT_BLOCK, chunk_size)`` through buffers allocated
+    once, so scratch memory is constant and only the per-cohort demographic
+    count matrices are held, never the member-level population.
     """
     for name, value in (("num_cohorts", num_cohorts), ("k", k), ("chunk_size", chunk_size)):
         if value < 1:
@@ -499,27 +508,50 @@ def ot_scale_control(
     n_cells = len(RACE_GROUPS) * len(INCOME_GROUPS)
     cell_cum = np.cumsum(target.flat())
     cell_cum[-1] = 1.0
-    counts = np.zeros(num_cohorts * n_cells, dtype=np.int64)
+    counts = np.zeros((num_cohorts, n_cells), dtype=np.int64)
     # Separate streams, one double consumed per member, so the result is
-    # independent of how the population is chunked.
+    # independent of how the population is split into blocks.
     rng_cohort = np.random.default_rng(derive_seed(seed, "ot-control", 0))
     rng_cell = np.random.default_rng(derive_seed(seed, "ot-control", 1))
     cell_lut = _cell_lookup_table(cell_cum)
 
-    done = 0
-    while done < n_members:
-        size = min(chunk_size, n_members - done)
-        n_tail = min(size, max(0, done + size - n_direct))
-        cohorts = np.arange(done, done + size, dtype=np.int64)
-        cohorts[: size - n_tail] //= k
-        if n_tail:
-            tail = rng_cohort.random(n_tail)
-            tail *= num_cohorts
-            cohorts[size - n_tail :] = np.floor(tail, out=tail)
-        cohorts *= n_cells
-        cohorts += _uniform_cells(rng_cell.random(size), cell_cum, cell_lut)
-        counts += np.bincount(cohorts, minlength=len(counts))
-        done += size
+    block = min(_OT_BLOCK, chunk_size, n_members)
+    u = np.empty(block)
+    bins = np.empty(block, dtype=np.uint16)
+    cells = np.empty(block, dtype=np.uint8)
+    flat = np.empty(block, dtype=np.intp)
+
+    def next_cells(n: int) -> np.ndarray:
+        """Cells of the next n members of the cell stream."""
+        rng_cell.random(n, out=u[:n])
+        return _uniform_cells(u[:n], cell_cum, cell_lut, bins[:n], cells[:n])
+
+    per_block = block // k
+    if per_block:
+        # A block holds whole cohorts; member i of it counts in row i // k.
+        offsets = np.repeat(np.arange(per_block, dtype=np.intp) * n_cells, k)
+        for lo in range(0, num_cohorts, per_block):
+            c = min(per_block, num_cohorts - lo)
+            n = c * k
+            np.add(offsets[:n], next_cells(n), out=flat[:n])
+            counts[lo : lo + c] += np.bincount(flat[:n], minlength=c * n_cells).reshape(c, -1)
+    else:
+        # A cohort spans several blocks, which count into its row alone.
+        for row in counts:
+            for lo in range(0, k, block):
+                row += np.bincount(next_cells(min(block, k - lo)), minlength=n_cells)
+
+    flat_counts = counts.reshape(-1)
+    for lo in range(n_direct, n_members, block):
+        n = min(block, n_members - lo)
+        cohort = u[:n]
+        rng_cohort.random(n, out=cohort)
+        cohort *= num_cohorts
+        np.floor(cohort, out=cohort)
+        cohort *= n_cells  # exact: integers below 2**53
+        np.copyto(flat[:n], cohort, casting="unsafe")
+        flat[:n] += next_cells(n)  # overwrites u; the cohorts are already in flat
+        flat_counts += np.bincount(flat[:n], minlength=len(flat_counts))
 
     grid = counts.reshape(num_cohorts, len(RACE_GROUPS), len(INCOME_GROUPS))
     violations: dict[str, int] = {}

@@ -261,28 +261,6 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     return r, 2.0 * student_t_sf(t, df)
 
 
-def _ranks(xs: Sequence[float]) -> list[float]:
-    """Ranks 1..n with ties assigned their average rank."""
-    order = sorted(range(len(xs)), key=lambda i: xs[i])
-    ranks = [0.0] * len(xs)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and xs[order[j + 1]] == xs[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for m in range(i, j + 1):
-            ranks[order[m]] = avg
-        i = j + 1
-    return ranks
-
-
-def spearman_rho(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Spearman rank correlation (average ranks for ties)."""
-    r, _ = pearson_r(_ranks(xs), _ranks(ys))
-    return r
-
-
 def binomial_sf(k: int, n: int, p: float) -> float:
     """P(X > k) for X ~ Binomial(n, p), with integer k.
 
@@ -306,11 +284,6 @@ def binomial_sf(k: int, n: int, p: float) -> float:
     if k + 1 > mean:
         return _binom_tail_upper(k + 1, n, p)
     return 1.0 - _binom_tail_lower(k, n, p)
-
-
-def binomial_cdf(k: int, n: int, p: float) -> float:
-    """P(X <= k) for X ~ Binomial(n, p)."""
-    return 1.0 - binomial_sf(k, n, p)
 
 
 def _log_pmf(i: int, n: int, p: float) -> float:

@@ -37,7 +37,6 @@ from flocpriv.sensitivity import (
     violation_curve,
 )
 from flocpriv.simhash import SimHashConfig
-from flocpriv.special import spearman_rho
 from flocpriv.synth import SynthConfig, generate_population
 from flocpriv.unicity import (
     assign_sequence_cohorts,
@@ -46,6 +45,7 @@ from flocpriv.unicity import (
     sweep_population,
     unicity_fractions,
 )
+from rank_correlation import spearman_rho
 
 # Frozen oracle constants (rational summation / 60-dps mpmath, computed
 # and recorded before these tests were written).

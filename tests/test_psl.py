@@ -130,6 +130,10 @@ class TestNormalization:
     def test_port_stripped(self):
         assert registrable_domain("example.com:8080") == "example.com"
 
+    @pytest.mark.parametrize("port", ["\u0661\u0662", "\u00b2"], ids=["arabic_indic", "superscript"])
+    def test_non_ascii_digit_port_rejected(self, port):
+        assert registrable_domain("example.com:" + port) is None
+
     def test_ipv4_rejected(self):
         assert registrable_domain("192.168.0.1") is None
 
@@ -194,7 +198,7 @@ def _oracle_strip_host(host):
         return None
     if ":" in host:
         head, _, tail = host.rpartition(":")
-        if not tail.isdigit() or ":" in head:
+        if not (tail.isascii() and tail.isdigit()) or ":" in head:
             return None
         host = head
     return host or None
@@ -283,7 +287,7 @@ def hosts_from_rules(draw, rules, extra_labels):
     host = ".".join(labels)
     if draw(st.booleans()):
         host = host.upper()
-    host += draw(st.sampled_from(["", "", ".", ":8080", ":", ":x", ":\u0661\u0662", "..", " "]))
+    host += draw(st.sampled_from(["", "", ".", ":8080", ":", ":x", ":\u0661\u0662", ":\u00b2", "..", " "]))
     return draw(st.sampled_from([host, host, "[" + host, "1.2.3.4", "1.2.3." + host, "::1"]))
 
 

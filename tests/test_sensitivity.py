@@ -537,7 +537,9 @@ class TestOTScaleControl:
         # only the bins with a threshold strictly inside them need a search
         inside = {int(c * 2**16) for c in cum if c < 1.0 and c * 2**16 % 1}
         assert np.flatnonzero(lut == sensitivity._SPLIT_BIN).tolist() == sorted(inside)
-        cells_of_u = sensitivity._uniform_cells(u.copy(), cum, lut)
+        cells_of_u = sensitivity._uniform_cells(
+            u.copy(), cum, lut, np.empty(len(u), np.uint16), np.empty(len(u), np.uint8)
+        )
         assert np.array_equal(cells_of_u, np.searchsorted(cum, u, side="right"))
 
     @pytest.mark.parametrize("chunk_size", [7, 11_999, 12_001, 4_000_000])
@@ -546,6 +548,29 @@ class TestOTScaleControl:
         joint = JointDistribution(tuple(tuple(cells[r * 4 : r * 4 + 4]) for r in range(4)))
         res = ot_scale_control(40, 300, 1.5, joint, t=0.05, seed=8, chunk_size=chunk_size)
         ref_violations, ref_max = _reference_control(40, 300, 1.5, joint, t=0.05, seed=8)
+        assert res.violations == ref_violations
+        assert res.max_excess == ref_max
+
+    @pytest.mark.parametrize(
+        "num_cohorts, k, ratio, block, chunk_size",
+        [
+            (7, 50, 1.5, 16, 4_000_000),
+            (13, 30, 1.5, 100, 4_000_000),
+            (13, 30, 1.0, 100, 4_000_000),
+            (9, 40, 1.25, 2**16, 25),
+            (9, 40, 1.0, 2**16, 40),
+        ],
+        ids=["k_above_block", "partial_last_block", "no_tail", "chunk_below_k", "chunk_equals_k"],
+    )
+    def test_blocks_match_unchunked_reference(
+        self, default_joint, num_cohorts, k, ratio, block, chunk_size
+    ):
+        with mock.patch.object(sensitivity, "_OT_BLOCK", block):
+            res = ot_scale_control(
+                num_cohorts, k, ratio, default_joint, t=0.05, seed=4, chunk_size=chunk_size
+            )
+        ref_violations, ref_max = _reference_control(num_cohorts, k, ratio, default_joint, 0.05, 4)
+        assert res.n_members == int(round(num_cohorts * k * ratio))
         assert res.violations == ref_violations
         assert res.max_excess == ref_max
 

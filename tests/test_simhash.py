@@ -7,13 +7,21 @@ between high- and low-overlap set pairs (Spearman rho -0.884).
 """
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flocpriv import kernels
 from flocpriv.fixtures import bundled_table1_sessions
 from flocpriv.hashing import (
+    DRAWS_PER_FEATURE,
+    GOLDEN,
+    INV_2_53,
+    MIX_C1,
+    MIX_C2,
     derive_seed,
     domain_hash64,
     mix64,
@@ -29,7 +37,7 @@ from flocpriv.simhash import (
     simhash,
     simhash_hashes,
 )
-from flocpriv.special import spearman_rho
+from rank_correlation import spearman_rho
 
 
 class TestHashing:
@@ -219,6 +227,43 @@ TABLE1_HASHES = {
 }
 
 
+def _oracle_mix64(x):
+    x = x ^ (x >> np.uint64(33))
+    x = x * np.uint64(MIX_C1)
+    x = x ^ (x >> np.uint64(33))
+    x = x * np.uint64(MIX_C2)
+    return x ^ (x >> np.uint64(33))
+
+
+def _oracle_feature_table(keys, bit_length):
+    """The feature table built one whole-array temporary per operation."""
+    counters = (
+        np.arange(1, bit_length * DRAWS_PER_FEATURE + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+    ).reshape(bit_length, DRAWS_PER_FEATURE)
+    table = np.empty((len(keys), bit_length))
+    for j in range(DRAWS_PER_FEATURE):
+        x = _oracle_mix64(keys[:, None] + counters[:, j]) >> np.uint64(11)
+        u = x.astype(np.float64) * INV_2_53
+        if j == 0:
+            table[...] = u
+        else:
+            table += u
+    table -= 6.0
+    return table
+
+
+@st.composite
+def _feature_table_cases(draw):
+    """Keys, a bit length and a block size, with the key count at or next
+    to a multiple of the rows per block."""
+    bits = draw(st.integers(1, 64))
+    block = draw(st.sampled_from([1, 7, 64, 200, 1000]))
+    rows = max(1, block // bits)
+    n = max(0, rows * draw(st.integers(0, 3)) + draw(st.integers(-1, 1)))
+    keys = draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n))
+    return np.array(keys, dtype=np.uint64), bits, block
+
+
 class TestKernels:
     def test_matches_scalar_feature_sums(self, rng, monkeypatch):
         # Oracle: bit b is the sign of a sequential sum of gaussian_feature
@@ -243,11 +288,20 @@ class TestKernels:
                         total += gaussian_feature(d, b, 7)
                     value = (value << 1) | (total > 0.0)
                 expected.append(value)
-            for budget in (kernels._CHUNK_BUDGET, 64, 20):
-                monkeypatch.setattr(kernels, "_CHUNK_BUDGET", budget)
+            for budget in (kernels._BLOCK, 64, 20):
+                monkeypatch.setattr(kernels, "_BLOCK", budget)
                 got = simhash_rows(values, offsets, bits, seed_key(7))
                 assert got.tolist() == expected, (bits, budget)
                 monkeypatch.undo()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_feature_table_cases())
+    def test_feature_table_matches_whole_array_oracle(self, case):
+        keys, bits, block = case
+        with mock.patch.object(kernels, "_BLOCK", block):
+            got = _feature_table(keys, bits)
+        expected = _oracle_feature_table(keys, bits)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_table1_fixture_hashes_pinned(self):
         parsed = parse_sessions(io.StringIO(bundled_table1_sessions()), FormatConfig())

@@ -6,13 +6,20 @@ registrable domains visited, the machine's state (from its ZIP) and its
 demographic groups. Profiles with fewer distinct domains than the cutoff
 are dropped. The table's columnar CSR arrays are the only representation
 of machine-weeks; ``build_machine_weeks`` and ``MachineWeekTable.load``
-fill them through one builder.
+fill them through one builder, which takes per-row columns.
 
 Work that depends only on a value is done once per distinct value: each
 date string is parsed and checked once per ``parse_sessions`` call, and
 each date's week and each hostname's registrable domain once per
 ``build_machine_weeks`` call. Integer fields are ASCII digits with an
 optional leading "-"; any other spelling is rejected, not converted.
+
+Table text is handled per line only where a line has its own fields:
+``load`` splits and checks each line, then treats the domains of all
+lines in bulk (one join and split, one vectorised comparison that finds
+rows out of name order or naming a domain twice, one interning pass),
+and ``save_text`` sorts every row's domain names in one array sort and
+joins each row once.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import datetime as dt
 import re
 from dataclasses import dataclass, field
+from itertools import chain, count
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
@@ -32,6 +40,8 @@ from .psl import SuffixSet, registrable_domain
 
 RACE_GROUPS: tuple[str, ...] = ("white", "black", "asian", "other")
 INCOME_GROUPS: tuple[str, ...] = ("lt25k", "25k_75k", "75k_150k", "ge150k")
+_RACE_CODES = {group: code for code, group in enumerate(RACE_GROUPS)}
+_INCOME_CODES = {group: code for code, group in enumerate(INCOME_GROUPS)}
 
 #: Distinct registrable domains a machine-week must reach to be kept.
 MIN_WEEKLY_DOMAINS = 7
@@ -44,6 +54,9 @@ _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
 # "-". ``int`` alone also takes "1_000", "+1", padding and non-ASCII digits
 # such as "١٠٠٠", which would silently merge distinct machine IDs.
 _is_integer = re.compile(r"-?[0-9]+").fullmatch
+# Matches a table line whose first two fields, machine ID and week, are
+# such integers.
+_starts_with_integer_key = re.compile(r"-?[0-9]+\t-?[0-9]+\t").match
 
 
 def _default_race_codes() -> dict[str, str]:
@@ -240,6 +253,42 @@ class WeekConfig:
         return (date - self.epoch).days // 7
 
 
+def _intern(names: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct names in first-seen order, and each name's index in them."""
+    first: dict[str, int] = {}  # name -> position of its first occurrence
+    at = np.fromiter(map(first.setdefault, names, count()), dtype=np.int64, count=len(names))
+    index = np.empty(len(names), dtype=np.int32)
+    index[np.fromiter(first.values(), dtype=np.int64, count=len(first))] = np.arange(len(first))
+    return list(first), index[at]
+
+
+def _name_ranks(vocab: Sequence[str]) -> np.ndarray:
+    """Each vocabulary entry's position in name order."""
+    ranks = np.empty(len(vocab), dtype=np.int64)
+    ranks[sorted(range(len(vocab)), key=vocab.__getitem__)] = np.arange(len(vocab))
+    return ranks
+
+
+def _sort_each_row(names: list[str], counts: Sequence[int]) -> list[int]:
+    """Sort each row's run of ``names`` in place; return the rows naming one twice.
+
+    Row i holds the next ``counts[i]`` names. One vectorised comparison
+    finds the rows that are not strictly ascending, and only those are
+    sorted and searched for a repeat.
+    """
+    row = np.repeat(np.arange(len(counts)), counts)
+    text = np.array(names, dtype=object)
+    unsorted = (text[1:] <= text[:-1]) & (row[1:] == row[:-1])
+    offsets = np.cumsum([0, *counts]).tolist()
+    repeats = []
+    for r in np.unique(row[1:][unsorted]).tolist():
+        lo, hi = offsets[r], offsets[r + 1]
+        names[lo:hi] = run = sorted(names[lo:hi])
+        if any(map(str.__eq__, run, run[1:])):
+            repeats.append(r)
+    return repeats
+
+
 class MachineWeekTable:
     """Columnar store of machine-weeks, one row per (machine, epoch week).
 
@@ -272,7 +321,7 @@ class MachineWeekTable:
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.vocab = list(vocab)
         self.vocab_hashes = np.fromiter(
-            (domain_hash64(d) for d in self.vocab), dtype=np.uint64, count=len(self.vocab)
+            map(domain_hash64, self.vocab), dtype=np.uint64, count=len(self.vocab)
         )
         ids, weeks = self.machine_ids, self.week_indices
         unordered = (ids[1:] < ids[:-1]) | ((ids[1:] == ids[:-1]) & (weeks[1:] <= weeks[:-1]))
@@ -284,47 +333,42 @@ class MachineWeekTable:
                 "ascending by (machine_id, week_index)"
             )
         # Within each row, order domain indices by hash value (column
-        # order required by the hashing kernel).
+        # order required by the hashing kernel). Equal hashes share a rank,
+        # and the stable sort keeps such domains in their given order.
         if len(self.dom_indices):
-            row_of = np.repeat(
-                np.arange(len(self), dtype=np.int64), np.diff(self.offsets)
-            )
-            perm = np.lexsort((self.vocab_hashes[self.dom_indices], row_of))
+            distinct, hash_rank = np.unique(self.vocab_hashes, return_inverse=True)
+            row_of = np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.offsets))
+            perm = np.argsort(row_of * len(distinct) + hash_rank[self.dom_indices], kind="stable")
             self.dom_indices = self.dom_indices[perm]
         self._hash_cache: dict[tuple[int, int], np.ndarray] = {}
         self._ranking: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
-    def _from_rows(
-        cls, rows: Mapping[tuple[int, int], tuple[str, str, str, Iterable[str]]]
+    def _from_columns(
+        cls,
+        keys: Sequence[tuple[int, int]],
+        states: Sequence[str],
+        race_idx: Sequence[int],
+        income_idx: Sequence[int],
+        names: list[str],
+        counts: Sequence[int],
     ) -> "MachineWeekTable":
-        """Table from ``{(machine_id, week): (state, race, income, domains)}``."""
-        keys = sorted(rows)
-        n = len(keys)
-        vocab: dict[str, int] = {}
-        states: dict[str, int] = {UNKNOWN_STATE: 0}
-        race_idx = np.empty(n, dtype=np.int8)
-        income_idx = np.empty(n, dtype=np.int8)
-        state_idx = np.empty(n, dtype=np.int16)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        dom_indices: list[int] = []
-        for i, key in enumerate(keys):
-            state, race, income, domains = rows[key]
-            state_idx[i] = states.setdefault(state, len(states))
-            race_idx[i] = RACE_GROUPS.index(race)
-            income_idx[i] = INCOME_GROUPS.index(income)
-            dom_indices.extend(vocab.setdefault(d, len(vocab)) for d in sorted(domains))
-            offsets[i + 1] = len(dom_indices)
+        """Table from per-row columns, rows ascending by ``(machine_id, week)``.
+
+        Row i is ``keys[i]`` and holds the next ``counts[i]`` of ``names``;
+        each row's names must be distinct and ascending. States are interned
+        in row order after ``UNKNOWN_STATE``, and domains in first-seen
+        order, which is the order a walk over the rows meets them.
+        """
+        ids = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=2 * len(keys))
+        ids = ids.reshape(-1, 2)  # (machine_id, week) per row
+        labels, state_idx = _intern([UNKNOWN_STATE, *states])
+        vocab, dom_indices = _intern(names)
+        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
         return cls(
-            np.array([m for m, _ in keys], dtype=np.int64),
-            np.array([w for _, w in keys], dtype=np.int32),
-            list(states),
-            race_idx,
-            income_idx,
-            state_idx,
-            np.array(dom_indices, dtype=np.int32),
-            offsets,
-            list(vocab),
+            ids[:, 0], ids[:, 1], labels, race_idx, income_idx, state_idx[1:],
+            dom_indices, offsets, vocab,
         )
 
     def __len__(self) -> int:
@@ -364,23 +408,31 @@ class MachineWeekTable:
         """
         if self._ranking is None:
             counts = np.bincount(self.dom_indices, minlength=len(self.vocab))
-            by_name = sorted(range(len(self.vocab)), key=self.vocab.__getitem__)
-            name_rank = np.empty(len(self.vocab), dtype=np.int64)
-            name_rank[by_name] = np.arange(len(self.vocab))
-            order = np.lexsort((name_rank, -counts))
+            order = np.lexsort((_name_ranks(self.vocab), -counts))
             self._ranking = (order[: np.count_nonzero(counts)], counts)
         return self._ranking
 
     def save_text(self) -> str:
         """The table as deterministic TSV text (domains sorted, |-joined)."""
+        v = len(self.vocab)
+        name_rank = _name_ranks(self.vocab)
+        by_name = np.empty_like(name_rank)
+        by_name[name_rank] = np.arange(v)
+        row_of = np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.offsets))
+        # A row's domains are distinct, so its (row, name rank) keys are too.
+        keys = np.sort(row_of * v + name_rank[self.dom_indices])
+        names = list(map(self.vocab.__getitem__, by_name[keys % v].tolist()))
+        bounds = self.offsets.tolist()
+        columns = zip(
+            map(str, self.machine_ids.tolist()),
+            map(str, self.week_indices.tolist()),
+            map(self.state_labels.__getitem__, self.state_idx.tolist()),
+            map(RACE_GROUPS.__getitem__, self.race_idx.tolist()),
+            map(INCOME_GROUPS.__getitem__, self.income_idx.tolist()),
+            ("|".join(names[lo:hi]) for lo, hi in zip(bounds, bounds[1:])),
+        )
         lines = ["machine_id\tweek_index\tstate\trace_group\tincome_group\tdomains"]
-        for i in range(len(self)):
-            lines.append(
-                f"{self.machine_ids[i]}\t{self.week_indices[i]}\t"
-                f"{self.state_labels[self.state_idx[i]]}\t"
-                f"{RACE_GROUPS[self.race_idx[i]]}\t"
-                f"{INCOME_GROUPS[self.income_idx[i]]}\t{'|'.join(self.domains(i))}"
-            )
+        lines.extend(map("\t".join, columns))
         return "\n".join(lines) + "\n"
 
     def save(self, path: str) -> None:
@@ -391,44 +443,75 @@ class MachineWeekTable:
     def load(cls, path: str) -> "MachineWeekTable":
         """Read a table written by ``save``; lines may come in any order.
 
-        A malformed line raises ``ValueError("<path>:<line>: ...")``: a
-        wrong field count, a machine ID or week that is not ASCII digits
-        with an optional leading "-", a machine ID outside int64 or a week
-        outside int32, an unknown race or income label, a domain listed
-        twice, or a (machine, week) already seen on an earlier line.
+        The file is read once. Each line is split and its fields checked
+        on their own. The domains of all lines are then handled in bulk:
+        split from one joined string in row order, checked for order and
+        repeats with one vectorised comparison, and interned in one pass.
+
+        A malformed line raises ``ValueError("<path>:<line>: ...")`` for the
+        first offending line: a wrong field count, a machine ID or week
+        that is not ASCII digits with an optional leading "-", a machine ID
+        outside int64 or a week outside int32, an unknown race or income
+        label, a (machine, week) already seen on an earlier line, an empty
+        domain name, or a domain listed twice. An empty domains field is a
+        row without domains.
         """
-        rows: dict[tuple[int, int], tuple[str, str, str, list[str]]] = {}
         with open(path, encoding="utf-8") as fh:
             header = fh.readline()
             if not header.startswith("machine_id\t"):
                 raise ValueError(f"{path}: not a machine-week table")
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                fields = line.rstrip("\n").split("\t")
-                if len(fields) != 6:
-                    raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
-                mid, week, state, race, income, domains = fields
-                if not (_is_integer(mid) and _is_integer(week)):
-                    raise ValueError(f"{path}:{lineno}: machine_id and week_index must be integers")
-                key = (int(mid), int(week))
-                if not (_INT64_MIN <= key[0] <= _INT64_MAX and _INT32_MIN <= key[1] <= _INT32_MAX):
-                    raise ValueError(
-                        f"{path}:{lineno}: machine_id must fit in int64 and week_index in int32"
-                    )
-                if race not in RACE_GROUPS or income not in INCOME_GROUPS:
-                    raise ValueError(
-                        f"{path}:{lineno}: unknown race/income label {race!r}/{income!r}"
-                    )
-                if key in rows:
-                    raise ValueError(
-                        f"{path}:{lineno}: machine {key[0]}, week {key[1]} appears twice"
-                    )
-                names = domains.split("|") if domains else []
-                if len(set(names)) != len(names):
-                    raise ValueError(f"{path}:{lineno}: a domain is listed twice")
-                rows[key] = (state, race, income, names)
-        return cls._from_rows(rows)
+            text = fh.read()
+        rows: dict[tuple[int, int], tuple[int, str, str, str, str]] = {}
+        problem = None
+        for lineno, line in enumerate(text.split("\n"), start=2):
+            if not line.strip():
+                continue
+            fields = line.split("\t")
+            if len(fields) != 6:
+                problem = f"expected 6 fields, got {len(fields)}"
+                break
+            mid, week, state, race, income, domains = fields
+            if not _starts_with_integer_key(line):
+                problem = "machine_id and week_index must be integers"
+                break
+            key = (int(mid), int(week))
+            if not (_INT64_MIN <= key[0] <= _INT64_MAX and _INT32_MIN <= key[1] <= _INT32_MAX):
+                problem = "machine_id must fit in int64 and week_index in int32"
+                break
+            if race not in _RACE_CODES or income not in _INCOME_CODES:
+                problem = f"unknown race/income label {race!r}/{income!r}"
+                break
+            if key in rows:
+                problem = f"machine {key[0]}, week {key[1]} appears twice"
+                break
+            if domains[:1] == "|" or domains[-1:] == "|" or "||" in domains:
+                problem = "empty domain name"
+                break
+            rows[key] = (lineno, state, race, income, domains)
+
+        keys = sorted(rows)
+        linenos, states, races, incomes, fields = (
+            zip(*map(rows.__getitem__, keys)) if keys else ((),) * 5
+        )
+        counts = [d.count("|") + 1 if d else 0 for d in fields]
+        joined = "|".join(filter(None, fields))
+        names = joined.split("|") if joined else []
+        # Every line before a failing one was kept, so a repeat found here
+        # is on an earlier line than the failure.
+        repeats = _sort_each_row(names, counts)
+        if repeats:
+            first = min(linenos[r] for r in repeats)
+            raise ValueError(f"{path}:{first}: a domain is listed twice")
+        if problem is not None:
+            raise ValueError(f"{path}:{lineno}: {problem}")
+        return cls._from_columns(
+            keys,
+            states,
+            list(map(_RACE_CODES.__getitem__, races)),
+            list(map(_INCOME_CODES.__getitem__, incomes)),
+            names,
+            counts,
+        )
 
 
 @dataclass
@@ -486,22 +569,24 @@ def build_machine_weeks(
             continue
         weeks.setdefault((machine_id, week), set()).add(rd)
 
-    rows: dict[tuple[int, int], tuple[str, str, str, set[str]]] = {}
-    dropped_small = 0
-    for key, domains in weeks.items():
-        if len(domains) < cfg.min_domains:
-            dropped_small += 1
-            continue
-        race, income, zip_code = machine_demo[key[0]]
-        rows[key] = (state_for_zip(zip_code) or UNKNOWN_STATE, race, income, domains)
-    table = MachineWeekTable._from_rows(rows)
+    keys = sorted(key for key, domains in weeks.items() if len(domains) >= cfg.min_domains)
+    demographics = [machine_demo[machine_id] for machine_id, _ in keys]
+    row_domains = [sorted(weeks[key]) for key in keys]
+    table = MachineWeekTable._from_columns(
+        keys,
+        [state_for_zip(zip_code) or UNKNOWN_STATE for _, _, zip_code in demographics],
+        [_RACE_CODES[race] for race, _, _ in demographics],
+        [_INCOME_CODES[income] for _, income, _ in demographics],
+        list(chain.from_iterable(row_domains)),
+        list(map(len, row_domains)),
+    )
     report = {
         "n_records": len(records),
         "n_machines": len(machine_demo),
         "n_machine_weeks": len(table),
         "rejected_domains": bad_domains,
         "weeks_out_of_range": out_of_range,
-        "machine_weeks_below_cutoff": dropped_small,
+        "machine_weeks_below_cutoff": len(weeks) - len(keys),
         "demographic_conflicts": conflicts,
     }
     return BuildResult(table, report)

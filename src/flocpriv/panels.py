@@ -105,10 +105,6 @@ class Panel:
     def size(self) -> int:
         return len(self.rows)
 
-    def cell_counts(self) -> np.ndarray:
-        cells = self.race_idx.astype(np.int64) * len(INCOME_GROUPS) + self.income_idx
-        return np.bincount(cells, minlength=N_CELLS)
-
 
 def _max_feasible_size(avail: np.ndarray, probs: np.ndarray, panels_per_week: int) -> int:
     support = probs > 0

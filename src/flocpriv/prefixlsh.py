@@ -87,9 +87,6 @@ class CohortMap:
         idx = np.searchsorted(self._starts, values, side="right") - 1
         return idx.astype(np.int32)
 
-    def assign_one(self, hash_value: int) -> int:
-        return int(self.assign(np.array([hash_value], dtype=np.uint64))[0])
-
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "bit_length": self.bit_length,

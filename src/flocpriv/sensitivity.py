@@ -551,7 +551,7 @@ def ot_scale_control(
         cohort *= n_cells  # exact: integers below 2**53
         np.copyto(flat[:n], cohort, casting="unsafe")
         flat[:n] += next_cells(n)  # overwrites u; the cohorts are already in flat
-        flat_counts += np.bincount(flat[:n], minlength=len(flat_counts))
+        np.add.at(flat_counts, flat[:n], 1)
 
     grid = counts.reshape(num_cohorts, len(RACE_GROUPS), len(INCOME_GROUPS))
     violations: dict[str, int] = {}

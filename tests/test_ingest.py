@@ -2,10 +2,18 @@
 
 import datetime as dt
 import io
+import os
+import random
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from table_io_oracle import OracleTable
+
+from flocpriv import hashing, ingest
 
 from flocpriv.geo import UNKNOWN_STATE, representative_zip, state_for_zip
 from flocpriv.ingest import (
@@ -315,12 +323,18 @@ class TestMachineWeekTable:
             ("+2\t0\tAL\twhite\tlt25k\ta.com", _NOT_INTEGERS),
             ("2\t 0\tAL\twhite\tlt25k\ta.com", _NOT_INTEGERS),
             ("2\t\u0660\tAL\twhite\tlt25k\ta.com", _NOT_INTEGERS),
+            ("2\t0\tAL\twhite\tlt25k\ta.com||b.com", "empty domain name"),
+            ("2\t0\tAL\twhite\tlt25k\ta.com|", "empty domain name"),
+            ("2\t0\tAL\twhite\tlt25k\t|a.com", "empty domain name"),
+            ("2\t0\tAL\twhite\tlt25k\t|", "empty domain name"),
+            ("2\t0\tAL\twhite\tlt25k\tb.com|a.com|b.com", "a domain is listed twice"),
         ],
         ids=[
             "duplicate", "short", "long", "machine", "week", "race", "income", "domain",
             "machine_2**64+1", "machine_2**63", "machine_below_int64", "week_above_int32",
             "week_below_int32", "machine_underscore", "machine_arabic_indic", "machine_plus",
-            "week_padded", "week_arabic_indic",
+            "week_padded", "week_arabic_indic", "empty_inner", "empty_last", "empty_first",
+            "empty_both", "domain_unsorted",
         ],
     )
     def test_load_rejects_malformed_lines(self, tmp_path, line, message):
@@ -343,6 +357,166 @@ class TestMachineWeekTable:
         table = MachineWeekTable.load(path)
         assert table.machine_ids.tolist() == [-(2**63), 2**63 - 1]
         assert table.week_indices.tolist() == [2**31 - 1, -(2**31)]
+
+
+    def test_empty_domains_field_is_a_row_without_domains(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        path.write_text(
+            "machine_id\tweek_index\tstate\trace_group\tincome_group\tdomains\n"
+            "1\t0\tAL\twhite\tlt25k\t\n"
+            "2\t0\tAL\twhite\tlt25k\ta.com\n"
+        )
+        table = MachineWeekTable.load(path)
+        assert [table.domains(i) for i in range(len(table))] == [[], ["a.com"]]
+        assert table.vocab == ["a.com"]
+
+
+_TABLE_HEADER = "machine_id\tweek_index\tstate\trace_group\tincome_group\tdomains"
+_ARRAYS = ("machine_ids", "week_indices", "race_idx", "income_idx", "state_idx", "dom_indices",
+           "offsets", "vocab_hashes")
+
+# Name characters: anything a UTF-8 table line can hold inside a field,
+# including separators that str.splitlines would break on but a file
+# read line by line does not.
+_NAME_TEXT = st.text(
+    st.characters(blacklist_characters="|\t\n\r", blacklist_categories=("Cs",)),
+    min_size=1, max_size=5,
+)
+_SHARED_NAMES = ("a.com", "b.com", "c.org", "é.fr", "x\x1cy.net", "z .io", " ")
+_NAME = st.one_of(st.sampled_from(_SHARED_NAMES), _NAME_TEXT)
+_MACHINE = st.one_of(
+    st.integers(-3, 3), st.sampled_from([-(2**63), -(2**63) + 1, 2**63 - 2, 2**63 - 1])
+)
+_WEEK = st.one_of(st.integers(-2, 5), st.sampled_from([-(2**31), 2**31 - 1]))
+_STATE = st.text(st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
+                 max_size=3)
+_BLANK = st.sampled_from(["", " ", "\t", " \t \t"])
+
+
+def _write(lines):
+    """A table file of ``lines`` after the header, in a new directory."""
+    directory = tempfile.TemporaryDirectory()
+    path = os.path.join(directory.name, "table.tsv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join([_TABLE_HEADER, *lines]) + "\n")
+    return directory, path
+
+
+def _assert_same_table(table, oracle):
+    for name in _ARRAYS:
+        got, want = getattr(table, name), getattr(oracle, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert table.vocab == oracle.vocab
+    assert table.state_labels == oracle.state_labels
+    assert table.save_text() == oracle.save_text()
+
+
+def _load_like_oracle(lines):
+    """The runtime and the oracle table of a file of ``lines``, checked equal,
+    or None when both reject the file with the same message."""
+    directory, path = _write(lines)
+    with directory:
+        try:
+            oracle = OracleTable.load(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                MachineWeekTable.load(path)
+            assert str(got.value) == str(exc)
+            return None
+        table = MachineWeekTable.load(path)
+    _assert_same_table(table, oracle)
+    return table, oracle
+
+
+@st.composite
+def _valid_lines(draw):
+    rows = draw(st.dictionaries(
+        st.tuples(_MACHINE, _WEEK),
+        st.tuples(_STATE, st.sampled_from(RACE_GROUPS), st.sampled_from(INCOME_GROUPS),
+                  st.lists(_NAME, unique=True, max_size=6)),
+        max_size=12,
+    ))
+    lines = [
+        "\t".join([str(m), str(w), state, race, income, "|".join(names)])
+        for (m, w), (state, race, income, names) in rows.items()
+    ]
+    lines += draw(st.lists(_BLANK, max_size=3))
+    return draw(st.permutations(lines))
+
+
+_BAD_INTEGERS = ("1_000", "+2", "x", "", "١", " 1", "0.5", "--1")
+_CORRUPTIONS = (None,) * 6 + (
+    "short", "long", "machine", "week", "machine_range", "week_range", "race", "income", "empty",
+)
+
+
+@st.composite
+def _maybe_bad_line(draw):
+    """A table line that may be malformed; keys and names collide often."""
+    fields = [
+        str(draw(st.sampled_from([1, 2, -3, 2**63 - 1, -(2**63)]))),
+        str(draw(st.sampled_from([0, 1, 2**31 - 1]))),
+        draw(st.sampled_from(["AL", "CA", "??"])),
+        draw(st.sampled_from(RACE_GROUPS)),
+        draw(st.sampled_from(INCOME_GROUPS)),
+    ]
+    names = draw(st.lists(st.sampled_from(_SHARED_NAMES + ("d.com", "e.com")), max_size=4))
+    corruption = draw(st.sampled_from(_CORRUPTIONS))
+    if corruption == "empty":
+        names.insert(draw(st.integers(0, len(names))), "")
+    elif corruption in ("machine", "week"):
+        fields[corruption == "week"] = draw(st.sampled_from(_BAD_INTEGERS))
+    elif corruption == "machine_range":
+        fields[0] = str(draw(st.sampled_from([2**63, -(2**63) - 1, 2**64 + 1])))
+    elif corruption == "week_range":
+        fields[1] = str(draw(st.sampled_from([2**31, -(2**31) - 1])))
+    elif corruption in ("race", "income"):
+        fields[3 if corruption == "race" else 4] = "purple"
+    fields.append("|".join(names))
+    if corruption == "short":
+        fields.pop()
+    elif corruption == "long":
+        fields.append("x")
+    return "\t".join(fields)
+
+
+class TestTableIOMatchesOracle:
+    """``load``, the builder, the constructor sort and ``save_text`` give
+    what the per-line implementations in ``table_io_oracle`` give."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_valid_lines())
+    def test_valid_files(self, lines):
+        assert _load_like_oracle(lines) is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(_maybe_bad_line(), _BLANK), min_size=1, max_size=10))
+    def test_malformed_files(self, lines):
+        _load_like_oracle(lines)
+
+    def test_hash_collisions_sort_like_the_oracle(self, monkeypatch):
+        alias = {"b.com": "a.com", "d.com": "a.com", "e.com": "c.com"}
+        real = hashing.domain_hash64
+
+        def colliding(name):
+            return real(alias.get(name, name))
+
+        monkeypatch.setattr(ingest, "domain_hash64", colliding)
+        monkeypatch.setattr("table_io_oracle.domain_hash64", colliding)
+        palette = ["a.com", "b.com", "c.com", "d.com", "e.com", "f.com", "g.com"]
+        rng = random.Random(4)
+        collided = 0
+        for _ in range(40):
+            lines = [
+                f"{m}\t{w}\tAL\twhite\tlt25k\t" + "|".join(rng.sample(palette, rng.randint(0, 7)))
+                for m in range(1, 4) for w in range(rng.randint(1, 3))
+            ]
+            rng.shuffle(lines)
+            table, oracle = _load_like_oracle(lines)
+            collided += len(np.unique(table.vocab_hashes)) < len(table.vocab)
+            for bits, seed in ((50, 7), (64, 0)):
+                assert np.array_equal(table.hashes(bits, seed), oracle.hashes(bits, seed))
+        assert collided > 30
 
 
 class TestRepresentativeness:

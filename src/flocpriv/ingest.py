@@ -16,10 +16,10 @@ optional leading "-"; any other spelling is rejected, not converted.
 
 Table text is handled per line only where a line has its own fields:
 ``load`` splits and checks each line, then treats the domains of all
-lines in bulk (one join and split, one vectorised comparison that finds
-rows out of name order or naming a domain twice, one interning pass),
-and ``save_text`` sorts every row's domain names in one array sort and
-joins each row once.
+lines in bulk (one join and split, a sort of each row's names, one
+vectorised comparison of neighbours that finds a domain named twice, one
+interning pass), and ``save_text`` sorts every row's domain names in one
+array sort and joins each row once.
 """
 
 from __future__ import annotations
@@ -46,17 +46,16 @@ _INCOME_CODES = {group: code for code, group in enumerate(INCOME_GROUPS)}
 #: Distinct registrable domains a machine-week must reach to be kept.
 MIN_WEEKLY_DOMAINS = 7
 
-# Machine IDs are stored as int64 and week indices as int32.
+# Machine IDs are stored as int64, week indices as int32 and state
+# indices as int16.
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
+_INT16_MAX = 2**15 - 1
 
 # Integer fields of outside input: ASCII digits with an optional leading
 # "-". ``int`` alone also takes "1_000", "+1", padding and non-ASCII digits
 # such as "١٠٠٠", which would silently merge distinct machine IDs.
 _is_integer = re.compile(r"-?[0-9]+").fullmatch
-# Matches a table line whose first two fields, machine ID and week, are
-# such integers.
-_starts_with_integer_key = re.compile(r"-?[0-9]+\t-?[0-9]+\t").match
 
 
 def _default_race_codes() -> dict[str, str]:
@@ -272,21 +271,16 @@ def _name_ranks(vocab: Sequence[str]) -> np.ndarray:
 def _sort_each_row(names: list[str], counts: Sequence[int]) -> list[int]:
     """Sort each row's run of ``names`` in place; return the rows naming one twice.
 
-    Row i holds the next ``counts[i]`` names. One vectorised comparison
-    finds the rows that are not strictly ascending, and only those are
-    sorted and searched for a repeat.
+    Row i holds the next ``counts[i]`` names. After the sort a repeat sits
+    next to itself, so one vectorised comparison of neighbours finds it.
     """
+    offsets = np.cumsum([0, *counts]).tolist()
+    for lo, hi in zip(offsets, offsets[1:]):
+        names[lo:hi] = sorted(names[lo:hi])
     row = np.repeat(np.arange(len(counts)), counts)
     text = np.array(names, dtype=object)
-    unsorted = (text[1:] <= text[:-1]) & (row[1:] == row[:-1])
-    offsets = np.cumsum([0, *counts]).tolist()
-    repeats = []
-    for r in np.unique(row[1:][unsorted]).tolist():
-        lo, hi = offsets[r], offsets[r + 1]
-        names[lo:hi] = run = sorted(names[lo:hi])
-        if any(map(str.__eq__, run, run[1:])):
-            repeats.append(r)
-    return repeats
+    repeated = (text[1:] == text[:-1]) & (row[1:] == row[:-1])
+    return np.unique(row[1:][repeated]).tolist()
 
 
 class MachineWeekTable:
@@ -363,6 +357,11 @@ class MachineWeekTable:
         ids = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=2 * len(keys))
         ids = ids.reshape(-1, 2)  # (machine_id, week) per row
         labels, state_idx = _intern([UNKNOWN_STATE, *states])
+        if len(labels) > _INT16_MAX + 1:
+            raise ValueError(
+                f"{len(labels)} distinct states; int16 state indices hold at most "
+                f"{_INT16_MAX + 1}"
+            )
         vocab, dom_indices = _intern(names)
         offsets = np.zeros(len(ids) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -445,8 +444,9 @@ class MachineWeekTable:
 
         The file is read once. Each line is split and its fields checked
         on their own. The domains of all lines are then handled in bulk:
-        split from one joined string in row order, checked for order and
-        repeats with one vectorised comparison, and interned in one pass.
+        split from one joined string in row order, sorted row by row,
+        checked for repeats with one vectorised comparison of neighbours,
+        and interned in one pass.
 
         A malformed line raises ``ValueError("<path>:<line>: ...")`` for the
         first offending line: a wrong field count, a machine ID or week
@@ -454,7 +454,9 @@ class MachineWeekTable:
         outside int64 or a week outside int32, an unknown race or income
         label, a (machine, week) already seen on an earlier line, an empty
         domain name, or a domain listed twice. An empty domains field is a
-        row without domains.
+        row without domains. A file naming more than 32,767 distinct states
+        besides ``UNKNOWN_STATE`` raises ``ValueError``, since state indices
+        are int16.
         """
         with open(path, encoding="utf-8") as fh:
             header = fh.readline()
@@ -471,7 +473,7 @@ class MachineWeekTable:
                 problem = f"expected 6 fields, got {len(fields)}"
                 break
             mid, week, state, race, income, domains = fields
-            if not _starts_with_integer_key(line):
+            if not (_is_integer(mid) and _is_integer(week)):
                 problem = "machine_id and week_index must be integers"
                 break
             key = (int(mid), int(week))

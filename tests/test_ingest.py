@@ -358,6 +358,21 @@ class TestMachineWeekTable:
         assert table.machine_ids.tolist() == [-(2**63), 2**63 - 1]
         assert table.week_indices.tolist() == [2**31 - 1, -(2**31)]
 
+    @pytest.mark.parametrize("n_states, fits", [(2**15 - 1, True), (2**15, False)])
+    def test_load_rejects_states_beyond_int16(self, tmp_path, n_states, fits):
+        # UNKNOWN_STATE takes index 0, so 32,767 more states fill int16.
+        path = tmp_path / "table.tsv"
+        path.write_text(
+            "machine_id\tweek_index\tstate\trace_group\tincome_group\tdomains\n"
+            + "".join(f"{i}\t0\tS{i}\twhite\tlt25k\t\n" for i in range(n_states))
+        )
+        if fits:
+            table = MachineWeekTable.load(path)
+            assert table.state_idx.max() == n_states
+            assert table.state_labels[-1] == f"S{n_states - 1}"
+        else:
+            with pytest.raises(ValueError, match="int16 state indices hold at most 32768"):
+                MachineWeekTable.load(path)
 
     def test_empty_domains_field_is_a_row_without_domains(self, tmp_path):
         path = tmp_path / "table.tsv"

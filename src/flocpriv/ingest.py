@@ -106,6 +106,18 @@ class FormatConfig:
     race_code_map: Mapping[str, str] = field(default_factory=_default_race_codes)
     income_code_map: Mapping[str, str] = field(default_factory=_default_income_codes)
 
+    def __post_init__(self) -> None:
+        for name, codes, groups in (
+            ("race_code_map", self.race_code_map, RACE_GROUPS),
+            ("income_code_map", self.income_code_map, INCOME_GROUPS),
+        ):
+            for code, group in codes.items():
+                if group not in groups:
+                    raise ValueError(
+                        f"{name} maps code {code!r} to {group!r}, "
+                        f"which is not one of {', '.join(groups)}"
+                    )
+
 
 class SessionRecord(NamedTuple):
     """One validated session line, as a plain tuple in field order."""

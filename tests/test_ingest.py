@@ -79,6 +79,28 @@ class TestParseSessions:
         assert result.records == []
         assert result.rejects.total == 0
 
+    @pytest.mark.parametrize(
+        "maps, message",
+        [
+            ({"race_code_map": {"1": "hispanic"}}, "race_code_map maps code '1' to 'hispanic'"),
+            ({"income_code_map": {"1": "lt25k", "9": "rich"}}, "income_code_map maps code '9' to 'rich'"),
+            ({"race_code_map": {"2": "25k_75k"}}, "race_code_map maps code '2' to '25k_75k'"),
+        ],
+    )
+    def test_code_maps_must_name_canonical_groups(self, maps, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FormatConfig(**maps)
+
+    def test_default_and_canonical_code_maps_construct(self):
+        default = FormatConfig()
+        assert set(default.race_code_map.values()) == set(RACE_GROUPS)
+        assert set(default.income_code_map.values()) == set(INCOME_GROUPS)
+        custom = FormatConfig(race_code_map={"7": "asian"}, income_code_map={"x": "ge150k"})
+        rows = [_row(race=7, income="x")]
+        assert [(r.race_group, r.income_group) for r in _parse(rows, custom).records] == [
+            ("asian", "ge150k")
+        ]
+
     def test_missing_header_is_fatal(self):
         with pytest.raises(SchemaError):
             parse_sessions(io.StringIO(""), FormatConfig())

@@ -1,11 +1,13 @@
 """Prefix-tree cohort construction: worked examples and property tests."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from prefixlsh_oracle import oracle_assign, oracle_buckets
 
 from flocpriv.prefixlsh import CohortError, CohortMap, build_cohort_map
 
@@ -46,6 +48,24 @@ class TestWorkedExamples:
     def test_population_below_k_errors(self):
         with pytest.raises(CohortError):
             build_cohort_map(_hashes([1, 2, 3]), 4, 3)
+
+    @pytest.mark.parametrize("bits", [65, -1, 0])
+    def test_bit_length_outside_1_to_64_rejected(self, bits):
+        message = f"bit_length must be in [1, 64], got {bits}"
+        with pytest.raises(CohortError, match=re.escape(message)):
+            build_cohort_map(_hashes([0, 1]), 1, bits)
+
+    def test_full_depth_at_64_bits(self):
+        # {0, 1, 2, 4, ..., 2^63}, k=1: every node on the path to 0 splits,
+        # so 0 and 1 end in leaves of length 64.
+        values = np.array([0] + [1 << i for i in range(64)], dtype=np.uint64)
+        cmap = build_cohort_map(values, 1, 64)
+        assert [(b.prefix, b.length) for b in cmap.buckets] == [(0, 64)] + [
+            (1, 64 - i) for i in range(64)
+        ]
+        assert cmap.assign(values).tolist() == list(range(65))
+        assert cmap.buckets == tuple(oracle_buckets(values, 1, 64))
+        assert CohortMap.from_json_dict(cmap.to_json_dict()) == cmap
 
     def test_duplicates_count_with_multiplicity(self):
         # Four copies at 000 and four at 111, k=4: both children viable.
@@ -105,6 +125,38 @@ class TestJsonRoundTrip:
         entries = cmap.to_json_dict()["entries"]
         assert [e["prefix"] for e in entries] == ["0", "1"]
 
+    @pytest.mark.parametrize(
+        "bits, prefixes, message",
+        [
+            (2, ["0", "01", "11"], "buckets overlap or leave a gap"),
+            (3, ["0", "001", "101", "11"], "buckets overlap or leave a gap"),
+            (2, ["1", "0"], "buckets out of ascending prefix order"),
+            (2, ["0", "10"], "buckets do not tile the hash space exactly"),
+            (2, ["0", "100", "101", "11"], "bucket prefix length 3 out of range"),
+        ],
+    )
+    def test_inexact_covers_rejected(self, bits, prefixes, message):
+        payload = {
+            "bit_length": bits,
+            "k": 1,
+            "entries": [
+                {"prefix": p, "cohort_id": i, "count": 1} for i, p in enumerate(prefixes)
+            ],
+        }
+        with pytest.raises(CohortError, match=re.escape(message)):
+            CohortMap.from_json_dict(payload)
+
+    def test_cohort_ids_must_count_up(self):
+        payload = build_cohort_map(_hashes([0, 1, 2, 3]), 2, 3).to_json_dict()
+        payload["entries"][0]["cohort_id"] = 1
+        with pytest.raises(CohortError, match="cohort ids must number buckets"):
+            CohortMap.from_json_dict(payload)
+
+    def test_prefix_wider_than_length_rejected(self):
+        for prefixes, lengths in (([1], [0]), ([0, 2], [1, 1]), ([2**64 - 1], [63])):
+            with pytest.raises(CohortError, match="wider than its stated length"):
+                CohortMap(64, 1, prefixes, lengths, [1] * len(lengths))
+
     def test_malformed_json_rejected(self):
         cmap = build_cohort_map(_hashes([0, 1, 2, 3]), 2, 3)
         payload = cmap.to_json_dict()
@@ -153,3 +205,71 @@ class TestProperties:
         values = rng.integers(0, 2**bits, size=n, dtype=np.uint64)
         cmap = build_cohort_map(values, k, bits)
         assert CohortMap.from_json_dict(cmap.to_json_dict()) == cmap
+
+
+@hst.composite
+def _populations(draw):
+    """A bit length in [1, 64], a population of hashes that fit it, and k."""
+    bits = draw(hst.integers(min_value=1, max_value=64))
+    n = draw(hst.integers(min_value=1, max_value=300))
+    rng = np.random.default_rng(draw(hst.integers(min_value=0, max_value=2**32)))
+    top = (1 << bits) - 1
+    shape = draw(hst.sampled_from(["uniform", "top_bit_set", "few_distinct", "all_equal"]))
+    if shape == "uniform":
+        values = rng.integers(0, top, size=n, dtype=np.uint64, endpoint=True)
+    elif shape == "top_bit_set":
+        half = 1 << (bits - 1)
+        values = np.uint64(half) | rng.integers(0, half - 1, size=n, dtype=np.uint64, endpoint=True)
+    elif shape == "few_distinct":
+        pool = rng.integers(0, top, size=draw(hst.integers(2, 5)), dtype=np.uint64, endpoint=True)
+        values = rng.choice(pool, size=n)
+    else:
+        values = np.full(n, rng.integers(0, top, dtype=np.uint64, endpoint=True), dtype=np.uint64)
+    k = draw(hst.one_of(hst.just(n), hst.integers(min_value=1, max_value=n)))
+    probes = rng.integers(0, top, size=50, dtype=np.uint64, endpoint=True)
+    return bits, values, k, probes
+
+
+class TestMatchesOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_populations())
+    def test_same_tree_and_assignment(self, case):
+        bits, values, k, probes = case
+        cmap = build_cohort_map(values, k, bits)
+        buckets = oracle_buckets(values, k, bits)
+        assert cmap.prefixes.tolist() == [b.prefix for b in buckets]
+        assert cmap.lengths.tolist() == [b.length for b in buckets]
+        assert cmap.counts.tolist() == [b.count for b in buckets]
+        assert cmap.buckets == tuple(buckets)
+        for needles in (values, probes, np.concatenate((probes, values[::-1]))):
+            assert np.array_equal(cmap.assign(needles), oracle_assign(buckets, bits, needles))
+        assert CohortMap.from_json_dict(cmap.to_json_dict()) == cmap
+
+
+class TestNesting:
+    @settings(max_examples=200, deadline=None)
+    @given(_populations(), hst.data())
+    def test_larger_k_merges_consecutive_cohorts(self, case, data):
+        bits, values, k1, _ = case
+        n = len(values)
+        k2 = data.draw(hst.integers(min_value=k1, max_value=n))
+        fine, coarse = build_cohort_map(values, k1, bits), build_cohort_map(values, k2, bits)
+        for cmap, k in ((fine, k1), (coarse, k2)):
+            counts = [b.count for b in cmap.buckets]
+            assert min(counts) >= k
+            assert sum(counts) == n
+            assert sum(1 << (bits - b.length) for b in cmap.buckets) == 1 << bits
+        # Every coarse cohort starts where a fine one does, so each is the
+        # union of the consecutive fine cohorts up to the next coarse start.
+        fine_starts = np.array([b.start(bits) for b in fine.buckets], dtype=np.uint64)
+        coarse_starts = np.array([b.start(bits) for b in coarse.buckets], dtype=np.uint64)
+        assert np.isin(coarse_starts, fine_starts).all()
+        parent = np.searchsorted(coarse_starts, fine_starts, side="right") - 1
+        for b, p in zip(fine.buckets, parent.tolist()):
+            outer = coarse.buckets[p]
+            assert b.length >= outer.length
+            assert b.prefix >> (b.length - outer.length) == outer.prefix
+        merged = np.bincount(parent, weights=[b.count for b in fine.buckets])
+        assert merged.astype(np.int64).tolist() == [b.count for b in coarse.buckets]
+        # Members of one fine cohort share a coarse cohort, in order.
+        assert np.array_equal(parent[fine.assign(values)], coarse.assign(values))

@@ -9,7 +9,7 @@ from .cohorts import WeeklyCohorts, compute_weekly_cohorts
 from .ingest import (
     FormatConfig,
     MachineWeekTable,
-    SessionRecord,
+    SessionColumns,
     WeekConfig,
     build_machine_weeks,
     parse_sessions,
@@ -48,7 +48,7 @@ __all__ = [
     "MachineWeekTable",
     "Panel",
     "PrefixBucket",
-    "SessionRecord",
+    "SessionColumns",
     "SimHashConfig",
     "SuffixSet",
     "SynthConfig",

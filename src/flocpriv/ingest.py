@@ -1,18 +1,24 @@
 """Session-log parsing and weekly per-machine domain profiles.
 
-The pipeline is: raw session rows -> validated ``SessionRecord`` tuples ->
-one row per (machine, epoch week) of ``MachineWeekTable`` holding the
-registrable domains visited, the machine's state (from its ZIP) and its
-demographic groups. Profiles with fewer distinct domains than the cutoff
-are dropped. The table's columnar CSR arrays are the only representation
-of machine-weeks; ``build_machine_weeks`` and ``MachineWeekTable.load``
-fill them through one builder, which takes per-row columns.
+The pipeline is: raw session rows -> ``SessionColumns``, the accepted
+lines as columns -> one row per (machine, epoch week) of
+``MachineWeekTable`` holding the registrable domains visited, the
+machine's state (from its ZIP) and its demographic groups. Profiles with
+fewer distinct domains than the cutoff are dropped. The table's columnar
+CSR arrays are the only representation of machine-weeks;
+``build_machine_weeks`` and ``MachineWeekTable.load`` fill them through
+one builder, which takes per-row columns.
 
-Work that depends only on a value is done once per distinct value: each
-date string is parsed and checked once per ``parse_sessions`` call, and
-each date's week and each hostname's registrable domain once per
-``build_machine_weeks`` call. Integer fields are ASCII digits with an
-optional leading "-"; any other spelling is rejected, not converted.
+``parse_sessions`` reads the log in blocks of lines. Only the blank-line
+filter and the field count look at each line on its own; a block's
+well-formed lines are split into columns at once and every check runs
+over a whole column. ``build_machine_weeks`` keys rows with array
+operations on integer codes. Work that depends only on a value is done
+once per distinct value: each date string is parsed and checked once per
+``parse_sessions`` call, and each hostname's registrable domain found
+once per ``build_machine_weeks`` call. Integer fields are ASCII digits
+with an optional leading "-"; any other spelling is rejected, not
+converted.
 
 Table text is handled per line only where a line has its own fields:
 ``load`` splits and checks each line, then treats the domains of all
@@ -27,9 +33,8 @@ from __future__ import annotations
 import datetime as dt
 import re
 from dataclasses import dataclass, field
-from itertools import chain, count
-from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
+from itertools import chain, compress, count, islice, repeat
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -98,6 +103,9 @@ class FormatConfig:
     The file carries a header row; ``columns`` maps each logical field to
     its header name (identity by default). Demographic code maps
     translate survey-style numeric codes into the four canonical groups.
+    The delimiter is one character other than a line break, so that
+    splitting lines joined by it splits each line as splitting it alone
+    would; anything else raises ``ValueError``.
     """
 
     delimiter: str = "\t"
@@ -107,6 +115,11 @@ class FormatConfig:
     income_code_map: Mapping[str, str] = field(default_factory=_default_income_codes)
 
     def __post_init__(self) -> None:
+        if len(self.delimiter) != 1 or self.delimiter in "\n\r":
+            raise ValueError(
+                f"delimiter must be one character other than a line break, "
+                f"got {self.delimiter!r}"
+            )
         for name, codes, groups in (
             ("race_code_map", self.race_code_map, RACE_GROUPS),
             ("income_code_map", self.income_code_map, INCOME_GROUPS),
@@ -117,21 +130,6 @@ class FormatConfig:
                         f"{name} maps code {code!r} to {group!r}, "
                         f"which is not one of {', '.join(groups)}"
                     )
-
-
-class SessionRecord(NamedTuple):
-    """One validated session line, as a plain tuple in field order."""
-
-    machine_id: int
-    session_id: int
-    domain: str
-    date: dt.date
-    time: str
-    pages: int
-    duration: int
-    income_group: str
-    race_group: str
-    zip_code: str
 
 
 @dataclass
@@ -159,9 +157,29 @@ class RejectReport:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class SessionColumns:
+    """Accepted session lines as columns, one entry per line in file order.
+
+    Only what ``build_machine_weeks`` reads is kept; session IDs, times,
+    page counts and durations are checked by ``parse_sessions`` but not
+    stored.
+    """
+
+    machine_ids: np.ndarray  # int64
+    hosts: list[str]  # the domain field, stripped
+    days: np.ndarray  # int64 proleptic Gregorian ordinal of the date
+    race_idx: np.ndarray  # int8 index into RACE_GROUPS
+    income_idx: np.ndarray  # int8 index into INCOME_GROUPS
+    zip_codes: list[str]  # stripped
+
+    def __len__(self) -> int:
+        return len(self.machine_ids)
+
+
 @dataclass
 class ParseResult:
-    records: list[SessionRecord]
+    records: SessionColumns
     rejects: RejectReport
 
 
@@ -176,79 +194,157 @@ def _parse_date(text: str, date_format: str) -> dt.date | None:
     return date if date.strftime(date_format) == text else None
 
 
+#: Lines parsed together. A block's split fields are held at once, so
+#: splitting a whole file in one piece would raise peak memory by several
+#: times the file's size.
+_BLOCK = 8192
+
+#: Reject reasons in the order a line is checked; a line counts under the
+#: first check it fails.
+_REASONS = (
+    "field_count",
+    "bad_integer_field",
+    "negative_count",
+    "empty_domain",
+    "bad_date",
+    "bad_income_code",
+    "bad_race_code",
+)
+
+# A column of integers joined by "\n". A value holding "\n" itself (only a
+# list-of-lines source can supply one) is caught by counting the "\n"s.
+_is_integer_column = re.compile(r"-?[0-9]+(?:\n-?[0-9]+)*").fullmatch
+# On an integer, a match means it is below zero ("-0" is not).
+_is_negative = re.compile(r"-0*[1-9]").match
+# ASCII digits with an optional "-" in at most 18 characters fit in int64.
+_INT64_SAFE_CHARS = 18
+
+
+def _where(column: list[str], test: Callable[[str], object]) -> np.ndarray:
+    """Which values of ``column`` pass ``test``, called once per distinct value."""
+    verdict = {value: bool(test(value)) for value in dict.fromkeys(column)}
+    return np.fromiter(map(verdict.__getitem__, column), dtype=bool, count=len(column))
+
+
+def _not_integers(column: list[str]) -> np.ndarray:
+    """Which values of ``column`` are not integers; one regex when none."""
+    joined = "\n".join(column)
+    if _is_integer_column(joined) and joined.count("\n") == len(column) - 1:
+        return np.zeros(len(column), dtype=bool)
+    return ~_where(column, _is_integer)
+
+
+def _negatives(column: list[str]) -> np.ndarray:
+    """Which integer values of ``column`` are below zero."""
+    if "-" not in "".join(column):
+        return np.zeros(len(column), dtype=bool)
+    return _where(column, _is_negative)
+
+
+def _outside_int64(column: list[str]) -> np.ndarray:
+    """Which integer values of ``column`` do not fit in int64."""
+    if max(map(len, column)) <= _INT64_SAFE_CHARS:
+        return np.zeros(len(column), dtype=bool)
+    return _where(
+        column, lambda v: _is_integer(v) and not _INT64_MIN <= int(v) <= _INT64_MAX
+    )
+
+
 def parse_sessions(source: Iterable[str] | TextIO, fmt: FormatConfig | None = None) -> ParseResult:
     """Parse raw session rows, counting (not raising on) malformed ones.
 
     The first line must be a header naming every configured column;
-    a missing column raises ``SchemaError``. An integer field that is not
-    ASCII digits with an optional leading "-", or a machine ID outside
-    signed 64-bit, counts as a ``bad_integer_field`` reject. Each distinct
-    date string is parsed and checked once per call.
+    a missing column raises ``SchemaError``. Blank lines are skipped. Each
+    other line is checked in turn for, and rejected at the first failure
+    of: its field count; integer fields (machine ID, session ID, pages,
+    duration) that are ASCII digits with an optional leading "-", with the
+    machine ID inside signed 64-bit; nonnegative pages and duration; a
+    nonempty domain; a valid date in ``fmt.date_format``; known income and
+    race codes. Rejects are counted in line order.
+
+    Lines are read in blocks of ``_BLOCK``. Only the blank-line filter and
+    the field count look at each line on its own; each block's well-formed
+    lines are split into columns at once, and each check runs over a
+    whole column. Each distinct date string is parsed once per call.
     """
     fmt = fmt or FormatConfig()
-    records: list[SessionRecord] = []
     rejects = RejectReport()
     lines = iter(source)
     header_line = next(lines, None)
     if header_line is None:
         raise SchemaError("empty stream: no header row")
-    header = header_line.rstrip("\n").split(fmt.delimiter)
+    delimiter = fmt.delimiter
+    header = header_line.rstrip("\n").split(delimiter)
     positions: list[int] = []
     for logical in _FIELDS:
         name = fmt.columns.get(logical, logical)
         if name not in header:
             raise SchemaError(f"required column {name!r} ({logical}) missing from header")
         positions.append(header.index(name))
-    pick = itemgetter(*positions)
     n_columns = len(header)
-    dates: dict[str, dt.date | None] = {}
-    for line in lines:
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split(fmt.delimiter)
-        if len(parts) != n_columns:
-            rejects.add("field_count", line)
-            continue
-        mid, sid, domain, date_s, time_s, pages_s, dur_s, inc_s, race_s, zip_s = pick(parts)
-        if not (
-            _is_integer(mid) and _is_integer(sid) and _is_integer(pages_s) and _is_integer(dur_s)
-        ):
-            rejects.add("bad_integer_field", line)
-            continue
-        machine_id = int(mid)
-        if not _INT64_MIN <= machine_id <= _INT64_MAX:
-            rejects.add("bad_integer_field", line)
-            continue
-        pages = int(pages_s)
-        duration = int(dur_s)
-        if pages < 0 or duration < 0:
-            rejects.add("negative_count", line)
-            continue
-        domain = domain.strip()
-        if not domain:
-            rejects.add("empty_domain", line)
-            continue
-        try:
-            date = dates[date_s]
-        except KeyError:
-            date = dates[date_s] = _parse_date(date_s, fmt.date_format)
-        if date is None:
-            rejects.add("bad_date", line)
-            continue
-        income = fmt.income_code_map.get(inc_s.strip())
-        if income is None:
-            rejects.add("bad_income_code", line)
-            continue
-        race = fmt.race_code_map.get(race_s.strip())
-        if race is None:
-            rejects.add("bad_race_code", line)
-            continue
-        records.append(
-            SessionRecord(
-                machine_id, int(sid), domain, date, time_s.strip(), pages, duration,
-                income, race, zip_s.strip(),
+    income_codes = {code: _INCOME_CODES[g] for code, g in fmt.income_code_map.items()}
+    race_codes = {code: _RACE_CODES[g] for code, g in fmt.race_code_map.items()}
+    days: dict[str, int] = {}  # date string -> day ordinal, 0 if invalid
+    ids: list[np.ndarray] = []
+    hosts: list[str] = []
+    day_parts: list[np.ndarray] = []
+    races: list[np.ndarray] = []
+    incomes: list[np.ndarray] = []
+    zips: list[str] = []
+    while block := list(islice(lines, _BLOCK)):
+        block = list(filter(str.strip, map(str.rstrip, block, repeat("\n"))))
+        n_delimiters = np.fromiter(map(str.count, block, repeat(delimiter)), np.int64, len(block))
+        well = n_delimiters == n_columns - 1
+        reason = np.zeros(len(block), dtype=np.int8)  # index into _REASONS; -1: accepted
+        if well.any():
+            # One delimiter character cannot straddle the join of two lines,
+            # so this splits each line exactly as splitting it alone would.
+            fields = delimiter.join(compress(block, well.tolist())).split(delimiter)
+            mid, sid, host, date, _, pages, dur, income, race, zip_code = (
+                fields[p::n_columns] for p in positions
             )
-        )
+            n = len(mid)
+            host = list(map(str.strip, host))
+            for text in dict.fromkeys(date).keys() - days.keys():
+                parsed = _parse_date(text, fmt.date_format)
+                days[text] = 0 if parsed is None else parsed.toordinal()
+            day = np.fromiter(map(days.__getitem__, date), np.int64, n)
+            income_idx = np.fromiter(
+                map(income_codes.get, map(str.strip, income), repeat(-1)), np.int8, n
+            )
+            race_idx = np.fromiter(
+                map(race_codes.get, map(str.strip, race), repeat(-1)), np.int8, n
+            )
+            failed = [  # one mask per check, in _REASONS order after field_count
+                _not_integers(mid) | _not_integers(sid) | _not_integers(pages)
+                | _not_integers(dur) | _outside_int64(mid),
+                _negatives(pages) | _negatives(dur),
+                ~np.fromiter(map(bool, host), dtype=bool, count=n),
+                day == 0,
+                income_idx < 0,
+                race_idx < 0,
+            ]
+            # np.select takes the first true condition: the first failed check.
+            found = np.select(failed, range(1, len(_REASONS)), -1)
+            reason[well] = found
+            accepted = found < 0
+            ok = accepted.tolist()
+            ids.append(np.fromiter(map(int, compress(mid, ok)), np.int64))
+            hosts.extend(compress(host, ok))
+            day_parts.append(day[accepted])
+            races.append(race_idx[accepted])
+            incomes.append(income_idx[accepted])
+            zips.extend(map(str.strip, compress(zip_code, ok)))
+        for i in np.flatnonzero(reason >= 0).tolist():
+            rejects.add(_REASONS[reason[i]], block[i])
+    records = SessionColumns(
+        np.concatenate([np.zeros(0, np.int64), *ids]),
+        hosts,
+        np.concatenate([np.zeros(0, np.int64), *day_parts]),
+        np.concatenate([np.zeros(0, np.int8), *races]),
+        np.concatenate([np.zeros(0, np.int8), *incomes]),
+        zips,
+    )
     return ParseResult(records, rejects)
 
 
@@ -259,9 +355,6 @@ class WeekConfig:
     epoch: dt.date = dt.date(2017, 1, 1)
     n_weeks: int | None = None
     min_domains: int = MIN_WEEKLY_DOMAINS
-
-    def week_index(self, date: dt.date) -> int:
-        return (date - self.epoch).days // 7
 
 
 def _intern(names: list[str]) -> tuple[list[str], np.ndarray]:
@@ -280,15 +373,20 @@ def _name_ranks(vocab: Sequence[str]) -> np.ndarray:
     return ranks
 
 
+def _sort_runs(names: list[str], counts: Sequence[int]) -> None:
+    """Sort each row's run of ``names`` in place; row i holds the next ``counts[i]``."""
+    offsets = np.cumsum([0, *counts]).tolist()
+    for lo, hi in zip(offsets, offsets[1:]):
+        names[lo:hi] = sorted(names[lo:hi])
+
+
 def _sort_each_row(names: list[str], counts: Sequence[int]) -> list[int]:
     """Sort each row's run of ``names`` in place; return the rows naming one twice.
 
     Row i holds the next ``counts[i]`` names. After the sort a repeat sits
     next to itself, so one vectorised comparison of neighbours finds it.
     """
-    offsets = np.cumsum([0, *counts]).tolist()
-    for lo, hi in zip(offsets, offsets[1:]):
-        names[lo:hi] = sorted(names[lo:hi])
+    _sort_runs(names, counts)
     row = np.repeat(np.arange(len(counts)), counts)
     text = np.array(names, dtype=object)
     repeated = (text[1:] == text[:-1]) & (row[1:] == row[:-1])
@@ -535,73 +633,73 @@ class BuildResult:
 
 
 def build_machine_weeks(
-    records: Sequence[SessionRecord],
+    records: SessionColumns,
     week_config: WeekConfig | None = None,
     suffixes: SuffixSet | None = None,
     *,
     implicit_star: bool = False,
 ) -> BuildResult:
-    """Aggregate session records into the weekly domain-set table.
+    """Aggregate parsed session lines into the weekly domain-set table.
 
-    Hostnames that yield no registrable domain are dropped (counted);
+    Lines dated outside the week range are dropped (counted), and so are
+    lines whose hostname yields no registrable domain (counted);
     machine-weeks under the distinct-domain cutoff are dropped (counted).
-    A machine's demographics and ZIP come from its first record; later
-    conflicting values are counted, not applied.
+    A machine's demographics and ZIP come from its first line; later
+    lines with other values are counted as conflicts, not applied.
+
+    Each distinct hostname of an in-range line is resolved once; the rest
+    is array work on integer keys.
     """
     cfg = week_config or WeekConfig()
-    domain_cache: dict[str, str | None] = {}
-    week_cache: dict[dt.date, int | None] = {}  # None: outside the week range
-    machine_demo: dict[int, tuple[str, str, str]] = {}
-    conflicts = 0
-    bad_domains = 0
-    out_of_range = 0
-    weeks: dict[tuple[int, int], set[str]] = {}
-
-    for machine_id, _, host, date, _, _, _, income, race, zip_code in records:
-        demo = (race, income, zip_code)
-        seen = machine_demo.setdefault(machine_id, demo)
-        if seen != demo:
-            conflicts += 1
-        try:
-            week = week_cache[date]
-        except KeyError:
-            week = cfg.week_index(date)
-            if week < 0 or (cfg.n_weeks is not None and week >= cfg.n_weeks):
-                week = None
-            week_cache[date] = week
-        if week is None:
-            out_of_range += 1
-            continue
-        try:
-            rd = domain_cache[host]
-        except KeyError:
-            rd = domain_cache[host] = registrable_domain(
-                host, suffixes, implicit_star=implicit_star
-            )
-        if rd is None:
-            bad_domains += 1
-            continue
-        weeks.setdefault((machine_id, week), set()).add(rd)
-
-    keys = sorted(key for key, domains in weeks.items() if len(domains) >= cfg.min_domains)
-    demographics = [machine_demo[machine_id] for machine_id, _ in keys]
-    row_domains = [sorted(weeks[key]) for key in keys]
+    machines, first, machine = np.unique(
+        records.machine_ids, return_index=True, return_inverse=True
+    )
+    differs = np.zeros(len(records), dtype=bool)
+    zip_codes = np.array(records.zip_codes, dtype=object)
+    for column in (records.race_idx, records.income_idx, zip_codes):
+        differs |= column != column[first][machine]
+    week = (records.days - cfg.epoch.toordinal()) // 7
+    in_range = week >= 0
+    if cfg.n_weeks is not None:
+        in_range &= week < cfg.n_weeks
+    at = np.flatnonzero(in_range)
+    n_in_range = len(at)
+    hosts, host_idx = _intern(list(compress(records.hosts, in_range.tolist())))
+    resolved = [registrable_domain(h, suffixes, implicit_star=implicit_star) for h in hosts]
+    domains, domain_idx = _intern([None, *resolved])  # index 0: no registrable domain
+    dom = domain_idx[1:][host_idx]
+    valid = dom > 0
+    at, dom = at[valid], dom[valid]
+    # Rows are keyed by (machine rank, week), so ascending keys are the
+    # table's row order, and a row's domains by (row, domain index).
+    span = int(week[at].max()) + 1 if len(at) else 1
+    rows, row = np.unique(machine[at] * span + week[at], return_inverse=True)
+    width = len(domains)
+    pairs = np.sort(row * width + dom)
+    pairs = pairs[np.diff(pairs, prepend=-1) > 0]  # each (row, domain) once
+    counts = np.bincount(pairs // width, minlength=len(rows))
+    keep = counts >= cfg.min_domains
+    names = list(map(domains.__getitem__, (pairs[keep[pairs // width]] % width).tolist()))
+    _sort_runs(names, counts[keep].tolist())
+    row_machine, row_week = np.divmod(rows[keep], span)
+    line = first[row_machine]  # each kept row's machine's first line
+    states = [state_for_zip(records.zip_codes[i]) or UNKNOWN_STATE for i in first.tolist()]
     table = MachineWeekTable._from_columns(
-        keys,
-        [state_for_zip(zip_code) or UNKNOWN_STATE for _, _, zip_code in demographics],
-        [_RACE_CODES[race] for race, _, _ in demographics],
-        [_INCOME_CODES[income] for _, income, _ in demographics],
-        list(chain.from_iterable(row_domains)),
-        list(map(len, row_domains)),
+        list(zip(machines[row_machine].tolist(), row_week.tolist())),
+        list(map(states.__getitem__, row_machine.tolist())),
+        records.race_idx[line],
+        records.income_idx[line],
+        names,
+        counts[keep],
     )
     report = {
         "n_records": len(records),
-        "n_machines": len(machine_demo),
+        "n_machines": len(machines),
         "n_machine_weeks": len(table),
-        "rejected_domains": bad_domains,
-        "weeks_out_of_range": out_of_range,
-        "machine_weeks_below_cutoff": len(weeks) - len(keys),
-        "demographic_conflicts": conflicts,
+        "rejected_domains": n_in_range - len(at),
+        "weeks_out_of_range": len(records) - n_in_range,
+        "machine_weeks_below_cutoff": len(rows) - len(table),
+        "demographic_conflicts": int(np.count_nonzero(differs)),
     }
     return BuildResult(table, report)
 

@@ -15,7 +15,7 @@ suffixes, which is what the upstream conformance vectors assume.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
@@ -37,6 +37,14 @@ class SuffixSet:
     exact: frozenset[str]
     wildcard: frozenset[str]  # stored without the leading "*."
     exception: frozenset[str]  # stored without the leading "!"
+    #: Labels in the longest suffix any rule can match: a wildcard rule
+    #: matches one label more than its stored body.
+    depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        labels = [rule.count(".") + 1 for rule in (*self.exact, *self.exception)]
+        labels += [rule.count(".") + 2 for rule in self.wildcard]
+        object.__setattr__(self, "depth", max(labels, default=0))
 
     @classmethod
     def from_text(cls, text: str) -> "SuffixSet":
@@ -87,7 +95,8 @@ def _strip_host(host: str) -> str | None:
 
 
 def _is_ipv4(labels: list[str]) -> bool:
-    return len(labels) == 4 and all(lb.isdigit() for lb in labels)
+    # Labels are nonempty here, so the join is digits only if each label is.
+    return len(labels) == 4 and "".join(labels).isdigit()
 
 
 # Hostname labels: nonempty, and LDH plus underscore once punycoded.
@@ -98,14 +107,15 @@ _ASCII_HOST = re.compile(rf"{_LABEL.pattern}(?:\.{_LABEL.pattern})*")
 def _suffix_label_count(canon: list[str], suffixes: SuffixSet, implicit_star: bool) -> int | None:
     """Number of labels in the prevailing public suffix, or None.
 
-    ``canon`` holds the host's canonical labels. The suffix starting at each
-    label is built once, right to left; scanning them from the left, the
-    first match is the longest.
+    ``canon`` holds the host's canonical labels. Only suffixes of at most
+    ``suffixes.depth`` labels can match a rule; each of those is built
+    once, right to left, and scanning them from the longest, the first
+    match is the longest.
     """
-    n = len(canon)
-    tails = canon[:]
+    tails = canon[max(len(canon) - suffixes.depth, 0) :]
+    n = len(tails)
     for i in range(n - 2, -1, -1):
-        tails[i] = canon[i] + "." + tails[i + 1]
+        tails[i] += "." + tails[i + 1]
     for i, tail in enumerate(tails):
         if tail in suffixes.exception:
             # An exception rule wins outright; its suffix is the rule

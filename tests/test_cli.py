@@ -168,6 +168,20 @@ class TestPipelineErrors:
         rejects = json.loads((tmp_path / "pre" / "rejects.json").read_text())
         assert rejects["counts"] == {"bad_integer_field": len(huge)}
 
+    @pytest.mark.parametrize("delimiter", ["", "::"])
+    def test_preprocess_rejects_bad_delimiter(self, capsys, tmp_path, delimiter):
+        sessions = tmp_path / "sessions.tsv"
+        sessions.write_text(bundled_table1_sessions())
+        argv = ["preprocess", "--out", tmp_path / "pre", "--sessions", sessions]
+        assert _run(*argv, "--delimiter", delimiter) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {
+            "error": "ValueError",
+            "message": f"delimiter must be one character other than a line break, "
+                       f"got {delimiter!r}",
+        }
+        assert not (tmp_path / "pre").exists()
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -6,7 +6,9 @@ import os
 import random
 import re
 import tempfile
+from unittest import mock
 
+import ingest_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from table_io_oracle import OracleTable
 from flocpriv import hashing, ingest
 
 from flocpriv.geo import UNKNOWN_STATE, representative_zip, state_for_zip
+from flocpriv.psl import SuffixSet, registrable_domain
 from flocpriv.ingest import (
     INCOME_GROUPS,
     RACE_GROUPS,
@@ -65,18 +68,23 @@ class TestParseSessions:
         result = _parse([_row(machine=169007206, session=27157206, domain="example.com",
                               date="20170515", time="8:36:55", pages=1, duration=5)])
         assert len(result.records) == 1
-        rec = result.records[0]
-        assert rec.machine_id == 169007206
-        assert rec.domain == "example.com"
-        assert rec.date.isoformat() == "2017-05-15"
-        assert rec.income_group == "75k_150k"
-        assert rec.race_group == "white"
-        assert rec.zip_code == "36832"
+        rec = result.records
+        assert rec.machine_ids.tolist() == [169007206]
+        assert rec.hosts == ["example.com"]
+        assert rec.days.tolist() == [dt.date(2017, 5, 15).toordinal()]
+        assert [INCOME_GROUPS[i] for i in rec.income_idx] == ["75k_150k"]
+        assert [RACE_GROUPS[i] for i in rec.race_idx] == ["white"]
+        assert rec.zip_codes == ["36832"]
         assert result.rejects.total == 0
 
     def test_empty_stream_with_header(self):
         result = _parse([])
-        assert result.records == []
+        assert len(result.records) == 0
+        assert result.records.hosts == [] and result.records.zip_codes == []
+        for column in ("machine_ids", "days"):
+            assert getattr(result.records, column).dtype == np.int64
+        for column in ("race_idx", "income_idx"):
+            assert getattr(result.records, column).dtype == np.int8
         assert result.rejects.total == 0
 
     @pytest.mark.parametrize(
@@ -96,10 +104,9 @@ class TestParseSessions:
         assert set(default.race_code_map.values()) == set(RACE_GROUPS)
         assert set(default.income_code_map.values()) == set(INCOME_GROUPS)
         custom = FormatConfig(race_code_map={"7": "asian"}, income_code_map={"x": "ge150k"})
-        rows = [_row(race=7, income="x")]
-        assert [(r.race_group, r.income_group) for r in _parse(rows, custom).records] == [
-            ("asian", "ge150k")
-        ]
+        records = _parse([_row(race=7, income="x")], custom).records
+        assert [(RACE_GROUPS[r], INCOME_GROUPS[i])
+                for r, i in zip(records.race_idx, records.income_idx)] == [("asian", "ge150k")]
 
     def test_missing_header_is_fatal(self):
         with pytest.raises(SchemaError):
@@ -120,7 +127,7 @@ class TestParseSessions:
         inside = [2**63 - 1, -(2**63)]
         outside = [2**63, -(2**63) - 1, 2**64 + 1]
         result = _parse([_row(machine=m) for m in inside + outside])
-        assert [r.machine_id for r in result.records] == inside
+        assert result.records.machine_ids.tolist() == inside
         assert result.rejects.counts == {"bad_integer_field": len(outside)}
 
     @pytest.mark.parametrize(
@@ -131,13 +138,20 @@ class TestParseSessions:
     def test_only_ascii_digits_are_integers(self, field, attribute):
         lenient = ["1_000", "١٠٠٠", "+1000", " 1000", "1000 ", "", "-", "1e3", "0x10"]
         result = _parse([_row(**{field: v}) for v in lenient] + [_row(**{field: "1000"})])
-        assert [getattr(r, attribute) for r in result.records] == [1000]
+        # Only the machine ID is stored; the other integer fields are
+        # checked, so the one spelling accepted is the ASCII one.
+        assert len(result.records) == 1
+        if attribute == "machine_id":
+            assert result.records.machine_ids.tolist() == [1000]
         assert result.rejects.counts == {"bad_integer_field": len(lenient)}
+        assert result.rejects.samples["bad_integer_field"] == [
+            _row(**{field: v}) for v in lenient[:5]
+        ]
 
     def test_distinct_machine_spellings_do_not_merge(self):
         result = _parse([_row(machine="1_000"), _row(machine="١٠٠٠"),
                          _row(machine="1000"), _row(machine="-0042")])
-        assert [r.machine_id for r in result.records] == [1000, -42]
+        assert result.records.machine_ids.tolist() == [1000, -42]
         assert result.rejects.counts == {"bad_integer_field": 2}
 
     def test_negative_duration_rejected(self):
@@ -178,15 +192,22 @@ class TestParseSessions:
                          FormatConfig(date_format="%d/%m/%Y"))
         again = _parse([_row(date="20170102"), _row(date="02/01/2017")])
         for result, bad in ((default, "02/01/2017"), (slashed, "20170102"), (again, "02/01/2017")):
-            assert [r.date for r in result.records] == [dt.date(2017, 1, 2)]
+            assert result.records.days.tolist() == [dt.date(2017, 1, 2).toordinal()]
             assert result.rejects.samples["bad_date"] == [_row(date=bad)]
 
     def test_records_are_plain_tuples(self):
-        rec = _parse([_row()]).records[0]
-        assert rec == (1, 1, "example.com", dt.date(2017, 1, 1), "10:00:00", 1, 5,
-                       "75k_150k", "white", "36832")
-        machine_id, *_, zip_code = rec
-        assert (machine_id, zip_code) == (1, "36832")
+        # One line's columns: padding is stripped from the stored text
+        # fields and the code fields; session, time, pages and duration
+        # are not stored.
+        line = _row(machine=-7, domain=" a.example.com ", date="20170103", income=" 4",
+                    race="2 ", zip_code=" 90210\r")
+        records = _parse([line]).records
+        assert records.machine_ids.dtype == np.int64 and records.machine_ids.tolist() == [-7]
+        assert records.hosts == ["a.example.com"]
+        assert records.days.tolist() == [736332]
+        assert records.race_idx.tolist() == [RACE_GROUPS.index("black")]
+        assert records.income_idx.tolist() == [INCOME_GROUPS.index("lt25k")]
+        assert records.zip_codes == ["90210"]
 
     def test_reject_report_keeps_samples(self):
         result = _parse([_row(pages="bad") for _ in range(9)])
@@ -202,8 +223,9 @@ class TestParseSessions:
             "example.com\t7\t1\t20170101\t09:00:00\t1\t5\t14\t1\t36832\n"
         )
         result = parse_sessions(io.StringIO(text), fmt)
-        assert result.records[0].machine_id == 7
-        assert result.records[0].domain == "example.com"
+        assert result.records.machine_ids.tolist() == [7]
+        assert result.records.hosts == ["example.com"]
+        assert result.rejects.total == 0
 
 
 def _sessions_for(machine, domains, date="20170101", zip_code="36832", race=1, income=14):
@@ -554,6 +576,235 @@ class TestTableIOMatchesOracle:
             for bits, seed in ((50, 7), (64, 0)):
                 assert np.array_equal(table.hashes(bits, seed), oracle.hashes(bits, seed))
         assert collided > 30
+
+
+# ---------------------------------------------------------------------------
+# Columnar parse and build against the per-line ones in ``ingest_oracle``.
+
+_EPOCH = WeekConfig().epoch
+#: Dates one week before the epoch to five weeks after it.
+_DATES = [_EPOCH + dt.timedelta(days=d) for d in (-7, -1, 0, 3, 7, 13, 14, 20, 40)]
+_DATE_FORMATS = ("%Y%m%d", "%d/%m/%Y", "%Y-%m-%d")
+_BAD_DATES = ("2017051", "20170230", "", "1/1/2017", "2017-13-01", "x")
+_MACHINES = ("1", "2", "3", "-4", "0007", "-0", str(2**63 - 1), str(-(2**63)))
+_BAD_SESSION_INTEGERS = (
+    "\u0661\u0660\u0660\u0660", "1_000", "+1", " 1", "1 ", "", "-", "0x10", "1e3", "--1",
+    "1\n2",
+)
+_OUTSIDE_INT64 = (str(2**63), str(-(2**63) - 1), str(2**64 + 1))
+_COUNTS = ("0", "1", "12", "-0", "-00", "007", str(2**63))
+_NEGATIVE_COUNTS = ("-1", "-007", "-" + str(2**63))
+_HOSTS = (
+    "a.example.com", "www.example.com", "m.a.b.example.com", " b.example.org ", "EXAMPLE.NET.",
+    "example.co.uk", "x.y.example.co.uk", "co.uk", "com", "192.168.0.1", "x.nosuchtld",
+    "foo.custom.test", "custom.test", "a.b.c.deep.test", "\u98df\u72ee.com.cn", "ex_ample.com",
+    "exa mple.com", "example.com:8080",
+)
+_EMPTY_HOSTS = ("", "  ")
+_ZIPS = ("36832", "90210", " 10001", "00000", "", "abc")
+#: Suffix rules for the hosts above, used in place of the bundled list.
+_CUSTOM_PSL = SuffixSet.from_text("com\norg\ncustom.test\n*.deep.test\n!b.c.deep.test\nco.uk\n")
+
+
+@st.composite
+def _format(draw):
+    """A FormatConfig with its header line: delimiter, column names and
+    order, an unused column, date format and code maps all vary."""
+    delimiter = draw(st.sampled_from(["\t", ",", "|", ";", "\u00a6"]))
+    renamed = draw(st.sets(st.sampled_from(ingest._FIELDS), max_size=3))
+    columns = {f: (f"col_{f}" if f in renamed else f) for f in ingest._FIELDS}
+    header = list(columns.values()) + draw(st.sampled_from([[], ["unused"]]))
+    header = draw(st.permutations(header))
+    codes = {}
+    if draw(st.booleans()):
+        codes = {
+            "race_code_map": {"1": "white", "2": "black", "x": "asian", " 3": "other"},
+            "income_code_map": {"1": "lt25k", "2": "25k_75k", "3": "75k_150k", "y": "ge150k"},
+        }
+    fmt = FormatConfig(
+        delimiter=delimiter, date_format=draw(st.sampled_from(_DATE_FORMATS)),
+        columns=columns, **codes,
+    )
+    return fmt, header
+
+
+@st.composite
+def _line(draw, fmt, header):
+    """A session line that may fail any number of checks at once, or a
+    blank or whitespace-only line."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", " ", "\t", " \t ", "\r"]))
+    bad = draw(st.sets(st.sampled_from(
+        ["count", "machine", "range", "session", "pages", "duration", "negative", "domain",
+         "date", "income", "race"]
+    ), max_size=2)) if draw(st.integers(0, 2)) == 0 else set()
+
+    def pick(pool, flaw, flawed):
+        return draw(st.sampled_from(flawed if flaw in bad else pool))
+
+    machines = _OUTSIDE_INT64 if "range" in bad else _MACHINES
+    race_codes = sorted(fmt.race_code_map) + [" " + min(fmt.race_code_map)]
+    income_codes = sorted(fmt.income_code_map) + [min(fmt.income_code_map) + " "]
+    date = draw(st.sampled_from(_DATES)).strftime(fmt.date_format)
+    values = {
+        "machine_id": pick(machines, "machine", _BAD_SESSION_INTEGERS),
+        "session_id": pick(("1", "2", "-3", "-0", "99"), "session", _BAD_SESSION_INTEGERS),
+        "domain": pick(_HOSTS, "domain", _EMPTY_HOSTS),
+        "date": date if "date" not in bad else draw(st.sampled_from(_BAD_DATES)),
+        "time": draw(st.sampled_from(["10:00:00", "", " x "])),
+        "pages": pick(_COUNTS, "pages", _BAD_SESSION_INTEGERS),
+        "duration": pick(_COUNTS, "duration", _BAD_SESSION_INTEGERS),
+        "income": pick(income_codes, "income", ("99", "", "z")),
+        "race": pick(race_codes, "race", ("99", "", "z")),
+        "zip": draw(st.sampled_from(_ZIPS)),
+    }
+    if "negative" in bad:
+        values[draw(st.sampled_from(["pages", "duration"]))] = draw(
+            st.sampled_from(_NEGATIVE_COUNTS)
+        )
+    by_name = {fmt.columns[f]: v for f, v in values.items()}
+    fields = [by_name.get(name, "u") for name in header]
+    if "count" in bad:
+        fields = fields[:-1] if draw(st.booleans()) else fields + ["extra"]
+    return fmt.delimiter.join(fields)
+
+
+@st.composite
+def _session_log(draw):
+    """(source, fmt): a header and up to 30 lines, as a StringIO or as a
+    list of lines, with or without a final newline, and "\n" or CRLF line
+    ends."""
+    fmt, header = draw(_format())
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    if end == "\r\n":  # only "\n" is stripped, so the last header name keeps the "\r"
+        header = [*header, "unused_last"]
+    lines = [fmt.delimiter.join(header)]
+    lines += draw(st.lists(_line(fmt, header), max_size=30))
+    final = draw(st.sampled_from(["", end]))
+    if draw(st.booleans()):
+        return io.StringIO(end.join(lines) + final), fmt
+    return [line + end for line in lines[:-1]] + [lines[-1] + final], fmt
+
+
+def _spy(calls):
+    def spy(host, *args, **kwargs):
+        calls.append(host)
+        return registrable_domain(host, *args, **kwargs)
+
+    return spy
+
+
+def _assert_like_oracle(source, fmt, week_cfg, suffixes, implicit_star):
+    """Parse and build ``source`` with the runtime and the oracle and
+    require the same rejects, records, report, table and PSL calls."""
+    copy = (lambda: io.StringIO(source.getvalue())) if isinstance(source, io.StringIO) else (
+        lambda: iter(source)
+    )
+    got = parse_sessions(copy(), fmt)
+    want = ingest_oracle.parse_sessions(copy(), fmt)
+    # Dict order shows which reason was met first: rejects in line order.
+    assert list(got.rejects.counts.items()) == list(want.rejects.counts.items())
+    assert list(got.rejects.samples.items()) == list(want.rejects.samples.items())
+    assert got.rejects.to_json_dict() == want.rejects.to_json_dict()
+    records = got.records
+    assert len(records) == len(want.records)
+    assert records.machine_ids.tolist() == [r.machine_id for r in want.records]
+    assert records.hosts == [r.domain for r in want.records]
+    assert records.days.tolist() == [r.date.toordinal() for r in want.records]
+    assert [RACE_GROUPS[i] for i in records.race_idx] == [r.race_group for r in want.records]
+    assert [INCOME_GROUPS[i] for i in records.income_idx] == [
+        r.income_group for r in want.records
+    ]
+    assert records.zip_codes == [r.zip_code for r in want.records]
+
+    got_calls, want_calls = [], []
+    with mock.patch.object(ingest, "registrable_domain", _spy(got_calls)), \
+            mock.patch.object(ingest_oracle, "registrable_domain", _spy(want_calls)):
+        built = build_machine_weeks(records, week_cfg, suffixes, implicit_star=implicit_star)
+        oracle = ingest_oracle.build_machine_weeks(
+            want.records, week_cfg, suffixes, implicit_star=implicit_star
+        )
+    assert got_calls == want_calls  # each in-range host once, first-seen order
+    assert built.report == oracle.report
+    assert built.table.save_text() == oracle.table.save_text()
+    assert built.table.vocab == oracle.table.vocab
+    assert np.array_equal(built.table.dom_indices, oracle.table.dom_indices)
+    return got, built
+
+
+class TestIngestMatchesOracle:
+    """``parse_sessions`` and ``build_machine_weeks`` give what the per-line
+    implementations in ``ingest_oracle`` give, across block boundaries."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        log=_session_log(),
+        block=st.sampled_from([1, 3, 8192]),
+        n_weeks=st.sampled_from([None, 1, 2, 6]),
+        min_domains=st.integers(0, 4),
+        psl=st.sampled_from([None, _CUSTOM_PSL]),
+        implicit_star=st.booleans(),
+    )
+    def test_random_logs(self, log, block, n_weeks, min_domains, psl, implicit_star):
+        source, fmt = log
+        with mock.patch.object(ingest, "_BLOCK", block):
+            _assert_like_oracle(
+                source, fmt, WeekConfig(n_weeks=n_weeks, min_domains=min_domains), psl,
+                implicit_star,
+            )
+
+    def test_every_reject_reason_around_block_boundaries(self):
+        fmt = FormatConfig(delimiter=",", date_format="%d/%m/%Y")
+        rows = [
+            "1,1,a.example.com,01/01/2017,t,1,5,14,1,36832",
+            "1,2,b.example.com,02/01/2017,t,-0,0,14,2,36832\r",  # conflict with line 1
+            "1,2,b.example.com,02/01/2017,t,1,5",  # field_count
+            "\u0661\u0660\u0660\u0660,1,a.example.com,01/01/2017,t,1,5,14,1,36832",
+            f"{2**63},1,a.example.com,01/01/2017,t,1,5,14,1,36832",
+            f"{-(2**63)},1,a.example.com,01/01/2017,t,1,5,14,1,36832",
+            "2,1,a.example.com,01/01/2017,t,-1,5,14,1,36832",  # negative_count
+            "2,1, ,01/01/2017,t,1,5,14,1,36832",  # empty_domain
+            "",
+            "2,1,a.example.com,1/1/2017,t,1,5,14,1,36832",  # bad_date
+            "2,1,a.example.com,01/01/2017,t,1,5,99,1,36832",  # bad_income_code
+            "2,1,a.example.com,01/01/2017,t,1,5,14,99,36832",  # bad_race_code
+            "x,1,,x,t,-1,5,99,99,36832",  # fails five checks: bad_integer_field
+            "1,3,c.example.com,09/01/2017,t,1,5,14,1,36832",  # week 1
+            "1,3,d.example.com,09/01/2017,t,1,5,14,1,36832",
+            "3,1,com,01/01/2017,t,1,5,14,1,36832",  # PSL rejects a bare suffix
+            "3,1,out.example.com,25/12/2016,t,1,5,14,1,36832",  # before the epoch
+        ]
+        header = ",".join(ingest._FIELDS)
+        text = "\n".join([header, *rows])  # no final newline
+        for block in (1, 2, 3, 4, 8192):
+            with mock.patch.object(ingest, "_BLOCK", block):
+                got, built = _assert_like_oracle(
+                    io.StringIO(text), fmt, WeekConfig(n_weeks=1, min_domains=1), None, False
+                )
+        assert got.rejects.counts == {
+            "field_count": 1, "bad_integer_field": 3, "negative_count": 1, "empty_domain": 1,
+            "bad_date": 1, "bad_income_code": 1, "bad_race_code": 1,
+        }
+        assert built.report == {
+            "n_records": 7, "n_machines": 3, "n_machine_weeks": 2, "rejected_domains": 1,
+            "weeks_out_of_range": 3, "machine_weeks_below_cutoff": 0, "demographic_conflicts": 1,
+        }
+
+
+class TestDelimiter:
+    @pytest.mark.parametrize("delimiter", ["", "::", "\n", "\r", "\r\n"])
+    def test_rejected(self, delimiter):
+        with pytest.raises(ValueError, match="delimiter must be one character"):
+            FormatConfig(delimiter=delimiter)
+
+    def test_comma_parses(self):
+        fmt = FormatConfig(delimiter=",")
+        rows = [_row(), _row(machine=2, domain="b.example.com")]
+        text = "\n".join([HEADER, *rows]).replace("\t", ",") + "\n"
+        result = parse_sessions(io.StringIO(text), fmt)
+        assert result.records.machine_ids.tolist() == [1, 2]
+        assert result.records.hosts == ["example.com", "b.example.com"]
+        assert result.rejects.total == 0
 
 
 class TestRepresentativeness:

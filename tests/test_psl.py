@@ -171,6 +171,27 @@ class TestSuffixSet:
         assert registrable_domain("bar.foo.com", s) == "bar.foo.com"
         assert registrable_domain("foo.com", s) is None
 
+    def test_hosts_deeper_than_every_rule(self):
+        # No rule has more than 5 labels, so longer suffixes are never built.
+        s = SuffixSet.from_text("com\na.b.c.d.com\n*.w.com\n!x.w.com\n")
+        assert s.depth == 5
+        cases = {
+            "x.y.z.a.b.c.d.com": "z.a.b.c.d.com",
+            "z.a.b.c.d.com": "z.a.b.c.d.com",
+            "a.b.c.d.com": None,
+            "p.q.r.s.t.u.com": "u.com",
+            "p.q.r.s.t.v.w.com": "t.v.w.com",
+            "p.q.r.s.t.x.w.com": "x.w.com",
+        }
+        for host, expected in cases.items():
+            assert registrable_domain(host, s) == expected, host
+            assert oracle_registrable_domain(host, s, False) == expected, host
+        assert registrable_domain("a.b.c.d.e.f.nosuchtld", s, implicit_star=True) == "f.nosuchtld"
+        empty = SuffixSet.from_text("")
+        assert empty.depth == 0
+        assert registrable_domain("a.b.c", empty, implicit_star=True) == "b.c"
+        assert registrable_domain("a.b.c", empty) is None
+
 
 # ---------------------------------------------------------------------------
 # Oracle: the per-position suffix search (re-canonicalising and re-joining

@@ -33,14 +33,15 @@ from __future__ import annotations
 import datetime as dt
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from . import special
+from . import kernels, special
 from .geo import UNKNOWN_STATE, state_for_zip
-from .hashing import domain_hash64
+from .hashing import domain_hash64, seed_key
 from .psl import SuffixSet, registrable_domain
 
 RACE_GROUPS: tuple[str, ...] = ("white", "black", "asian", "other")
@@ -254,13 +255,14 @@ def parse_sessions(source: Iterable[str] | TextIO, fmt: FormatConfig | None = No
     """Parse raw session rows, counting (not raising on) malformed ones.
 
     The first line must be a header naming every configured column;
-    a missing column raises ``SchemaError``. Blank lines are skipped. Each
-    other line is checked in turn for, and rejected at the first failure
-    of: its field count; integer fields (machine ID, session ID, pages,
-    duration) that are ASCII digits with an optional leading "-", with the
-    machine ID inside signed 64-bit; nonnegative pages and duration; a
-    nonempty domain; a valid date in ``fmt.date_format``; known income and
-    race codes. Rejects are counted in line order.
+    a missing column raises ``SchemaError``. Line ends, ``"\n"`` or
+    ``"\r\n"``, are stripped, and blank lines skipped. Each other line is
+    checked in turn for, and rejected at the first failure of: its field
+    count; integer fields (machine ID, session ID, pages, duration) that
+    are ASCII digits with an optional leading "-", with the machine ID
+    inside signed 64-bit; nonnegative pages and duration; a nonempty
+    domain; a valid date in ``fmt.date_format``; known income and race
+    codes. Rejects are counted in line order.
 
     Lines are read in blocks of ``_BLOCK``. Only the blank-line filter and
     the field count look at each line on its own; each block's well-formed
@@ -274,7 +276,7 @@ def parse_sessions(source: Iterable[str] | TextIO, fmt: FormatConfig | None = No
     if header_line is None:
         raise SchemaError("empty stream: no header row")
     delimiter = fmt.delimiter
-    header = header_line.rstrip("\n").split(delimiter)
+    header = header_line.rstrip("\r\n").split(delimiter)
     positions: list[int] = []
     for logical in _FIELDS:
         name = fmt.columns.get(logical, logical)
@@ -292,7 +294,7 @@ def parse_sessions(source: Iterable[str] | TextIO, fmt: FormatConfig | None = No
     incomes: list[np.ndarray] = []
     zips: list[str] = []
     while block := list(islice(lines, _BLOCK)):
-        block = list(filter(str.strip, map(str.rstrip, block, repeat("\n"))))
+        block = list(filter(str.strip, map(str.rstrip, block, repeat("\r\n"))))
         n_delimiters = np.fromiter(map(str.count, block, repeat(delimiter)), np.int64, len(block))
         well = n_delimiters == n_columns - 1
         reason = np.zeros(len(block), dtype=np.int8)  # index into _REASONS; -1: accepted
@@ -399,8 +401,8 @@ class MachineWeekTable:
     Rows are strictly ascending by ``(machine_id, week_index)``, so no
     (machine, week) appears twice; the constructor raises ``ValueError``
     otherwise. Domains are interned in a vocabulary; each row's domain
-    indices are kept sorted by the 64-bit domain hash so the hashing kernel
-    can run straight over the CSR arrays.
+    indices keep the order they were given in: name order from ``load``
+    and ``build_machine_weeks``.
     """
 
     def __init__(
@@ -424,9 +426,6 @@ class MachineWeekTable:
         self.dom_indices = np.asarray(dom_indices, dtype=np.int32)
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.vocab = list(vocab)
-        self.vocab_hashes = np.fromiter(
-            map(domain_hash64, self.vocab), dtype=np.uint64, count=len(self.vocab)
-        )
         ids, weeks = self.machine_ids, self.week_indices
         unordered = (ids[1:] < ids[:-1]) | ((ids[1:] == ids[:-1]) & (weeks[1:] <= weeks[:-1]))
         if unordered.any():
@@ -436,14 +435,6 @@ class MachineWeekTable:
                 f"(machine {ids[i - 1]}, week {weeks[i - 1]}): rows must be strictly "
                 "ascending by (machine_id, week_index)"
             )
-        # Within each row, order domain indices by hash value (column
-        # order required by the hashing kernel). Equal hashes share a rank,
-        # and the stable sort keeps such domains in their given order.
-        if len(self.dom_indices):
-            distinct, hash_rank = np.unique(self.vocab_hashes, return_inverse=True)
-            row_of = np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.offsets))
-            perm = np.argsort(row_of * len(distinct) + hash_rank[self.dom_indices], kind="stable")
-            self.dom_indices = self.dom_indices[perm]
         self._hash_cache: dict[tuple[int, int], np.ndarray] = {}
         self._ranking: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -483,6 +474,11 @@ class MachineWeekTable:
     def __len__(self) -> int:
         return len(self.machine_ids)
 
+    @cached_property
+    def vocab_hashes(self) -> np.ndarray:
+        """Each vocabulary entry's 64-bit domain hash, computed on first use."""
+        return np.fromiter(map(domain_hash64, self.vocab), dtype=np.uint64, count=len(self.vocab))
+
     def week_values(self) -> np.ndarray:
         return np.unique(self.week_indices)
 
@@ -499,9 +495,6 @@ class MachineWeekTable:
         key = (int(bit_length), int(seed))
         cached = self._hash_cache.get(key)
         if cached is None:
-            from . import kernels
-            from .hashing import seed_key
-
             values = self.vocab_hashes[self.dom_indices]
             cached = kernels.simhash_rows(values, self.offsets, bit_length, seed_key(seed))
             self._hash_cache[key] = cached

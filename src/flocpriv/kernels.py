@@ -8,6 +8,8 @@ scramble, then an exact power-of-two scale), each feature adds its 12
 uniforms in order before subtracting 6.0, and each row adds its features in
 ascending domain-hash order. ``np.sum`` is pairwise and would round
 differently, so both reductions are written as explicit sequential adds.
+Rows may list their domains in any order: the kernel sorts each row by hash
+itself, and equal hashes share a table row, so their order changes no sum.
 
 Both the table fill and the row sums work through blocks of about
 ``_BLOCK`` elements, in buffers allocated once per call, so the working set
@@ -89,27 +91,30 @@ def simhash_rows(
 ) -> np.ndarray:
     """Hash bitvectors for every row of a CSR (values, offsets) layout.
 
-    ``values`` holds concatenated 64-bit domain hashes, each row slice
-    sorted ascending; ``offsets`` is the usual length n_rows + 1 index
-    array. Bit b of a result (counting from the most significant end of a
+    ``values`` holds concatenated 64-bit domain hashes, each row slice in
+    any order; ``offsets`` is the usual length n_rows + 1 index array.
+    Bit b of a result (counting from the most significant end of a
     ``bit_length``-wide value) is 1 iff the row's summed feature is > 0, so
     empty rows hash to 0. Memory is O(distinct hashes × bit_length) for the
     feature table plus a constant scratch of a few ``_BLOCK``-element
-    buffers.
+    buffers. Raises ``ValueError`` unless ``1 <= bit_length <= 64``.
     """
+    bit_length = int(bit_length)
+    if not 1 <= bit_length <= 64:
+        raise ValueError(f"bit_length must be in [1, 64], got {bit_length}")
     values = np.asarray(values, dtype=np.uint64)
     offsets = np.asarray(offsets, dtype=np.int64)
-    bit_length = int(bit_length)
     out = np.zeros(len(offsets) - 1, dtype=np.uint64)
-    if not len(values):
-        return out
     distinct, inv = np.unique(values, return_inverse=True)
     keys = distinct ^ _U64(seed_key)
     _mix64(keys, np.empty_like(keys))
     table = _feature_table(keys, bit_length)
+    # Sorting (row, hash rank) keys puts each row in hash order.
+    lengths = np.diff(offsets)
+    row_base = np.repeat(np.arange(len(lengths), dtype=np.int64) * len(distinct), lengths)
+    inv = np.sort(row_base + inv) - row_base
 
     # Longest rows first, so the rows still open at position p are a prefix.
-    lengths = np.diff(offsets)
     order = np.argsort(-lengths, kind="stable")
     lengths = lengths[order]
     starts = offsets[:-1][order]

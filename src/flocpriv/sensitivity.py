@@ -396,13 +396,15 @@ def random_subsample_pvalue(
 ) -> float:
     """Control: chi-square p of a demographics-blind row subsample.
 
-    Raises ``ValueError`` unless ``0 < fraction <= 1``.
+    Raises ``ValueError`` unless ``0 < fraction <= 1`` and the sample holds a row.
     """
     if not 0 < fraction <= 1:
         raise ValueError(f"control fraction must be in (0, 1], got {fraction!r}")
+    take = int(round(len(table) * fraction))
+    if take == 0:
+        raise ValueError(f"control fraction {fraction!r} of {len(table)} rows samples no row")
     rng = np.random.default_rng(seed)
     mask = np.zeros(len(table), dtype=bool)
-    take = int(round(len(table) * fraction))
     mask[rng.choice(len(table), size=take, replace=False)] = True
     counts = _top_visit_counts(table, _top_ranked(table, d), mask, 2)
     _, p = chi_square_test(counts[1], counts.sum(axis=0))

@@ -58,9 +58,8 @@ def gaussian_feature(domain: str, bit_index: int, seed: int = DEFAULT_SEED) -> f
 
 def simhash_hashes(hash_values: np.ndarray, config: SimHashConfig = SimHashConfig()) -> int:
     """Hash bitvector of a set given as pre-hashed 64-bit domain values."""
-    values = np.sort(np.asarray(hash_values, dtype=np.uint64))
-    offsets = np.array([0, len(values)], dtype=np.int64)
-    out = kernels.simhash_rows(values, offsets, config.bit_length, seed_key(config.seed))
+    offsets = [0, len(hash_values)]
+    out = kernels.simhash_rows(hash_values, offsets, config.bit_length, seed_key(config.seed))
     return int(out[0])
 
 

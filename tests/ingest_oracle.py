@@ -9,7 +9,7 @@ the runtime's ``rejects``, ``report`` and ``save_text()`` with these.
 from __future__ import annotations
 
 import datetime as dt
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
@@ -60,7 +60,7 @@ def parse_sessions(source: Iterable[str] | TextIO, fmt: FormatConfig | None = No
     header_line = next(lines, None)
     if header_line is None:
         raise SchemaError("empty stream: no header row")
-    header = header_line.rstrip("\n").split(fmt.delimiter)
+    header = header_line.rstrip("\r\n").split(fmt.delimiter)
     positions: list[int] = []
     for logical in _FIELDS:
         name = fmt.columns.get(logical, logical)
@@ -70,10 +70,10 @@ def parse_sessions(source: Iterable[str] | TextIO, fmt: FormatConfig | None = No
     pick = itemgetter(*positions)
     n_columns = len(header)
     dates: dict[str, dt.date | None] = {}
-    for line in lines:
+    for line in map(str.rstrip, lines, repeat("\r\n")):
         if not line.strip():
             continue
-        parts = line.rstrip("\n").split(fmt.delimiter)
+        parts = line.split(fmt.delimiter)
         if len(parts) != n_columns:
             rejects.add("field_count", line)
             continue

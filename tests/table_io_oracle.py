@@ -1,9 +1,10 @@
 """The per-line machine-week table I/O that the bulk ``load`` replaced.
 
-``OracleTable`` keeps the earlier constructor (rows' domains ordered by a
-two-key ``lexsort`` on (row, hash)), the per-row builder ``_from_rows``,
-the per-line ``load`` and the per-row ``save_text``. Tests compare the
-runtime ``MachineWeekTable`` with it array by array and byte by byte.
+``OracleTable`` keeps the earlier constructor, which hashes the whole
+vocabulary up front, the per-row builder ``_from_rows``, the per-line
+``load`` and the per-row ``save_text``. Like the runtime's, its rows keep
+their domains in the order given, which is name order here. Tests compare
+the runtime ``MachineWeekTable`` with it array by array and byte by byte.
 The one rule added since is the rejection of an empty domain name, marked
 below, so that malformed files raise the same message from both.
 """
@@ -62,12 +63,6 @@ class OracleTable(MachineWeekTable):
                 f"(machine {ids[i - 1]}, week {weeks[i - 1]}): rows must be strictly "
                 "ascending by (machine_id, week_index)"
             )
-        if len(self.dom_indices):
-            row_of = np.repeat(
-                np.arange(len(self), dtype=np.int64), np.diff(self.offsets)
-            )
-            perm = np.lexsort((self.vocab_hashes[self.dom_indices], row_of))
-            self.dom_indices = self.dom_indices[perm]
         self._hash_cache: dict[tuple[int, int], np.ndarray] = {}
         self._ranking: tuple[np.ndarray, np.ndarray] | None = None
 

@@ -201,6 +201,8 @@ class TestPipelineErrors:
              "control fraction must be in (0, 1], got 0.0"),
             (["chisq", "--control-runs", 1, "--control-fraction", 1.5],
              "control fraction must be in (0, 1], got 1.5"),
+            (["chisq", "--control-runs", 1, "--control-fraction", 0.001],
+             "control fraction 0.001 of 240 rows samples no row"),
         ],
         ids=[
             "sweep-k-empty-grid", "sweep-n-blank-grid", "chisq-empty-d-grid",
@@ -210,6 +212,7 @@ class TestPipelineErrors:
             "t-closeness-nan-t-grid-start",
             "negative-shuffles", "negative-control-runs",
             "control-fraction-zero", "control-fraction-above-one",
+            "control-fraction-samples-no-row",
         ],
     )
     def test_bad_values_fail_and_write_nothing(self, capsys, tmp_path, synth_table, argv, message):

@@ -379,11 +379,16 @@ class TestTopDomains:
             passed.append((sub.tolist(), aggregate.tolist()))
             return 0.0, 1.0
 
+        take = int(round(len(rows) * fraction))
         with mock.patch.object(sensitivity, "chi_square_test", record), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for attribute in ("race", "income"):
                 chi_square_by_group(table, attribute, d_grid)
-            random_subsample_pvalue(table, d_grid[0], fraction, seed)
+            if take:
+                random_subsample_pvalue(table, d_grid[0], fraction, seed)
+            else:  # an empty control sample is an error, not a test
+                with pytest.raises(ValueError, match="samples no row"):
+                    random_subsample_pvalue(table, d_grid[0], fraction, seed)
 
         ranked = [name for name, _ in _ranked(rows)]
         total = _visits(rows)
@@ -394,11 +399,11 @@ class TestTopDomains:
                 for group in range(4):
                     sub = _visits(rows, labels == group)
                     expected.append(([sub[n] for n in top], [total[n] for n in top]))
-        chosen = np.zeros(len(rows), dtype=bool)
-        take = int(round(len(rows) * fraction))
-        chosen[np.random.default_rng(seed).choice(len(rows), size=take, replace=False)] = True
-        sub, top = _visits(rows, chosen), ranked[: d_grid[0]]
-        expected.append(([sub[n] for n in top], [total[n] for n in top]))
+        if take:
+            chosen = np.zeros(len(rows), dtype=bool)
+            chosen[np.random.default_rng(seed).choice(len(rows), size=take, replace=False)] = True
+            sub, top = _visits(rows, chosen), ranked[: d_grid[0]]
+            expected.append(([sub[n] for n in top], [total[n] for n in top]))
         assert passed == expected
 
     def test_visit_counts_recount(self, small_table):
@@ -461,6 +466,12 @@ class TestChiSquare:
     def test_random_subsample_rejects_fraction_outside_unit_interval(self, small_table, fraction):
         with pytest.raises(ValueError, match=r"control fraction must be in \(0, 1\]"):
             random_subsample_pvalue(small_table, 20, fraction, seed=6)
+
+    def test_random_subsample_rejects_a_fraction_that_samples_no_row(self, small_table):
+        assert len(small_table) == 1600
+        with pytest.raises(ValueError, match=r"control fraction 0\.0003 of 1600 rows samples no row"):
+            random_subsample_pvalue(small_table, 20, 0.0003, seed=6)
+        assert 0.0 <= random_subsample_pvalue(small_table, 20, 0.0004, seed=6) <= 1.0
 
     def test_random_subsample_takes_every_row_at_fraction_one(self, small_table):
         assert random_subsample_pvalue(small_table, 20, 1.0, seed=6) == pytest.approx(1.0)

@@ -7,6 +7,7 @@ between high- and low-overlap set pairs (Spearman rho -0.884).
 """
 
 import io
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -268,19 +269,20 @@ class TestKernels:
     def test_matches_scalar_feature_sums(self, rng, monkeypatch):
         # Oracle: bit b is the sign of a sequential sum of gaussian_feature
         # over the row's domains in ascending hash order. Rows share
-        # domains, some are empty, and one repeats a domain. Small scratch
-        # budgets make the table chunks and row blocks cross many
-        # boundaries, including blocks that end between rows of different
-        # lengths.
+        # domains, some are empty, and one repeats a domain. The kernel
+        # gets the rows both in hash order and in the order they were
+        # drawn. Small scratch budgets make the table chunks and row blocks
+        # cross many boundaries, including blocks that end between rows of
+        # different lengths.
         pool = [f"k{i}.example" for i in range(30)]
         rows = [list(rng.choice(pool, size=int(rng.integers(0, 9)))) for _ in range(24)]
-        rows += [[], ["dup.example", "dup.example", "k1.example"]]
-        rows = [sorted(row, key=domain_hash64) for row in rows]
-        values = np.array([domain_hash64(d) for row in rows for d in row], dtype=np.uint64)
+        rows += [[], ["dup.example", "k1.example", "dup.example"]]
+        hash_ordered = [sorted(row, key=domain_hash64) for row in rows]
+        assert hash_ordered != rows
         offsets = np.cumsum([0] + [len(row) for row in rows]).astype(np.int64)
         for bits in (1, 17, 50, 64):
             expected = []
-            for row in rows:
+            for row in hash_ordered:
                 value = 0
                 for b in range(bits):
                     total = 0.0
@@ -288,11 +290,40 @@ class TestKernels:
                         total += gaussian_feature(d, b, 7)
                     value = (value << 1) | (total > 0.0)
                 expected.append(value)
-            for budget in (kernels._BLOCK, 64, 20):
-                monkeypatch.setattr(kernels, "_BLOCK", budget)
-                got = simhash_rows(values, offsets, bits, seed_key(7))
-                assert got.tolist() == expected, (bits, budget)
-                monkeypatch.undo()
+            for layout in (hash_ordered, rows):
+                values = np.array(
+                    [domain_hash64(d) for row in layout for d in row], dtype=np.uint64
+                )
+                for budget in (kernels._BLOCK, 64, 20):
+                    monkeypatch.setattr(kernels, "_BLOCK", budget)
+                    got = simhash_rows(values, offsets, bits, seed_key(7))
+                    assert got.tolist() == expected, (bits, budget, layout is rows)
+                    monkeypatch.undo()
+
+    def test_each_row_is_summed_in_hash_order_whatever_its_given_order(self, monkeypatch):
+        # Features chosen so that the order of the adds decides the sign:
+        # (1e16 + 1) - 1e16 rounds to 0, while (1e16 - 1e16) + 1 is 1.
+        # The kernel's table has one row per distinct hash, ascending.
+        features = np.array([[1e16], [1.0], [-1e16]])
+        monkeypatch.setattr(kernels, "_feature_table", lambda keys, bits: features.copy())
+        rows = list(itertools.permutations([10, 20, 30]))
+        values = np.array(rows, dtype=np.uint64).ravel()
+        offsets = np.arange(0, len(values) + 1, 3)
+        assert simhash_rows(values, offsets, 1, seed_key(7)).tolist() == [0] * len(rows)
+
+    @pytest.mark.parametrize("bit_length", [0, 65, -1])
+    def test_bit_length_outside_1_to_64_is_rejected(self, bit_length):
+        message = rf"bit_length must be in \[1, 64\], got {bit_length}"
+        values = np.array([domain_hash64("a.example")], dtype=np.uint64)
+        with pytest.raises(ValueError, match=message):
+            simhash_rows(values, np.array([0, 1]), bit_length, seed_key(7))
+        with pytest.raises(ValueError, match=message):
+            simhash_rows(values[:0], np.array([0, 0]), bit_length, seed_key(7))
+        parsed = parse_sessions(io.StringIO(bundled_table1_sessions()), FormatConfig())
+        table = build_machine_weeks(parsed.records, WeekConfig()).table
+        for _ in range(2):  # a failed call caches nothing
+            with pytest.raises(ValueError, match=message):
+                table.hashes(bit_length, 7)
 
     @settings(max_examples=300, deadline=None)
     @given(_feature_table_cases())

@@ -16,7 +16,7 @@ from .ingest import (
     representativeness,
 )
 from .panels import JointDistribution, Panel, cluster_panel, stratified_panels
-from .prefixlsh import CohortError, CohortMap, PrefixBucket, build_cohort_map
+from .prefixlsh import CohortError, CohortMap, build_cohort_map
 from .psl import SuffixSet, registrable_domain
 from .sensitivity import (
     anomalous_category,
@@ -25,8 +25,6 @@ from .sensitivity import (
     ot_scale_control,
     shuffle_baseline,
     t_closeness_curve,
-    t_violations,
-    top_domains,
 )
 from .simhash import SimHashConfig, gaussian_feature, simhash
 from .synth import SynthConfig, generate_population
@@ -47,7 +45,6 @@ __all__ = [
     "JointDistribution",
     "MachineWeekTable",
     "Panel",
-    "PrefixBucket",
     "SessionColumns",
     "SimHashConfig",
     "SuffixSet",
@@ -76,7 +73,5 @@ __all__ = [
     "sweep_k",
     "sweep_population",
     "t_closeness_curve",
-    "t_violations",
-    "top_domains",
     "unicity_fractions",
 ]

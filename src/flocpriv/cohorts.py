@@ -24,9 +24,6 @@ class WeeklyCohorts:
     maps: dict[int, CohortMap]
     cohort_ids: np.ndarray  # aligned with the source table rows
 
-    def num_cohorts(self, week: int) -> int:
-        return self.maps[week].num_cohorts
-
 
 def compute_weekly_cohorts(
     table: MachineWeekTable,

@@ -2,8 +2,8 @@
 
 The table is a bundled static approximation of the national 3-digit
 prefix allocation (contiguous ranges; military and outlying gaps left
-unmapped). Unmapped or malformed ZIPs resolve to None and callers record
-the machine's state as unknown.
+unmapped). Unmapped or malformed ZIPs resolve to ``UNKNOWN_STATE``, the
+state callers record as unknown.
 """
 
 from __future__ import annotations

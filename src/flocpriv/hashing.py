@@ -25,6 +25,12 @@ DRAWS_PER_FEATURE = 12
 INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
 
 
+def check_bit_length(bit_length: int, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless ``1 <= bit_length <= 64``: hashes are 64-bit words."""
+    if not 1 <= bit_length <= 64:
+        raise error(f"bit_length must be in [1, 64], got {bit_length}")
+
+
 def mix64(x: int) -> int:
     """Finalizer-style bijective scrambler on 64-bit integers."""
     x &= MASK64

@@ -676,7 +676,7 @@ def build_machine_weeks(
     _sort_runs(names, counts[keep].tolist())
     row_machine, row_week = np.divmod(rows[keep], span)
     line = first[row_machine]  # each kept row's machine's first line
-    states = [state_for_zip(records.zip_codes[i]) or UNKNOWN_STATE for i in first.tolist()]
+    states = [state_for_zip(records.zip_codes[i]) for i in first.tolist()]
     table = MachineWeekTable._from_columns(
         list(zip(machines[row_machine].tolist(), row_week.tolist())),
         list(map(states.__getitem__, row_machine.tolist())),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hashing import DRAWS_PER_FEATURE, GOLDEN, INV_2_53, MIX_C1, MIX_C2
+from .hashing import DRAWS_PER_FEATURE, GOLDEN, INV_2_53, MIX_C1, MIX_C2, check_bit_length
 
 KERNEL_NAME = "numpy-table"
 
@@ -100,8 +100,7 @@ def simhash_rows(
     buffers. Raises ``ValueError`` unless ``1 <= bit_length <= 64``.
     """
     bit_length = int(bit_length)
-    if not 1 <= bit_length <= 64:
-        raise ValueError(f"bit_length must be in [1, 64], got {bit_length}")
+    check_bit_length(bit_length)
     values = np.asarray(values, dtype=np.uint64)
     offsets = np.asarray(offsets, dtype=np.int64)
     out = np.zeros(len(offsets) - 1, dtype=np.uint64)

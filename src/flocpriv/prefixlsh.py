@@ -19,36 +19,15 @@ put in prefix order, and each prefix is read off its leaf's first value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Iterator
 
 import numpy as np
 
+from .hashing import check_bit_length
+
 
 class CohortError(ValueError):
     """Raised when a population cannot be clustered at the requested k."""
-
-
-@dataclass(frozen=True)
-class PrefixBucket:
-    """One leaf of the prefix tree.
-
-    ``prefix`` is the integer value of the leading ``length`` bits; the
-    bucket covers all hashes whose top bits equal it.
-    """
-
-    prefix: int
-    length: int
-    cohort_id: int
-    count: int
-
-    def bit_string(self) -> str:
-        return format(self.prefix, f"0{self.length}b") if self.length else ""
-
-    def start(self, bit_length: int) -> int:
-        """Smallest hash value covered by this bucket."""
-        return self.prefix << (bit_length - self.length)
 
 
 class CohortMap:
@@ -56,6 +35,8 @@ class CohortMap:
 
     The leaves are three read-only arrays in cohort-id (ascending prefix)
     order: ``prefixes`` (uint64), ``lengths`` and ``counts`` (int64).
+    Construction raises ``CohortError`` unless k >= 1, every count is at
+    least k, and the prefixes tile the hash space exactly in ascending order.
     """
 
     def __init__(self, bit_length: int, k: int, prefixes: Any, lengths: Any, counts: Any):
@@ -74,13 +55,17 @@ class CohortMap:
     def _validate(self) -> np.ndarray:
         """Check the leaves and return the smallest hash each covers."""
         bits = self.bit_length
-        if not 1 <= bits <= 64:
-            raise CohortError(f"bit_length must be in [1, 64], got {bits}")
+        check_bit_length(bits, CohortError)
+        if self.k < 1:
+            raise CohortError(f"k must be >= 1, got {self.k}")
         n = len(self.prefixes)
         if n == 0:
             raise CohortError("cohort map has no buckets")
         if not self.prefixes.shape == self.lengths.shape == self.counts.shape == (n,):
             raise CohortError("prefixes, lengths and counts must be 1-D and of one length")
+        small = self.counts < self.k
+        if small.any():
+            raise CohortError(f"bucket count {self.counts[small][0]} below k={self.k}")
         lengths = self.lengths
         out_of_range = (lengths < 0) | (lengths > bits)
         if out_of_range.any():
@@ -113,18 +98,14 @@ class CohortMap:
     def num_cohorts(self) -> int:
         return len(self.counts)
 
-    @cached_property
-    def buckets(self) -> tuple[PrefixBucket, ...]:
-        """The leaves as ``PrefixBucket`` objects, built on first use."""
-        return tuple(
-            PrefixBucket(prefix=prefix, length=length, cohort_id=i, count=count)
-            for i, (prefix, length, count) in enumerate(
-                zip(self.prefixes.tolist(), self.lengths.tolist(), self.counts.tolist())
-            )
-        )
+    def __iter__(self) -> Iterator[np.record]:
+        """One record per leaf, in cohort-id order, whose ``prefix``,
+        ``length`` and ``count`` fields are read from the arrays.
 
-    def __iter__(self) -> Iterator[PrefixBucket]:
-        return iter(self.buckets)
+        perfbench's sweep check reads each panel's cohort sizes this way.
+        """
+        leaves = (self.prefixes, self.lengths, self.counts)
+        return iter(np.rec.fromarrays(leaves, names="prefix,length,count"))
 
     def assign(self, hash_values: np.ndarray) -> np.ndarray:
         """Cohort id for each hash value (vectorized).
@@ -142,12 +123,18 @@ class CohortMap:
         return ids.reshape(np.shape(hash_values))
 
     def to_json_dict(self) -> dict[str, Any]:
+        """Each leaf's prefix as a string of its bits; a length-0 prefix is ``""``."""
+        leaves = zip(self.prefixes.tolist(), self.lengths.tolist(), self.counts.tolist())
         return {
             "bit_length": self.bit_length,
             "k": self.k,
             "entries": [
-                {"prefix": b.bit_string(), "cohort_id": b.cohort_id, "count": b.count}
-                for b in self.buckets
+                {
+                    "prefix": format(prefix, f"0{length}b") if length else "",
+                    "cohort_id": i,
+                    "count": count,
+                }
+                for i, (prefix, length, count) in enumerate(leaves)
             ],
         }
 
@@ -156,11 +143,15 @@ class CohortMap:
         entries = payload["entries"]
         if [int(item["cohort_id"]) for item in entries] != list(range(len(entries))):
             raise CohortError("cohort ids must number buckets in prefix order")
+        prefixes = [item["prefix"] for item in entries]
+        for prefix in prefixes:
+            if not isinstance(prefix, str) or not set(prefix) <= {"0", "1"}:
+                raise CohortError(f"bucket prefix {prefix!r} is not a string of 0s and 1s")
         return cls(
             int(payload["bit_length"]),
             int(payload["k"]),
-            [int(item["prefix"], 2) if item["prefix"] else 0 for item in entries],
-            [len(item["prefix"]) for item in entries],
+            [int(prefix, 2) if prefix else 0 for prefix in prefixes],
+            list(map(len, prefixes)),
             [int(item["count"]) for item in entries],
         )
 
@@ -183,8 +174,7 @@ def build_cohort_map(hash_values: np.ndarray, k: int, bit_length: int) -> Cohort
     when bit_length is outside [1, 64], when k < 1, when the whole
     population is smaller than k, or when a hash is wider than bit_length.
     """
-    if not 1 <= bit_length <= 64:
-        raise CohortError(f"bit_length must be in [1, 64], got {bit_length}")
+    check_bit_length(bit_length, CohortError)
     if k < 1:
         raise CohortError(f"k must be >= 1, got {k}")
     values = np.sort(np.asarray(hash_values, dtype=np.uint64))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -79,32 +79,6 @@ def anomalous_category(
     excess = counts / totals - np.asarray(pop_freqs, dtype=np.float64)
     # argmax returns the first maximum
     return np.argmax(excess, axis=-1), excess.max(axis=-1)
-
-
-@dataclass
-class TViolations:
-    t: float
-    attribute: str
-    fraction: float
-    flags: np.ndarray  # per cohort
-    excesses: np.ndarray
-    categories: np.ndarray
-
-
-def t_violations(panel: Panel, t: float, attribute: str) -> TViolations:
-    """Flag cohorts whose anomalous-category excess strictly exceeds t."""
-    categories, excesses = anomalous_category(
-        cohort_category_counts(panel, attribute), population_freqs(panel, attribute)
-    )
-    flags = excesses > t
-    return TViolations(
-        t=float(t),
-        attribute=attribute,
-        fraction=float(flags.mean()) if len(flags) else 0.0,
-        flags=flags,
-        excesses=excesses,
-        categories=categories,
-    )
 
 
 def violation_curve(panel: Panel, t_grid: Sequence[float], attribute: str) -> np.ndarray:
@@ -179,7 +153,7 @@ class TClosenessReport:
     ci_low: list[float]
     ci_high: list[float]
     shuffle_mean: list[float] | None
-    binomial: list[float] | None
+    binomial: list[float]
     n_panels: int
     mean_cohort_size: float
 
@@ -196,7 +170,7 @@ class TClosenessReport:
                     "ci_low": self.ci_low[i],
                     "ci_high": self.ci_high[i],
                     "shuffle_baseline": None if self.shuffle_mean is None else self.shuffle_mean[i],
-                    "binomial_baseline": None if self.binomial is None else self.binomial[i],
+                    "binomial_baseline": self.binomial[i],
                 }
                 for i in range(len(self.t_grid))
             ],
@@ -206,10 +180,9 @@ class TClosenessReport:
         lines = ["t,mean,ci_low,ci_high,shuffle_baseline,binomial_baseline"]
         for i in range(len(self.t_grid)):
             shuffle = "" if self.shuffle_mean is None else f"{self.shuffle_mean[i]:.10g}"
-            binom = "" if self.binomial is None else f"{self.binomial[i]:.10g}"
             lines.append(
                 f"{self.t_grid[i]:.10g},{self.mean[i]:.10g},{self.ci_low[i]:.10g},"
-                f"{self.ci_high[i]:.10g},{shuffle},{binom}"
+                f"{self.ci_high[i]:.10g},{shuffle},{self.binomial[i]:.10g}"
             )
         return "\n".join(lines) + "\n"
 
@@ -244,18 +217,13 @@ def t_closeness_curve(
         shuffle_curves = np.stack([violation_curve(p, t_grid, attribute) for p in shuffled])
         shuffle_mean = shuffle_curves.mean(axis=0).tolist()
 
-    sizes = [p.size / p.cohort_map.num_cohorts for p in panels if p.cohort_map is not None]
-    mean_n = float(np.mean(sizes)) if sizes else float("nan")
-    binomial = None
-    if sizes:
-        pooled = np.mean([population_freqs(p, attribute) for p in panels], axis=0)
-        binomial = [
-            cohort_violation_probability(int(round(mean_n)), pooled, t) for t in t_grid
-        ]
-    k = panels[0].cohort_map.k if panels[0].cohort_map is not None else 0
+    # violation_curve has rejected any panel without a cohort map.
+    mean_n = float(np.mean([p.size / p.cohort_map.num_cohorts for p in panels]))
+    pooled = np.mean([population_freqs(p, attribute) for p in panels], axis=0)
+    binomial = [cohort_violation_probability(int(round(mean_n)), pooled, t) for t in t_grid]
     return TClosenessReport(
         attribute=attribute,
-        k=k,
+        k=panels[0].cohort_map.k,
         t_grid=[float(t) for t in t_grid],
         mean=means,
         ci_low=lows,
@@ -284,52 +252,22 @@ def _top_ranked(table: MachineWeekTable, d: int) -> np.ndarray:
     return order[:d]
 
 
-def top_domains(table: MachineWeekTable, d: int) -> list[tuple[str, int]]:
-    """Top-D domains by machine-week visit count (ties: lexicographic).
-
-    A "visit" is one machine-week containing the domain; repeat visits
-    within a week were already collapsed at ingest.
-    """
-    _, counts = table.domain_ranking()
-    return [(table.vocab[v], int(counts[v])) for v in _top_ranked(table, d).tolist()]
-
-
-def _count_visits(
-    table: MachineWeekTable, column: np.ndarray, n_columns: int, labels: np.ndarray, n_labels: int
-) -> np.ndarray:
-    """(n_labels, n_columns) visit counts in one ``bincount``.
-
-    A visit to vocabulary entry v counts in column ``column[v]`` (not at
-    all when that is ``n_columns``) of the row label of the visiting row.
-    """
-    cols = column[table.dom_indices]
-    keep = cols < n_columns
-    row_labels = np.repeat(labels, np.diff(table.offsets))[keep].astype(np.int64)
-    flat = row_labels * n_columns + cols[keep]
-    return np.bincount(flat, minlength=n_labels * n_columns).reshape(n_labels, n_columns)
-
-
 def _top_visit_counts(
     table: MachineWeekTable, top: np.ndarray, labels: np.ndarray, n_labels: int
 ) -> np.ndarray:
-    """(n_labels, len(top)) visit counts of the ``top`` vocabulary entries."""
-    column = np.full(len(table.vocab), len(top), dtype=np.int64)
-    column[top] = np.arange(len(top))
-    return _count_visits(table, column, len(top), labels, n_labels)
+    """(n_labels, len(top)) visit counts of the ``top`` vocabulary entries.
 
-
-def domain_visit_counts(
-    table: MachineWeekTable, domains: Sequence[str], row_mask: np.ndarray | None = None
-) -> np.ndarray:
-    """Visit counts for the given domains, optionally over a row subset."""
-    index = dict(zip(table.vocab, range(len(table.vocab))))
-    column = np.full(len(table.vocab), len(domains), dtype=np.int64)
-    for j, dom in enumerate(domains):
-        if dom in index:
-            column[index[dom]] = j
-    if row_mask is None:
-        row_mask = np.ones(len(table), dtype=bool)
-    return _count_visits(table, column, len(domains), row_mask, 2)[1]
+    A "visit" is one machine-week containing the domain; it counts in the
+    row of the visiting row's label. One ``bincount`` counts them all.
+    """
+    width = len(top)
+    column = np.full(len(table.vocab), width, dtype=np.int64)
+    column[top] = np.arange(width)
+    cols = column[table.dom_indices]
+    keep = cols < width
+    row_labels = np.repeat(labels, np.diff(table.offsets))[keep].astype(np.int64)
+    flat = row_labels * width + cols[keep]
+    return np.bincount(flat, minlength=n_labels * width).reshape(n_labels, width)
 
 
 def chi_square_test(

@@ -20,6 +20,7 @@ from . import kernels
 from .hashing import (
     DRAWS_PER_FEATURE,
     MASK64,
+    check_bit_length,
     domain_hash64,
     mix64,
     seed_key,
@@ -38,8 +39,7 @@ class SimHashConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if not 1 <= self.bit_length <= 64:
-            raise ValueError(f"bit_length must be in [1, 64], got {self.bit_length}")
+        check_bit_length(self.bit_length)
         if not 0 <= self.seed <= MASK64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -56,17 +56,11 @@ def gaussian_feature(domain: str, bit_index: int, seed: int = DEFAULT_SEED) -> f
     return total - 6.0
 
 
-def simhash_hashes(hash_values: np.ndarray, config: SimHashConfig = SimHashConfig()) -> int:
-    """Hash bitvector of a set given as pre-hashed 64-bit domain values."""
-    offsets = [0, len(hash_values)]
-    out = kernels.simhash_rows(hash_values, offsets, config.bit_length, seed_key(config.seed))
-    return int(out[0])
-
-
 def simhash(domains: Iterable[str], config: SimHashConfig = SimHashConfig()) -> int:
     """Hash bitvector of a weekly domain set (order-insensitive)."""
     unique = set(domains)
     if not unique:
         raise ValueError("cannot hash an empty domain set")
     values = np.fromiter((domain_hash64(d) for d in unique), dtype=np.uint64, count=len(unique))
-    return simhash_hashes(values, config)
+    out = kernels.simhash_rows(values, [0, len(values)], config.bit_length, seed_key(config.seed))
+    return int(out[0])

@@ -7,10 +7,10 @@ only on NumPy; the test suite pins them against high-precision oracles.
 
 Numerical notes
 ---------------
-* ``regularized_gamma_p/q`` use the standard split: the power series for
-  P(a, x) when x < a + 1 (terms fall fast there) and the Lentz-modified
-  continued fraction for Q(a, x) otherwise. Both converge to ~1e-15
-  relative for the argument ranges used by the analyses.
+* ``regularized_gamma_q`` uses the standard split: one minus the power
+  series for P(a, x) when x < a + 1 (terms fall fast there) and the
+  Lentz-modified continued fraction for Q(a, x) otherwise. Both converge
+  to ~1e-15 relative for the argument ranges used by the analyses.
 * ``regularized_beta`` uses the even/odd continued fraction with the
   symmetric switch at x = (a + 1) / (a + b + 2).
 * Binomial tails sum the smaller tail term-by-term with ratio updates in
@@ -65,21 +65,8 @@ def _gamma_q_cf(a: float, x: float) -> float:
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
-def regularized_gamma_p(a: float, x: float) -> float:
-    """P(a, x), the regularized lower incomplete gamma function."""
-    if a <= 0.0:
-        raise ValueError(f"shape a must be positive, got {a}")
-    if x < 0.0:
-        raise ValueError(f"x must be non-negative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_cf(a, x)
-
-
 def regularized_gamma_q(a: float, x: float) -> float:
-    """Q(a, x) = 1 - P(a, x), the upper tail."""
+    """Q(a, x) = 1 - P(a, x), the regularized upper incomplete gamma function."""
     if a <= 0.0:
         raise ValueError(f"shape a must be positive, got {a}")
     if x < 0.0:
@@ -197,22 +184,14 @@ def student_t_ppf(q: float, df: float) -> float:
     return value if q > 0.5 else -value
 
 
-def mean_confidence_interval(
-    values: Sequence[float], confidence: float = 0.95
-) -> tuple[float, float, float]:
-    """(mean, lower, upper) Student-t interval for the mean of a sample.
-
-    With fewer than two values the interval collapses to the mean.
-    """
-    (interval,) = mean_confidence_intervals([values], confidence)
-    return interval
-
-
 def mean_confidence_intervals(
     samples: Iterable[Sequence[float]], confidence: float = 0.95
 ) -> list[tuple[float, float, float]]:
-    """``mean_confidence_interval`` of every sample, computing the t
-    quantile once per sample size rather than once per sample."""
+    """(mean, lower, upper) Student-t interval for the mean of every sample.
+
+    With fewer than two values an interval collapses to the mean. The t
+    quantile is computed once per sample size rather than once per sample.
+    """
     quantiles: dict[int, float] = {}
     intervals = []
     for values in samples:

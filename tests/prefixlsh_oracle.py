@@ -9,11 +9,28 @@ buckets' start values computed with Python ints. Tests compare
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from flocpriv.prefixlsh import PrefixBucket
+
+@dataclass(frozen=True)
+class PrefixBucket:
+    """One leaf of the prefix tree.
+
+    ``prefix`` is the integer value of the leading ``length`` bits; the
+    bucket covers all hashes whose top bits equal it.
+    """
+
+    prefix: int
+    length: int
+    cohort_id: int
+    count: int
+
+    def start(self, bit_length: int) -> int:
+        """Smallest hash value covered by this bucket."""
+        return self.prefix << (bit_length - self.length)
 
 
 def oracle_buckets(hash_values: np.ndarray, k: int, bit_length: int) -> list[PrefixBucket]:

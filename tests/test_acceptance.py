@@ -89,7 +89,7 @@ def test_criterion_02_prefixlsh_anonymity_properties():
         pool = rng.integers(0, 1 << bits, size=max(1, n // 3), dtype=np.uint64)
         hashes = pool[rng.integers(0, len(pool), size=n)]
         cmap = build_cohort_map(hashes, k, bits)  # _validate enforces exact cover
-        counts = [b.count for b in cmap.buckets]
+        counts = cmap.counts.tolist()
         assert min(counts) >= k, f"case {case}: cohort below k"
         assert sum(counts) == n, f"case {case}: member count not conserved"
         assigned = cmap.assign(hashes)

@@ -226,5 +226,5 @@ class TestClusterPanel:
         cluster_panel(panel, k=10, bit_length=50)
         assert panel.cohort_map is not None and panel.cohort_ids is not None
         counts = np.bincount(panel.cohort_ids, minlength=panel.cohort_map.num_cohorts)
-        assert counts.tolist() == [b.count for b in panel.cohort_map.buckets]
+        assert counts.tolist() == panel.cohort_map.counts.tolist()
         assert counts.min() >= 10

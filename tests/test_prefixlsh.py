@@ -22,22 +22,44 @@ def _assign_one(cmap, hash_value):
     return int(cmap.assign(np.array([hash_value], dtype=np.uint64))[0])
 
 
+def _starts(cmap):
+    """Smallest hash value of each cohort, as Python ints."""
+    return [
+        prefix << (cmap.bit_length - length)
+        for prefix, length in zip(cmap.prefixes.tolist(), cmap.lengths.tolist())
+    ]
+
+
+def _cover(cmap):
+    """Hash values the cohorts cover together, with multiplicity."""
+    return sum(1 << (cmap.bit_length - length) for length in cmap.lengths.tolist())
+
+
+def _assert_same_leaves(cmap, buckets):
+    """The map's leaves are the oracle's buckets, cohort ids included."""
+    assert cmap.prefixes.tolist() == [b.prefix for b in buckets]
+    assert cmap.lengths.tolist() == [b.length for b in buckets]
+    assert cmap.counts.tolist() == [b.count for b in buckets]
+    assert [b.cohort_id for b in buckets] == list(range(cmap.num_cohorts))
+
+
 class TestWorkedExamples:
     def test_six_hash_split(self):
         # {000,001,010,101,110,111}, k=3: one split at the top bit.
         cmap = build_cohort_map(_hashes([0b000, 0b001, 0b010, 0b101, 0b110, 0b111]), 3, 3)
         assert cmap.num_cohorts == 2
-        assert [(b.prefix, b.length, b.count) for b in cmap.buckets] == [
-            (0, 1, 3),
-            (1, 1, 3),
-        ]
+        assert cmap.prefixes.tolist() == [0, 1]
+        assert cmap.lengths.tolist() == [1, 1]
+        assert cmap.counts.tolist() == [3, 3]
+        assert [(b.prefix, b.length, b.count) for b in cmap] == [(0, 1, 3), (1, 1, 3)]
         assert _assign_one(cmap, 0b010) == 0
         assert _assign_one(cmap, 0b101) == 1
 
     def test_k_equal_to_population(self):
         cmap = build_cohort_map(_hashes([0b000, 0b001, 0b010, 0b101, 0b110, 0b111]), 6, 3)
         assert cmap.num_cohorts == 1
-        assert cmap.buckets[0].length == 0
+        assert cmap.lengths.tolist() == [0]
+        assert cmap.to_json_dict()["entries"] == [{"prefix": "", "cohort_id": 0, "count": 6}]
         assert _assign_one(cmap, 0b111) == 0
 
     def test_unbalanced_split_blocked(self):
@@ -60,18 +82,17 @@ class TestWorkedExamples:
         # so 0 and 1 end in leaves of length 64.
         values = np.array([0] + [1 << i for i in range(64)], dtype=np.uint64)
         cmap = build_cohort_map(values, 1, 64)
-        assert [(b.prefix, b.length) for b in cmap.buckets] == [(0, 64)] + [
-            (1, 64 - i) for i in range(64)
-        ]
+        assert cmap.prefixes.tolist() == [0] + [1] * 64
+        assert cmap.lengths.tolist() == [64] + [64 - i for i in range(64)]
         assert cmap.assign(values).tolist() == list(range(65))
-        assert cmap.buckets == tuple(oracle_buckets(values, 1, 64))
+        _assert_same_leaves(cmap, oracle_buckets(values, 1, 64))
         assert CohortMap.from_json_dict(cmap.to_json_dict()) == cmap
 
     def test_duplicates_count_with_multiplicity(self):
         # Four copies at 000 and four at 111, k=4: both children viable.
         cmap = build_cohort_map(_hashes([0] * 4 + [0b111] * 4), 4, 3)
         assert cmap.num_cohorts == 2
-        assert [b.count for b in cmap.buckets] == [4, 4]
+        assert cmap.counts.tolist() == [4, 4]
 
 
 class TestAssignment:
@@ -80,7 +101,7 @@ class TestAssignment:
         cmap = build_cohort_map(values, 37, 50)
         ids = cmap.assign(values)
         counts = np.bincount(ids, minlength=cmap.num_cohorts)
-        assert list(counts) == [b.count for b in cmap.buckets]
+        assert list(counts) == cmap.counts.tolist()
 
     def test_out_of_range_hash_rejected(self):
         cmap = build_cohort_map(_hashes([0, 1, 2, 3]), 2, 3)
@@ -90,9 +111,10 @@ class TestAssignment:
     def test_cohort_ids_ascend_with_prefix(self, rng):
         values = rng.integers(0, 2**20, size=800, dtype=np.uint64)
         cmap = build_cohort_map(values, 19, 20)
-        starts = [b.start(20) for b in cmap.buckets]
+        starts = _starts(cmap)
         assert starts == sorted(starts)
-        assert [b.cohort_id for b in cmap.buckets] == list(range(cmap.num_cohorts))
+        entries = cmap.to_json_dict()["entries"]
+        assert [e["cohort_id"] for e in entries] == list(range(cmap.num_cohorts))
 
 
 class TestMonotonicity:
@@ -133,6 +155,12 @@ class TestJsonRoundTrip:
             (2, ["1", "0"], "buckets out of ascending prefix order"),
             (2, ["0", "10"], "buckets do not tile the hash space exactly"),
             (2, ["0", "100", "101", "11"], "bucket prefix length 3 out of range"),
+            # int(s, 2) reads each of these as a string of bits.
+            (3, ["000", "0_1", "01", "1"], "bucket prefix '0_1' is not a string of 0s and 1s"),
+            (3, ["000", "0b1", "01", "1"], "bucket prefix '0b1' is not a string of 0s and 1s"),
+            (2, [" 0", "01", "1"], "bucket prefix ' 0' is not a string of 0s and 1s"),
+            (2, ["00", "+1", "1"], "bucket prefix '+1' is not a string of 0s and 1s"),
+            (1, ["\u0660", "1"], "bucket prefix '\u0660' is not a string of 0s and 1s"),
         ],
     )
     def test_inexact_covers_rejected(self, bits, prefixes, message):
@@ -141,6 +169,31 @@ class TestJsonRoundTrip:
             "k": 1,
             "entries": [
                 {"prefix": p, "cohort_id": i, "count": 1} for i, p in enumerate(prefixes)
+            ],
+        }
+        with pytest.raises(CohortError, match=re.escape(message)):
+            CohortMap.from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "k, counts, message",
+        [
+            (0, [1, 1], "k must be >= 1, got 0"),
+            (-1, [1, 1], "k must be >= 1, got -1"),
+            (1, [0, 2], "bucket count 0 below k=1"),
+            (1, [3, -2], "bucket count -2 below k=1"),
+            (5, [1, 1], "bucket count 1 below k=5"),
+            (5, [5, 4], "bucket count 4 below k=5"),
+        ],
+    )
+    def test_counts_must_reach_k(self, k, counts, message):
+        with pytest.raises(CohortError, match=re.escape(message)):
+            CohortMap(1, k, [0, 1], [1, 1], counts)
+        payload = {
+            "bit_length": 1,
+            "k": k,
+            "entries": [
+                {"prefix": p, "cohort_id": i, "count": c}
+                for i, (p, c) in enumerate(zip(["0", "1"], counts))
             ],
         }
         with pytest.raises(CohortError, match=re.escape(message)):
@@ -185,12 +238,12 @@ class TestProperties:
                 build_cohort_map(values, k, bits)
             return
         cmap = build_cohort_map(values, k, bits)
-        counts = [b.count for b in cmap.buckets]
+        counts = cmap.counts.tolist()
         # k-anonymity and conservation
         assert min(counts) >= k
         assert sum(counts) == n
         # complete prefix-free cover of the hash space
-        assert sum(2 ** (bits - b.length) for b in cmap.buckets) == 2**bits
+        assert _cover(cmap) == 2**bits
         # every member resolves to the leaf that counted it
         ids = cmap.assign(values)
         assert list(np.bincount(ids, minlength=cmap.num_cohorts)) == counts
@@ -237,10 +290,7 @@ class TestMatchesOracle:
         bits, values, k, probes = case
         cmap = build_cohort_map(values, k, bits)
         buckets = oracle_buckets(values, k, bits)
-        assert cmap.prefixes.tolist() == [b.prefix for b in buckets]
-        assert cmap.lengths.tolist() == [b.length for b in buckets]
-        assert cmap.counts.tolist() == [b.count for b in buckets]
-        assert cmap.buckets == tuple(buckets)
+        _assert_same_leaves(cmap, buckets)
         for needles in (values, probes, np.concatenate((probes, values[::-1]))):
             assert np.array_equal(cmap.assign(needles), oracle_assign(buckets, bits, needles))
         assert CohortMap.from_json_dict(cmap.to_json_dict()) == cmap
@@ -255,21 +305,22 @@ class TestNesting:
         k2 = data.draw(hst.integers(min_value=k1, max_value=n))
         fine, coarse = build_cohort_map(values, k1, bits), build_cohort_map(values, k2, bits)
         for cmap, k in ((fine, k1), (coarse, k2)):
-            counts = [b.count for b in cmap.buckets]
+            counts = cmap.counts.tolist()
             assert min(counts) >= k
             assert sum(counts) == n
-            assert sum(1 << (bits - b.length) for b in cmap.buckets) == 1 << bits
+            assert _cover(cmap) == 1 << bits
         # Every coarse cohort starts where a fine one does, so each is the
         # union of the consecutive fine cohorts up to the next coarse start.
-        fine_starts = np.array([b.start(bits) for b in fine.buckets], dtype=np.uint64)
-        coarse_starts = np.array([b.start(bits) for b in coarse.buckets], dtype=np.uint64)
+        fine_starts = np.array(_starts(fine), dtype=np.uint64)
+        coarse_starts = np.array(_starts(coarse), dtype=np.uint64)
         assert np.isin(coarse_starts, fine_starts).all()
         parent = np.searchsorted(coarse_starts, fine_starts, side="right") - 1
-        for b, p in zip(fine.buckets, parent.tolist()):
-            outer = coarse.buckets[p]
-            assert b.length >= outer.length
-            assert b.prefix >> (b.length - outer.length) == outer.prefix
-        merged = np.bincount(parent, weights=[b.count for b in fine.buckets])
-        assert merged.astype(np.int64).tolist() == [b.count for b in coarse.buckets]
+        outer_prefixes = coarse.prefixes.tolist()
+        outer_lengths = coarse.lengths.tolist()
+        for prefix, length, p in zip(fine.prefixes.tolist(), fine.lengths.tolist(), parent.tolist()):
+            assert length >= outer_lengths[p]
+            assert prefix >> (length - outer_lengths[p]) == outer_prefixes[p]
+        merged = np.bincount(parent, weights=fine.counts)
+        assert merged.astype(np.int64).tolist() == coarse.counts.tolist()
         # Members of one fine cohort share a coarse cohort, in order.
         assert np.array_equal(parent[fine.assign(values)], coarse.assign(values))

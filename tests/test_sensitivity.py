@@ -26,16 +26,14 @@ from flocpriv.sensitivity import (
     chi_square_test,
     cohort_category_counts,
     cohort_violation_probability,
-    domain_visit_counts,
     ot_scale_control,
     population_freqs,
     random_subsample_pvalue,
     shuffle_baseline,
     t_closeness_curve,
-    t_violations,
-    top_domains,
     violation_curve,
 )
+from sensitivity_reference import t_violations, top_domains
 
 # frozen tail/percentile oracles (rational summation + mpmath, recorded
 # before these tests were written)
@@ -75,15 +73,13 @@ def _balanced_panel():
 @st.composite
 def _tables(draw):
     """A small table over short names, so visit counts tie often and some
-    names are never visited; returns it with its rows as name lists and a
-    random row mask."""
+    names are never visited; returns it with its rows as name lists."""
     names = draw(
         st.lists(st.text("ab.", min_size=1, max_size=3), min_size=1, max_size=10, unique=True)
     )
     rows = draw(st.lists(st.frozensets(st.integers(0, len(names) - 1)), max_size=12))
     n = len(rows)
     labels = st.lists(st.integers(0, 3), min_size=n, max_size=n)
-    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     table = MachineWeekTable(
         np.arange(n),
         np.zeros(n),
@@ -95,7 +91,7 @@ def _tables(draw):
         np.cumsum([0] + [len(row) for row in rows]),
         names,
     )
-    return table, [[names[v] for v in row] for row in rows], np.array(mask, dtype=bool)
+    return table, [[names[v] for v in row] for row in rows]
 
 
 def _visits(rows, keep=None):
@@ -344,7 +340,7 @@ class TestTopDomains:
     @settings(max_examples=200, deadline=None)
     @given(_tables(), st.integers(1, 12))
     def test_ranking_and_counts_match_brute_force(self, drawn, d):
-        table, rows, mask = drawn
+        table, rows = drawn
         ranked = _ranked(rows)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -355,12 +351,6 @@ class TestTopDomains:
             if d > len(ranked)
             else []
         )
-        names = [name for name, _ in top] + ["absent.example"]
-        masked = _visits(rows, mask)
-        assert domain_visit_counts(table, names, row_mask=mask).tolist() == [
-            masked[name] for name in names
-        ]
-        assert domain_visit_counts(table, names).tolist() == [c for _, c in top] + [0]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -372,7 +362,7 @@ class TestTopDomains:
     def test_chi_square_inputs_match_brute_force(self, drawn, d_grid, seed, fraction):
         """Every (subpopulation, aggregate) pair handed to the test equals
         a per-domain recount over the top-D names."""
-        table, rows, _ = drawn
+        table, rows = drawn
         passed = []
 
         def record(sub, aggregate):
@@ -407,20 +397,20 @@ class TestTopDomains:
         assert passed == expected
 
     def test_visit_counts_recount(self, small_table):
-        domains = [d for d, _ in top_domains(small_table, 5)]
-        counts = domain_visit_counts(small_table, domains)
-        for j, dom in enumerate(domains):
-            v = small_table.vocab.index(dom)
+        top = sensitivity._top_ranked(small_table, 5)
+        one_label = np.zeros(len(small_table), dtype=np.int64)
+        (counts,) = sensitivity._top_visit_counts(small_table, top, one_label, 1)
+        for j, v in enumerate(top.tolist()):
             assert counts[j] == int((small_table.dom_indices == v).sum())
 
     def test_visit_counts_respect_row_mask(self, small_table):
-        domains = [d for d, _ in top_domains(small_table, 5)]
+        top = sensitivity._top_ranked(small_table, 5)
         mask = small_table.week_indices == 0
-        masked = domain_visit_counts(small_table, domains, row_mask=mask)
-        full = domain_visit_counts(small_table, domains)
-        rest = domain_visit_counts(small_table, domains, row_mask=~mask)
+        rest, masked = sensitivity._top_visit_counts(small_table, top, mask, 2)
+        one_label = np.zeros(len(small_table), dtype=np.int64)
+        (full,) = sensitivity._top_visit_counts(small_table, top, one_label, 1)
         assert np.array_equal(masked + rest, full)
-        assert masked.sum() < full.sum()
+        assert 0 < masked.sum() < full.sum()
 
 
 class TestChiSquare:
@@ -448,11 +438,11 @@ class TestChiSquare:
             ("race", g, d) for d in (10, 20) for g in attribute_groups("race")
         ]
         domains = [dom for dom, _ in top_domains(small_table, 10)]
-        aggregate = domain_visit_counts(small_table, domains)
-        sub = domain_visit_counts(
-            small_table, domains, row_mask=small_table.race_idx == 0
+        names = [small_table.domains(i) for i in range(len(small_table))]
+        total, group = _visits(names), _visits(names, small_table.race_idx == 0)
+        stat, p = chi_square_test(
+            np.array([group[dom] for dom in domains]), np.array([total[dom] for dom in domains])
         )
-        stat, p = chi_square_test(sub, aggregate)
         assert rows[0].statistic == pytest.approx(stat)
         assert rows[0].p_value == pytest.approx(p)
 

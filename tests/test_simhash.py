@@ -36,7 +36,6 @@ from flocpriv.simhash import (
     SimHashConfig,
     gaussian_feature,
     simhash,
-    simhash_hashes,
 )
 from rank_correlation import spearman_rho
 
@@ -347,15 +346,15 @@ class TestKernels:
         assert list(out) == [0, 0]
 
     def test_batch_matches_scalar_api(self, sim_config, rng):
-        hash_sets = [
-            np.sort(rng.integers(0, 2**63, size=int(rng.integers(1, 12)), dtype=np.uint64))
+        name_sets = [
+            {f"d{v}.example" for v in rng.integers(0, 2**63, size=int(rng.integers(1, 12)))}
             for _ in range(25)
         ]
         batched = simhash_rows(
-            np.concatenate(hash_sets),
-            np.concatenate([[0], np.cumsum([len(h) for h in hash_sets])]).astype(np.int64),
+            np.array([domain_hash64(d) for names in name_sets for d in names], dtype=np.uint64),
+            np.concatenate([[0], np.cumsum([len(n) for n in name_sets])]).astype(np.int64),
             sim_config.bit_length,
             seed_key(sim_config.seed),
         )
-        for row, hashes in zip(batched, hash_sets):
-            assert int(row) == simhash_hashes(hashes, sim_config)
+        for row, names in zip(batched, name_sets):
+            assert int(row) == simhash(names, sim_config)

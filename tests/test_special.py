@@ -16,11 +16,9 @@ from flocpriv.special import (
     ConstantInputError,
     binomial_sf,
     chi_square_sf,
-    mean_confidence_interval,
     mean_confidence_intervals,
     pearson_r,
     regularized_beta,
-    regularized_gamma_p,
     regularized_gamma_q,
     student_t_ppf,
     student_t_sf,
@@ -40,24 +38,21 @@ class TestRegularizedGamma:
         for _ in range(200):
             a = 10 ** rng.uniform(-2, 3)
             x = 10 ** rng.uniform(-3, 3.2)
-            assert regularized_gamma_p(a, x) + regularized_gamma_q(a, x) == pytest.approx(
-                1.0, abs=1e-12
-            )
+            assert regularized_gamma_q(a, x) == pytest.approx(1.0 - sp.gammainc(a, x), abs=1e-12)
 
     def test_against_scipy(self, rng):
         for _ in range(300):
             a = 10 ** rng.uniform(-2, 3)
             x = 10 ** rng.uniform(-3, 3.2)
-            assert regularized_gamma_p(a, x) == pytest.approx(sp.gammainc(a, x), abs=1e-12)
+            assert regularized_gamma_q(a, x) == pytest.approx(1.0 - sp.gammainc(a, x), abs=1e-12)
             assert regularized_gamma_q(a, x) == pytest.approx(sp.gammaincc(a, x), abs=1e-12)
 
     def test_edges(self):
-        assert regularized_gamma_p(2.0, 0.0) == 0.0
         assert regularized_gamma_q(2.0, 0.0) == 1.0
         with pytest.raises(ValueError):
-            regularized_gamma_p(-1.0, 1.0)
+            regularized_gamma_q(-1.0, 1.0)
         with pytest.raises(ValueError):
-            regularized_gamma_p(1.0, -0.5)
+            regularized_gamma_q(1.0, -0.5)
 
 
 class TestChiSquareSf:
@@ -107,21 +102,21 @@ class TestStudentT:
 
 class TestMeanConfidenceInterval:
     def test_frozen_case(self):
-        mean, lo, hi = mean_confidence_interval([1, 2, 3, 4], 0.95)
+        mean, lo, hi = mean_confidence_intervals([[1, 2, 3, 4]], 0.95)[0]
         assert mean == 2.5
         assert lo == pytest.approx(CI_1234[0], abs=1e-9)
         assert hi == pytest.approx(CI_1234[1], abs=1e-9)
 
     def test_single_value_collapses(self):
-        assert mean_confidence_interval([3.5]) == (3.5, 3.5, 3.5)
+        assert mean_confidence_intervals([[3.5]])[0] == (3.5, 3.5, 3.5)
 
     def test_zero_variance(self):
-        mean, lo, hi = mean_confidence_interval([2.0, 2.0, 2.0])
+        mean, lo, hi = mean_confidence_intervals([[2.0, 2.0, 2.0]])[0]
         assert mean == lo == hi == 2.0
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
-            mean_confidence_interval([])
+            mean_confidence_intervals([[]])
 
     def test_many_samples_match_the_per_sample_formula(self):
         rng = np.random.default_rng(3)

@@ -149,7 +149,7 @@ class TestWorkedExample:
         cohorts = assign_sequence_cohorts(seqs, k=3, config=sim_config)
         assert cohorts.cohorts_per_position() == [2, 2, 2]
         for cmap in cohorts.maps:
-            assert sorted(b.count for b in cmap.buckets) == [3, 3]
+            assert sorted(cmap.counts.tolist()) == [3, 3]
 
     def test_membership_pattern_is_engineered_one(self, table, sim_config):
         seqs = build_sequences(table, window=3)
@@ -217,9 +217,9 @@ class TestUnicityFractions:
     def test_cohort_counts_conserve_samples(self, pool):
         seqs, cohorts, _ = pool
         for p, cmap in enumerate(cohorts.maps):
-            assert sum(b.count for b in cmap.buckets) == seqs.n_samples
+            assert int(cmap.counts.sum()) == seqs.n_samples
             observed = np.bincount(cohorts.cohort_ids[:, p], minlength=cmap.num_cohorts)
-            assert observed.tolist() == [b.count for b in cmap.buckets]
+            assert observed.tolist() == cmap.counts.tolist()
 
     def test_k_equal_to_pool_size_kills_unicity(self, sim_config):
         seqs = build_sequences(_table({m: range(2) for m in range(1, 7)}), window=2)
@@ -230,7 +230,7 @@ class TestUnicityFractions:
     def test_horizon_one_equals_singleton_bucket_mass(self, sim_config):
         seqs = build_sequences(_table({m: range(2) for m in range(1, 9)}), window=2)
         cohorts = assign_sequence_cohorts(seqs, 1, sim_config)
-        counts = np.array([b.count for b in cohorts.maps[0].buckets])
+        counts = cohorts.maps[0].counts
         expected = counts[counts == 1].sum() / seqs.n_samples
         report = unicity_fractions(seqs, cohorts)
         assert report.rows[0].frac_sequence == expected

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
+from typing import Iterable
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 
@@ -47,6 +50,18 @@ def seed_key(seed: int) -> int:
     return (int(seed) * SEED_MUL) & MASK64
 
 
+# An empty 8-byte blake2b state. Copying it is about twice as fast as
+# building a new state from its parameters; it is never updated itself.
+_BLAKE2B_8 = hashlib.blake2b(digest_size=8)
+
+
+def _digest8(domain: str) -> bytes:
+    """The 8-byte blake2b digest of a domain name's UTF-8 bytes."""
+    state = _BLAKE2B_8.copy()
+    state.update(domain.encode("utf-8"))
+    return state.digest()
+
+
 @lru_cache(maxsize=1 << 20)
 def domain_hash64(domain: str) -> int:
     """Stable 64-bit hash of a domain name (blake2b, little-endian).
@@ -54,8 +69,16 @@ def domain_hash64(domain: str) -> int:
     Stable across processes, platforms and Python versions, unlike the
     built-in salted ``hash``.
     """
-    digest = hashlib.blake2b(domain.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    return int.from_bytes(_digest8(domain), "little")
+
+
+def domain_hashes64(domains: Iterable[str]) -> np.ndarray:
+    """``domain_hash64`` of each name, as a uint64 array in input order.
+
+    For names already known to be distinct, such as a vocabulary: the
+    digests are joined and read in one ``np.frombuffer``, with no cache.
+    """
+    return np.frombuffer(b"".join(map(_digest8, domains)), dtype="<u8")
 
 
 def uniform_draw(key0: int, t: int) -> float:

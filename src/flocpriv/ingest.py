@@ -41,7 +41,7 @@ import numpy as np
 
 from . import kernels, special
 from .geo import UNKNOWN_STATE, state_for_zip
-from .hashing import domain_hash64, seed_key
+from .hashing import domain_hashes64, seed_key
 from .psl import SuffixSet, registrable_domain
 
 RACE_GROUPS: tuple[str, ...] = ("white", "black", "asian", "other")
@@ -477,7 +477,7 @@ class MachineWeekTable:
     @cached_property
     def vocab_hashes(self) -> np.ndarray:
         """Each vocabulary entry's 64-bit domain hash, computed on first use."""
-        return np.fromiter(map(domain_hash64, self.vocab), dtype=np.uint64, count=len(self.vocab))
+        return domain_hashes64(self.vocab)
 
     def week_values(self) -> np.ndarray:
         return np.unique(self.week_indices)

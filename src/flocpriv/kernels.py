@@ -3,13 +3,20 @@
 A SimHash feature depends only on (domain hash, bit, seed), so the kernel
 tabulates ``F[v, b]`` once for each distinct domain hash ``v`` and then sums
 table rows per CSR row. Results are bit-identical to the scalar definition
-in ``simhash.gaussian_feature``: the uniform draws are exact (integer
-scramble, then an exact power-of-two scale), each feature adds its 12
-uniforms in order before subtracting 6.0, and each row adds its features in
-ascending domain-hash order. ``np.sum`` is pairwise and would round
-differently, so both reductions are written as explicit sequential adds.
-Rows may list their domains in any order: the kernel sorts each row by hash
-itself, and equal hashes share a table row, so their order changes no sum.
+in ``simhash.gaussian_feature``: each feature adds its 12 uniforms in order
+before subtracting 6.0, and each row adds its features in ascending
+domain-hash order. ``np.sum`` is pairwise and would round differently, so
+both reductions are written as explicit sequential adds. Rows may list
+their domains in any order: the kernel sorts each row by hash itself, and
+equal hashes share a table row, so their order changes no sum.
+
+A uniform is a 53-bit integer draw times 2**-53. The table adds the integer
+draws themselves, read as int64 (exact in float64, being below 2**53), and
+scales each feature's sum by 2**-53 once at the end. That is exact: no
+partial sum is subnormal, and rounding commutes with a power-of-two scale,
+so each partial sum is the scalar one times 2**53. No draw is cast
+from uint64, because NumPy has no fast uint64-to-float64 conversion and
+buffers it, while the int64 view of the same bits converts in one pass.
 
 Both the table fill and the row sums work through blocks of about
 ``_BLOCK`` elements, in buffers allocated once per call, so the working set
@@ -20,7 +27,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hashing import DRAWS_PER_FEATURE, GOLDEN, INV_2_53, MIX_C1, MIX_C2, check_bit_length
+from .hashing import (
+    DRAWS_PER_FEATURE,
+    GOLDEN,
+    INV_2_53,
+    MASK64,
+    MIX_C1,
+    MIX_C2,
+    check_bit_length,
+)
 
 KERNEL_NAME = "numpy-table"
 
@@ -54,31 +69,36 @@ def _feature_table(keys: np.ndarray, bit_length: int) -> np.ndarray:
 
     Draw j of bit b uses counter t = b * 12 + j, i.e. the scramble of
     ``key + GOLDEN * (t + 1)`` (wrapping mod 2**64). The table is filled
-    block by block of whole key rows; each draw is scrambled, shifted and
-    scaled in the reused ``x``/``tmp``/``u`` buffers.
+    block by block of whole key rows. Each block computes
+    ``base = key + GOLDEN * (12 b + 1)`` once, so draw j is ``base`` plus the
+    scalar ``GOLDEN * j`` (the same value mod 2**64), and each draw is
+    scrambled and shifted in the reused ``x``/``tmp`` buffers. The block
+    adds the shifted draws through their int64 view, in units of 2**-53,
+    then scales by ``INV_2_53`` and subtracts 6.0: bit-identical to adding
+    the uniforms, for the reasons in the module docstring.
     """
-    counters = (
-        np.arange(1, bit_length * DRAWS_PER_FEATURE + 1, dtype=np.uint64) * _U64(GOLDEN)
-    ).reshape(bit_length, DRAWS_PER_FEATURE).T.copy()  # row j: draw j of every bit
+    bases = np.arange(1, bit_length * DRAWS_PER_FEATURE + 1, DRAWS_PER_FEATURE, dtype=np.uint64)
+    bases *= _U64(GOLDEN)
+    steps = [_U64(GOLDEN * j & MASK64) for j in range(DRAWS_PER_FEATURE)]
     table = np.empty((len(keys), bit_length))
     block = max(1, min(_BLOCK // bit_length, len(keys)))
-    x = np.empty((block, bit_length), dtype=np.uint64)
-    tmp = np.empty_like(x)
-    u = np.empty((block, bit_length))
+    base = np.empty((block, bit_length), dtype=np.uint64)
+    x = np.empty_like(base)
+    tmp = np.empty_like(base)
     for lo in range(0, len(keys), block):
         chunk = keys[lo : lo + block, None]
         n = len(chunk)
         acc = table[lo : lo + n]
-        for j in range(DRAWS_PER_FEATURE):
-            np.add(chunk, counters[j], out=x[:n])
+        np.add(chunk, bases, out=base[:n])
+        for j, step in enumerate(steps):
+            np.add(base[:n], step, out=x[:n])
             _mix64(x[:n], tmp[:n])
             x[:n] >>= _SHIFT_11
-            # exact: a 53-bit integer times a power of two
             if j == 0:
-                np.multiply(x[:n], INV_2_53, out=acc)
+                np.copyto(acc, x[:n].view(np.int64))
             else:
-                np.multiply(x[:n], INV_2_53, out=u[:n])
-                acc += u[:n]
+                np.add(acc, x[:n].view(np.int64), out=acc)
+        acc *= INV_2_53  # exact: a power-of-two scale of normal floats
         acc -= 6.0
     return table
 

@@ -30,6 +30,19 @@ class CohortError(ValueError):
     """Raised when a population cannot be clustered at the requested k."""
 
 
+def _check_k(k: int) -> None:
+    """Raise ``CohortError`` unless ``k >= 1``: every cohort needs a member."""
+    if k < 1:
+        raise CohortError(f"k must be >= 1, got {k}")
+
+
+def _json_int(value: Any, field: str) -> int:
+    """``value`` if it is a JSON integer; ``CohortError`` naming ``field`` if not."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise CohortError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 class CohortMap:
     """Immutable prefix -> cohort-id mapping for one week's population.
 
@@ -56,8 +69,7 @@ class CohortMap:
         """Check the leaves and return the smallest hash each covers."""
         bits = self.bit_length
         check_bit_length(bits, CohortError)
-        if self.k < 1:
-            raise CohortError(f"k must be >= 1, got {self.k}")
+        _check_k(self.k)
         n = len(self.prefixes)
         if n == 0:
             raise CohortError("cohort map has no buckets")
@@ -141,18 +153,19 @@ class CohortMap:
     @classmethod
     def from_json_dict(cls, payload: dict[str, Any]) -> "CohortMap":
         entries = payload["entries"]
-        if [int(item["cohort_id"]) for item in entries] != list(range(len(entries))):
+        ids = [_json_int(item["cohort_id"], "cohort_id") for item in entries]
+        if ids != list(range(len(entries))):
             raise CohortError("cohort ids must number buckets in prefix order")
         prefixes = [item["prefix"] for item in entries]
         for prefix in prefixes:
             if not isinstance(prefix, str) or not set(prefix) <= {"0", "1"}:
                 raise CohortError(f"bucket prefix {prefix!r} is not a string of 0s and 1s")
         return cls(
-            int(payload["bit_length"]),
-            int(payload["k"]),
+            _json_int(payload["bit_length"], "bit_length"),
+            _json_int(payload["k"], "k"),
             [int(prefix, 2) if prefix else 0 for prefix in prefixes],
             list(map(len, prefixes)),
-            [int(item["count"]) for item in entries],
+            [_json_int(item["count"], "count") for item in entries],
         )
 
     def __eq__(self, other: object) -> bool:
@@ -175,8 +188,7 @@ def build_cohort_map(hash_values: np.ndarray, k: int, bit_length: int) -> Cohort
     population is smaller than k, or when a hash is wider than bit_length.
     """
     check_bit_length(bit_length, CohortError)
-    if k < 1:
-        raise CohortError(f"k must be >= 1, got {k}")
+    _check_k(k)
     values = np.sort(np.asarray(hash_values, dtype=np.uint64))
     if len(values) < k:
         raise CohortError(f"population of {len(values)} cannot support k={k}")

@@ -14,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from . import kernels
 from .hashing import (
     DRAWS_PER_FEATURE,
     MASK64,
     check_bit_length,
     domain_hash64,
+    domain_hashes64,
     mix64,
     seed_key,
     uniform_draw,
@@ -61,6 +60,6 @@ def simhash(domains: Iterable[str], config: SimHashConfig = SimHashConfig()) -> 
     unique = set(domains)
     if not unique:
         raise ValueError("cannot hash an empty domain set")
-    values = np.fromiter((domain_hash64(d) for d in unique), dtype=np.uint64, count=len(unique))
+    values = domain_hashes64(unique)
     out = kernels.simhash_rows(values, [0, len(values)], config.bit_length, seed_key(config.seed))
     return int(out[0])

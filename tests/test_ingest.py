@@ -436,10 +436,10 @@ class TestMachineWeekTable:
                 MachineWeekTable.load(path)
 
     def test_building_loading_and_saving_never_hash_a_domain(self, tmp_path, monkeypatch):
-        def refuse(name):
-            raise AssertionError(f"hashed {name!r}")
+        def refuse(names):
+            raise AssertionError(f"hashed {list(names)!r}")
 
-        monkeypatch.setattr(ingest, "domain_hash64", refuse)
+        monkeypatch.setattr(ingest, "domain_hashes64", refuse)
         rows = _sessions_for(2, DOMAINS_7[::-1]) + _sessions_for(1, [f"a{i}.com" for i in range(8)])
         built = build_machine_weeks(_parse(rows).records, WeekConfig())
         path = tmp_path / "table.tsv"
@@ -451,6 +451,15 @@ class TestMachineWeekTable:
         ]
         with pytest.raises(AssertionError, match="hashed"):
             loaded.hashes(50, 7)
+
+    def test_vocabulary_hashes_leave_the_scalar_hash_cache_alone(self):
+        rows = _sessions_for(1, [f"uncached{i}.com" for i in range(8)])
+        table = build_machine_weeks(_parse(rows).records, WeekConfig()).table
+        assert len(table.vocab) == 8
+        before = hashing.domain_hash64.cache_info().currsize
+        hashes = table.vocab_hashes
+        assert hashing.domain_hash64.cache_info().currsize == before
+        assert hashes.tolist() == [hashing.domain_hash64(d) for d in table.vocab]
 
     def test_empty_domains_field_is_a_row_without_domains(self, tmp_path):
         path = tmp_path / "table.tsv"
@@ -594,7 +603,9 @@ class TestTableIOMatchesOracle:
         def colliding(name):
             return real(alias.get(name, name))
 
-        monkeypatch.setattr(ingest, "domain_hash64", colliding)
+        monkeypatch.setattr(
+            ingest, "domain_hashes64", lambda names: np.array(list(map(colliding, names)), np.uint64)
+        )
         monkeypatch.setattr("table_io_oracle.domain_hash64", colliding)
         palette = ["a.com", "b.com", "c.com", "d.com", "e.com", "f.com", "g.com"]
         rng = random.Random(4)

@@ -210,6 +210,26 @@ class TestJsonRoundTrip:
             with pytest.raises(CohortError, match="wider than its stated length"):
                 CohortMap(64, 1, prefixes, lengths, [1] * len(lengths))
 
+    def test_non_integer_numbers_rejected(self):
+        payload = {
+            "bit_length": 1.9,
+            "k": True,
+            "entries": [{"prefix": "", "cohort_id": 0.5, "count": 2.7}],
+        }
+        with pytest.raises(CohortError, match="must be an integer"):
+            CohortMap.from_json_dict(payload)
+
+    @pytest.mark.parametrize("field", ["bit_length", "k", "cohort_id", "count"])
+    @pytest.mark.parametrize("value", [1.0, 2.5, True, False, "1", "2"])
+    def test_each_integer_field_rejects_other_types(self, field, value):
+        payload = build_cohort_map(_hashes([0, 1, 2, 3]), 1, 2).to_json_dict()
+        assert CohortMap.from_json_dict(payload).to_json_dict() == payload
+        target = payload if field in ("bit_length", "k") else payload["entries"][0]
+        target[field] = value
+        message = f"{field} must be an integer, got {value!r}"
+        with pytest.raises(CohortError, match=re.escape(message)):
+            CohortMap.from_json_dict(payload)
+
     def test_malformed_json_rejected(self):
         cmap = build_cohort_map(_hashes([0, 1, 2, 3]), 2, 3)
         payload = cmap.to_json_dict()

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flocpriv import kernels
@@ -25,6 +25,7 @@ from flocpriv.hashing import (
     MIX_C2,
     derive_seed,
     domain_hash64,
+    domain_hashes64,
     mix64,
     seed_key,
     uniform_draw,
@@ -49,6 +50,20 @@ class TestHashing:
             hashlib.blake2b(b"example.com", digest_size=8).digest(), "little"
         )
         assert domain_hash64("example.com") == expected
+
+    def test_batch_domain_hashes_match_the_scalar_hash(self):
+        names = ["example.com", "a.b.c.org", "bücher.de", "例え.テスト", "🙂.example", "x"]
+        names += [f"top{i}.example" for i in range(16)]
+        expected = [domain_hash64(name) for name in names]
+        assert any(h >> 63 for h in expected) and not all(h >> 63 for h in expected)
+        got = domain_hashes64(names)
+        assert got.dtype == np.uint64
+        assert got.tolist() == expected
+        assert domain_hashes64(iter(names)).tolist() == expected
+
+    def test_batch_domain_hashes_of_nothing_is_empty(self):
+        got = domain_hashes64([])
+        assert got.dtype == np.uint64 and got.shape == (0,)
 
     def test_mix64_bijective_on_samples(self, rng):
         xs = rng.integers(0, 2**63, size=1000, dtype=np.uint64)
@@ -326,6 +341,10 @@ class TestKernels:
 
     @settings(max_examples=300, deadline=None)
     @given(_feature_table_cases())
+    # Keys whose ``key + GOLDEN * t`` wraps past 2**64 at the first draws.
+    @example((np.array([0, 2**64 - 1, 2**64 - GOLDEN], dtype=np.uint64), 50, 1000))
+    @example((np.array([0, 2**64 - 1, 2**64 - GOLDEN], dtype=np.uint64), 64, 64))
+    @example((np.array([2**64 - GOLDEN, 0, 2**64 - 1] * 3, dtype=np.uint64), 1, 7))
     def test_feature_table_matches_whole_array_oracle(self, case):
         keys, bits, block = case
         with mock.patch.object(kernels, "_BLOCK", block):

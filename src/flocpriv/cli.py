@@ -39,7 +39,7 @@ from .ingest import (
     representativeness,
 )
 from .manifest import dump_json, write_manifest, write_text
-from .panels import JointDistribution, PanelError, cluster_panel, stratified_panels
+from .panels import JointDistribution, PanelError, _is_number, cluster_panel, stratified_panels
 from .prefixlsh import CohortError
 from .psl import SuffixSet
 from .sensitivity import (
@@ -184,9 +184,15 @@ def _cmd_preprocess(args: argparse.Namespace) -> dict[str, str]:
         race, income = _machine_demographics(built.table)
         report["representativeness"] = {}
         for attribute, idx, groups in (("race", race, RACE_GROUPS), ("income", income, INCOME_GROUPS)):
+            shares = reference.get(attribute) if isinstance(reference, dict) else None
+            if not (isinstance(shares, dict) and all(map(_is_number, shares.values()))):
+                raise PipelineError(
+                    f"reference {args.reference}: {attribute!r} must map to an object of "
+                    "finite shares"
+                )
             observed = {g: float((idx == i).mean()) for i, g in enumerate(groups)}
             try:
-                r, p = representativeness(observed, reference[attribute])
+                r, p = representativeness(observed, shares)
                 fit = {"r": r, "p_value": p}
             except ConstantInputError:
                 fit = {"r": None, "p_value": None, "reason": "constant shares"}

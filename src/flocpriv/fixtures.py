@@ -64,7 +64,7 @@ def make_table1_sessions(config: SimHashConfig = SimHashConfig()) -> str:
     session = 0
     for device in range(1, 7):
         for week in range(3):
-            for domain in sorted(_device_week_domains(device, week, config)):
+            for domain in _device_week_domains(device, week, config):
                 session += 1
                 lines.append(
                     f"{100 + device}\t{session}\t{domain}\t{_WEEK_DATES[week]}\t"

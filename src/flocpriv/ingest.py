@@ -20,12 +20,11 @@ once per ``build_machine_weeks`` call. Integer fields are ASCII digits
 with an optional leading "-"; any other spelling is rejected, not
 converted.
 
-Table text is handled per line only where a line has its own fields:
+A row is a set of domains, and only the table's constructor orders them.
 ``load`` splits and checks each line, then treats the domains of all
-lines in bulk (one join and split, a sort of each row's names, one
-vectorised comparison of neighbours that finds a domain named twice, one
-interning pass), and ``save_text`` sorts every row's domain names in one
-array sort and joins each row once.
+lines in bulk (one join and split, one interning pass, one comparison of
+neighbours in the built table that finds a domain named twice), and
+``save_text`` joins each row's names once.
 """
 
 from __future__ import annotations
@@ -368,41 +367,14 @@ def _intern(names: list[str]) -> tuple[list[str], np.ndarray]:
     return list(first), index[at]
 
 
-def _name_ranks(vocab: Sequence[str]) -> np.ndarray:
-    """Each vocabulary entry's position in name order."""
-    ranks = np.empty(len(vocab), dtype=np.int64)
-    ranks[sorted(range(len(vocab)), key=vocab.__getitem__)] = np.arange(len(vocab))
-    return ranks
-
-
-def _sort_runs(names: list[str], counts: Sequence[int]) -> None:
-    """Sort each row's run of ``names`` in place; row i holds the next ``counts[i]``."""
-    offsets = np.cumsum([0, *counts]).tolist()
-    for lo, hi in zip(offsets, offsets[1:]):
-        names[lo:hi] = sorted(names[lo:hi])
-
-
-def _sort_each_row(names: list[str], counts: Sequence[int]) -> list[int]:
-    """Sort each row's run of ``names`` in place; return the rows naming one twice.
-
-    Row i holds the next ``counts[i]`` names. After the sort a repeat sits
-    next to itself, so one vectorised comparison of neighbours finds it.
-    """
-    _sort_runs(names, counts)
-    row = np.repeat(np.arange(len(counts)), counts)
-    text = np.array(names, dtype=object)
-    repeated = (text[1:] == text[:-1]) & (row[1:] == row[:-1])
-    return np.unique(row[1:][repeated]).tolist()
-
-
 class MachineWeekTable:
     """Columnar store of machine-weeks, one row per (machine, epoch week).
 
     Rows are strictly ascending by ``(machine_id, week_index)``, so no
     (machine, week) appears twice; the constructor raises ``ValueError``
-    otherwise. Domains are interned in a vocabulary; each row's domain
-    indices keep the order they were given in: name order from ``load``
-    and ``build_machine_weeks``.
+    otherwise. Domains are interned in a vocabulary. A row is a set, so the
+    constructor puts the vocabulary in name order (``str`` order) and each
+    row's indices ascending, whatever order they were given in.
     """
 
     def __init__(
@@ -423,9 +395,15 @@ class MachineWeekTable:
         self.race_idx = np.asarray(race_idx, dtype=np.int8)
         self.income_idx = np.asarray(income_idx, dtype=np.int8)
         self.state_idx = np.asarray(state_idx, dtype=np.int16)
-        self.dom_indices = np.asarray(dom_indices, dtype=np.int32)
         self.offsets = np.asarray(offsets, dtype=np.int64)
-        self.vocab = list(vocab)
+        vocab = list(vocab)
+        by_name = sorted(range(len(vocab)), key=vocab.__getitem__)
+        self.vocab = list(map(vocab.__getitem__, by_name))
+        rank = np.argsort(by_name)  # each entry's position in name order
+        width = max(len(vocab), 1)
+        row = np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
+        keys = np.sort(row * width + rank[np.asarray(dom_indices, dtype=np.intp)])
+        self.dom_indices = (keys % width).astype(np.int32)
         ids, weeks = self.machine_ids, self.week_indices
         unordered = (ids[1:] < ids[:-1]) | ((ids[1:] == ids[:-1]) & (weeks[1:] <= weeks[:-1]))
         if unordered.any():
@@ -450,19 +428,14 @@ class MachineWeekTable:
     ) -> "MachineWeekTable":
         """Table from per-row columns, rows ascending by ``(machine_id, week)``.
 
-        Row i is ``keys[i]`` and holds the next ``counts[i]`` of ``names``;
-        each row's names must be distinct and ascending. States are interned
-        in row order after ``UNKNOWN_STATE``, and domains in first-seen
-        order, which is the order a walk over the rows meets them.
+        Row i is ``keys[i]`` and holds the next ``counts[i]`` of ``names``,
+        in any order. States are interned in row order after
+        ``UNKNOWN_STATE``; domains are interned as met, and the constructor
+        puts them in name order.
         """
         ids = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=2 * len(keys))
         ids = ids.reshape(-1, 2)  # (machine_id, week) per row
         labels, state_idx = _intern([UNKNOWN_STATE, *states])
-        if len(labels) > _INT16_MAX + 1:
-            raise ValueError(
-                f"{len(labels)} distinct states; int16 state indices hold at most "
-                f"{_INT16_MAX + 1}"
-            )
         vocab, dom_indices = _intern(names)
         offsets = np.zeros(len(ids) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -486,9 +459,9 @@ class MachineWeekTable:
         return np.nonzero(self.week_indices == week)[0]
 
     def domains(self, i: int) -> list[str]:
-        """Row i's domain names, sorted."""
+        """Row i's domain names, in name order."""
         lo, hi = self.offsets[i], self.offsets[i + 1]
-        return sorted(self.vocab[j] for j in self.dom_indices[lo:hi])
+        return list(map(self.vocab.__getitem__, self.dom_indices[lo:hi].tolist()))
 
     def hashes(self, bit_length: int, seed: int) -> np.ndarray:
         """Per-row hash bitvectors, cached per (bit_length, seed)."""
@@ -510,20 +483,14 @@ class MachineWeekTable:
         """
         if self._ranking is None:
             counts = np.bincount(self.dom_indices, minlength=len(self.vocab))
-            order = np.lexsort((_name_ranks(self.vocab), -counts))
+            # The vocabulary is in name order, so a stable sort breaks ties by name.
+            order = np.argsort(-counts, kind="stable")
             self._ranking = (order[: np.count_nonzero(counts)], counts)
         return self._ranking
 
     def save_text(self) -> str:
-        """The table as deterministic TSV text (domains sorted, |-joined)."""
-        v = len(self.vocab)
-        name_rank = _name_ranks(self.vocab)
-        by_name = np.empty_like(name_rank)
-        by_name[name_rank] = np.arange(v)
-        row_of = np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.offsets))
-        # A row's domains are distinct, so its (row, name rank) keys are too.
-        keys = np.sort(row_of * v + name_rank[self.dom_indices])
-        names = list(map(self.vocab.__getitem__, by_name[keys % v].tolist()))
+        """The table as deterministic TSV text (each row's domains in name order, |-joined)."""
+        names = list(map(self.vocab.__getitem__, self.dom_indices.tolist()))
         bounds = self.offsets.tolist()
         columns = zip(
             map(str, self.machine_ids.tolist()),
@@ -543,13 +510,13 @@ class MachineWeekTable:
 
     @classmethod
     def load(cls, path: str) -> "MachineWeekTable":
-        """Read a table written by ``save``; lines may come in any order.
+        """Read a table written by ``save``; lines and a line's names may come in any order.
 
         The file is read once. Each line is split and its fields checked
         on their own. The domains of all lines are then handled in bulk:
-        split from one joined string in row order, sorted row by row,
-        checked for repeats with one vectorised comparison of neighbours,
-        and interned in one pass.
+        split from one joined string in row order and interned in one
+        pass; a domain listed twice then sits next to itself in the built
+        table's sorted row, where one comparison of neighbours finds it.
 
         A malformed line raises ``ValueError("<path>:<line>: ...")`` for the
         first offending line: a wrong field count, a machine ID or week
@@ -600,23 +567,31 @@ class MachineWeekTable:
         )
         counts = [d.count("|") + 1 if d else 0 for d in fields]
         joined = "|".join(filter(None, fields))
-        names = joined.split("|") if joined else []
-        # Every line before a failing one was kept, so a repeat found here
-        # is on an earlier line than the failure.
-        repeats = _sort_each_row(names, counts)
-        if repeats:
-            first = min(linenos[r] for r in repeats)
-            raise ValueError(f"{path}:{first}: a domain is listed twice")
-        if problem is not None:
-            raise ValueError(f"{path}:{lineno}: {problem}")
-        return cls._from_columns(
+        table = cls._from_columns(
             keys,
             states,
             list(map(_RACE_CODES.__getitem__, races)),
             list(map(_INCOME_CODES.__getitem__, incomes)),
-            names,
+            joined.split("|") if joined else [],
             counts,
         )
+        # Every line before a failing one was kept, so a repeat found here
+        # is on an earlier line than the failure.
+        dom, row = table.dom_indices, np.repeat(np.arange(len(table)), counts)
+        repeated = row[1:][(dom[1:] == dom[:-1]) & (row[1:] == row[:-1])]
+        if len(repeated):
+            first = min(linenos[r] for r in repeated.tolist())
+            raise ValueError(f"{path}:{first}: a domain is listed twice")
+        if problem is not None:
+            raise ValueError(f"{path}:{lineno}: {problem}")
+        # A file-wide limit, checked after every line's checks; past it the
+        # table's int16 state indices have wrapped, so it is not returned.
+        if len(table.state_labels) > _INT16_MAX + 1:
+            raise ValueError(
+                f"{len(table.state_labels)} distinct states; int16 state indices hold at most "
+                f"{_INT16_MAX + 1}"
+            )
+        return table
 
 
 @dataclass
@@ -673,7 +648,6 @@ def build_machine_weeks(
     counts = np.bincount(pairs // width, minlength=len(rows))
     keep = counts >= cfg.min_domains
     names = list(map(domains.__getitem__, (pairs[keep[pairs // width]] % width).tolist()))
-    _sort_runs(names, counts[keep].tolist())
     row_machine, row_week = np.divmod(rows[keep], span)
     line = first[row_machine]  # each kept row's machine's first line
     states = [state_for_zip(records.zip_codes[i]) for i in first.tolist()]

@@ -9,6 +9,7 @@ panels give independent-ish views of the same population.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any, Sequence
@@ -19,6 +20,12 @@ from .ingest import INCOME_GROUPS, RACE_GROUPS, MachineWeekTable
 from .prefixlsh import CohortMap, build_cohort_map
 
 N_CELLS = len(RACE_GROUPS) * len(INCOME_GROUPS)
+
+
+def _is_number(value: Any) -> bool:
+    """Whether a JSON value is a finite number (``bool`` is not one)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max  # False for NaN and ints beyond float
 
 
 class PanelError(ValueError):
@@ -37,19 +44,13 @@ class JointDistribution:
         ):
             raise ValueError("joint distribution must be race x income shaped")
         flat = [p for row in self.cells for p in row]
-        if any(p < 0 for p in flat):
+        if not all(p >= 0 for p in flat):  # NaN fails too
             raise ValueError("cell probabilities must be non-negative")
         if abs(sum(flat) - 1.0) > 1e-9:
             raise ValueError(f"cell probabilities sum to {sum(flat)!r}, not 1")
 
     def flat(self) -> np.ndarray:
         return np.array([p for row in self.cells for p in row], dtype=np.float64)
-
-    def race_marginal(self) -> np.ndarray:
-        return self.flat().reshape(len(RACE_GROUPS), len(INCOME_GROUPS)).sum(axis=1)
-
-    def income_marginal(self) -> np.ndarray:
-        return self.flat().reshape(len(RACE_GROUPS), len(INCOME_GROUPS)).sum(axis=0)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -59,10 +60,23 @@ class JointDistribution:
         }
 
     @classmethod
-    def from_json_dict(cls, payload: dict[str, Any]) -> "JointDistribution":
+    def from_json_dict(cls, payload: Any) -> "JointDistribution":
+        """The distribution of a ``to_json_dict`` payload; a bad key is a ``ValueError``."""
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"joint distribution must be a JSON object, not {type(payload).__name__}"
+            )
+        for key in ("race", "income", "probabilities"):
+            if not isinstance(payload.get(key), list):
+                raise ValueError(f"joint distribution needs a list under {key!r}")
         if tuple(payload["race"]) != RACE_GROUPS or tuple(payload["income"]) != INCOME_GROUPS:
             raise ValueError("joint distribution labels do not match canonical groups")
-        return cls(tuple(tuple(float(p) for p in row) for row in payload["probabilities"]))
+        rows = payload["probabilities"]
+        if not all(isinstance(row, list) and all(map(_is_number, row)) for row in rows):
+            raise ValueError(
+                "joint distribution 'probabilities' must be a list of lists of finite numbers"
+            )
+        return cls(tuple(tuple(float(p) for p in row) for row in rows))
 
     @classmethod
     def default(cls) -> "JointDistribution":

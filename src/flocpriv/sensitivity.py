@@ -436,11 +436,15 @@ def ot_scale_control(
     are i.i.d. from the target joint. Members are streamed in fixed blocks
     of at most ``min(_OT_BLOCK, chunk_size)`` through buffers allocated
     once, so scratch memory is constant and only the per-cohort demographic
-    count matrices are held, never the member-level population.
+    count matrices are held, never the member-level population. A count
+    below 1, a ratio below 1 or a non-finite ``t`` or ratio is a ``ValueError``.
     """
     for name, value in (("num_cohorts", num_cohorts), ("k", k), ("chunk_size", chunk_size)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    for name, value in (("cohort_size_ratio", cohort_size_ratio), ("t", t)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     n_members = int(round(num_cohorts * k * cohort_size_ratio))
     n_direct = num_cohorts * k
     if n_direct > n_members:

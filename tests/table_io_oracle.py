@@ -2,8 +2,9 @@
 
 ``OracleTable`` keeps the earlier constructor, which hashes the whole
 vocabulary up front, the per-row builder ``_from_rows``, the per-line
-``load`` and the per-row ``save_text``. Like the runtime's, its rows keep
-their domains in the order given, which is name order here. Tests compare
+``load`` and the per-row ``save_text``. Like the runtime's, its
+vocabulary is in name order and each row lists its domains in name order,
+here by interning the sorted set of names. Tests compare
 the runtime ``MachineWeekTable`` with it array by array and byte by byte.
 The one rule added since is the rejection of an empty domain name, marked
 below, so that malformed files raise the same message from both.
@@ -73,7 +74,8 @@ class OracleTable(MachineWeekTable):
         """Table from ``{(machine_id, week): (state, race, income, domains)}``."""
         keys = sorted(rows)
         n = len(keys)
-        vocab: dict[str, int] = {}
+        names = sorted({d for _, _, _, domains in rows.values() for d in domains})
+        vocab = {d: i for i, d in enumerate(names)}
         states: dict[str, int] = {UNKNOWN_STATE: 0}
         race_idx = np.empty(n, dtype=np.int8)
         income_idx = np.empty(n, dtype=np.int8)
@@ -85,7 +87,7 @@ class OracleTable(MachineWeekTable):
             state_idx[i] = states.setdefault(state, len(states))
             race_idx[i] = RACE_GROUPS.index(race)
             income_idx[i] = INCOME_GROUPS.index(income)
-            dom_indices.extend(vocab.setdefault(d, len(vocab)) for d in sorted(domains))
+            dom_indices.extend(vocab[d] for d in sorted(domains))
             offsets[i + 1] = len(dom_indices)
         return cls(
             np.array([m for m, _ in keys], dtype=np.int64),

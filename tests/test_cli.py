@@ -224,6 +224,78 @@ class TestPipelineErrors:
         assert json.loads(capsys.readouterr().err)["message"] == message
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "name, flag, payload, error, message",
+        [
+            ("t-closeness", "--target", {"race": list(RACE_GROUPS), "probabilities": []},
+             "ValueError", "joint distribution needs a list under 'income'"),
+            ("ot-control", "--target", {"race": list(RACE_GROUPS), "probabilities": []},
+             "ValueError", "joint distribution needs a list under 'income'"),
+            ("synth", "--target", {"race": list(RACE_GROUPS), "probabilities": []},
+             "ValueError", "joint distribution needs a list under 'income'"),
+            ("ot-control", "--target", [[0.0625] * 4] * 4,
+             "ValueError", "joint distribution must be a JSON object, not list"),
+            ("synth", "--target",
+             {"race": list(RACE_GROUPS), "income": list(INCOME_GROUPS), "probabilities": [1] * 16},
+             "ValueError",
+             "joint distribution 'probabilities' must be a list of lists of finite numbers"),
+            ("preprocess", "--reference", {"race": {g: 0.25 for g in RACE_GROUPS}},
+             "PipelineError", "'income' must map to an object of finite shares"),
+            ("preprocess", "--reference", [0.25, 0.25, 0.25, 0.25],
+             "PipelineError", "'race' must map to an object of finite shares"),
+            ("preprocess", "--reference",
+             {"race": {g: 0.25 for g in RACE_GROUPS}, "income": [0.25] * 4},
+             "PipelineError", "'income' must map to an object of finite shares"),
+            ("preprocess", "--reference",
+             {"race": {g: None for g in RACE_GROUPS}, "income": {g: 0.25 for g in INCOME_GROUPS}},
+             "PipelineError", "'race' must map to an object of finite shares"),
+            ("preprocess", "--reference",
+             {"race": {g: 10**400 for g in RACE_GROUPS}, "income": {g: 1 for g in INCOME_GROUPS}},
+             "PipelineError", "'race' must map to an object of finite shares"),
+        ],
+        ids=["t-closeness-target-no-income", "ot-control-target-no-income",
+             "synth-target-no-income", "ot-control-target-list", "synth-target-flat",
+             "reference-no-income", "reference-list", "reference-income-list",
+             "reference-null-shares", "reference-huge-integer-shares"],
+    )
+    def test_malformed_json_input_is_a_json_error(
+        self, capsys, tmp_path, synth_table, name, flag, payload, error, message
+    ):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        sessions = tmp_path / "sessions.tsv"
+        sessions.write_text(bundled_table1_sessions())
+        flags = {
+            "t-closeness": ["--table", synth_table, "--k", 10, "--panels", 1],
+            "ot-control": ["--cohorts", 5, "--k", 10],
+            "synth": ["--machines", 60, "--weeks", 1, "--vocab", 300],
+            "preprocess": ["--sessions", sessions],
+        }[name]
+        out = tmp_path / "o"
+        assert _run(name, "--out", out, *flags, flag, path) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        blob = json.loads(err)
+        assert blob["error"] == error
+        assert blob["message"].endswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--t", "nan"], "t must be finite, got nan"),
+            (["--t", "inf"], "t must be finite, got inf"),
+            (["--ratio", "inf"], "cohort_size_ratio must be finite, got inf"),
+            (["--ratio", "nan"], "cohort_size_ratio must be finite, got nan"),
+        ],
+        ids=["t-nan", "t-inf", "ratio-inf", "ratio-nan"],
+    )
+    def test_ot_control_rejects_non_finite_values(self, capsys, tmp_path, flags, message):
+        out = tmp_path / "o"
+        assert _run("ot-control", "--out", out, "--cohorts", 5, "--k", 10, *flags) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+        assert not out.exists()
+
     def test_report_requires_manifests(self, capsys, tmp_path):
         empty = tmp_path / "not_a_run"
         empty.mkdir()

@@ -19,6 +19,7 @@ from flocpriv import hashing, ingest
 
 from flocpriv.geo import UNKNOWN_STATE, representative_zip, state_for_zip
 from flocpriv.psl import SuffixSet, registrable_domain
+from flocpriv.synth import _INCOME_TO_CODE, _RACE_TO_CODE
 from flocpriv.ingest import (
     INCOME_GROUPS,
     RACE_GROUPS,
@@ -621,6 +622,89 @@ class TestTableIOMatchesOracle:
             for bits, seed in ((50, 7), (64, 0)):
                 assert np.array_equal(table.hashes(bits, seed), oracle.hashes(bits, seed))
         assert collided > 30
+
+
+# ---------------------------------------------------------------------------
+# One table whatever path builds it.
+
+#: Registrable names whose first-seen order is rarely name order;
+#: "site100000.com" sorts before "site10001.com".
+_CANONICAL_NAMES = (
+    "site10001.com", "site100000.com", "b.com", "a.org", "aa.com", "a.com", "a-b.com",
+    "z.net", "x.co.uk",
+)
+
+
+@st.composite
+def _canonical_rows(draw):
+    """``{(machine, week): (state, race, income, names)}``, demographics per machine."""
+    machines = draw(st.lists(st.integers(-3, 2**40), unique=True, min_size=1, max_size=4))
+    demographics = {
+        m: (draw(st.sampled_from(("AL", "CA", "NY"))), draw(st.sampled_from(RACE_GROUPS)),
+            draw(st.sampled_from(INCOME_GROUPS)))
+        for m in machines
+    }
+    keys = draw(st.lists(st.tuples(st.sampled_from(machines), st.integers(0, 3)),
+                         unique=True, min_size=1, max_size=8))
+    return {
+        key: (*demographics[key[0]],
+              draw(st.lists(st.sampled_from(_CANONICAL_NAMES), unique=True, min_size=1)))
+        for key in keys
+    }
+
+
+def _assert_canonical(table):
+    assert table.vocab == sorted(set(table.vocab))
+    for lo, hi in zip(table.offsets[:-1], table.offsets[1:]):
+        assert np.all(np.diff(table.dom_indices[lo:hi]) > 0)
+
+
+class TestCanonicalTable:
+    """The builder, ``load`` and the constructor order domains one way."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=_canonical_rows(), data=st.data())
+    def test_every_path_gives_the_same_arrays(self, rows, data):
+        keys = sorted(rows)
+        session_lines = [
+            _row(machine=m, domain=name,
+                 date=(WeekConfig().epoch + dt.timedelta(weeks=w)).strftime("%Y%m%d"),
+                 income=_INCOME_TO_CODE[income], race=_RACE_TO_CODE[race],
+                 zip_code=representative_zip(state))
+            for (m, w), (state, race, income, names) in rows.items() for name in names
+        ]
+        built = build_machine_weeks(
+            _parse(data.draw(st.permutations(session_lines))).records, WeekConfig(min_domains=1)
+        ).table
+
+        table_lines = [
+            "\t".join([str(m), str(w), state, race, income,
+                       "|".join(data.draw(st.permutations(names)))])
+            for (m, w), (state, race, income, names) in rows.items()
+        ]
+        directory, path = _write(data.draw(st.permutations(table_lines)))
+        with directory:
+            loaded = MachineWeekTable.load(path)
+
+        names = sorted({name for *_, row_names in rows.values() for name in row_names})
+        vocab = data.draw(st.permutations(names))
+        index = {name: i for i, name in enumerate(vocab)}
+        states = list(dict.fromkeys([UNKNOWN_STATE] + [rows[key][0] for key in keys]))
+        constructed = MachineWeekTable(
+            [m for m, _ in keys],
+            [w for _, w in keys],
+            states,
+            [RACE_GROUPS.index(rows[key][1]) for key in keys],
+            [INCOME_GROUPS.index(rows[key][2]) for key in keys],
+            [states.index(rows[key][0]) for key in keys],
+            [index[name] for key in keys for name in data.draw(st.permutations(rows[key][3]))],
+            np.cumsum([0] + [len(rows[key][3]) for key in keys]),
+            vocab,
+        )
+        for table in (built, loaded, constructed):
+            _assert_canonical(table)
+        _assert_same_table(loaded, built)
+        _assert_same_table(constructed, built)
 
 
 # ---------------------------------------------------------------------------

@@ -89,28 +89,32 @@ class TestApportion:
         assert np.all(out[probs == 0] == 0)
 
 
+_NOT_NUMBERS = "'probabilities' must be a list of lists of finite numbers"
+
+
+def _first_cell(value):
+    """A payload edit that sets the first probability to ``value``."""
+    return lambda blob: blob["probabilities"][0].__setitem__(0, value)
+
+
 class TestJointDistribution:
     def test_default_is_a_proper_distribution(self, default_joint):
         flat = default_joint.flat()
         assert flat.shape == (16,)
         assert flat.min() > 0
         assert abs(flat.sum() - 1.0) < 1e-12
-        assert abs(default_joint.race_marginal().sum() - 1.0) < 1e-12
-        assert abs(default_joint.income_marginal().sum() - 1.0) < 1e-12
-
-    def test_marginals_collapse_the_right_axis(self):
-        cells = tuple(
-            tuple((r + 1) * (i + 1) / 100 for i in range(4)) for r in range(4)
-        )
-        joint = JointDistribution(cells)
-        assert np.allclose(joint.race_marginal(), [10 / 100, 20 / 100, 30 / 100, 40 / 100])
-        assert np.allclose(joint.income_marginal(), [10 / 100, 20 / 100, 30 / 100, 40 / 100])
+        grid = flat.reshape(4, 4)
+        assert abs(grid.sum(axis=1).sum() - 1.0) < 1e-12
+        assert abs(grid.sum(axis=0).sum() - 1.0) < 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError, match="shaped"):
             JointDistribution(((1.0,),))
         bad = [[1 / 16] * 4 for _ in range(4)]
         bad[0][0], bad[0][1] = -0.01, 2 / 16 + 0.01
+        with pytest.raises(ValueError, match="non-negative"):
+            JointDistribution(tuple(tuple(row) for row in bad))
+        bad[0][0], bad[0][1] = float("nan"), 2 / 16
         with pytest.raises(ValueError, match="non-negative"):
             JointDistribution(tuple(tuple(row) for row in bad))
         with pytest.raises(ValueError, match="sum to"):
@@ -122,6 +126,33 @@ class TestJointDistribution:
         blob["race"] = ["a", "b", "c", "d"]
         with pytest.raises(ValueError, match="labels"):
             JointDistribution.from_json_dict(blob)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda blob: blob.pop("income"), "needs a list under 'income'"),
+            (lambda blob: blob.pop("probabilities"), "needs a list under 'probabilities'"),
+            (lambda blob: blob.update(race="white"), "needs a list under 'race'"),
+            (lambda blob: blob.update(probabilities=[1 / 16] * 16), _NOT_NUMBERS),
+            (_first_cell(None), _NOT_NUMBERS),
+            (_first_cell(True), _NOT_NUMBERS),
+            (_first_cell(float("nan")), _NOT_NUMBERS),
+            (_first_cell(10**400), _NOT_NUMBERS),
+        ],
+        ids=["no_income", "no_probabilities", "race_not_list", "flat_probabilities",
+             "null_probability", "bool_probability", "nan_probability",
+             "huge_integer_probability"],
+    )
+    def test_malformed_payload_names_the_key(self, default_joint, edit, message):
+        blob = default_joint.to_json_dict()
+        edit(blob)
+        with pytest.raises(ValueError, match=message):
+            JointDistribution.from_json_dict(blob)
+
+    @pytest.mark.parametrize("payload", [[], "joint", None])
+    def test_payload_must_be_an_object(self, payload):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            JointDistribution.from_json_dict(payload)
 
 
 class TestStratifiedPanels:

@@ -583,13 +583,18 @@ class TestOTScaleControl:
             ({"k": 0}, "k must be >= 1, got 0"),
             ({"chunk_size": 0}, "chunk_size must be >= 1, got 0"),
             ({"chunk_size": -5}, "chunk_size must be >= 1, got -5"),
+            ({"t": float("nan")}, "t must be finite, got nan"),
+            ({"t": float("inf")}, "t must be finite, got inf"),
+            ({"cohort_size_ratio": float("inf")}, "cohort_size_ratio must be finite, got inf"),
+            ({"cohort_size_ratio": float("nan")}, "cohort_size_ratio must be finite, got nan"),
         ],
-        ids=["ratio", "num_cohorts", "k", "chunk_zero", "chunk_negative"],
+        ids=["ratio", "num_cohorts", "k", "chunk_zero", "chunk_negative", "t_nan", "t_inf",
+             "ratio_inf", "ratio_nan"],
     )
     def test_ratio_below_one_rejected(self, default_joint, changes, message):
-        kwargs = {"num_cohorts": 10, "k": 10, "cohort_size_ratio": 1.5, **changes}
+        kwargs = {"num_cohorts": 10, "k": 10, "cohort_size_ratio": 1.5, "t": 0.1, **changes}
         with pytest.raises(ValueError, match=f"^{message}$"):
-            ot_scale_control(**kwargs, target=default_joint, t=0.1, seed=0)
+            ot_scale_control(**kwargs, target=default_joint, seed=0)
 
     def test_tight_threshold_flags_everything(self, default_joint):
         res = ot_scale_control(8, 5, 1.0, default_joint, t=-1.0, seed=0)

@@ -330,7 +330,6 @@ def _cmd_ot_control(args: argparse.Namespace) -> dict[str, str]:
         target=target,
         t=args.t,
         seed=args.seed,
-        chunk_size=args.chunk_size,
     )
     return {"ot_control.json": dump_json(result.to_json_dict())}
 
@@ -361,8 +360,12 @@ def _cmd_report(args: argparse.Namespace) -> dict[str, str]:
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", help="output directory (created if missing)")
-    sp.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
     sp.add_argument("--config", help="JSON file supplying flag defaults")
+
+
+def _add_seed(sp: argparse.ArgumentParser) -> None:
+    """The sampling seed, for the subcommands that sample."""
+    sp.add_argument("--seed", type=int, default=0, help="root seed for sampling randomness")
 
 
 def _add_analysis_flags(sp: argparse.ArgumentParser, k: bool = True, window: bool = True) -> None:
@@ -408,6 +411,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--reference", help="JSON {race: {...}, income: {...}} reference shares")
 
     sp = sub("synth", _cmd_synth, "generate a synthetic population")
+    _add_seed(sp)
     sp.add_argument("--machines", type=int, default=1000)
     sp.add_argument("--weeks", type=int, default=4)
     sp.add_argument("--vocab", type=int, default=20000)
@@ -424,6 +428,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sp = sub("sweep-n", _cmd_sweep_n, "unicity vs population size")
     _add_analysis_flags(sp)
+    _add_seed(sp)
     sp.add_argument("--grid", help="comma-separated machine counts (required)")
 
     sp = sub("sweep-k", _cmd_sweep_k, "unicity vs anonymity level")
@@ -432,6 +437,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sp = sub("t-closeness", _cmd_t_closeness, "violation curves with baselines")
     _add_analysis_flags(sp, window=False)
+    _add_seed(sp)
     sp.add_argument("--panels", type=int, default=10, help="panels per week")
     sp.add_argument("--attribute", choices=("race", "income", "both"), default="both")
     sp.add_argument("--t-grid", help='"start:stop:step" or comma list (default 0:0.5:0.01)')
@@ -440,18 +446,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sp = sub("chisq", _cmd_chisq, "browsing-difference chi-square tests")
     sp.add_argument("--table")
+    _add_seed(sp)
     sp.add_argument("--d-grid", default="10,20,30,40,50,60,70,80,90,100")
     sp.add_argument("--attribute", choices=("race", "income", "both"), default="both")
     sp.add_argument("--control-runs", type=int, default=0)
     sp.add_argument("--control-fraction", type=float, default=0.25)
 
     sp = sub("ot-control", _cmd_ot_control, "deployment-scale streamed control")
+    _add_seed(sp)
     sp.add_argument("--cohorts", type=int, default=33872)
     sp.add_argument("--k", type=int, default=2000)
     sp.add_argument("--ratio", type=float, default=1.5)
     sp.add_argument("--t", type=float, default=0.1)
     sp.add_argument("--target", help="joint distribution JSON (default: bundled)")
-    sp.add_argument("--chunk-size", type=int, default=4_000_000)
 
     sp = sub("report", _cmd_report, "aggregate run manifests")
     sp.add_argument("runs", nargs="*", help="run directories to summarize")

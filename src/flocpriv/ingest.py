@@ -373,8 +373,9 @@ class MachineWeekTable:
     Rows are strictly ascending by ``(machine_id, week_index)``, so no
     (machine, week) appears twice; the constructor raises ``ValueError``
     otherwise. Domains are interned in a vocabulary. A row is a set, so the
-    constructor puts the vocabulary in name order (``str`` order) and each
-    row's indices ascending, whatever order they were given in.
+    constructor keeps only the names some row holds, puts them in name
+    order (``str`` order) and each row's indices ascending, whatever
+    vocabulary and order they were given in.
     """
 
     def __init__(
@@ -397,12 +398,15 @@ class MachineWeekTable:
         self.state_idx = np.asarray(state_idx, dtype=np.int16)
         self.offsets = np.asarray(offsets, dtype=np.int64)
         vocab = list(vocab)
-        by_name = sorted(range(len(vocab)), key=vocab.__getitem__)
+        dom_indices = np.asarray(dom_indices, dtype=np.intp)
+        used = np.flatnonzero(np.bincount(dom_indices, minlength=len(vocab))).tolist()
+        by_name = sorted(used, key=vocab.__getitem__)
         self.vocab = list(map(vocab.__getitem__, by_name))
-        rank = np.argsort(by_name)  # each entry's position in name order
-        width = max(len(vocab), 1)
+        rank = np.zeros(len(vocab), dtype=np.intp)  # each used entry's position in name order
+        rank[by_name] = np.arange(len(by_name))
+        width = max(len(by_name), 1)
         row = np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
-        keys = np.sort(row * width + rank[np.asarray(dom_indices, dtype=np.intp)])
+        keys = np.sort(row * width + rank[dom_indices])
         self.dom_indices = (keys % width).astype(np.int32)
         ids, weeks = self.machine_ids, self.week_indices
         unordered = (ids[1:] < ids[:-1]) | ((ids[1:] == ids[:-1]) & (weeks[1:] <= weeks[:-1]))
@@ -477,15 +481,14 @@ class MachineWeekTable:
         """Visited domains ranked by machine-week visit count, cached.
 
         Returns ``(order, counts)``: ``counts[v]`` is the number of rows
-        holding vocabulary entry ``v``, and ``order`` lists the entries with
-        a nonzero count by descending count, ties by ascending name, so the
-        top-D domains are ``order[:D]``.
+        holding vocabulary entry ``v`` (at least 1), and ``order`` lists the
+        entries by descending count, ties by ascending name, so the top-D
+        domains are ``order[:D]``.
         """
         if self._ranking is None:
             counts = np.bincount(self.dom_indices, minlength=len(self.vocab))
             # The vocabulary is in name order, so a stable sort breaks ties by name.
-            order = np.argsort(-counts, kind="stable")
-            self._ranking = (order[: np.count_nonzero(counts)], counts)
+            self._ranking = (np.argsort(-counts, kind="stable"), counts)
         return self._ranking
 
     def save_text(self) -> str:

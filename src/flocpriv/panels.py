@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -140,7 +140,6 @@ def stratified_panels(
     *,
     bit_length: int,
     sim_seed: int,
-    weeks: Sequence[int] | None = None,
 ) -> list[Panel]:
     """Draw ``panels_per_week`` disjoint stratified panels for each week.
 
@@ -154,10 +153,9 @@ def stratified_panels(
     rng = np.random.default_rng(seed)
     probs = target.flat()
     panels: list[Panel] = []
-    week_list = list(weeks) if weeks is not None else [int(w) for w in table.week_values()]
     all_hashes = table.hashes(bit_length, sim_seed)
 
-    for week in week_list:
+    for week in table.week_values().tolist():
         rows = table.rows_for_week(week)
         cells = table.race_idx[rows].astype(np.int64) * len(INCOME_GROUPS) + table.income_idx[rows]
         avail = np.bincount(cells, minlength=N_CELLS)

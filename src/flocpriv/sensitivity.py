@@ -196,9 +196,8 @@ def t_closeness_curve(
     attribute: str,
     *,
     shuffled: Sequence[Panel] | None = None,
-    confidence: float = 0.95,
 ) -> TClosenessReport:
-    """Mean violating fraction across panels with Student-t CIs.
+    """Mean violating fraction across panels with 95% Student-t CIs.
 
     ``shuffled`` panels (if given) fill the empirical-null column; the
     analytic column uses the mean cohort size and pooled population
@@ -207,7 +206,7 @@ def t_closeness_curve(
     if len(panels) < 2:
         raise ValueError("need at least 2 panels for a confidence interval")
     curves = np.stack([violation_curve(p, t_grid, attribute) for p in panels])
-    intervals = special.mean_confidence_intervals(curves.T.tolist(), confidence)
+    intervals = special.mean_confidence_intervals(curves.T.tolist())
     means = [m for m, _, _ in intervals]
     lows = [lo for _, lo, _ in intervals]
     highs = [hi for _, _, hi in intervals]
@@ -426,26 +425,31 @@ def ot_scale_control(
     target: JointDistribution,
     t: float,
     seed: int,
-    *,
-    chunk_size: int = 4_000_000,
 ) -> OTControlResult:
     """Streamed t-closeness check on a deployment-scale population.
 
     Members number num_cohorts * k * ratio. The first num_cohorts * k get
     cohort id (index // k); the rest draw cohorts uniformly. Demographics
     are i.i.d. from the target joint. Members are streamed in fixed blocks
-    of at most ``min(_OT_BLOCK, chunk_size)`` through buffers allocated
-    once, so scratch memory is constant and only the per-cohort demographic
-    count matrices are held, never the member-level population. A count
-    below 1, a ratio below 1 or a non-finite ``t`` or ratio is a ``ValueError``.
+    of at most ``_OT_BLOCK`` through buffers allocated once, so scratch
+    memory is constant and only the per-cohort demographic count matrices
+    are held, never the member-level population. A count below 1, a ratio
+    below 1, a non-finite ``t`` or ratio, or a non-finite member count is a
+    ``ValueError``.
     """
-    for name, value in (("num_cohorts", num_cohorts), ("k", k), ("chunk_size", chunk_size)):
+    for name, value in (("num_cohorts", num_cohorts), ("k", k)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     for name, value in (("cohort_size_ratio", cohort_size_ratio), ("t", t)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    n_members = int(round(num_cohorts * k * cohort_size_ratio))
+    try:
+        members = num_cohorts * k * cohort_size_ratio
+    except OverflowError:  # an integer product beyond the float range
+        members = math.inf
+    if not math.isfinite(members):
+        raise ValueError(f"num_cohorts * k * cohort_size_ratio must be finite, got {members!r}")
+    n_members = int(round(members))
     n_direct = num_cohorts * k
     if n_direct > n_members:
         raise ValueError("cohort_size_ratio must be >= 1")
@@ -459,7 +463,7 @@ def ot_scale_control(
     rng_cell = np.random.default_rng(derive_seed(seed, "ot-control", 1))
     cell_lut = _cell_lookup_table(cell_cum)
 
-    block = min(_OT_BLOCK, chunk_size, n_members)
+    block = min(_OT_BLOCK, n_members)
     u = np.empty(block)
     bins = np.empty(block, dtype=np.uint16)
     cells = np.empty(block, dtype=np.uint8)

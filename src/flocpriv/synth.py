@@ -11,6 +11,7 @@ a session log in the raw ingest format), fully determined by the seed.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .geo import STATES, representative_zip
 from .hashing import derive_seed
-from .ingest import INCOME_GROUPS, RACE_GROUPS, MachineWeekTable
+from .ingest import INCOME_GROUPS, RACE_GROUPS, MachineWeekTable, WeekConfig
 from .panels import N_CELLS, JointDistribution
 
 
@@ -35,7 +36,6 @@ class SynthConfig:
     #: Mixing weight of the cell-specific ranking (0 = no demographic signal).
     skew: float = 0.25
     joint: JointDistribution = field(default_factory=JointDistribution.default)
-    states: tuple[str, ...] = STATES
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -49,6 +49,18 @@ class SynthConfig:
             raise ValueError(f"skew must be in [0, 1], got {self.skew}")
         if not 0 <= self.top_stratum <= self.vocab_size:
             raise ValueError("top_stratum must be within the vocabulary")
+        # A row draws max_domains distinct domains, which only positive
+        # weights can supply; otherwise _draw_rows would never finish.
+        if not math.isfinite(self.zipf_exponent):
+            raise ValueError(f"zipf_exponent must be finite, got {self.zipf_exponent!r}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = _zipf_weights(self.vocab_size, self.zipf_exponent)
+        drawable = int(np.count_nonzero(np.isfinite(weights) & (weights > 0)))
+        if drawable < self.max_domains:
+            raise ValueError(
+                f"zipf_exponent {self.zipf_exponent!r} gives {drawable} positive finite "
+                f"weights, fewer than max_domains {self.max_domains}"
+            )
 
 
 @dataclass
@@ -58,7 +70,7 @@ class GeneratedPopulation:
     machine_ids: np.ndarray
     race_idx: np.ndarray
     income_idx: np.ndarray
-    state_idx: np.ndarray  # into config.states
+    state_idx: np.ndarray  # into geo.STATES
 
     def demographics_json(self) -> dict:
         cells = self.race_idx.astype(np.int64) * len(INCOME_GROUPS) + self.income_idx
@@ -149,7 +161,7 @@ def generate_population(cfg: SynthConfig) -> GeneratedPopulation:
     cell_of_machine = rng_demo.choice(N_CELLS, size=cfg.n_machines, p=cfg.joint.flat())
     race_idx = (cell_of_machine // len(INCOME_GROUPS)).astype(np.int8)
     income_idx = (cell_of_machine % len(INCOME_GROUPS)).astype(np.int8)
-    state_idx = rng_demo.integers(0, len(cfg.states), size=cfg.n_machines).astype(np.int16)
+    state_idx = rng_demo.integers(0, len(STATES), size=cfg.n_machines).astype(np.int16)
 
     weights = _cell_weights(cfg, rng_pref)
     vocab = [f"site{v:05d}.com" for v in range(cfg.vocab_size)]
@@ -173,11 +185,10 @@ def generate_population(cfg: SynthConfig) -> GeneratedPopulation:
     row_mask = np.arange(dom_values.shape[1]) < sizes[:, None]
     dom_indices = dom_values[row_mask].astype(np.int32)
 
-    state_labels = list(cfg.states)
     table = MachineWeekTable(
         machine_ids[row_machine],
         row_week.astype(np.int32),
-        state_labels,
+        STATES,
         race_idx[row_machine],
         income_idx[row_machine],
         state_idx[row_machine],
@@ -199,14 +210,14 @@ _RACE_TO_CODE = {"white": "1", "black": "2", "asian": "4", "other": "3"}
 _INCOME_TO_CODE = {"lt25k": "4", "25k_75k": "10", "75k_150k": "14", "ge150k": "16"}
 
 
-def write_sessions(
-    pop: GeneratedPopulation, fh: TextIO, epoch: dt.date = dt.date(2017, 1, 1)
-) -> int:
+def write_sessions(pop: GeneratedPopulation, fh: TextIO) -> int:
     """Emit the population as a raw session log (one row per visit).
 
-    Returns the number of session rows written. Parsing the output back
-    through the ingest pipeline reproduces ``pop.table`` exactly.
+    Week w's visits are dated w weeks after ``WeekConfig().epoch``. Returns
+    the number of session rows written. Parsing the output back through
+    the ingest pipeline reproduces ``pop.table`` exactly.
     """
+    epoch = WeekConfig().epoch
     fh.write(
         "machine_id\tsession_id\tdomain\tdate\ttime\tpages\tduration\tincome\trace\tzip\n"
     )
@@ -220,7 +231,7 @@ def write_sessions(
         date = (epoch + dt.timedelta(weeks=int(table.week_indices[i]))).strftime("%Y%m%d")
         income = _INCOME_TO_CODE[INCOME_GROUPS[pop.income_idx[pos]]]
         race = _RACE_TO_CODE[RACE_GROUPS[pop.race_idx[pos]]]
-        zip_code = representative_zip(pop.config.states[pop.state_idx[pos]])
+        zip_code = representative_zip(STATES[pop.state_idx[pos]])
         for j in table.domains(i):
             session_id += 1
             fh.write(

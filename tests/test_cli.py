@@ -1,12 +1,15 @@
 """End-to-end CLI behavior: exit codes, outputs, config files, determinism."""
 
 import json
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flocpriv.cli import _parse_t_grid, main
+from flocpriv.cli import _parse_t_grid, build_parser, main
 from flocpriv.ingest import INCOME_GROUPS, RACE_GROUPS
 from flocpriv.sensitivity import DEFAULT_T_GRID
 from flocpriv.fixtures import (
@@ -68,6 +71,30 @@ class TestUsageErrors:
                 _run("unicity", "--out", tmp_path / "o", "--table", "t.tsv", "--config", cfg)
             assert exc.value.code == 2
 
+
+    @pytest.mark.parametrize(
+        "name, flags, removed",
+        [
+            ("preprocess", ["--sessions", "s.tsv"], {"seed": 1}),
+            ("cohorts", ["--table", "t.tsv"], {"seed": 1}),
+            ("unicity", ["--table", "t.tsv"], {"seed": 1}),
+            ("sweep-k", ["--table", "t.tsv", "--grid", "5"], {"seed": 1}),
+            ("report", [], {"seed": 1}),
+            ("ot-control", [], {"chunk_size": 7}),
+        ],
+        ids=["preprocess-seed", "cohorts-seed", "unicity-seed", "sweep-k-seed", "report-seed",
+             "ot-control-chunk-size"],
+    )
+    def test_removed_flags_are_usage_errors(self, tmp_path, name, flags, removed):
+        ((dest, value),) = removed.items()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(removed))
+        out = tmp_path / "o"
+        for extra in ([f"--{dest.replace('_', '-')}", value], ["--config", cfg]):
+            with pytest.raises(SystemExit) as exc:
+                _run(name, "--out", out, *flags, *extra)
+            assert exc.value.code == 2
+        assert not out.exists()
 
     def test_config_file_must_hold_an_object(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -287,13 +314,28 @@ class TestPipelineErrors:
             (["--t", "inf"], "t must be finite, got inf"),
             (["--ratio", "inf"], "cohort_size_ratio must be finite, got inf"),
             (["--ratio", "nan"], "cohort_size_ratio must be finite, got nan"),
+            (["--ratio", "1e308"], "num_cohorts * k * cohort_size_ratio must be finite, got inf"),
+            (["--cohorts", "1" + "0" * 400],
+             "num_cohorts * k * cohort_size_ratio must be finite, got inf"),
         ],
-        ids=["t-nan", "t-inf", "ratio-inf", "ratio-nan"],
+        ids=["t-nan", "t-inf", "ratio-inf", "ratio-nan", "members-inf", "cohorts-beyond-float"],
     )
     def test_ot_control_rejects_non_finite_values(self, capsys, tmp_path, flags, message):
         out = tmp_path / "o"
         assert _run("ot-control", "--out", out, "--cohorts", 5, "--k", 10, *flags) == 1
         assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exponent", ["nan", "1000", "-1000"])
+    def test_synth_rejects_zipf_exponents_that_cannot_fill_a_row(self, capsys, tmp_path, exponent):
+        out = tmp_path / "o"
+        assert _run(
+            "synth", "--out", out, "--machines", 5, "--weeks", 1, "--vocab", 200,
+            "--zipf-exponent", exponent,
+        ) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith("zipf_exponent ")
         assert not out.exists()
 
     def test_report_requires_manifests(self, capsys, tmp_path):
@@ -391,6 +433,46 @@ class TestRunOutputs:
         assert not out.exists()
 
 
+class _ReadRecorder:
+    """A parsed namespace that records which of its attributes are read."""
+
+    def __init__(self, args):
+        self._args = args
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._args, name)
+
+
+class TestEveryFlagIsRead:
+    def test_each_handler_reads_each_of_its_flags(self, tmp_path, synth_dir, synth_table):
+        sessions = tmp_path / "sessions.tsv"
+        sessions.write_text(bundled_table1_sessions())
+        table = ["--table", synth_table]
+        cases = {
+            "synth": ["--machines", 60, "--weeks", 1, "--vocab", 300],
+            "preprocess": ["--sessions", sessions],
+            "cohorts": [*table, "--k", 10],
+            "unicity": [*table, "--k", 10],
+            "sweep-n": [*table, "--k", 10, "--grid", "30,60"],
+            "sweep-k": [*table, "--grid", "10,20"],
+            "t-closeness": [*table, "--k", 10, "--panels", 1, "--target", "empirical"],
+            # --control-fraction is read only when there is a control run
+            "chisq": [*table, "--control-runs", 1],
+            "ot-control": ["--cohorts", 5, "--k", 10],
+            "report": [synth_dir],
+        }
+        parser, registry = build_parser()
+        assert sorted(cases) == sorted(registry)
+        for name, flags in cases.items():
+            args = parser.parse_args([name, *map(str, flags)])
+            recorder = _ReadRecorder(args)
+            args.func(recorder)
+            dests = {a.dest for a in registry[name]._actions} - {"help", "out", "config"}
+            assert dests - recorder.read == set(), name
+
+
 class TestSynthCommand:
     def test_outputs_and_manifest(self, synth_dir):
         manifest = json.loads((synth_dir / "manifest.json").read_text())
@@ -424,6 +506,59 @@ class TestSynthCommand:
         report = json.loads((pre / "ingest_report.json").read_text())
         assert report["n_machines"] == 25
         assert json.loads((pre / "rejects.json").read_text())["total"] == 0
+
+
+#: Session lines failing one check each, so rejects.json keeps one sample
+#: per reason whatever the line order.
+_BAD_SESSION_LINES = [
+    "1\t2\tsite00001.com",
+    "1\t2\tsite00001.com\t20171301\t12:00:00\t1\t60\t4\t1\t36832",
+    "1\t2\tsite00001.com\t20170101\t12:00:00\t1\t60\t4\t99\t36832",
+]
+
+
+def _preprocess(header, lines, *flags):
+    """preprocess's output files, by name, for a log of ``lines`` after ``header``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        sessions, out = Path(tmp) / "sessions.tsv", Path(tmp) / "pre"
+        sessions.write_text("\n".join([header, *lines]) + "\n")
+        assert _run("preprocess", "--out", out, "--sessions", sessions, *flags) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+
+@pytest.fixture(scope="module")
+def session_log(tmp_path_factory):
+    """Header and lines of a synth session log with no demographic conflict."""
+    out = tmp_path_factory.mktemp("sessions")
+    assert _run(
+        "synth", "--out", out, "--machines", 12, "--weeks", 2, "--vocab", 100,
+        "--seed", 2, "--emit", "sessions",
+    ) == 0
+    header, *lines = (out / "sessions.tsv").read_text().splitlines()
+    return header, lines + _BAD_SESSION_LINES
+
+
+class TestDemographicConflicts:
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_shuffled_log_without_conflicts_gives_the_same_outputs(self, session_log, data):
+        header, lines = session_log
+        shuffled = data.draw(st.permutations(lines))
+        expected = _preprocess(header, lines)
+        assert sorted(expected) == ["ingest_report.json", "machine_weeks.tsv", "rejects.json"]
+        assert json.loads(expected["rejects.json"])["total"] == len(_BAD_SESSION_LINES)
+        assert _preprocess(header, shuffled) == expected
+
+    def test_first_line_sets_demographics_and_others_conflict(self):
+        header = "machine_id\tsession_id\tdomain\tdate\ttime\tpages\tduration\tincome\trace\tzip"
+        a, b = ("\t".join(["1", "1", f"{name}.com", "20170101", "12:00:00", "1", "60", "4", race,
+                           "36832"]) for name, race in (("a", "1"), ("b", "2")))
+        for lines, conflicts, race in (([a, a, b], 1, "white"), ([b, a, a], 2, "black")):
+            files = _preprocess(header, lines, "--min-domains", 1)
+            report = json.loads(files["ingest_report.json"])
+            assert report["demographic_conflicts"] == conflicts
+            (row,) = files["machine_weeks.tsv"].decode().splitlines()[1:]
+            assert row.split("\t")[3] == race
 
 
 class TestAnalysisPipeline:

@@ -19,7 +19,7 @@ from flocpriv import hashing, ingest
 
 from flocpriv.geo import UNKNOWN_STATE, representative_zip, state_for_zip
 from flocpriv.psl import SuffixSet, registrable_domain
-from flocpriv.synth import _INCOME_TO_CODE, _RACE_TO_CODE
+from flocpriv.synth import _INCOME_TO_CODE, _RACE_TO_CODE, SynthConfig, generate_population
 from flocpriv.ingest import (
     INCOME_GROUPS,
     RACE_GROUPS,
@@ -705,6 +705,19 @@ class TestCanonicalTable:
             _assert_canonical(table)
         _assert_same_table(loaded, built)
         _assert_same_table(constructed, built)
+
+    def test_synth_table_keeps_only_the_names_its_rows_use(self, tmp_path):
+        cfg = SynthConfig(n_machines=500, seed=0)
+        table = generate_population(cfg).table
+        path = str(tmp_path / "table.tsv")
+        table.save(path)
+        loaded = MachineWeekTable.load(path)
+        _assert_canonical(table)
+        assert len(np.unique(table.dom_indices)) == len(table.vocab) < cfg.vocab_size
+        assert table.vocab == loaded.vocab
+        for name in ("dom_indices", "offsets", "vocab_hashes"):
+            assert np.array_equal(getattr(table, name), getattr(loaded, name)), name
+        assert loaded.save_text() == table.save_text()
 
 
 # ---------------------------------------------------------------------------

@@ -242,18 +242,12 @@ class TestStratifiedPanels:
         with pytest.raises(PanelError, match=">= 1"):
             stratified_panels(small_table, default_joint, 0, seed=0, bit_length=50, sim_seed=7)
 
-    def test_weeks_argument_restricts_output(self, small_table, default_joint):
-        panels = stratified_panels(
-            small_table, default_joint, 1, seed=2, bit_length=50, sim_seed=7, weeks=[1, 3]
-        )
-        assert [p.week_index for p in panels] == [1, 3]
-
 
 class TestClusterPanel:
     def test_cluster_attaches_consistent_map(self, small_table, default_joint):
-        (panel,) = stratified_panels(
-            small_table, default_joint, 1, seed=3, bit_length=50, sim_seed=7, weeks=[0]
-        )
+        panel = stratified_panels(
+            small_table, default_joint, 1, seed=3, bit_length=50, sim_seed=7
+        )[0]
         cluster_panel(panel, k=10, bit_length=50)
         assert panel.cohort_map is not None and panel.cohort_ids is not None
         counts = np.bincount(panel.cohort_ids, minlength=panel.cohort_map.num_cohorts)

@@ -1,5 +1,6 @@
 """Demographic leakage analyses: t-closeness, baselines, chi-square, controls."""
 
+import re
 import warnings
 from collections import Counter
 from types import SimpleNamespace
@@ -44,10 +45,8 @@ CHISQ_P_10_3 = 0.067889154861829023645  # Q(1/2, (10/3)/2)
 
 @pytest.fixture(scope="module")
 def clustered_panels(small_table, default_joint):
-    panels = stratified_panels(
-        small_table, default_joint, 3, seed=2, bit_length=50, sim_seed=7, weeks=[0, 1]
-    )
-    return [cluster_panel(p, k=15, bit_length=50) for p in panels]
+    panels = stratified_panels(small_table, default_joint, 3, seed=2, bit_length=50, sim_seed=7)
+    return [cluster_panel(p, k=15, bit_length=50) for p in panels[:6]]  # weeks 0 and 1
 
 
 def _balanced_panel():
@@ -73,7 +72,8 @@ def _balanced_panel():
 @st.composite
 def _tables(draw):
     """A small table over short names, so visit counts tie often and some
-    names are never visited; returns it with its rows as name lists."""
+    names given are never visited (the table drops them); returns it with
+    its rows as name lists."""
     names = draw(
         st.lists(st.text("ab.", min_size=1, max_size=3), min_size=1, max_size=10, unique=True)
     )
@@ -193,9 +193,9 @@ class TestTViolations:
         assert set(balanced.tolist()) == {0.0, 0.25, 0.5, 0.75}
 
     def test_unclustered_panel_rejected(self, small_table, default_joint):
-        (panel,) = stratified_panels(
-            small_table, default_joint, 1, seed=0, bit_length=50, sim_seed=7, weeks=[0]
-        )
+        panel = stratified_panels(
+            small_table, default_joint, 1, seed=0, bit_length=50, sim_seed=7
+        )[0]
         with pytest.raises(ValueError, match="cluster"):
             t_violations(panel, 0.1, "race")
 
@@ -517,11 +517,12 @@ class TestOTScaleControl:
 
     def test_chunking_does_not_change_the_result(self, default_joint):
         # 100 members get their cohort by index and the last 50 draw one;
-        # the chunk sizes straddle that boundary
+        # the block sizes straddle that boundary
         a = ot_scale_control(10, 10, 1.5, default_joint, t=0.9, seed=3)
-        for chunk_size in (1, 7, 99, 100, 101, 149, 150):
-            b = ot_scale_control(10, 10, 1.5, default_joint, t=0.9, seed=3, chunk_size=chunk_size)
-            assert a.to_json_dict() == b.to_json_dict(), chunk_size
+        for block in (1, 7, 99, 100, 101, 149, 150):
+            with mock.patch.object(sensitivity, "_OT_BLOCK", block):
+                b = ot_scale_control(10, 10, 1.5, default_joint, t=0.9, seed=3)
+            assert a.to_json_dict() == b.to_json_dict(), block
 
     @pytest.mark.parametrize("cells", list(_OT_JOINTS.values()), ids=list(_OT_JOINTS))
     def test_cell_lookup_matches_searchsorted(self, cells):
@@ -543,33 +544,30 @@ class TestOTScaleControl:
         )
         assert np.array_equal(cells_of_u, np.searchsorted(cum, u, side="right"))
 
-    @pytest.mark.parametrize("chunk_size", [7, 11_999, 12_001, 4_000_000])
+    @pytest.mark.parametrize("block", [7, 11_999, 12_001, 4_000_000])
     @pytest.mark.parametrize("cells", list(_OT_JOINTS.values()), ids=list(_OT_JOINTS))
-    def test_matches_unchunked_searchsorted_reference(self, cells, chunk_size):
+    def test_matches_unchunked_searchsorted_reference(self, cells, block):
         joint = JointDistribution(tuple(tuple(cells[r * 4 : r * 4 + 4]) for r in range(4)))
-        res = ot_scale_control(40, 300, 1.5, joint, t=0.05, seed=8, chunk_size=chunk_size)
+        with mock.patch.object(sensitivity, "_OT_BLOCK", block):
+            res = ot_scale_control(40, 300, 1.5, joint, t=0.05, seed=8)
         ref_violations, ref_max = _reference_control(40, 300, 1.5, joint, t=0.05, seed=8)
         assert res.violations == ref_violations
         assert res.max_excess == ref_max
 
     @pytest.mark.parametrize(
-        "num_cohorts, k, ratio, block, chunk_size",
+        "num_cohorts, k, ratio, block",
         [
-            (7, 50, 1.5, 16, 4_000_000),
-            (13, 30, 1.5, 100, 4_000_000),
-            (13, 30, 1.0, 100, 4_000_000),
-            (9, 40, 1.25, 2**16, 25),
-            (9, 40, 1.0, 2**16, 40),
+            (7, 50, 1.5, 16),
+            (13, 30, 1.5, 100),
+            (13, 30, 1.0, 100),
+            (9, 40, 1.25, 25),
+            (9, 40, 1.0, 40),
         ],
         ids=["k_above_block", "partial_last_block", "no_tail", "chunk_below_k", "chunk_equals_k"],
     )
-    def test_blocks_match_unchunked_reference(
-        self, default_joint, num_cohorts, k, ratio, block, chunk_size
-    ):
+    def test_blocks_match_unchunked_reference(self, default_joint, num_cohorts, k, ratio, block):
         with mock.patch.object(sensitivity, "_OT_BLOCK", block):
-            res = ot_scale_control(
-                num_cohorts, k, ratio, default_joint, t=0.05, seed=4, chunk_size=chunk_size
-            )
+            res = ot_scale_control(num_cohorts, k, ratio, default_joint, t=0.05, seed=4)
         ref_violations, ref_max = _reference_control(num_cohorts, k, ratio, default_joint, 0.05, 4)
         assert res.n_members == int(round(num_cohorts * k * ratio))
         assert res.violations == ref_violations
@@ -581,19 +579,21 @@ class TestOTScaleControl:
             ({"cohort_size_ratio": 0.5}, "cohort_size_ratio must be >= 1"),
             ({"num_cohorts": 0}, "num_cohorts must be >= 1, got 0"),
             ({"k": 0}, "k must be >= 1, got 0"),
-            ({"chunk_size": 0}, "chunk_size must be >= 1, got 0"),
-            ({"chunk_size": -5}, "chunk_size must be >= 1, got -5"),
             ({"t": float("nan")}, "t must be finite, got nan"),
             ({"t": float("inf")}, "t must be finite, got inf"),
             ({"cohort_size_ratio": float("inf")}, "cohort_size_ratio must be finite, got inf"),
             ({"cohort_size_ratio": float("nan")}, "cohort_size_ratio must be finite, got nan"),
+            ({"cohort_size_ratio": 1e308},
+             "num_cohorts * k * cohort_size_ratio must be finite, got inf"),
+            ({"num_cohorts": 10**400},
+             "num_cohorts * k * cohort_size_ratio must be finite, got inf"),
         ],
-        ids=["ratio", "num_cohorts", "k", "chunk_zero", "chunk_negative", "t_nan", "t_inf",
-             "ratio_inf", "ratio_nan"],
+        ids=["ratio", "num_cohorts", "k", "t_nan", "t_inf", "ratio_inf", "ratio_nan",
+             "members_inf", "members_beyond_float"],
     )
     def test_ratio_below_one_rejected(self, default_joint, changes, message):
         kwargs = {"num_cohorts": 10, "k": 10, "cohort_size_ratio": 1.5, "t": 0.1, **changes}
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ot_scale_control(**kwargs, target=default_joint, seed=0)
 
     def test_tight_threshold_flags_everything(self, default_joint):

@@ -1,11 +1,13 @@
 """Synthetic population generator: determinism, marginals, skew control."""
 
 import io
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from flocpriv.geo import STATES
 from flocpriv.ingest import FormatConfig, WeekConfig, build_machine_weeks, parse_sessions
 from flocpriv.panels import N_CELLS
 from flocpriv.sensitivity import chi_square_by_group
@@ -28,6 +30,23 @@ class TestConfigValidation:
             SynthConfig(skew=1.5)
         with pytest.raises(ValueError, match="top_stratum"):
             SynthConfig(vocab_size=50, top_stratum=51, max_domains=10)
+
+    @pytest.mark.parametrize(
+        "exponent, message",
+        [
+            (float("nan"), "zipf_exponent must be finite, got nan"),
+            (float("inf"), "zipf_exponent must be finite, got inf"),
+            (float("-inf"), "zipf_exponent must be finite, got -inf"),
+            (1000.0, "zipf_exponent 1000.0 gives 2 positive finite weights, fewer than "
+                     "max_domains 20"),
+            (-1000.0, "zipf_exponent -1000.0 gives 0 positive finite weights, fewer than "
+                      "max_domains 20"),
+        ],
+    )
+    def test_rejects_zipf_exponents_that_cannot_fill_a_row(self, exponent, message):
+        # Each of these made generate_population draw forever.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SynthConfig(n_machines=5, n_weeks=1, vocab_size=200, zipf_exponent=exponent)
 
 
 class TestDeterminism:
@@ -69,7 +88,7 @@ class TestTableShape:
 
     def test_states_all_known(self, small_population):
         assert small_population.state_idx.min() >= 0
-        assert small_population.state_idx.max() < len(small_population.config.states)
+        assert small_population.state_idx.max() < len(STATES)
 
 
 class TestDemographicMarginals:

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import kernels, special
 from .geo import UNKNOWN_STATE, state_for_zip
-from .hashing import domain_hashes64, seed_key
+from .hashing import check_bit_length, domain_hashes64, seed_key
 from .psl import SuffixSet, registrable_domain
 
 RACE_GROUPS: tuple[str, ...] = ("white", "black", "asian", "other")
@@ -468,12 +468,24 @@ class MachineWeekTable:
         return list(map(self.vocab.__getitem__, self.dom_indices[lo:hi].tolist()))
 
     def hashes(self, bit_length: int, seed: int) -> np.ndarray:
-        """Per-row hash bitvectors, cached per (bit_length, seed)."""
-        key = (int(bit_length), int(seed))
+        """Per-row hash bitvectors, cached per (bit_length, seed).
+
+        Bit b of a hash depends on feature b alone, so a narrower hash is
+        the top bits of a wider one. When some width W > ``bit_length`` is
+        cached for ``seed``, the result is that array shifted right by
+        W - ``bit_length``, and nothing is hashed.
+        """
+        bit_length, seed = int(bit_length), int(seed)
+        check_bit_length(bit_length)
+        key = (bit_length, seed)
         cached = self._hash_cache.get(key)
         if cached is None:
-            values = self.vocab_hashes[self.dom_indices]
-            cached = kernels.simhash_rows(values, self.offsets, bit_length, seed_key(seed))
+            wider = next((w for w, s in self._hash_cache if s == seed and w > bit_length), None)
+            if wider is None:
+                values = self.vocab_hashes[self.dom_indices]
+                cached = kernels.simhash_rows(values, self.offsets, bit_length, seed_key(seed))
+            else:
+                cached = self._hash_cache[wider, seed] >> np.uint64(wider - bit_length)
             self._hash_cache[key] = cached
         return cached
 

@@ -16,8 +16,10 @@ from typing import Any
 
 import numpy as np
 
+from .cohorts import cluster_rows, first_pass_width
 from .ingest import INCOME_GROUPS, RACE_GROUPS, MachineWeekTable
-from .prefixlsh import CohortMap, build_cohort_map
+from .prefixlsh import CohortMap
+from .simhash import SimHashConfig
 
 N_CELLS = len(RACE_GROUPS) * len(INCOME_GROUPS)
 
@@ -103,7 +105,13 @@ def apportion(total: int, probs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Panel:
-    """One stratified sample of a week's machine population."""
+    """One stratified sample of a week's machine population.
+
+    ``hashes`` are the rows' first-pass hashes: the top
+    ``cohorts.first_pass_width(bit_length)`` bits of each full-width hash.
+    ``cluster_panel`` hashes ``rows`` of ``table`` with ``hash_seed``, so it
+    needs both; ``stratified_panels`` sets them.
+    """
 
     panel_id: int
     week_index: int
@@ -114,6 +122,8 @@ class Panel:
     hashes: np.ndarray
     cohort_map: CohortMap | None = field(default=None)
     cohort_ids: np.ndarray | None = field(default=None)
+    table: MachineWeekTable | None = field(default=None, repr=False)
+    hash_seed: int | None = field(default=None)
 
     @property
     def size(self) -> int:
@@ -146,14 +156,15 @@ def stratified_panels(
     Panel size is the largest m for which every demographic cell can
     supply its apportioned count to all panels; cell counts then match
     the target exactly. Raises ``PanelError`` (naming the week and the
-    binding cell) when even m = 1 is infeasible.
+    binding cell) when even m = 1 is infeasible. Each panel's ``hashes``
+    hold the first pass of ``bit_length``-bit hashes with seed ``sim_seed``.
     """
     if panels_per_week < 1:
         raise PanelError("panels_per_week must be >= 1")
     rng = np.random.default_rng(seed)
     probs = target.flat()
     panels: list[Panel] = []
-    all_hashes = table.hashes(bit_length, sim_seed)
+    all_hashes = table.hashes(first_pass_width(bit_length), sim_seed)
 
     for week in table.week_values().tolist():
         rows = table.rows_for_week(week)
@@ -189,13 +200,22 @@ def stratified_panels(
                     race_idx=table.race_idx[panel_rows],
                     income_idx=table.income_idx[panel_rows],
                     hashes=all_hashes[panel_rows],
+                    table=table,
+                    hash_seed=sim_seed,
                 )
             )
     return panels
 
 
 def cluster_panel(panel: Panel, k: int, bit_length: int) -> Panel:
-    """Attach the panel's cohort map and per-machine cohort ids."""
-    panel.cohort_map = build_cohort_map(panel.hashes, k, bit_length)
-    panel.cohort_ids = panel.cohort_map.assign(panel.hashes)
+    """Attach the panel's cohort map and per-machine cohort ids.
+
+    The map is built on the panel rows' ``bit_length``-bit hashes with the
+    panel's ``hash_seed``, by ``cohorts.cluster_rows``. Raises
+    ``PanelError`` for a panel without a source table.
+    """
+    if panel.table is None or panel.hash_seed is None:
+        raise PanelError(f"panel {panel.panel_id} has no source table and hash seed to cluster")
+    config = SimHashConfig(bit_length, panel.hash_seed)
+    panel.cohort_map, panel.cohort_ids = cluster_rows(panel.table, panel.rows, k, config)
     return panel

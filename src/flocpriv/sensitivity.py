@@ -115,6 +115,8 @@ def shuffle_baseline(panel: Panel, seed: int) -> Panel:
         hashes=panel.hashes,
         cohort_map=panel.cohort_map,
         cohort_ids=panel.cohort_ids,
+        table=panel.table,
+        hash_seed=panel.hash_seed,
     )
 
 

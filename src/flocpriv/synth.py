@@ -23,6 +23,12 @@ from .ingest import INCOME_GROUPS, RACE_GROUPS, MachineWeekTable, WeekConfig
 from .panels import N_CELLS, JointDistribution
 
 
+#: Least weight a row's last domain may be drawn from. The weights outside
+#: the heaviest ``max_domains - 1`` bound the chance that a draw is new to a
+#: row, so a row needs about 1 / MIN_NEW_DRAW_MASS draws per domain at most.
+MIN_NEW_DRAW_MASS = 1e-4
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     n_machines: int = 1000
@@ -60,6 +66,15 @@ class SynthConfig:
             raise ValueError(
                 f"zipf_exponent {self.zipf_exponent!r} gives {drawable} positive finite "
                 f"weights, fewer than max_domains {self.max_domains}"
+            )
+        # A cell's blend of these weights with a permutation of them leaves at
+        # least as much weight outside its heaviest max_domains - 1.
+        tail = float(np.sort(weights)[: self.vocab_size - self.max_domains + 1].sum())
+        if tail < MIN_NEW_DRAW_MASS:
+            raise ValueError(
+                f"zipf_exponent {self.zipf_exponent!r} leaves weight {tail:.3g} outside the "
+                f"heaviest {self.max_domains - 1} domains, below {MIN_NEW_DRAW_MASS:g}: "
+                f"filling a row of max_domains {self.max_domains} would take too many draws"
             )
 
 

@@ -21,9 +21,10 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .cohorts import cluster_rows
 from .geo import UNKNOWN_STATE
 from .ingest import MachineWeekTable
-from .prefixlsh import CohortError, CohortMap, build_cohort_map
+from .prefixlsh import CohortError, CohortMap
 from .simhash import SimHashConfig
 
 
@@ -109,14 +110,11 @@ def assign_sequence_cohorts(
     """Cluster each relabeled position's pooled population at level k."""
     if seqs.n_samples == 0:
         raise CohortError(f"no complete {seqs.window}-week windows to cluster")
-    hashes = seqs.table.hashes(config.bit_length, config.seed)
     maps: list[CohortMap] = []
     ids = np.empty((seqs.n_samples, seqs.window), dtype=np.int32)
     for p in range(seqs.window):
-        position_hashes = hashes[seqs.row_matrix[:, p]]
-        cmap = build_cohort_map(position_hashes, k, config.bit_length)
+        cmap, ids[:, p] = cluster_rows(seqs.table, seqs.row_matrix[:, p], k, config)
         maps.append(cmap)
-        ids[:, p] = cmap.assign(position_hashes)
     return SequenceCohorts(k=k, window=seqs.window, maps=maps, cohort_ids=ids)
 
 

@@ -326,7 +326,7 @@ class TestPipelineErrors:
         assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
         assert not out.exists()
 
-    @pytest.mark.parametrize("exponent", ["nan", "1000", "-1000"])
+    @pytest.mark.parametrize("exponent", ["nan", "1000", "-1000", "10", "30"])
     def test_synth_rejects_zipf_exponents_that_cannot_fill_a_row(self, capsys, tmp_path, exponent):
         out = tmp_path / "o"
         assert _run(

@@ -1,0 +1,239 @@
+"""The two-pass hashing of cohort builds: the width rule, the cache, the fallback.
+
+A hash of width B is the top B bits of the same rows' hash at any wider
+width, and the table's cache derives narrower widths that way. Cohort
+builds hash 16 bits first and rehash at full width only when a leaf
+reaches 16 bits; the fallback tests count the kernel's calls to show it
+ran, and compare every map and id with a single full-width build.
+
+A node stops at its first failed split, so a leaf is as deep as an
+unbroken run of successful splits. At k = 1 that reaches 17 bits only in a
+population of a few thousand varied rows: 4,000 synth machines a week do.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flocpriv import kernels
+from flocpriv.cohorts import FIRST_PASS_BITS, compute_weekly_cohorts
+from flocpriv.geo import UNKNOWN_STATE
+from flocpriv.ingest import INCOME_GROUPS, RACE_GROUPS, MachineWeekTable
+from flocpriv.panels import JointDistribution, PanelError, cluster_panel, stratified_panels
+from flocpriv.prefixlsh import build_cohort_map
+from flocpriv.simhash import SimHashConfig
+from flocpriv.synth import SynthConfig, generate_population
+from flocpriv.unicity import assign_sequence_cohorts, build_sequences
+
+SHARED = [f"shared{i}.example" for i in range(40)]
+
+
+def _table(rows, weeks=None, vocab=None):
+    """A table of one machine per row (or per ``weeks`` run) from name lists."""
+    n = len(rows)
+    vocab = vocab or sorted({name for row in rows for name in row})
+    index = {name: i for i, name in enumerate(vocab)}
+    weeks = np.zeros(n, dtype=np.int64) if weeks is None else np.asarray(weeks)
+    machines = np.cumsum(np.r_[1, (np.diff(weeks) <= 0).astype(np.int64)]) if n else []
+    return MachineWeekTable(
+        machines,
+        weeks,
+        [UNKNOWN_STATE],
+        np.zeros(n),
+        np.zeros(n),
+        np.zeros(n),
+        [index[name] for row in rows for name in row],
+        np.cumsum([0] + [len(row) for row in rows]),
+        vocab,
+    )
+
+
+def _near_duplicates(n_machines, n_weeks=1):
+    """Each row holds the 40 shared domains and one of its own, so rows
+    agree on most hash bits, the top one among them."""
+    rows = [
+        SHARED + [f"m{m}w{w}.example"] for m in range(n_machines) for w in range(n_weeks)
+    ]
+    return _table(rows, weeks=np.tile(np.arange(n_weeks), n_machines))
+
+
+@pytest.fixture()
+def widths(monkeypatch):
+    """The bit length of every ``kernels.simhash_rows`` call, in order."""
+    calls = []
+    kernel = kernels.simhash_rows
+
+    def counting(values, offsets, bit_length, seed_key):
+        calls.append(int(bit_length))
+        return kernel(values, offsets, bit_length, seed_key)
+
+    monkeypatch.setattr(kernels, "simhash_rows", counting)
+    return calls
+
+
+def _full_build(table, rows, k, config):
+    """The map and ids of one build on the rows' full-width hashes."""
+    values = table.hashes(config.bit_length, config.seed)[rows]
+    cmap = build_cohort_map(values, k, config.bit_length)
+    return cmap, cmap.assign(values)
+
+
+@st.composite
+def _random_tables(draw):
+    """Rows of a few short names, empty rows included."""
+    names = draw(
+        st.lists(st.text("abc.", min_size=1, max_size=4), min_size=1, max_size=12, unique=True)
+    )
+    rows = draw(st.lists(st.sets(st.sampled_from(names), max_size=6), min_size=1, max_size=10))
+    return [sorted(row) for row in rows], names
+
+
+class TestWidthRule:
+    @settings(max_examples=60, deadline=None)
+    @given(_random_tables(), st.integers(1, 64), st.integers(1, 64), st.integers(0, 2**64 - 1))
+    def test_a_narrow_hash_is_the_top_bits_of_a_wide_one(self, case, a, b, seed):
+        rows, names = case
+        narrow, wide = sorted((a, b))
+        # Two tables, so neither width comes from the other's cache.
+        wide_hashes = _table(rows, vocab=names).hashes(wide, seed)
+        narrow_hashes = _table(rows, vocab=names).hashes(narrow, seed)
+        assert np.array_equal(wide_hashes >> np.uint64(wide - narrow), narrow_hashes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_random_tables(), st.integers(1, 64), st.integers(1, 64), st.integers(0, 2**64 - 1))
+    def test_the_cache_answers_as_a_fresh_table_does(self, case, first, second, seed):
+        rows, names = case
+        table = _table(rows, vocab=names)
+        table.hashes(first, seed)
+        got = table.hashes(second, seed)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, _table(rows, vocab=names).hashes(second, seed))
+
+    def test_a_narrower_width_is_derived_without_hashing(self, widths):
+        table = _near_duplicates(8)
+        table.hashes(50, 7)
+        table.hashes(16, 7)
+        table.hashes(3, 7)
+        assert widths == [50]
+        table.hashes(16, 8)  # another seed is hashed
+        table.hashes(60, 7)  # and so is a wider width
+        assert widths == [50, 16, 60]
+
+
+def _deep_table():
+    """4,000 synth machines x 2 weeks, each week's k = 1 map deeper than 16 bits."""
+    return generate_population(
+        SynthConfig(n_machines=4000, n_weeks=2, vocab_size=2000, seed=0)
+    ).table
+
+
+def _whole_week_target(table):
+    """The week's own cell shares, so one panel takes nearly every machine."""
+    cells = table.race_idx.astype(np.int64) * len(INCOME_GROUPS) + table.income_idx
+    probs = np.bincount(cells, minlength=16) / len(cells)
+    grid = probs.reshape(len(RACE_GROUPS), len(INCOME_GROUPS))
+    return JointDistribution(tuple(tuple(float(p) for p in row) for row in grid))
+
+
+class TestFallback:
+    def test_weekly_cohorts_rehash_when_a_leaf_reaches_16_bits(self, widths):
+        table = _deep_table()
+        config = SimHashConfig()
+        got = compute_weekly_cohorts(table, 1, config)
+        assert widths == [FIRST_PASS_BITS, config.bit_length]
+        for week in (0, 1):
+            rows = table.rows_for_week(week)
+            cmap, ids = _full_build(table, rows, 1, config)
+            assert cmap.lengths.max() > FIRST_PASS_BITS  # 16 bits could not give this map
+            assert got.maps[week] == cmap
+            assert np.array_equal(got.cohort_ids[rows], ids)
+
+    def test_sequence_positions_rehash_when_a_leaf_reaches_16_bits(self, widths):
+        table = _deep_table()
+        config = SimHashConfig()
+        seqs = build_sequences(table, window=2)
+        got = assign_sequence_cohorts(seqs, 1, config)
+        assert widths == [FIRST_PASS_BITS, config.bit_length]
+        for p in range(2):
+            cmap, ids = _full_build(table, seqs.row_matrix[:, p], 1, config)
+            assert cmap.lengths.max() > FIRST_PASS_BITS
+            assert got.maps[p] == cmap
+            assert np.array_equal(got.cohort_ids[:, p], ids)
+
+    def test_cluster_panel_rehashes_when_a_leaf_reaches_16_bits(self, widths):
+        table = _deep_table()
+        target = _whole_week_target(table)
+        panels = stratified_panels(table, target, 1, seed=0, bit_length=50, sim_seed=7)
+        assert widths == [FIRST_PASS_BITS]
+        cluster_panel(panels[0], k=1, bit_length=50)
+        assert widths == [FIRST_PASS_BITS, 50]
+        cmap, ids = _full_build(table, panels[0].rows, 1, SimHashConfig(50, 7))
+        assert cmap.lengths.max() > FIRST_PASS_BITS
+        assert panels[0].cohort_map == cmap
+        assert np.array_equal(panels[0].cohort_ids, ids)
+        # The panel's hashes are the first pass: the full hashes' top 16 bits.
+        full = table.hashes(50, 7)[panels[0].rows]
+        assert np.array_equal(panels[0].hashes, full >> np.uint64(50 - FIRST_PASS_BITS))
+
+    def test_rows_that_differ_by_one_domain_stop_at_their_first_shared_bit(self, widths):
+        table = _near_duplicates(64)
+        config = SimHashConfig()
+        got = compute_weekly_cohorts(table, 1, config)
+        assert widths == [FIRST_PASS_BITS]
+        cmap, ids = _full_build(table, table.rows_for_week(0), 1, config)
+        assert len(np.unique(table.hashes(50, 7))) > 1  # the full hashes differ
+        assert got.maps[0] == cmap
+        assert np.array_equal(got.cohort_ids, ids)
+
+    def test_equal_rows_do_not_force_the_fallback(self, widths):
+        table = _table([SHARED] * 64)
+        got = compute_weekly_cohorts(table, 1)
+        assert widths == [FIRST_PASS_BITS]
+        assert got.maps[0].num_cohorts == 1
+
+    def test_shallow_leaves_take_one_16_bit_pass(self, widths):
+        table = _deep_table()
+        config = SimHashConfig()
+        got = compute_weekly_cohorts(table, 10, config)
+        assert widths == [FIRST_PASS_BITS]
+        for week in (0, 1):
+            rows = table.rows_for_week(week)
+            cmap, ids = _full_build(table, rows, 10, config)
+            assert got.maps[week] == cmap
+            assert np.array_equal(got.cohort_ids[rows], ids)
+
+    @pytest.mark.parametrize("bit_length", [1, 12, 16])
+    def test_bit_length_up_to_16_takes_a_single_pass(self, widths, bit_length):
+        table = _deep_table()
+        config = SimHashConfig(bit_length=bit_length)
+        got = compute_weekly_cohorts(table, 1, config)
+        assert widths == [bit_length]
+        for week in (0, 1):
+            rows = table.rows_for_week(week)
+            cmap, ids = _full_build(table, rows, 1, config)
+            assert got.maps[week] == cmap
+            assert np.array_equal(got.cohort_ids[rows], ids)
+        if bit_length == 16:
+            assert got.maps[0].lengths.max() == 16  # a leaf at 16 bits, and no rehash
+
+    def test_cluster_panel_builds_at_its_own_bit_length(self, widths):
+        table = _deep_table()
+        panels = stratified_panels(
+            table, _whole_week_target(table), 1, seed=0, bit_length=50, sim_seed=7
+        )
+        cluster_panel(panels[0], k=1, bit_length=12)
+        assert widths == [FIRST_PASS_BITS]  # 12 bits come from the cached 16
+        cmap, ids = _full_build(table, panels[0].rows, 1, SimHashConfig(12, 7))
+        assert panels[0].cohort_map == cmap and panels[0].cohort_map.bit_length == 12
+        assert np.array_equal(panels[0].cohort_ids, ids)
+
+    def test_a_panel_without_its_table_cannot_be_clustered(self):
+        table = _near_duplicates(4)
+        cells = [[0.0] * 4 for _ in range(4)]
+        cells[0][0] = 1.0  # every machine of _table is (white, lt25k)
+        target = JointDistribution(tuple(map(tuple, cells)))
+        (panel,) = stratified_panels(table, target, 1, seed=0, bit_length=50, sim_seed=7)
+        panel.table = None
+        with pytest.raises(PanelError, match="panel 0 has no source table"):
+            cluster_panel(panel, k=1, bit_length=50)

@@ -41,12 +41,27 @@ class TestConfigValidation:
                      "max_domains 20"),
             (-1000.0, "zipf_exponent -1000.0 gives 0 positive finite weights, fewer than "
                       "max_domains 20"),
+            (10.0, "zipf_exponent 10.0 leaves weight 2.7e-13 outside the heaviest 19 "
+                   "domains, below 0.0001: filling a row of max_domains 20 would take too "
+                   "many draws"),
+            (30.0, "zipf_exponent 30.0 leaves weight 1.22e-39 outside the heaviest 19 "
+                   "domains, below 0.0001: filling a row of max_domains 20 would take too "
+                   "many draws"),
+            (3.75, "zipf_exponent 3.75 leaves weight 9.33e-05 outside the heaviest 19 "
+                   "domains, below 0.0001: filling a row of max_domains 20 would take too "
+                   "many draws"),
         ],
     )
     def test_rejects_zipf_exponents_that_cannot_fill_a_row(self, exponent, message):
-        # Each of these made generate_population draw forever.
+        # Each of these made generate_population draw forever, or for hours.
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SynthConfig(n_machines=5, n_weeks=1, vocab_size=200, zipf_exponent=exponent)
+
+    def test_accepts_an_exponent_just_inside_the_bound(self):
+        # 1.1e-4 of the weight lies outside the heaviest 19 domains.
+        cfg = SynthConfig(n_machines=5, n_weeks=1, vocab_size=200, zipf_exponent=3.7)
+        sizes = np.diff(generate_population(cfg).table.offsets)
+        assert len(sizes) == 5 and sizes.min() >= cfg.min_domains and sizes.max() <= cfg.max_domains
 
 
 class TestDeterminism:

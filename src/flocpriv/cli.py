@@ -528,8 +528,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         write_manifest(
             args.out, args.subcommand, __version__, _config_echo(args), _inputs(args), list(files)
         )
-    except (PipelineError, CohortError, PanelError, ValueError, OSError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+    except (PipelineError, CohortError, PanelError, ValueError, OSError, MemoryError) as exc:
+        # NumPy raises a private MemoryError subclass for a failed allocation
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
         return 1
     return 0
 

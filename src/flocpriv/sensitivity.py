@@ -49,13 +49,19 @@ def population_freqs(panel: Panel, attribute: str) -> np.ndarray:
     return counts / counts.sum()
 
 
-def cohort_category_counts(panel: Panel, attribute: str) -> np.ndarray:
-    """(num_cohorts, num_groups) member counts; requires clustering."""
+def _cohort_ids(panel: Panel) -> np.ndarray:
+    """The panel's per-member cohort ids; a panel not yet clustered is an error."""
     if panel.cohort_ids is None or panel.cohort_map is None:
         raise ValueError("panel has no cohort assignments; cluster it first")
+    return panel.cohort_ids
+
+
+def cohort_category_counts(panel: Panel, attribute: str) -> np.ndarray:
+    """(num_cohorts, num_groups) member counts; requires clustering."""
+    ids = _cohort_ids(panel)
     groups = attribute_groups(attribute)
     n_cohorts = panel.cohort_map.num_cohorts
-    flat = panel.cohort_ids.astype(np.int64) * len(groups) + _attr_idx(panel, attribute)
+    flat = ids.astype(np.int64) * len(groups) + _attr_idx(panel, attribute)
     return np.bincount(flat, minlength=n_cohorts * len(groups)).reshape(
         n_cohorts, len(groups)
     )
@@ -81,18 +87,62 @@ def anomalous_category(
     return np.argmax(excess, axis=-1), excess.max(axis=-1)
 
 
-def violation_curve(panel: Panel, t_grid: Sequence[float], attribute: str) -> np.ndarray:
-    """Violating fraction at every t.
+def violation_curves(
+    panels: Sequence[Panel], t_grid: Sequence[float], attribute: str
+) -> np.ndarray:
+    """(len(panels), len(t_grid)) violating fractions, one row per panel.
 
-    The excesses are sorted once; the share strictly above t is then
-    ``(n - searchsorted(sorted, t, side="right")) / n`` for the whole grid.
+    Counts every panel at once. One ``bincount`` over each member's
+    panel-offset cohort id and category gives all cohort counts, and each
+    panel's category totals are the sums of its cohorts' rows. A cohort with
+    excess e violates t exactly when more grid values lie below e than
+    below t, so one ``searchsorted`` into the sorted grid gives each
+    cohort's count of grid values below its excess, and a per-panel
+    ``bincount`` of those counts, cumulated, gives the number of cohorts
+    violating each t. Memory is O(cohorts + panels x grid). Each fraction is
+    the same integer over the same cohort count as a per-panel, per-t count
+    of ``excess > t``, so the result is exact.
     """
-    _, excesses = anomalous_category(
-        cohort_category_counts(panel, attribute), population_freqs(panel, attribute)
-    )
-    n = len(excesses)
     t = np.asarray(t_grid, dtype=np.float64)
-    return (n - np.searchsorted(np.sort(excesses), t, side="right")) / n
+    if not panels:
+        return np.empty((0, len(t)))
+    n_groups = len(attribute_groups(attribute))
+    ids = [_cohort_ids(p) for p in panels]
+    n_cohorts = np.array([p.cohort_map.num_cohorts for p in panels], dtype=np.int64)
+    starts = np.cumsum(n_cohorts) - n_cohorts
+    # Built in place, a panel at a time: the one member-sized array is the key.
+    key = np.concatenate(ids, dtype=np.int64)
+    lo = 0
+    for panel, panel_ids, start in zip(panels, ids, starts.tolist()):
+        seg = key[lo : lo + len(panel_ids)]
+        seg += start
+        seg *= n_groups
+        seg += _attr_idx(panel, attribute)
+        lo += len(panel_ids)
+    counts = np.bincount(key, minlength=int(n_cohorts.sum()) * n_groups).reshape(-1, n_groups)
+    del key
+    totals = np.add.reduceat(counts, starts, axis=0)
+    pop = totals / totals.sum(axis=1, keepdims=True)
+    _, excesses = anomalous_category(counts, np.repeat(pop, n_cohorts, axis=0))
+
+    width = len(t) + 1
+    grid = np.sort(t)
+    below = np.searchsorted(grid, excesses, side="left")
+    rank = np.searchsorted(grid, t, side="left")  # grid values below each t
+    del grid
+    below += np.repeat(np.arange(len(panels)) * width, n_cohorts)
+    # at_most[p, j]: cohorts of panel p with at most j grid values below their excess
+    at_most = np.bincount(below, minlength=len(panels) * width).reshape(-1, width)
+    np.cumsum(at_most, axis=1, out=at_most)
+    violating = np.take(at_most, rank, axis=1)  # C order, as the means sum rows in order
+    del at_most, rank
+    np.subtract(n_cohorts[:, None], violating, out=violating)
+    return violating / n_cohorts[:, None]
+
+
+def violation_curve(panel: Panel, t_grid: Sequence[float], attribute: str) -> np.ndarray:
+    """Violating fraction at every t: ``violation_curves([panel], ...)[0]``."""
+    return violation_curves([panel], t_grid, attribute)[0]
 
 
 def shuffle_baseline(panel: Panel, seed: int) -> Panel:
@@ -207,7 +257,7 @@ def t_closeness_curve(
     """
     if len(panels) < 2:
         raise ValueError("need at least 2 panels for a confidence interval")
-    curves = np.stack([violation_curve(p, t_grid, attribute) for p in panels])
+    curves = violation_curves(panels, t_grid, attribute)
     intervals = special.mean_confidence_intervals(curves.T.tolist())
     means = [m for m, _, _ in intervals]
     lows = [lo for _, lo, _ in intervals]
@@ -215,10 +265,9 @@ def t_closeness_curve(
 
     shuffle_mean = None
     if shuffled:
-        shuffle_curves = np.stack([violation_curve(p, t_grid, attribute) for p in shuffled])
-        shuffle_mean = shuffle_curves.mean(axis=0).tolist()
+        shuffle_mean = violation_curves(shuffled, t_grid, attribute).mean(axis=0).tolist()
 
-    # violation_curve has rejected any panel without a cohort map.
+    # violation_curves has rejected any panel without a cohort map.
     mean_n = float(np.mean([p.size / p.cohort_map.num_cohorts for p in panels]))
     pooled = np.mean([population_freqs(p, attribute) for p in panels], axis=0)
     binomial = [cohort_violation_probability(int(round(mean_n)), pooled, t) for t in t_grid]

@@ -12,12 +12,14 @@ Signatures are grouped by refinement: a sample's group at horizon h is the
 dense rank of one int64 key, its group at h-1 times (the largest cohort
 ID at h + 1) plus its cohort ID at h, so each horizon sorts a 1-D array
 of keys (one more over the known-state subset for the fingerprint).
+A sweep point reports the full-window horizon alone, so it ranks the
+fingerprint keys once, at that horizon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -174,19 +176,46 @@ class UnicityReport:
         return "\n".join(lines) + "\n"
 
 
+def _refine(
+    seqs: SequenceSet, cohorts: SequenceCohorts
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each horizon's signature groups, from 1 to the window: ``(gid, counts)``.
+
+    ``gid`` starts at 0 for every sample and becomes the dense rank of
+    ``gid * (c.max() + 1) + c``, where ``c`` is the horizon's (non-negative)
+    cohort-ID column; ``gid`` < n keeps the key within int64. Two samples
+    share a group exactly when their first h cohort IDs agree; ``counts``
+    holds each group's size.
+    """
+    gid = np.zeros(seqs.n_samples, dtype=np.int64)
+    for h in range(seqs.window):
+        col = cohorts.cohort_ids[:, h].astype(np.int64)
+        key = gid * (int(col.max(initial=0)) + 1) + col
+        _, gid, counts = np.unique(key, return_inverse=True, return_counts=True)
+        yield gid, counts
+
+
+def _known_states(seqs: SequenceSet) -> tuple[np.ndarray, int]:
+    """State indices of the known-state samples, and a bound above them."""
+    states = seqs.state_idx[seqs.known_state].astype(np.int64)
+    return states, int(states.max(initial=0)) + 1
+
+
+def _fingerprint_share(known_gid: np.ndarray, states: np.ndarray, n_states: int) -> float:
+    """Unique share of (group, state) signatures on the known-state subset."""
+    _, fp_counts = np.unique(known_gid * n_states + states, return_counts=True)
+    return _singleton_share(fp_counts, len(known_gid))
+
+
 def unicity_fractions(seqs: SequenceSet, cohorts: SequenceCohorts) -> UnicityReport:
     """Unicity at every horizon, with and without the state fingerprint.
 
     The fingerprint column is computed over the subpopulation whose state
     is known; unknown-state samples are excluded from it and counted.
 
-    Groups are refined one horizon at a time: ``gid`` starts at 0 for every
-    sample and becomes the dense rank of ``gid * (c.max() + 1) + c``, where
-    ``c`` is the horizon's (non-negative) cohort-ID column; ``gid`` < n
-    keeps the key within int64. Two samples share a group exactly when
-    their first h cohort IDs agree. The known-state column counts the same
-    groups within the known subset, and the fingerprint column ranks
-    ``gid * n_states + state`` on that subset.
+    Groups come from ``_refine``, one horizon at a time. The known-state
+    column counts the same groups within the known subset, and the
+    fingerprint column ranks ``gid * n_states + state`` on that subset.
     """
     known = seqs.known_state
     n = seqs.n_samples
@@ -199,20 +228,14 @@ def unicity_fractions(seqs: SequenceSet, cohorts: SequenceCohorts) -> UnicityRep
         n_unknown_excluded=n - n_known,
         cohorts_per_position=cohorts.cohorts_per_position(),
     )
-    states = seqs.state_idx[known].astype(np.int64)
-    n_states = int(states.max(initial=0)) + 1
-    gid = np.zeros(n, dtype=np.int64)
-    for h in range(1, seqs.window + 1):
-        col = cohorts.cohort_ids[:, h - 1].astype(np.int64)
-        key = gid * (int(col.max(initial=0)) + 1) + col
-        _, gid, counts = np.unique(key, return_inverse=True, return_counts=True)
+    states = _known_states(seqs)
+    for h, (gid, counts) in enumerate(_refine(seqs, cohorts), start=1):
         known_gid = gid[known]
-        _, fp_counts = np.unique(known_gid * n_states + states, return_counts=True)
         report.rows.append(
             HorizonRow(
                 h,
                 _singleton_share(counts, n),
-                _singleton_share(fp_counts, n_known),
+                _fingerprint_share(known_gid, *states),
                 _singleton_share(np.bincount(known_gid), n_known),
             )
         )
@@ -260,13 +283,15 @@ class SweepResult:
 
 
 def _point(seqs: SequenceSet, k: int, config: SimHashConfig, param: int) -> SweepPoint:
+    """Unicity at the full-window horizon only: ``unicity_fractions``' last row."""
     cohorts = assign_sequence_cohorts(seqs, k, config)
-    report = unicity_fractions(seqs, cohorts)
+    *_, (gid, counts) = _refine(seqs, cohorts)
+    known_gid = gid[seqs.known_state]
     return SweepPoint(
         param=param,
         n_samples=seqs.n_samples,
-        frac_sequence=report.rows[-1].frac_sequence,
-        frac_fingerprint=report.rows[-1].frac_fingerprint,
+        frac_sequence=_singleton_share(counts, seqs.n_samples),
+        frac_fingerprint=_fingerprint_share(known_gid, *_known_states(seqs)),
     )
 
 
@@ -280,12 +305,15 @@ def sweep_population(
     """Unicity at the full-window horizon versus population size.
 
     For each grid value, that many machines are drawn without replacement
-    and cohorts are rebuilt from scratch on the reduced pool.
+    and cohorts are rebuilt from scratch on the reduced pool. A grid value
+    below 1 or above the number of machines is a ``ValueError``.
     """
     rng = np.random.default_rng(seed)
     machines = np.unique(seqs.machine_ids)
     points = []
     for n in n_grid:
+        if n < 1:
+            raise ValueError(f"population grid value {n} must be >= 1")
         if n > len(machines):
             raise ValueError(f"population grid value {n} exceeds {len(machines)} machines")
         chosen = rng.choice(machines, size=n, replace=False)

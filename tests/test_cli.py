@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flocpriv import cli
 from flocpriv.cli import _parse_t_grid, build_parser, main
 from flocpriv.ingest import INCOME_GROUPS, RACE_GROUPS
 from flocpriv.sensitivity import DEFAULT_T_GRID
@@ -21,6 +22,10 @@ from flocpriv.fixtures import (
 
 def _run(*argv):
     return main([str(a) for a in argv])
+
+
+class _ArrayMemoryError(MemoryError):
+    """Stands in for the MemoryError subclass NumPy raises on a failed allocation."""
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +219,8 @@ class TestPipelineErrors:
         [
             (["sweep-k", "--grid", ","], "integer list ',' has no values"),
             (["sweep-n", "--grid", " , ", "--k", 10], "integer list ' , ' has no values"),
+            (["sweep-n", "--grid", -5, "--k", 10], "population grid value -5 must be >= 1"),
+            (["sweep-n", "--grid", "30,0", "--k", 10], "population grid value 0 must be >= 1"),
             (["chisq", "--d-grid", ","], "integer list ',' has no values"),
             (["t-closeness", "--t-grid", "0.5:0:0.1"], "t-grid '0.5:0:0.1' has no values"),
             (["t-closeness", "--t-grid", ","], "t-grid ',' has no values"),
@@ -232,7 +239,8 @@ class TestPipelineErrors:
              "control fraction 0.001 of 240 rows samples no row"),
         ],
         ids=[
-            "sweep-k-empty-grid", "sweep-n-blank-grid", "chisq-empty-d-grid",
+            "sweep-k-empty-grid", "sweep-n-blank-grid", "sweep-n-negative-grid",
+            "sweep-n-zero-in-grid", "chisq-empty-d-grid",
             "t-closeness-descending-t-grid", "t-closeness-empty-t-grid",
             "t-closeness-infinite-t-grid", "t-closeness-nan-in-t-grid",
             "t-closeness-inf-in-t-grid", "t-closeness-minus-inf-in-t-grid",
@@ -324,6 +332,23 @@ class TestPipelineErrors:
         out = tmp_path / "o"
         assert _run("ot-control", "--out", out, "--cohorts", 5, "--k", 10, *flags) == 1
         assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error", [MemoryError, _ArrayMemoryError], ids=["plain", "subclass"])
+    def test_memory_error_is_a_one_line_error(self, capsys, tmp_path, monkeypatch, error):
+        """A failed allocation (faked here; nothing is allocated) is reported
+        like any pipeline failure, under the builtin's name."""
+        message = "Unable to allocate 1.16 TiB for an array with shape (10000000000, 16)"
+
+        def out_of_memory(**_):
+            raise error(message)
+
+        monkeypatch.setattr(cli, "ot_scale_control", out_of_memory)
+        out = tmp_path / "o"
+        assert _run("ot-control", "--out", out, "--cohorts", 10**10, "--k", 1, "--ratio", 1) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "MemoryError", "message": message}
         assert not out.exists()
 
     @pytest.mark.parametrize("exponent", ["nan", "1000", "-1000", "10", "30"])

@@ -1,6 +1,7 @@
 """Demographic leakage analyses: t-closeness, baselines, chi-square, controls."""
 
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 from types import SimpleNamespace
@@ -33,6 +34,7 @@ from flocpriv.sensitivity import (
     shuffle_baseline,
     t_closeness_curve,
     violation_curve,
+    violation_curves,
 )
 from sensitivity_reference import t_violations, top_domains
 
@@ -47,6 +49,13 @@ CHISQ_P_10_3 = 0.067889154861829023645  # Q(1/2, (10/3)/2)
 def clustered_panels(small_table, default_joint):
     panels = stratified_panels(small_table, default_joint, 3, seed=2, bit_length=50, sim_seed=7)
     return [cluster_panel(p, k=15, bit_length=50) for p in panels[:6]]  # weeks 0 and 1
+
+
+@pytest.fixture(scope="module")
+def fine_panels(small_table, default_joint):
+    """Panels of several cohorts each (k = 2), so their curves take many values."""
+    panels = stratified_panels(small_table, default_joint, 3, seed=2, bit_length=50, sim_seed=7)
+    return [cluster_panel(p, k=2, bit_length=50) for p in panels]
 
 
 def _balanced_panel():
@@ -67,6 +76,44 @@ def _balanced_panel():
         cohort_map=SimpleNamespace(num_cohorts=n // 4),
         cohort_ids=np.repeat(np.arange(n // 4), 4),
     )
+
+
+@st.composite
+def _panels_and_grid(draw):
+    """1-4 clustered panels of mixed sizes, each of 1-6 cohorts of 1-7
+    members with drawn labels and its members in shuffled order, and an
+    unsorted t grid with repeats that holds at least one cohort excess."""
+    panels = []
+    for panel_id in range(draw(st.integers(1, 4))):
+        sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=6))
+        n = sum(sizes)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        labels = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+        panels.append(
+            Panel(
+                panel_id=panel_id,
+                week_index=0,
+                rows=np.arange(n),
+                machine_ids=np.arange(n),
+                race_idx=np.array(draw(labels), np.int8),
+                income_idx=np.array(draw(labels), np.int8),
+                hashes=np.zeros(n, np.uint64),
+                cohort_map=SimpleNamespace(num_cohorts=len(sizes)),
+                cohort_ids=rng.permutation(np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)),
+            )
+        )
+    excesses = sorted(
+        {
+            float(e)
+            for panel in panels
+            for attribute in sensitivity.ATTRIBUTES
+            for e in t_violations(panel, 0.0, attribute).excesses
+        }
+    )
+    values = st.one_of(st.sampled_from(excesses), st.floats(-1.5, 1.5))
+    grid = [draw(st.sampled_from(excesses)), *draw(st.lists(values, max_size=10))]
+    grid += draw(st.lists(st.sampled_from(grid), max_size=4))
+    return panels, draw(st.permutations(grid))
 
 
 @st.composite
@@ -192,6 +239,33 @@ class TestTViolations:
         balanced = t_violations(_balanced_panel(), 0.0, "race").excesses
         assert set(balanced.tolist()) == {0.0, 0.25, 0.5, 0.75}
 
+    @settings(max_examples=200, deadline=None)
+    @given(_panels_and_grid())
+    def test_batched_curves_match_the_per_cohort_reference(self, drawn):
+        panels, grid = drawn
+        for attribute in sensitivity.ATTRIBUTES:
+            curves = violation_curves(panels, grid, attribute)
+            assert curves.shape == (len(panels), len(grid))
+            for panel, row in zip(panels, curves):
+                assert row.tolist() == [t_violations(panel, t, attribute).fraction for t in grid]
+
+    def test_no_panels_give_no_rows(self):
+        assert violation_curves([], [0.1, 0.2], "race").shape == (0, 2)
+
+    def test_peak_memory_is_a_small_multiple_of_the_output(self, fine_panels):
+        """The grid-sized work is O(panels x grid), never cohorts x grid:
+        every panel has several cohorts per output row."""
+        assert min(p.cohort_map.num_cohorts for p in fine_panels) >= 5
+        grid = np.linspace(-1.0, 1.0, 20_001)
+        for panels in (fine_panels[:1], fine_panels):
+            tracemalloc.start()
+            try:
+                curves = violation_curves(panels, grid, "race")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * curves.nbytes
+
     def test_unclustered_panel_rejected(self, small_table, default_joint):
         panel = stratified_panels(
             small_table, default_joint, 1, seed=0, bit_length=50, sim_seed=7
@@ -307,6 +381,14 @@ class TestTClosenessCurve:
         assert report.shuffle_mean is not None
         assert len(report.shuffle_mean) == 2
         assert report.shuffle_mean[0] >= report.shuffle_mean[1]
+
+    def test_null_column_is_the_mean_of_per_panel_curves(self, fine_panels):
+        """The batched curves average in the same order as stacked rows."""
+        shuffled = [shuffle_baseline(p, seed=i) for i in range(4) for p in fine_panels]
+        for attribute in sensitivity.ATTRIBUTES:
+            report = t_closeness_curve(fine_panels, DEFAULT_T_GRID, attribute, shuffled=shuffled)
+            rows = np.stack([violation_curve(p, DEFAULT_T_GRID, attribute) for p in shuffled])
+            assert report.shuffle_mean == rows.mean(axis=0).tolist()
 
     def test_csv_layout(self, clustered_panels):
         report = t_closeness_curve(clustered_panels, [0.0, 0.1], "race")

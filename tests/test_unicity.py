@@ -2,12 +2,14 @@
 
 import io
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flocpriv import unicity
 from flocpriv.cohorts import compute_weekly_cohorts
 from flocpriv.fixtures import (
     EXPECTED_FINGERPRINT_FRACTIONS,
@@ -310,6 +312,22 @@ class TestUnicityMatchesBruteForce:
             assert row.frac_fingerprint == _brute_unique_share(fingerprints)
 
 
+class TestSweepPoint:
+    @settings(max_examples=200, deadline=None)
+    @given(_id_matrices())
+    @example((np.array([[0, 1], [0, 1], [1, 1]], np.int32), np.zeros(3, np.int64), np.zeros(3, bool)))
+    def test_point_fractions_are_the_last_horizon(self, pool):
+        """A sweep point computes only the full-window horizon's fractions,
+        and they equal the full report's last row."""
+        seqs, cohorts = _direct_pool(*pool)
+        with mock.patch.object(unicity, "assign_sequence_cohorts", return_value=cohorts):
+            point = unicity._point(seqs, 1, SimHashConfig(), 7)
+        last = unicity_fractions(seqs, cohorts).rows[-1]
+        assert (point.param, point.n_samples) == (7, seqs.n_samples)
+        assert point.frac_sequence == last.frac_sequence
+        assert point.frac_fingerprint == last.frac_fingerprint
+
+
 class TestSweeps:
     def test_full_population_point_matches_unswept(self, small_table, sim_config):
         seqs = build_sequences(small_table, window=4)
@@ -331,6 +349,12 @@ class TestSweeps:
         seqs = build_sequences(small_table, window=4)
         with pytest.raises(ValueError, match="exceeds"):
             sweep_population(seqs, 20, [10_000], seed=0, config=sim_config)
+
+    @pytest.mark.parametrize("bad", [0, -5])
+    def test_sweep_population_rejects_grid_values_below_one(self, small_table, sim_config, bad):
+        seqs = build_sequences(small_table, window=4)
+        with pytest.raises(ValueError, match=f"population grid value {bad} must be >= 1"):
+            sweep_population(seqs, 20, [100, bad], seed=0, config=sim_config)
 
     def test_sweep_k_matches_pointwise_runs(self, small_table, sim_config):
         seqs = build_sequences(small_table, window=4)

@@ -14,6 +14,11 @@ share, so the map and the ids equal a full-width build's. A leaf of
 length 16 means the first pass ran out of bits (shifted values that agree
 on their top 16 bits never split below depth 16), and only then are the
 rows hashed again at full width. A width of 16 or less takes one pass.
+
+Each pass sorts its population once. The map's leaves are consecutive
+runs of the sorted values in cohort-id order, so the ids are read off
+that same order: no ``CohortMap.assign`` searches for the leaves the
+build just found. ``assign`` is what a browser does with a published map.
 """
 
 from __future__ import annotations
@@ -43,16 +48,24 @@ def cluster_rows(
     The map is the one ``build_cohort_map`` gives on the rows' full-width
     hashes, and the ids are its ``assign`` of them; see the module
     docstring for why the first pass at ``FIRST_PASS_BITS`` bits gives
-    both exactly. Raises ``CohortError`` as ``build_cohort_map`` does.
+    both exactly. Each pass argsorts its hashes once (hashes of at most 16
+    bits as ``uint16``, which NumPy radix-sorts), builds the map on the
+    sorted values and hands each leaf's run of that order its cohort id.
+    Raises ``CohortError`` as ``build_cohort_map`` does.
     """
     bits = config.bit_length
-    first = first_pass_width(bits)
-    values = table.hashes(first, config.seed)[rows] << np.uint64(bits - first)
-    cmap = build_cohort_map(values, k, bits)
-    if first < bits and cmap.lengths.max() >= first:
-        values = table.hashes(bits, config.seed)[rows]
-        cmap = build_cohort_map(values, k, bits)
-    return cmap, cmap.assign(values)
+    for width in (first_pass_width(bits), bits):
+        values = table.hashes(width, config.seed)[rows]
+        if width <= 16:
+            order = np.argsort(values.astype(np.uint16), kind="stable")
+        else:
+            order = np.argsort(values)
+        cmap = build_cohort_map(values[order] << np.uint64(bits - width), k, bits)
+        if width == bits or cmap.lengths.max() < width:
+            break
+    ids = np.empty(len(order), dtype=np.int32)
+    ids[order] = np.repeat(np.arange(cmap.num_cohorts, dtype=np.int32), cmap.counts)
+    return cmap, ids
 
 
 @dataclass

@@ -21,6 +21,11 @@ depth where it cannot split. A map whose leaves are all shorter than B
 bits therefore depends only on the top B bits of each value: values with
 their lower bits cleared give the same map and the same ``assign`` ids.
 ``cohorts.cluster_rows`` builds on 16-bit hashes first for that reason.
+
+Each leaf is one consecutive run of the sorted values, and the leaves run
+in cohort-id order, so a caller that sorted the values itself can read
+every value's id off its order without ``assign``; ``cluster_rows`` does.
+``assign`` is for a published map and hashes it did not build from.
 """
 
 from __future__ import annotations

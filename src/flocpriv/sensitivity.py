@@ -170,6 +170,19 @@ def shuffle_baseline(panel: Panel, seed: int) -> Panel:
     )
 
 
+def _tail_threshold(n: int, p_r: float, t: float) -> int:
+    """floor(n * (p_r + t)), held at n from n up and at -1 below 0.
+
+    ``binomial_baseline`` depends on t only through this threshold.
+    """
+    k_r = n * (p_r + t)
+    if k_r >= n:
+        return n
+    if k_r < 0:
+        return -1
+    return math.floor(k_r)
+
+
 def binomial_baseline(n: int, p_r: float, t: float) -> float:
     """Probability a size-n cohort over-represents group r by more than t.
 
@@ -179,21 +192,40 @@ def binomial_baseline(n: int, p_r: float, t: float) -> float:
     """
     if n < 1:
         raise ValueError(f"cohort size must be >= 1, got {n}")
-    k_r = n * (p_r + t)
-    if k_r >= n:
+    threshold = _tail_threshold(n, p_r, t)
+    if threshold == n:
         return 0.0
-    if k_r < 0:
+    if threshold < 0:
         return 1.0
-    return special.binomial_sf(math.floor(k_r), n, p_r)
+    return special.binomial_sf(threshold, n, p_r)
+
+
+def cohort_violation_probabilities(
+    n: int, pop_freqs: Sequence[float], t_grid: Sequence[float]
+) -> list[float]:
+    """Chance any category's excess beats t, at each t of the grid,
+    treating categories as independent binomials (the cross-category
+    union of the model).
+
+    A tail depends on t only through its threshold floor(n * (p_r + t)),
+    so each distinct (threshold, p_r) is evaluated once per call.
+    """
+    tails: dict[tuple[int, float], float] = {}
+    out = []
+    for t in t_grid:
+        keep = 1.0
+        for p_r in map(float, pop_freqs):
+            key = (_tail_threshold(n, p_r, t), p_r)
+            if key not in tails:
+                tails[key] = binomial_baseline(n, p_r, t)
+            keep *= 1.0 - tails[key]
+        out.append(1.0 - keep)
+    return out
 
 
 def cohort_violation_probability(n: int, pop_freqs: Sequence[float], t: float) -> float:
-    """Chance any category's excess beats t, treating categories as
-    independent binomials (the cross-category union of the model)."""
-    keep = 1.0
-    for p_r in pop_freqs:
-        keep *= 1.0 - binomial_baseline(n, float(p_r), t)
-    return 1.0 - keep
+    """``cohort_violation_probabilities`` at the one threshold t."""
+    return cohort_violation_probabilities(n, pop_freqs, [t])[0]
 
 
 @dataclass
@@ -270,7 +302,7 @@ def t_closeness_curve(
     # violation_curves has rejected any panel without a cohort map.
     mean_n = float(np.mean([p.size / p.cohort_map.num_cohorts for p in panels]))
     pooled = np.mean([population_freqs(p, attribute) for p in panels], axis=0)
-    binomial = [cohort_violation_probability(int(round(mean_n)), pooled, t) for t in t_grid]
+    binomial = cohort_violation_probabilities(int(round(mean_n)), pooled, t_grid)
     return TClosenessReport(
         attribute=attribute,
         k=panels[0].cohort_map.k,

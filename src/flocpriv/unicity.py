@@ -8,18 +8,20 @@ signature at horizon h is its cohort ids at positions 1..h (optionally
 prefixed with the machine's state). The unicity fraction is the share of
 samples whose signature is unique in the pool.
 
-Signatures are grouped by refinement: a sample's group at horizon h is the
-dense rank of one int64 key, its group at h-1 times (the largest cohort
-ID at h + 1) plus its cohort ID at h, so each horizon sorts a 1-D array
-of keys (one more over the known-state subset for the fingerprint).
-A sweep point reports the full-window horizon alone, so it ranks the
-fingerprint keys once, at that horizon.
+Signatures are grouped by ``_signature_groups``: a sample's group is the
+dense rank of its id tuple, read from one mixed-radix int64 key
+(``key * (col.max() + 1) + col``, column by column) that is ranked only
+when the next column could carry it past int64. ``unicity_fractions``
+ranks each horizon's (group at h-1, cohort ID at h) pair, one sort per
+horizon (one more over the known-state subset for the fingerprint). A
+sweep point reports the full-window horizon alone, so it ranks the whole
+window's signature once and the fingerprint once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -176,35 +178,36 @@ class UnicityReport:
         return "\n".join(lines) + "\n"
 
 
-def _refine(
-    seqs: SequenceSet, cohorts: SequenceCohorts
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each horizon's signature groups, from 1 to the window: ``(gid, counts)``.
+def _signature_groups(columns: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's group, the dense rank of its tuple of (non-negative)
+    column values in lexicographic order, and each group's size: ``(gid, counts)``.
 
-    ``gid`` starts at 0 for every sample and becomes the dense rank of
-    ``gid * (c.max() + 1) + c``, where ``c`` is the horizon's (non-negative)
-    cohort-ID column; ``gid`` < n keeps the key within int64. Two samples
-    share a group exactly when their first h cohort IDs agree; ``counts``
-    holds each group's size.
+    The tuple is read into one int64 key, ``key * (col.max() + 1) + col``
+    per column, so keys order as the tuples do. When the next product
+    could pass 2**63 the key is first replaced by its dense rank, which is
+    below n; so every value must stay below 2**63 / n, as int32 cohort IDs
+    and state indices do. Ranks of the same tuples in the same order are
+    the same integers however many times the key was ranked on the way.
     """
-    gid = np.zeros(seqs.n_samples, dtype=np.int64)
-    for h in range(seqs.window):
-        col = cohorts.cohort_ids[:, h].astype(np.int64)
-        key = gid * (int(col.max(initial=0)) + 1) + col
-        _, gid, counts = np.unique(key, return_inverse=True, return_counts=True)
-        yield gid, counts
+    key: Any = 0
+    bound = 1  # every key is below it
+    for col in columns:
+        col = col.astype(np.int64)
+        radix = int(col.max(initial=0)) + 1
+        if bound * radix > 2**63:
+            _, key, counts = np.unique(key, return_inverse=True, return_counts=True)
+            bound = len(counts)
+        key = key * radix + col
+        bound *= radix
+    _, gid, counts = np.unique(key, return_inverse=True, return_counts=True)
+    return gid, counts
 
 
-def _known_states(seqs: SequenceSet) -> tuple[np.ndarray, int]:
-    """State indices of the known-state samples, and a bound above them."""
-    states = seqs.state_idx[seqs.known_state].astype(np.int64)
-    return states, int(states.max(initial=0)) + 1
-
-
-def _fingerprint_share(known_gid: np.ndarray, states: np.ndarray, n_states: int) -> float:
+def _fingerprint_share(seqs: SequenceSet, gid: np.ndarray) -> float:
     """Unique share of (group, state) signatures on the known-state subset."""
-    _, fp_counts = np.unique(known_gid * n_states + states, return_counts=True)
-    return _singleton_share(fp_counts, len(known_gid))
+    known = seqs.known_state
+    _, counts = _signature_groups((gid[known], seqs.state_idx[known]))
+    return _singleton_share(counts, int(known.sum()))
 
 
 def unicity_fractions(seqs: SequenceSet, cohorts: SequenceCohorts) -> UnicityReport:
@@ -213,9 +216,10 @@ def unicity_fractions(seqs: SequenceSet, cohorts: SequenceCohorts) -> UnicityRep
     The fingerprint column is computed over the subpopulation whose state
     is known; unknown-state samples are excluded from it and counted.
 
-    Groups come from ``_refine``, one horizon at a time. The known-state
+    Each horizon's groups rank the pair (group at h-1, cohort ID at h)
+    with ``_signature_groups``, one sort per horizon. The known-state
     column counts the same groups within the known subset, and the
-    fingerprint column ranks ``gid * n_states + state`` on that subset.
+    fingerprint column ranks (group, state) on that subset.
     """
     known = seqs.known_state
     n = seqs.n_samples
@@ -228,15 +232,15 @@ def unicity_fractions(seqs: SequenceSet, cohorts: SequenceCohorts) -> UnicityRep
         n_unknown_excluded=n - n_known,
         cohorts_per_position=cohorts.cohorts_per_position(),
     )
-    states = _known_states(seqs)
-    for h, (gid, counts) in enumerate(_refine(seqs, cohorts), start=1):
-        known_gid = gid[known]
+    gid = np.zeros(n, dtype=np.int64)
+    for h, col in enumerate(cohorts.cohort_ids.T, start=1):
+        gid, counts = _signature_groups((gid, col))
         report.rows.append(
             HorizonRow(
                 h,
                 _singleton_share(counts, n),
-                _fingerprint_share(known_gid, *states),
-                _singleton_share(np.bincount(known_gid), n_known),
+                _fingerprint_share(seqs, gid),
+                _singleton_share(np.bincount(gid[known]), n_known),
             )
         )
     return report
@@ -285,13 +289,12 @@ class SweepResult:
 def _point(seqs: SequenceSet, k: int, config: SimHashConfig, param: int) -> SweepPoint:
     """Unicity at the full-window horizon only: ``unicity_fractions``' last row."""
     cohorts = assign_sequence_cohorts(seqs, k, config)
-    *_, (gid, counts) = _refine(seqs, cohorts)
-    known_gid = gid[seqs.known_state]
+    gid, counts = _signature_groups(cohorts.cohort_ids.T)
     return SweepPoint(
         param=param,
         n_samples=seqs.n_samples,
         frac_sequence=_singleton_share(counts, seqs.n_samples),
-        frac_fingerprint=_fingerprint_share(known_gid, *_known_states(seqs)),
+        frac_fingerprint=_fingerprint_share(seqs, gid),
     )
 
 

@@ -9,22 +9,27 @@ ran, and compare every map and id with a single full-width build.
 A node stops at its first failed split, so a leaf is as deep as an
 unbroken run of successful splits. At k = 1 that reaches 17 bits only in a
 population of a few thousand varied rows: 4,000 synth machines a week do.
+
+``cluster_rows`` reads each row's id off the order its pass sorted the
+hashes in, never through ``CohortMap.assign``; ``TestOneSortPerPopulation``
+checks those ids against ``assign`` of a full-width build, and that the
+pipeline runs with ``assign`` unusable.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flocpriv import kernels
-from flocpriv.cohorts import FIRST_PASS_BITS, compute_weekly_cohorts
+from flocpriv.cohorts import FIRST_PASS_BITS, cluster_rows, compute_weekly_cohorts
 from flocpriv.geo import UNKNOWN_STATE
 from flocpriv.ingest import INCOME_GROUPS, RACE_GROUPS, MachineWeekTable
 from flocpriv.panels import JointDistribution, PanelError, cluster_panel, stratified_panels
-from flocpriv.prefixlsh import build_cohort_map
+from flocpriv.prefixlsh import CohortMap, build_cohort_map
 from flocpriv.simhash import SimHashConfig
 from flocpriv.synth import SynthConfig, generate_population
-from flocpriv.unicity import assign_sequence_cohorts, build_sequences
+from flocpriv.unicity import assign_sequence_cohorts, build_sequences, sweep_k, sweep_population
 
 SHARED = [f"shared{i}.example" for i in range(40)]
 
@@ -237,3 +242,55 @@ class TestFallback:
         panel.table = None
         with pytest.raises(PanelError, match="panel 0 has no source table"):
             cluster_panel(panel, k=1, bit_length=50)
+
+
+class TestOneSortPerPopulation:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _random_tables(),
+        st.one_of(st.sampled_from([1, 16, 17, 64]), st.integers(1, 64)),
+        st.integers(0, 8),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(([["a"]] * 7, ["a"]), 17, 0, 0)  # all rows equal, k = population
+    @example(([["a"], ["b"], ["a"], [], ["b"], []], ["a", "b"]), 64, 1, 1)  # duplicates
+    @example(([["a"], ["b"], ["c"], ["a", "b"]], ["a", "b", "c"]), 1, 0, 2)
+    def test_ids_equal_assign_of_a_full_width_build(self, case, bit_length, k, seed):
+        """k = 0 stands for k = the population; rows are drawn in random order."""
+        rows, names = case
+        table = _table(rows, vocab=names)
+        rng = np.random.default_rng(seed)
+        picked = rng.permutation(len(rows))[: rng.integers(1, len(rows) + 1)]
+        k = min(k, len(picked)) or len(picked)
+        config = SimHashConfig(bit_length, seed)
+        cmap, ids = cluster_rows(table, picked, k, config)
+        want_map, want_ids = _full_build(table, picked, k, config)
+        assert cmap == want_map
+        assert ids.dtype == np.int32
+        assert np.array_equal(ids, want_ids)
+
+    @pytest.mark.parametrize("bit_length", [17, 50, 64])
+    def test_the_fallback_table_at_k_1(self, widths, bit_length):
+        table = _deep_table()
+        config = SimHashConfig(bit_length)
+        rows = np.random.default_rng(3).permutation(table.rows_for_week(1))
+        cmap, ids = cluster_rows(table, rows, 1, config)
+        assert widths == [FIRST_PASS_BITS, bit_length]  # the full-width pass ran
+        want_map, want_ids = _full_build(table, rows, 1, config)
+        assert cmap.lengths.max() >= FIRST_PASS_BITS
+        assert cmap == want_map
+        assert np.array_equal(ids, want_ids)
+
+    def test_the_pipeline_never_calls_assign(self, monkeypatch, small_table, default_joint):
+        def refuse(self, hash_values):
+            raise AssertionError("CohortMap.assign called")
+
+        monkeypatch.setattr(CohortMap, "assign", refuse)
+        config = SimHashConfig()
+        assert compute_weekly_cohorts(small_table, 10, config).cohort_ids.min() == 0
+        seqs = build_sequences(small_table, window=2)
+        assign_sequence_cohorts(seqs, 10, config)
+        sweep_k(seqs, [5, 20], config)
+        sweep_population(seqs, 5, [50, 100], seed=1, config=config)
+        panels = stratified_panels(small_table, default_joint, 1, seed=2, bit_length=50, sim_seed=7)
+        assert cluster_panel(panels[0], k=5, bit_length=50).cohort_map.num_cohorts >= 1

@@ -1,5 +1,6 @@
 """Demographic leakage analyses: t-closeness, baselines, chi-square, controls."""
 
+import math
 import re
 import tracemalloc
 import warnings
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flocpriv import sensitivity
+from flocpriv import sensitivity, special
 from flocpriv.geo import UNKNOWN_STATE
 from flocpriv.hashing import derive_seed
 from flocpriv.ingest import MachineWeekTable
@@ -27,6 +28,7 @@ from flocpriv.sensitivity import (
     chi_square_csv,
     chi_square_test,
     cohort_category_counts,
+    cohort_violation_probabilities,
     cohort_violation_probability,
     ot_scale_control,
     population_freqs,
@@ -47,8 +49,12 @@ CHISQ_P_10_3 = 0.067889154861829023645  # Q(1/2, (10/3)/2)
 
 @pytest.fixture(scope="module")
 def clustered_panels(small_table, default_joint):
+    """Six panels of 26 members (weeks 0 and 1) at k = 5, each split into
+    several cohorts, so their curves take values between 0 and 1."""
     panels = stratified_panels(small_table, default_joint, 3, seed=2, bit_length=50, sim_seed=7)
-    return [cluster_panel(p, k=15, bit_length=50) for p in panels[:6]]  # weeks 0 and 1
+    clustered = [cluster_panel(p, k=5, bit_length=50) for p in panels[:6]]
+    assert min(p.cohort_map.num_cohorts for p in clustered) >= 2
+    return clustered
 
 
 @pytest.fixture(scope="module")
@@ -353,6 +359,31 @@ class TestBinomialBaseline:
         )
 
 
+    @pytest.mark.parametrize("n", [1, 2, 37, 300])
+    def test_a_grid_evaluates_each_distinct_tail_once(self, n):
+        """The grid's column is the per-t product of ``binomial_baseline``
+        tails, and ``binomial_sf`` runs once per distinct threshold inside
+        [0, n) and group share."""
+        freqs = [0.60, 0.13, 0.18, 0.09]
+        grid = [*DEFAULT_T_GRID, 0.3, -1.0, 0.1, 2.0, 0.0, 0.25, 0.3]
+        with mock.patch.object(special, "binomial_sf", wraps=special.binomial_sf) as sf:
+            got = cohort_violation_probabilities(n, freqs, grid)
+        want = []
+        for t in grid:
+            keep = 1.0
+            for p in freqs:
+                keep *= 1.0 - binomial_baseline(n, p, t)
+            want.append(1.0 - keep)
+        assert got == want
+        inside = {
+            (math.floor(n * (p + t)), p)
+            for t in grid
+            for p in freqs
+            if 0 <= n * (p + t) < n
+        }
+        assert sf.call_count == len(inside)
+
+
 class TestTClosenessCurve:
     def test_needs_two_panels(self, clustered_panels):
         with pytest.raises(ValueError, match="at least 2"):
@@ -362,7 +393,7 @@ class TestTClosenessCurve:
         grid = [0.02 * i for i in range(26)]
         report = t_closeness_curve(clustered_panels, grid, "race")
         assert report.n_panels == len(clustered_panels)
-        assert report.k == 15
+        assert report.k == 5
         assert len(report.mean) == len(grid)
         assert all(a >= b for a, b in zip(report.mean, report.mean[1:]))
         assert all(lo <= m <= hi for lo, m, hi in zip(report.ci_low, report.mean, report.ci_high))

@@ -1,6 +1,7 @@
 """Cohort-sequence unicity: windowing, pooled clustering, fractions, sweeps."""
 
 import io
+import math
 from collections import Counter
 from unittest import mock
 
@@ -312,16 +313,49 @@ class TestUnicityMatchesBruteForce:
             assert row.frac_fingerprint == _brute_unique_share(fingerprints)
 
 
+class TestSignatureGroups:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 60),
+        st.lists(st.integers(0, 2**40), min_size=1, max_size=4, unique=True),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(3, [0], 1, 0)  # one column of zeros: one group
+    @example(0, [5], 3, 0)  # no samples
+    def test_ranks_and_sizes_match_a_tuple_count(self, n, palette, width, seed):
+        """Values up to 2**40 over up to six columns pass int64 and re-rank."""
+        rng = np.random.default_rng(seed)
+        matrix = rng.choice(np.array(palette, dtype=np.int64), size=(n, width))
+        gid, counts = unicity._signature_groups(matrix.T)
+        tuples = [tuple(row) for row in matrix.tolist()]
+        tally = Counter(tuples)
+        rank = {t: i for i, t in enumerate(sorted(tally))}
+        assert gid.tolist() == [rank[t] for t in tuples]
+        assert counts.tolist() == [tally[t] for t in sorted(tally)]
+
+
 class TestSweepPoint:
     @settings(max_examples=200, deadline=None)
     @given(_id_matrices())
     @example((np.array([[0, 1], [0, 1], [1, 1]], np.int32), np.zeros(3, np.int64), np.zeros(3, bool)))
+    # Five columns of IDs up to 2**31 - 1: the window's key passes int64.
+    @example((np.array([[2**31 - 1, 0, 7, 2**31 - 1, 1],
+                        [2**31 - 1, 0, 7, 2**31 - 1, 1],
+                        [0, 2**31 - 1, 7, 0, 2**31 - 1],
+                        [2**31 - 1, 0, 7, 2**31 - 1, 0]], np.int32),
+              np.array([0, 0, 1, 0]), np.ones(4, bool)))
     def test_point_fractions_are_the_last_horizon(self, pool):
         """A sweep point computes only the full-window horizon's fractions,
-        and they equal the full report's last row."""
+        and they equal the full report's last row. It ranks the window's
+        key and the fingerprint's once each, and the key once more on the
+        way whenever the product of the columns' ranges passes 2**63."""
         seqs, cohorts = _direct_pool(*pool)
-        with mock.patch.object(unicity, "assign_sequence_cohorts", return_value=cohorts):
+        passes = math.prod(int(c.max(initial=0)) + 1 for c in pool[0].T) > 2**63
+        with mock.patch.object(unicity, "assign_sequence_cohorts", return_value=cohorts), \
+                mock.patch.object(np, "unique", wraps=np.unique) as unique:
             point = unicity._point(seqs, 1, SimHashConfig(), 7)
+        assert (unique.call_count > 2) == passes
         last = unicity_fractions(seqs, cohorts).rows[-1]
         assert (point.param, point.n_samples) == (7, seqs.n_samples)
         assert point.frac_sequence == last.frac_sequence

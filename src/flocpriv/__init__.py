@@ -26,7 +26,7 @@ from .sensitivity import (
     shuffle_baseline,
     t_closeness_curve,
 )
-from .simhash import SimHashConfig, gaussian_feature, simhash
+from .simhash import SimHashConfig, simhash
 from .synth import SynthConfig, generate_population
 from .unicity import (
     UnicityReport,
@@ -61,7 +61,6 @@ __all__ = [
     "chi_square_test",
     "cluster_panel",
     "compute_weekly_cohorts",
-    "gaussian_feature",
     "generate_population",
     "ot_scale_control",
     "parse_sessions",

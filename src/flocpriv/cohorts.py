@@ -35,11 +35,6 @@ from .simhash import SimHashConfig
 FIRST_PASS_BITS = 16
 
 
-def first_pass_width(bit_length: int) -> int:
-    """Width of the first pass for a ``bit_length``-bit map."""
-    return min(FIRST_PASS_BITS, bit_length)
-
-
 def cluster_rows(
     table: MachineWeekTable, rows: np.ndarray, k: int, config: SimHashConfig
 ) -> tuple[CohortMap, np.ndarray]:
@@ -54,7 +49,7 @@ def cluster_rows(
     Raises ``CohortError`` as ``build_cohort_map`` does.
     """
     bits = config.bit_length
-    for width in (first_pass_width(bits), bits):
+    for width in (min(FIRST_PASS_BITS, bits), bits):
         values = table.hashes(width, config.seed)[rows]
         if width <= 16:
             order = np.argsort(values.astype(np.uint16), kind="stable")

@@ -1,8 +1,9 @@
-"""Deterministic 64-bit hashing and counter-based pseudo-random streams.
+"""Deterministic 64-bit hashing and the constants of the feature stream.
 
 Everything downstream (hash bitvectors, seeded sweeps, synthetic data)
 derives from these primitives, so they are fixed-width integer arithmetic
-only: no process salt, no platform-dependent transcendentals.
+only: no process salt, no platform-dependent transcendentals. ``kernels``
+runs the feature stream; ``tests/simhash_oracle.py`` is its scalar definition.
 """
 
 from __future__ import annotations
@@ -34,15 +35,11 @@ def check_bit_length(bit_length: int, error: type[ValueError] = ValueError) -> N
         raise error(f"bit_length must be in [1, 64], got {bit_length}")
 
 
-def mix64(x: int) -> int:
-    """Finalizer-style bijective scrambler on 64-bit integers."""
-    x &= MASK64
-    x ^= x >> 33
-    x = (x * MIX_C1) & MASK64
-    x ^= x >> 33
-    x = (x * MIX_C2) & MASK64
-    x ^= x >> 33
-    return x
+def check_seed(seed: int) -> None:
+    """Raise ``ValueError`` unless ``0 <= seed < 2**64``: a wider seed would
+    alias one inside the range, since ``seed_key`` reduces it mod 2**64."""
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
 
 
 def seed_key(seed: int) -> int:
@@ -79,12 +76,6 @@ def domain_hashes64(domains: Iterable[str]) -> np.ndarray:
     digests are joined and read in one ``np.frombuffer``, with no cache.
     """
     return np.frombuffer(b"".join(map(_digest8, domains)), dtype="<u8")
-
-
-def uniform_draw(key0: int, t: int) -> float:
-    """t-th uniform in [0, 1) of the counter-based stream for ``key0``."""
-    u = mix64((key0 + GOLDEN * (t + 1)) & MASK64)
-    return (u >> 11) * INV_2_53
 
 
 def derive_seed(root: int, label: str, index: int = 0) -> int:

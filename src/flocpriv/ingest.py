@@ -40,7 +40,7 @@ import numpy as np
 
 from . import kernels, special
 from .geo import UNKNOWN_STATE, state_for_zip
-from .hashing import check_bit_length, domain_hashes64, seed_key
+from .hashing import check_bit_length, check_seed, domain_hashes64, seed_key
 from .psl import SuffixSet, registrable_domain
 
 RACE_GROUPS: tuple[str, ...] = ("white", "black", "asian", "other")
@@ -473,10 +473,12 @@ class MachineWeekTable:
         Bit b of a hash depends on feature b alone, so a narrower hash is
         the top bits of a wider one. When some width W > ``bit_length`` is
         cached for ``seed``, the result is that array shifted right by
-        W - ``bit_length``, and nothing is hashed.
+        W - ``bit_length``, and nothing is hashed. A width or seed that
+        ``SimHashConfig`` rejects raises ``ValueError`` and caches nothing.
         """
         bit_length, seed = int(bit_length), int(seed)
         check_bit_length(bit_length)
+        check_seed(seed)
         key = (bit_length, seed)
         cached = self._hash_cache.get(key)
         if cached is None:

@@ -2,8 +2,9 @@
 
 A SimHash feature depends only on (domain hash, bit, seed), so the kernel
 tabulates ``F[v, b]`` once for each distinct domain hash ``v`` and then sums
-table rows per CSR row. Results are bit-identical to the scalar definition
-in ``simhash.gaussian_feature``: each feature adds its 12 uniforms in order
+table rows per CSR row. This is the one hashing path. Results are
+bit-identical to the scalar definition, ``gaussian_feature`` in
+``tests/simhash_oracle.py``: each feature adds its 12 uniforms in order
 before subtracting 6.0, and each row adds its features in ascending
 domain-hash order. ``np.sum`` is pairwise and would round differently, so
 both reductions are written as explicit sequential adds. Rows may list
@@ -52,8 +53,8 @@ _BLOCK = 1 << 15
 
 
 def _mix64(x: np.ndarray, tmp: np.ndarray) -> None:
-    """``hashing.mix64`` of every element of ``x``, in place; ``tmp`` is
-    scratch of x's shape."""
+    """The stream's 64-bit finalizer (``mix64`` of ``tests/simhash_oracle.py``)
+    on every element of ``x``, in place; ``tmp`` is scratch of x's shape."""
     np.right_shift(x, _SHIFT_33, out=tmp)
     x ^= tmp
     x *= _MIX_C1

@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .cohorts import cluster_rows, first_pass_width
+from .cohorts import cluster_rows
 from .ingest import INCOME_GROUPS, RACE_GROUPS, MachineWeekTable
 from .prefixlsh import CohortMap
 from .simhash import SimHashConfig
@@ -107,19 +107,16 @@ def apportion(total: int, probs: np.ndarray) -> np.ndarray:
 class Panel:
     """One stratified sample of a week's machine population.
 
-    ``hashes`` are the rows' first-pass hashes: the top
-    ``cohorts.first_pass_width(bit_length)`` bits of each full-width hash.
-    ``cluster_panel`` hashes ``rows`` of ``table`` with ``hash_seed``, so it
-    needs both; ``stratified_panels`` sets them.
+    A panel is a draw of table rows and their demographic labels; it holds
+    no hashes. ``cluster_panel`` hashes ``rows`` of ``table`` with
+    ``hash_seed``, so it needs both; ``stratified_panels`` sets them.
     """
 
     panel_id: int
     week_index: int
     rows: np.ndarray  # row indices into the source table
-    machine_ids: np.ndarray
     race_idx: np.ndarray
     income_idx: np.ndarray
-    hashes: np.ndarray
     cohort_map: CohortMap | None = field(default=None)
     cohort_ids: np.ndarray | None = field(default=None)
     table: MachineWeekTable | None = field(default=None, repr=False)
@@ -156,15 +153,16 @@ def stratified_panels(
     Panel size is the largest m for which every demographic cell can
     supply its apportioned count to all panels; cell counts then match
     the target exactly. Raises ``PanelError`` (naming the week and the
-    binding cell) when even m = 1 is infeasible. Each panel's ``hashes``
-    hold the first pass of ``bit_length``-bit hashes with seed ``sim_seed``.
+    binding cell) when even m = 1 is infeasible, and ``ValueError`` before
+    any draw when ``SimHashConfig`` rejects ``bit_length`` or ``sim_seed``.
+    The draw hashes nothing; ``cluster_panel`` hashes with ``sim_seed``.
     """
+    config = SimHashConfig(bit_length, sim_seed)
     if panels_per_week < 1:
         raise PanelError("panels_per_week must be >= 1")
     rng = np.random.default_rng(seed)
     probs = target.flat()
     panels: list[Panel] = []
-    all_hashes = table.hashes(first_pass_width(bit_length), sim_seed)
 
     for week in table.week_values().tolist():
         rows = table.rows_for_week(week)
@@ -196,12 +194,10 @@ def stratified_panels(
                     panel_id=len(panels),
                     week_index=week,
                     rows=panel_rows,
-                    machine_ids=table.machine_ids[panel_rows],
                     race_idx=table.race_idx[panel_rows],
                     income_idx=table.income_idx[panel_rows],
-                    hashes=all_hashes[panel_rows],
                     table=table,
-                    hash_seed=sim_seed,
+                    hash_seed=config.seed,
                 )
             )
     return panels

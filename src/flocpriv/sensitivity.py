@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -54,17 +54,6 @@ def _cohort_ids(panel: Panel) -> np.ndarray:
     if panel.cohort_ids is None or panel.cohort_map is None:
         raise ValueError("panel has no cohort assignments; cluster it first")
     return panel.cohort_ids
-
-
-def cohort_category_counts(panel: Panel, attribute: str) -> np.ndarray:
-    """(num_cohorts, num_groups) member counts; requires clustering."""
-    ids = _cohort_ids(panel)
-    groups = attribute_groups(attribute)
-    n_cohorts = panel.cohort_map.num_cohorts
-    flat = ids.astype(np.int64) * len(groups) + _attr_idx(panel, attribute)
-    return np.bincount(flat, minlength=n_cohorts * len(groups)).reshape(
-        n_cohorts, len(groups)
-    )
 
 
 def anomalous_category(
@@ -140,34 +129,17 @@ def violation_curves(
     return violating / n_cohorts[:, None]
 
 
-def violation_curve(panel: Panel, t_grid: Sequence[float], attribute: str) -> np.ndarray:
-    """Violating fraction at every t: ``violation_curves([panel], ...)[0]``."""
-    return violation_curves([panel], t_grid, attribute)[0]
-
-
 def shuffle_baseline(panel: Panel, seed: int) -> Panel:
     """Panel with demographics decoupled from browsing.
 
-    Permutes the demographic columns against the hash column; marginals
-    are untouched, so any remaining cohort-demographic association is
-    sampling noise. The hashes do not move, so the shuffled panel shares
-    the panel's cohort map and ids (re-clustering could only rebuild them).
+    Permutes the two demographic label columns together against the
+    rows; marginals are untouched, so any remaining cohort-demographic
+    association is sampling noise. The rows, and so their hashes, do not
+    move, so the shuffled panel shares every other field with the panel,
+    its cohort map and ids included (re-clustering could only rebuild them).
     """
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(panel.size)
-    return Panel(
-        panel_id=panel.panel_id,
-        week_index=panel.week_index,
-        rows=panel.rows,
-        machine_ids=panel.machine_ids,
-        race_idx=panel.race_idx[perm],
-        income_idx=panel.income_idx[perm],
-        hashes=panel.hashes,
-        cohort_map=panel.cohort_map,
-        cohort_ids=panel.cohort_ids,
-        table=panel.table,
-        hash_seed=panel.hash_seed,
-    )
+    perm = np.random.default_rng(seed).permutation(panel.size)
+    return replace(panel, race_idx=panel.race_idx[perm], income_idx=panel.income_idx[perm])
 
 
 def _tail_threshold(n: int, p_r: float, t: float) -> int:
@@ -221,11 +193,6 @@ def cohort_violation_probabilities(
             keep *= 1.0 - tails[key]
         out.append(1.0 - keep)
     return out
-
-
-def cohort_violation_probability(n: int, pop_freqs: Sequence[float], t: float) -> float:
-    """``cohort_violation_probabilities`` at the one threshold t."""
-    return cohort_violation_probabilities(n, pop_freqs, [t])[0]
 
 
 @dataclass

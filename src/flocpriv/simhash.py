@@ -6,7 +6,8 @@ seed. Bit b of a set's hash is 1 iff the features of its members sum to a
 strictly positive value, so machines with similar domain sets collide in
 nearby bitvectors. The feature is a sum of 12 uniforms minus 6 (unit
 variance, zero mean), built from exact integer draws so hash values are
-reproducible across platforms; tests pin its moments and decorrelation.
+reproducible across platforms. ``kernels.simhash_rows`` computes every hash;
+tests check it against the scalar feature of ``tests/simhash_oracle.py``.
 """
 
 from __future__ import annotations
@@ -15,16 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import kernels
-from .hashing import (
-    DRAWS_PER_FEATURE,
-    MASK64,
-    check_bit_length,
-    domain_hash64,
-    domain_hashes64,
-    mix64,
-    seed_key,
-    uniform_draw,
-)
+from .hashing import check_bit_length, check_seed, domain_hashes64, seed_key
 
 DEFAULT_BIT_LENGTH = 50
 DEFAULT_SEED = 7
@@ -39,20 +31,7 @@ class SimHashConfig:
 
     def __post_init__(self) -> None:
         check_bit_length(self.bit_length)
-        if not 0 <= self.seed <= MASK64:
-            raise ValueError("seed must fit in 64 bits")
-
-
-def gaussian_feature(domain: str, bit_index: int, seed: int = DEFAULT_SEED) -> float:
-    """Deterministic feature of (domain, bit): mean 0, variance 1."""
-    if bit_index < 0:
-        raise ValueError("bit_index must be non-negative")
-    key0 = mix64(domain_hash64(domain) ^ seed_key(seed))
-    base = bit_index * DRAWS_PER_FEATURE
-    total = 0.0
-    for j in range(DRAWS_PER_FEATURE):
-        total += uniform_draw(key0, base + j)
-    return total - 6.0
+        check_seed(self.seed)
 
 
 def simhash(domains: Iterable[str], config: SimHashConfig = SimHashConfig()) -> int:

@@ -1,7 +1,9 @@
 """Per-cohort and per-domain views of the analysis inputs, for tests.
 
 ``t_violations`` flags each cohort of one panel at one threshold; the
-runtime's ``violation_curve`` must give its violating fraction at every t.
+runtime's ``violation_curves`` row for the panel must give its violating
+fraction at every t. ``cohort_counts`` counts each cohort's members per
+category one cohort at a time, with none of the runtime's counting code.
 ``top_domains`` names the top-D vocabulary entries the chi-square step
 counts, with their machine-week visit counts.
 """
@@ -14,12 +16,7 @@ import numpy as np
 
 from flocpriv.ingest import MachineWeekTable
 from flocpriv.panels import Panel
-from flocpriv.sensitivity import (
-    _top_ranked,
-    anomalous_category,
-    cohort_category_counts,
-    population_freqs,
-)
+from flocpriv.sensitivity import _top_ranked, anomalous_category, attribute_groups
 
 
 @dataclass
@@ -32,11 +29,22 @@ class TViolations:
     categories: np.ndarray
 
 
+def cohort_counts(panel: Panel, attribute: str) -> np.ndarray:
+    """(num_cohorts, num_groups) member counts of a clustered panel."""
+    labels = panel.race_idx if attribute == "race" else panel.income_idx
+    n_groups = len(attribute_groups(attribute))
+    counts = np.zeros((panel.cohort_map.num_cohorts, n_groups), dtype=np.int64)
+    for cohort in range(len(counts)):
+        members = labels[panel.cohort_ids == cohort]
+        counts[cohort] = [np.count_nonzero(members == g) for g in range(n_groups)]
+    return counts
+
+
 def t_violations(panel: Panel, t: float, attribute: str) -> TViolations:
     """Flag cohorts whose anomalous-category excess strictly exceeds t."""
-    categories, excesses = anomalous_category(
-        cohort_category_counts(panel, attribute), population_freqs(panel, attribute)
-    )
+    counts = cohort_counts(panel, attribute)
+    totals = counts.sum(axis=0)
+    categories, excesses = anomalous_category(counts, totals / totals.sum())
     flags = excesses > t
     return TViolations(
         t=float(t),

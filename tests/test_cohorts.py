@@ -170,16 +170,13 @@ class TestFallback:
         table = _deep_table()
         target = _whole_week_target(table)
         panels = stratified_panels(table, target, 1, seed=0, bit_length=50, sim_seed=7)
-        assert widths == [FIRST_PASS_BITS]
+        assert widths == []  # the draw hashes nothing
         cluster_panel(panels[0], k=1, bit_length=50)
         assert widths == [FIRST_PASS_BITS, 50]
         cmap, ids = _full_build(table, panels[0].rows, 1, SimHashConfig(50, 7))
         assert cmap.lengths.max() > FIRST_PASS_BITS
         assert panels[0].cohort_map == cmap
         assert np.array_equal(panels[0].cohort_ids, ids)
-        # The panel's hashes are the first pass: the full hashes' top 16 bits.
-        full = table.hashes(50, 7)[panels[0].rows]
-        assert np.array_equal(panels[0].hashes, full >> np.uint64(50 - FIRST_PASS_BITS))
 
     def test_rows_that_differ_by_one_domain_stop_at_their_first_shared_bit(self, widths):
         table = _near_duplicates(64)
@@ -228,7 +225,7 @@ class TestFallback:
             table, _whole_week_target(table), 1, seed=0, bit_length=50, sim_seed=7
         )
         cluster_panel(panels[0], k=1, bit_length=12)
-        assert widths == [FIRST_PASS_BITS]  # 12 bits come from the cached 16
+        assert widths == [12]  # a width of at most 16 bits takes one pass
         cmap, ids = _full_build(table, panels[0].rows, 1, SimHashConfig(12, 7))
         assert panels[0].cohort_map == cmap and panels[0].cohort_map.bit_length == 12
         assert np.array_equal(panels[0].cohort_ids, ids)

@@ -203,8 +203,8 @@ class TestStratifiedPanels:
         )
         for p in panels:
             assert np.all(small_table.week_indices[p.rows] == p.week_index)
-            assert np.array_equal(p.machine_ids, small_table.machine_ids[p.rows])
             assert np.array_equal(p.race_idx, small_table.race_idx[p.rows])
+            assert np.array_equal(p.income_idx, small_table.income_idx[p.rows])
 
     def test_deterministic_in_seed(self, small_table, default_joint):
         kw = dict(bit_length=50, sim_seed=7)
@@ -241,6 +241,24 @@ class TestStratifiedPanels:
     def test_bad_panels_per_week(self, small_table, default_joint):
         with pytest.raises(PanelError, match=">= 1"):
             stratified_panels(small_table, default_joint, 0, seed=0, bit_length=50, sim_seed=7)
+
+    @pytest.mark.parametrize(
+        "bit_length, sim_seed, message",
+        [
+            (65, 7, r"bit_length must be in \[1, 64\], got 65"),
+            (0, 7, r"bit_length must be in \[1, 64\], got 0"),
+            (50, -1, "seed must fit in 64 bits, got -1"),
+            (50, 2**64, f"seed must fit in 64 bits, got {2**64}"),
+        ],
+        ids=["bit_length_65", "bit_length_0", "seed_minus_1", "seed_2_64"],
+    )
+    def test_bad_hash_config_fails_at_the_draw(
+        self, small_table, default_joint, bit_length, sim_seed, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            stratified_panels(
+                small_table, default_joint, 1, seed=0, bit_length=bit_length, sim_seed=sim_seed
+            )
 
 
 class TestClusterPanel:

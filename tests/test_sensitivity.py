@@ -27,15 +27,12 @@ from flocpriv.sensitivity import (
     chi_square_by_group,
     chi_square_csv,
     chi_square_test,
-    cohort_category_counts,
     cohort_violation_probabilities,
-    cohort_violation_probability,
     ot_scale_control,
     population_freqs,
     random_subsample_pvalue,
     shuffle_baseline,
     t_closeness_curve,
-    violation_curve,
     violation_curves,
 )
 from sensitivity_reference import t_violations, top_domains
@@ -75,10 +72,8 @@ def _balanced_panel():
         panel_id=0,
         week_index=0,
         rows=np.arange(n),
-        machine_ids=np.arange(n),
         race_idx=labels,
         income_idx=labels[::-1].copy(),
-        hashes=np.zeros(n, np.uint64),
         cohort_map=SimpleNamespace(num_cohorts=n // 4),
         cohort_ids=np.repeat(np.arange(n // 4), 4),
     )
@@ -100,10 +95,8 @@ def _panels_and_grid(draw):
                 panel_id=panel_id,
                 week_index=0,
                 rows=np.arange(n),
-                machine_ids=np.arange(n),
                 race_idx=np.array(draw(labels), np.int8),
                 income_idx=np.array(draw(labels), np.int8),
-                hashes=np.zeros(n, np.uint64),
                 cohort_map=SimpleNamespace(num_cohorts=len(sizes)),
                 cohort_ids=rng.permutation(np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)),
             )
@@ -211,16 +204,16 @@ class TestTViolations:
     def test_excesses_match_per_cohort_recount(self, clustered_panels):
         panel = clustered_panels[0]
         v = t_violations(panel, 0.05, "income")
-        counts = cohort_category_counts(panel, "income")
+        members = Counter(zip(panel.cohort_ids.tolist(), panel.income_idx.tolist()))
         freqs = population_freqs(panel, "income")
-        for c in range(counts.shape[0]):
-            idx, excess = anomalous_category(counts[c], freqs)
+        for c in range(panel.cohort_map.num_cohorts):
+            idx, excess = anomalous_category([members[c, g] for g in range(4)], freqs)
             assert v.categories[c] == idx
             assert v.excesses[c] == pytest.approx(excess)
 
     def test_curve_is_nonincreasing_and_bounded(self, clustered_panels):
         grid = [0.0, 0.05, 0.1, 0.2, 0.4, 1.0]
-        curve = violation_curve(clustered_panels[0], grid, "race")
+        curve = violation_curves(clustered_panels[:1], grid, "race")[0]
         assert np.all(curve >= 0.0) and np.all(curve <= 1.0)
         assert np.all(np.diff(curve) <= 0.0)
         for t, frac in zip(grid, curve):
@@ -241,7 +234,8 @@ class TestTViolations:
                 ]
                 for grid in grids:
                     expected = [(excesses > t).mean() for t in grid]
-                    assert np.array_equal(violation_curve(panel, grid, attribute), expected)
+                    got = violation_curves([panel], grid, attribute)[0]
+                    assert np.array_equal(got, expected)
         balanced = t_violations(_balanced_panel(), 0.0, "race").excesses
         assert set(balanced.tolist()) == {0.0, 0.25, 0.5, 0.75}
 
@@ -277,7 +271,7 @@ class TestTViolations:
             small_table, default_joint, 1, seed=0, bit_length=50, sim_seed=7
         )[0]
         with pytest.raises(ValueError, match="cluster"):
-            t_violations(panel, 0.1, "race")
+            violation_curves([panel], [0.1], "race")
 
 
 class TestShuffleBaseline:
@@ -286,7 +280,7 @@ class TestShuffleBaseline:
         shuffled = shuffle_baseline(panel, seed=11)
         assert np.array_equal(np.sort(shuffled.race_idx), np.sort(panel.race_idx))
         assert np.array_equal(np.sort(shuffled.income_idx), np.sort(panel.income_idx))
-        assert np.array_equal(shuffled.hashes, panel.hashes)
+        assert np.array_equal(shuffled.rows, panel.rows)
 
     def test_cohort_structure_is_untouched(self, clustered_panels):
         panel = clustered_panels[0]
@@ -303,25 +297,23 @@ class TestShuffleBaseline:
         assert not np.array_equal(a.race_idx, c.race_idx)
 
     def test_member_order_within_cohorts_is_irrelevant(self, clustered_panels):
-        """Re-sorting members inside each cohort leaves every count alone."""
+        """Re-sorting members inside each cohort leaves every count, and so
+        every excess and curve, alone."""
         panel = clustered_panels[0]
         order = np.lexsort((panel.race_idx, panel.cohort_ids))
         reordered = Panel(
             panel_id=panel.panel_id,
             week_index=panel.week_index,
             rows=panel.rows[order],
-            machine_ids=panel.machine_ids[order],
             race_idx=panel.race_idx[order],
             income_idx=panel.income_idx[order],
-            hashes=panel.hashes[order],
             cohort_map=panel.cohort_map,
             cohort_ids=panel.cohort_ids[order],
         )
         for attribute in ("race", "income"):
-            assert np.array_equal(
-                cohort_category_counts(reordered, attribute),
-                cohort_category_counts(panel, attribute),
-            )
+            grid = [*t_violations(panel, 0.0, attribute).excesses.tolist(), *DEFAULT_T_GRID]
+            curves = violation_curves([reordered, panel], grid, attribute)
+            assert np.array_equal(curves[0], curves[1])
 
 
 class TestBinomialBaseline:
@@ -349,12 +341,12 @@ class TestBinomialBaseline:
         t = 0.05
         qs = [binomial_baseline(50, p, t) for p in freqs]
         expected = 1.0 - np.prod([1.0 - q for q in qs])
-        assert cohort_violation_probability(50, freqs, t) == pytest.approx(expected)
+        assert cohort_violation_probabilities(50, freqs, [t])[0] == pytest.approx(expected)
 
     def test_union_reduces_to_single_active_category(self):
         # categories at 0 or 1 population share can never be exceeded by > t
         freqs = [0.0, 1.0, 0.0, 0.0]
-        assert cohort_violation_probability(30, freqs, 0.1) == pytest.approx(
+        assert cohort_violation_probabilities(30, freqs, [0.1])[0] == pytest.approx(
             1.0 - (1.0 - binomial_baseline(30, 0.0, 0.1)) ** 3
         )
 
@@ -418,7 +410,7 @@ class TestTClosenessCurve:
         shuffled = [shuffle_baseline(p, seed=i) for i in range(4) for p in fine_panels]
         for attribute in sensitivity.ATTRIBUTES:
             report = t_closeness_curve(fine_panels, DEFAULT_T_GRID, attribute, shuffled=shuffled)
-            rows = np.stack([violation_curve(p, DEFAULT_T_GRID, attribute) for p in shuffled])
+            rows = np.stack([violation_curves([p], DEFAULT_T_GRID, attribute)[0] for p in shuffled])
             assert report.shuffle_mean == rows.mean(axis=0).tolist()
 
     def test_csv_layout(self, clustered_panels):

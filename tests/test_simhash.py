@@ -26,19 +26,13 @@ from flocpriv.hashing import (
     derive_seed,
     domain_hash64,
     domain_hashes64,
-    mix64,
     seed_key,
-    uniform_draw,
 )
 from flocpriv.ingest import FormatConfig, WeekConfig, build_machine_weeks, parse_sessions
 from flocpriv.kernels import _feature_table, simhash_rows
-from flocpriv.simhash import (
-    DEFAULT_BIT_LENGTH,
-    SimHashConfig,
-    gaussian_feature,
-    simhash,
-)
+from flocpriv.simhash import DEFAULT_BIT_LENGTH, SimHashConfig, simhash
 from rank_correlation import spearman_rho
+from simhash_oracle import gaussian_feature, mix64, uniform_draw
 
 
 class TestHashing:
@@ -338,6 +332,21 @@ class TestKernels:
         for _ in range(2):  # a failed call caches nothing
             with pytest.raises(ValueError, match=message):
                 table.hashes(bit_length, 7)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        # seed_key works mod 2**64, so such a seed would hash like an
+        # in-range one yet be cached as a separate entry.
+        assert seed_key(seed) == seed_key(seed % 2**64)
+        message = rf"seed must fit in 64 bits, got {seed}"
+        parsed = parse_sessions(io.StringIO(bundled_table1_sessions()), FormatConfig())
+        table = build_machine_weeks(parsed.records, WeekConfig()).table
+        for _ in range(2):  # a failed call caches nothing
+            with pytest.raises(ValueError, match=message):
+                table.hashes(50, seed)
+        assert len(table.hashes(50, seed % 2**64)) == len(table)  # its in-range twin hashes
+        with pytest.raises(ValueError, match=message):
+            SimHashConfig(seed=seed)
 
     @settings(max_examples=300, deadline=None)
     @given(_feature_table_cases())

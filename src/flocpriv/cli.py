@@ -38,7 +38,7 @@ from .ingest import (
     parse_sessions,
     representativeness,
 )
-from .manifest import dump_json, write_manifest, write_text
+from .manifest import csv_text, dump_json, write_manifest, write_text
 from .panels import JointDistribution, PanelError, _is_number, cluster_panel, stratified_panels
 from .prefixlsh import CohortError
 from .psl import SuffixSet
@@ -46,7 +46,6 @@ from .sensitivity import (
     ATTRIBUTES,
     DEFAULT_T_GRID,
     chi_square_by_group,
-    chi_square_csv,
     ot_scale_control,
     random_subsample_pvalue,
     shuffle_baseline,
@@ -156,6 +155,11 @@ def _sim_config(args: argparse.Namespace) -> SimHashConfig:
     return SimHashConfig(bit_length=args.bit_length, seed=args.hash_seed)
 
 
+def _report_files(stem: str, payload: dict[str, Any], rows: str) -> dict[str, str]:
+    """``<stem>.json`` of a report's payload and ``<stem>.csv`` of its ``rows`` list."""
+    return {f"{stem}.json": dump_json(payload), f"{stem}.csv": csv_text(payload[rows])}
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each maps the parsed flags to {output file name: text}
 # and writes nothing; main writes the files and the manifest.
@@ -190,12 +194,15 @@ def _cmd_preprocess(args: argparse.Namespace) -> dict[str, str]:
                     f"reference {args.reference}: {attribute!r} must map to an object of "
                     "finite shares"
                 )
-            observed = {g: float((idx == i).mean()) for i, g in enumerate(groups)}
-            try:
-                r, p = representativeness(observed, shares)
-                fit = {"r": r, "p_value": p}
-            except ConstantInputError:
-                fit = {"r": None, "p_value": None, "reason": "constant shares"}
+            if not len(idx):
+                fit = {"r": None, "p_value": None, "reason": "no machines"}
+            else:
+                observed = {g: float((idx == i).mean()) for i, g in enumerate(groups)}
+                try:
+                    r, p = representativeness(observed, shares)
+                    fit = {"r": r, "p_value": p}
+                except ConstantInputError:
+                    fit = {"r": None, "p_value": None, "reason": "constant shares"}
             report["representativeness"][attribute] = fit
     return {
         "machine_weeks.tsv": built.table.save_text(),
@@ -235,7 +242,7 @@ def _cmd_cohorts(args: argparse.Namespace) -> dict[str, str]:
     rows = zip(table.machine_ids.tolist(), table.week_indices.tolist(), weekly.cohort_ids.tolist())
     return {
         "cohort_maps.json": dump_json(
-            {str(week): cmap.to_json_dict() for week, cmap in sorted(weekly.maps.items())}
+            {str(week): cmap.to_json_dict() for week, cmap in weekly.maps.items()}
         ),
         "assignments.tsv": "machine_id\tweek_index\tcohort_id\n"
         + "".join(f"{m}\t{w}\t{c}\n" for m, w, c in rows),
@@ -247,7 +254,7 @@ def _cmd_unicity(args: argparse.Namespace) -> dict[str, str]:
     seqs = build_sequences(table, args.window)
     cohorts = assign_sequence_cohorts(seqs, args.k, _sim_config(args))
     report = unicity_fractions(seqs, cohorts)
-    return {"unicity.json": dump_json(report.to_json_dict()), "unicity.csv": report.to_csv_text()}
+    return _report_files("unicity", report.to_json_dict(), "horizons")
 
 
 def _cmd_sweep_n(args: argparse.Namespace) -> dict[str, str]:
@@ -255,7 +262,7 @@ def _cmd_sweep_n(args: argparse.Namespace) -> dict[str, str]:
     table = MachineWeekTable.load(args.table)
     seqs = build_sequences(table, args.window)
     result = sweep_population(seqs, args.k, grid, derive_seed(args.seed, "sweep-n"), _sim_config(args))
-    return {"sweep_n.json": dump_json(result.to_json_dict()), "sweep_n.csv": result.to_csv_text()}
+    return _report_files("sweep_n", result.to_json_dict(), "points")
 
 
 def _cmd_sweep_k(args: argparse.Namespace) -> dict[str, str]:
@@ -263,7 +270,7 @@ def _cmd_sweep_k(args: argparse.Namespace) -> dict[str, str]:
     table = MachineWeekTable.load(args.table)
     seqs = build_sequences(table, args.window)
     result = sweep_k(seqs, grid, _sim_config(args))
-    return {"sweep_k.json": dump_json(result.to_json_dict()), "sweep_k.csv": result.to_csv_text()}
+    return _report_files("sweep_k", result.to_json_dict(), "points")
 
 
 def _cmd_t_closeness(args: argparse.Namespace) -> dict[str, str]:
@@ -290,8 +297,7 @@ def _cmd_t_closeness(args: argparse.Namespace) -> dict[str, str]:
     files = {}
     for attribute in _attributes(args.attribute):
         report = t_closeness_curve(panels, t_grid, attribute, shuffled=shuffled or None)
-        files[f"tcloseness_{attribute}.json"] = dump_json(report.to_json_dict())
-        files[f"tcloseness_{attribute}.csv"] = report.to_csv_text()
+        files.update(_report_files(f"tcloseness_{attribute}", report.to_json_dict(), "points"))
     return files
 
 
@@ -318,7 +324,7 @@ def _cmd_chisq(args: argparse.Namespace) -> dict[str, str]:
             "p_values": pvals,
             "share_above_0.05": float(np.mean([p > 0.05 for p in pvals])),
         }
-    return {"chisq.csv": chi_square_csv(rows), "chisq.json": dump_json(payload)}
+    return _report_files("chisq", payload, "rows")
 
 
 def _cmd_ot_control(args: argparse.Namespace) -> dict[str, str]:

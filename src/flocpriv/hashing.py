@@ -9,6 +9,8 @@ runs the feature stream; ``tests/simhash_oracle.py`` is its scalar definition.
 from __future__ import annotations
 
 import hashlib
+import numbers
+import operator
 from functools import lru_cache
 from typing import Iterable
 
@@ -29,22 +31,35 @@ DRAWS_PER_FEATURE = 12
 INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
 
 
-def check_bit_length(bit_length: int, error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` unless ``1 <= bit_length <= 64``: hashes are 64-bit words."""
+def check_integer(value: int, name: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` as a Python ``int``; ``error`` unless it is a ``numbers.Integral``
+    (``np.uint8`` too) but not a ``bool``. A float would be truncated and alias
+    an integer; a narrow NumPy integer would wrap in later arithmetic."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def check_bit_length(bit_length: int, error: type[ValueError] = ValueError) -> int:
+    """``bit_length`` as an ``int``; ``error`` unless an integer in [1, 64]: 64-bit hashes."""
+    bit_length = check_integer(bit_length, "bit_length", error)
     if not 1 <= bit_length <= 64:
         raise error(f"bit_length must be in [1, 64], got {bit_length}")
+    return bit_length
 
 
-def check_seed(seed: int) -> None:
-    """Raise ``ValueError`` unless ``0 <= seed < 2**64``: a wider seed would
-    alias one inside the range, since ``seed_key`` reduces it mod 2**64."""
+def check_seed(seed: int) -> int:
+    """``seed`` as an ``int``; ``ValueError`` unless an integer in [0, 2**64):
+    a wider seed would alias one inside it, as ``seed_key`` reduces mod 2**64."""
+    seed = check_integer(seed, "seed")
     if not 0 <= seed <= MASK64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
+    return seed
 
 
 def seed_key(seed: int) -> int:
-    """Fold a user seed into the per-domain stream key."""
-    return (int(seed) * SEED_MUL) & MASK64
+    """Fold a user seed into the per-domain stream key (a ``TypeError`` for a non-integer)."""
+    return (operator.index(seed) * SEED_MUL) & MASK64
 
 
 # An empty 8-byte blake2b state. Copying it is about twice as fast as

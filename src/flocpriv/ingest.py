@@ -150,11 +150,7 @@ class RejectReport:
         return sum(self.counts.values())
 
     def to_json_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "counts": dict(sorted(self.counts.items())),
-            "samples": {k: v for k, v in sorted(self.samples.items())},
-        }
+        return {"total": self.total, "counts": self.counts, "samples": self.samples}
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,9 +472,7 @@ class MachineWeekTable:
         W - ``bit_length``, and nothing is hashed. A width or seed that
         ``SimHashConfig`` rejects raises ``ValueError`` and caches nothing.
         """
-        bit_length, seed = int(bit_length), int(seed)
-        check_bit_length(bit_length)
-        check_seed(seed)
+        bit_length, seed = check_bit_length(bit_length), check_seed(seed)
         key = (bit_length, seed)
         cached = self._hash_cache.get(key)
         if cached is None:

@@ -118,10 +118,9 @@ def simhash_rows(
     ``bit_length``-wide value) is 1 iff the row's summed feature is > 0, so
     empty rows hash to 0. Memory is O(distinct hashes × bit_length) for the
     feature table plus a constant scratch of a few ``_BLOCK``-element
-    buffers. Raises ``ValueError`` unless ``1 <= bit_length <= 64``.
+    buffers. Raises ``ValueError`` unless ``bit_length`` is an integer in [1, 64].
     """
-    bit_length = int(bit_length)
-    check_bit_length(bit_length)
+    bit_length = check_bit_length(bit_length)
     values = np.asarray(values, dtype=np.uint64)
     offsets = np.asarray(offsets, dtype=np.int64)
     out = np.zeros(len(offsets) - 1, dtype=np.uint64)

@@ -1,9 +1,11 @@
-"""Run manifests: the full resolved config echoed next to the outputs.
+"""JSON and CSV writers, and run manifests: the full resolved config
+echoed next to the outputs.
 
-A manifest contains everything needed to re-run a subcommand
-bit-identically (tool version, resolved flags, input digests) and
-deliberately nothing else — no timestamps, hostnames, or paths that vary
-between identical runs.
+A report's CSV is ``csv_text`` of its JSON's row list, so the two files
+hold the same rows. A manifest contains everything needed to re-run a
+subcommand bit-identically (tool version, resolved flags, input digests)
+and deliberately nothing else — no timestamps, hostnames, or paths that
+vary between identical runs.
 """
 
 from __future__ import annotations
@@ -16,6 +18,22 @@ from typing import Any, Mapping, Sequence
 
 def dump_json(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def csv_text(rows: Sequence[Mapping[str, Any]]) -> str:
+    """CSV of a non-empty list of dict rows: a header of the first row's
+    keys in insertion order, then one line per row. A float is written to
+    10 significant digits, ``None`` as an empty field, anything else as
+    ``str``."""
+
+    def field(value: Any) -> str:
+        if isinstance(value, float):
+            return format(value, ".10g")
+        return "" if value is None else str(value)
+
+    lines = [",".join(rows[0])]
+    lines += [",".join(map(field, row.values())) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def write_json(path: str, payload: Any) -> None:
@@ -53,10 +71,9 @@ def write_manifest(
         "tool": "flocpriv",
         "version": version,
         "subcommand": subcommand,
-        "config": {k: config[k] for k in sorted(config)},
+        "config": dict(config),
         "inputs": {
-            label: {"path": path, "sha256": file_sha256(path)}
-            for label, path in sorted(inputs.items())
+            label: {"path": path, "sha256": file_sha256(path)} for label, path in inputs.items()
         },
         "outputs": sorted(outputs),
     }

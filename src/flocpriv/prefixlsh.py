@@ -34,24 +34,19 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .hashing import check_bit_length
+from .hashing import check_bit_length, check_integer
 
 
 class CohortError(ValueError):
     """Raised when a population cannot be clustered at the requested k."""
 
 
-def _check_k(k: int) -> None:
-    """Raise ``CohortError`` unless ``k >= 1``: every cohort needs a member."""
+def _check_k(k: int) -> int:
+    """``k`` as an ``int``; ``CohortError`` unless an integer >= 1: every cohort needs a member."""
+    k = check_integer(k, "k", CohortError)
     if k < 1:
         raise CohortError(f"k must be >= 1, got {k}")
-
-
-def _json_int(value: Any, field: str) -> int:
-    """``value`` if it is a JSON integer; ``CohortError`` naming ``field`` if not."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise CohortError(f"{field} must be an integer, got {value!r}")
-    return value
+    return k
 
 
 class CohortMap:
@@ -64,8 +59,8 @@ class CohortMap:
     """
 
     def __init__(self, bit_length: int, k: int, prefixes: Any, lengths: Any, counts: Any):
-        self.bit_length = int(bit_length)
-        self.k = int(k)
+        self.bit_length = check_bit_length(bit_length, CohortError)
+        self.k = _check_k(k)
         try:
             self.prefixes = np.array(prefixes, dtype=np.uint64)
             self.lengths = np.array(lengths, dtype=np.int64)
@@ -79,8 +74,6 @@ class CohortMap:
     def _validate(self) -> np.ndarray:
         """Check the leaves and return the smallest hash each covers."""
         bits = self.bit_length
-        check_bit_length(bits, CohortError)
-        _check_k(self.k)
         n = len(self.prefixes)
         if n == 0:
             raise CohortError("cohort map has no buckets")
@@ -164,7 +157,7 @@ class CohortMap:
     @classmethod
     def from_json_dict(cls, payload: dict[str, Any]) -> "CohortMap":
         entries = payload["entries"]
-        ids = [_json_int(item["cohort_id"], "cohort_id") for item in entries]
+        ids = [check_integer(item["cohort_id"], "cohort_id", CohortError) for item in entries]
         if ids != list(range(len(entries))):
             raise CohortError("cohort ids must number buckets in prefix order")
         prefixes = [item["prefix"] for item in entries]
@@ -172,11 +165,11 @@ class CohortMap:
             if not isinstance(prefix, str) or not set(prefix) <= {"0", "1"}:
                 raise CohortError(f"bucket prefix {prefix!r} is not a string of 0s and 1s")
         return cls(
-            _json_int(payload["bit_length"], "bit_length"),
-            _json_int(payload["k"], "k"),
+            payload["bit_length"],
+            payload["k"],
             [int(prefix, 2) if prefix else 0 for prefix in prefixes],
             list(map(len, prefixes)),
-            [_json_int(item["count"], "count") for item in entries],
+            [check_integer(item["count"], "count", CohortError) for item in entries],
         )
 
     def __eq__(self, other: object) -> bool:
@@ -198,8 +191,8 @@ def build_cohort_map(hash_values: np.ndarray, k: int, bit_length: int) -> Cohort
     when bit_length is outside [1, 64], when k < 1, when the whole
     population is smaller than k, or when a hash is wider than bit_length.
     """
-    check_bit_length(bit_length, CohortError)
-    _check_k(k)
+    bit_length = check_bit_length(bit_length, CohortError)
+    k = _check_k(k)
     values = np.sort(np.asarray(hash_values, dtype=np.uint64))
     if len(values) < k:
         raise CohortError(f"population of {len(values)} cannot support k={k}")

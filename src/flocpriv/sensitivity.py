@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -195,6 +195,10 @@ def cohort_violation_probabilities(
     return out
 
 
+#: A t-closeness point's keys, in CSV column order.
+_POINT_COLUMNS = ("t", "mean", "ci_low", "ci_high", "shuffle_baseline", "binomial_baseline")
+
+
 @dataclass
 class TClosenessReport:
     attribute: str
@@ -209,33 +213,15 @@ class TClosenessReport:
     mean_cohort_size: float
 
     def to_json_dict(self) -> dict[str, Any]:
+        shuffle = self.shuffle_mean or [None] * len(self.t_grid)
+        columns = (self.t_grid, self.mean, self.ci_low, self.ci_high, shuffle, self.binomial)
         return {
             "attribute": self.attribute,
             "k": self.k,
             "n_panels": self.n_panels,
             "mean_cohort_size": self.mean_cohort_size,
-            "points": [
-                {
-                    "t": self.t_grid[i],
-                    "mean": self.mean[i],
-                    "ci_low": self.ci_low[i],
-                    "ci_high": self.ci_high[i],
-                    "shuffle_baseline": None if self.shuffle_mean is None else self.shuffle_mean[i],
-                    "binomial_baseline": self.binomial[i],
-                }
-                for i in range(len(self.t_grid))
-            ],
+            "points": [dict(zip(_POINT_COLUMNS, point)) for point in zip(*columns)],
         }
-
-    def to_csv_text(self) -> str:
-        lines = ["t,mean,ci_low,ci_high,shuffle_baseline,binomial_baseline"]
-        for i in range(len(self.t_grid)):
-            shuffle = "" if self.shuffle_mean is None else f"{self.shuffle_mean[i]:.10g}"
-            lines.append(
-                f"{self.t_grid[i]:.10g},{self.mean[i]:.10g},{self.ci_low[i]:.10g},"
-                f"{self.ci_high[i]:.10g},{shuffle},{self.binomial[i]:.10g}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 DEFAULT_T_GRID = [round(0.01 * i, 2) for i in range(51)]
@@ -398,13 +384,6 @@ def random_subsample_pvalue(
     return p
 
 
-def chi_square_csv(rows: Sequence[ChiSquareRow]) -> str:
-    lines = ["attribute,group,D,statistic,p_value"]
-    for r in rows:
-        lines.append(f"{r.attribute},{r.group},{r.d},{r.statistic:.10g},{r.p_value:.10g}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Deployment-scale control
 
@@ -420,15 +399,7 @@ class OTControlResult:
     max_excess: dict[str, float]
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "num_cohorts": self.num_cohorts,
-            "k": self.k,
-            "cohort_size_ratio": self.cohort_size_ratio,
-            "t": self.t,
-            "n_members": self.n_members,
-            "violations": dict(sorted(self.violations.items())),
-            "max_excess": {k: float(v) for k, v in sorted(self.max_excess.items())},
-        }
+        return asdict(self)
 
 
 _CELL_BINS = 2**16

@@ -24,14 +24,14 @@ DEFAULT_SEED = 7
 
 @dataclass(frozen=True)
 class SimHashConfig:
-    """Hash width in bits (MSB first) and the feature-stream seed."""
+    """Hash width in bits (MSB first) and the feature-stream seed, as Python ints."""
 
     bit_length: int = DEFAULT_BIT_LENGTH
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        check_bit_length(self.bit_length)
-        check_seed(self.seed)
+        object.__setattr__(self, "bit_length", check_bit_length(self.bit_length))
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 def simhash(domains: Iterable[str], config: SimHashConfig = SimHashConfig()) -> int:

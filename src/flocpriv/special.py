@@ -217,7 +217,8 @@ class ConstantInputError(ValueError):
 def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     """Pearson correlation and its two-sided p-value (t approximation).
 
-    Raises ``ConstantInputError`` (a ``ValueError``) when either input is
+    Raises ``ValueError`` when a value is not finite, and
+    ``ConstantInputError`` (a ``ValueError``) when either input is
     constant, since r is then undefined.
     """
     n = len(xs)
@@ -225,6 +226,8 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
         raise ValueError("inputs must have equal length")
     if n < 3:
         raise ValueError("need at least 3 points for a p-value")
+    if not all(map(math.isfinite, (*xs, *ys))):
+        raise ValueError("correlation undefined for a non-finite input")
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
     sxx = math.fsum((x - mx) ** 2 for x in xs)

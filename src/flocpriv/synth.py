@@ -147,12 +147,8 @@ def _draw_rows(weights: np.ndarray, sizes: np.ndarray, rng: np.random.Generator)
     keep = first & (rank <= sizes[:, None])
     got = np.minimum(rank[:, -1], sizes)
 
-    flat_keep = keep.ravel()
-    kept_vals = draws.ravel()[flat_keep]
-    kept_offsets = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(got, out=kept_offsets[1:])
-    for i in range(n_rows):
-        out_vals[i, : got[i]] = kept_vals[kept_offsets[i] : kept_offsets[i + 1]]
+    # Row i keeps got[i] values, so its first got[i] slots take them in order.
+    out_vals[np.arange(need) < got[:, None]] = draws[keep]
 
     for i in np.nonzero(got < sizes)[0]:
         seen = set(int(v) for v in out_vals[i, : got[i]])

@@ -20,7 +20,7 @@ window's signature once and the fingerprint once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -157,25 +157,8 @@ class UnicityReport:
             "n_known_state": self.n_known_state,
             "n_unknown_excluded": self.n_unknown_excluded,
             "cohorts_per_position": self.cohorts_per_position,
-            "horizons": [
-                {
-                    "horizon": r.horizon,
-                    "frac_sequence": r.frac_sequence,
-                    "frac_fingerprint": r.frac_fingerprint,
-                    "frac_sequence_known": r.frac_sequence_known,
-                }
-                for r in self.rows
-            ],
+            "horizons": [asdict(r) for r in self.rows],
         }
-
-    def to_csv_text(self) -> str:
-        lines = ["horizon,frac_sequence,frac_fingerprint,frac_sequence_known"]
-        for r in self.rows:
-            lines.append(
-                f"{r.horizon},{r.frac_sequence:.10g},{r.frac_fingerprint:.10g},"
-                f"{r.frac_sequence_known:.10g}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _signature_groups(columns: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -257,15 +240,14 @@ class SweepPoint:
 @dataclass
 class SweepResult:
     param_name: str
-    window: int
-    horizon: int
+    window: int  # every point is at the full-window horizon
     points: list[SweepPoint]
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "param": self.param_name,
             "window": self.window,
-            "horizon": self.horizon,
+            "horizon": self.window,
             "points": [
                 {
                     self.param_name: p.param,
@@ -276,14 +258,6 @@ class SweepResult:
                 for p in self.points
             ],
         }
-
-    def to_csv_text(self) -> str:
-        lines = [f"{self.param_name},n_samples,frac_sequence,frac_fingerprint"]
-        for p in self.points:
-            lines.append(
-                f"{p.param},{p.n_samples},{p.frac_sequence:.10g},{p.frac_fingerprint:.10g}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _point(seqs: SequenceSet, k: int, config: SimHashConfig, param: int) -> SweepPoint:
@@ -322,12 +296,12 @@ def sweep_population(
         chosen = rng.choice(machines, size=n, replace=False)
         mask = np.isin(seqs.machine_ids, chosen)
         points.append(_point(seqs.select(mask), k, config, int(n)))
-    return SweepResult("n_machines", seqs.window, seqs.window, points)
+    return SweepResult("n_machines", seqs.window, points)
 
 
 def sweep_k(
     seqs: SequenceSet, k_grid: Sequence[int], config: SimHashConfig = SimHashConfig()
 ) -> SweepResult:
     """Unicity at the full-window horizon versus the anonymity level k."""
-    points = [_point(seqs, int(k), config, int(k)) for k in k_grid]
-    return SweepResult("k", seqs.window, seqs.window, points)
+    points = [_point(seqs, k, config, int(k)) for k in k_grid]
+    return SweepResult("k", seqs.window, points)

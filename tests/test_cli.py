@@ -446,6 +446,23 @@ class TestRunOutputs:
         assert fits["race"] == {"r": None, "p_value": None, "reason": "constant shares"}
         assert sorted(fits["income"]) == ["p_value", "r"]
 
+    def test_reference_on_a_table_without_machines_has_no_correlation(self, tmp_path):
+        # The log's only machine-week has one domain, below --min-domains.
+        sessions = tmp_path / "sessions.tsv"
+        sessions.write_text(bundled_table1_sessions().splitlines(keepends=True)[0]
+                            + "7\t1\ta.com\t20170101\t12:00:00\t1\t60\t4\t1\t36832\n")
+        reference = tmp_path / "reference.json"
+        reference.write_text(json.dumps({
+            "race": {g: (i + 1) / 10 for i, g in enumerate(RACE_GROUPS)},
+            "income": {g: (i + 1) / 10 for i, g in enumerate(INCOME_GROUPS)},
+        }))
+        out = tmp_path / "pre"
+        assert _run("preprocess", "--out", out, "--sessions", sessions, "--reference", reference) == 0
+        assert (out / "machine_weeks.tsv").read_text().count("\n") == 1  # the header alone
+        fits = json.loads((out / "ingest_report.json").read_text())["representativeness"]
+        no_fit = {"r": None, "p_value": None, "reason": "no machines"}
+        assert fits == {"race": no_fit, "income": no_fit}
+
     def test_failed_run_writes_nothing(self, capsys, tmp_path):
         sessions = tmp_path / "sessions.tsv"
         sessions.write_text(bundled_table1_sessions())

@@ -77,6 +77,23 @@ class TestWorkedExamples:
         with pytest.raises(CohortError, match=re.escape(message)):
             build_cohort_map(_hashes([0, 1]), 1, bits)
 
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_k_that_is_not_an_integer_is_rejected(self, k):
+        # At k = 2.5 a map was built by the k = 2.5 split rule but stored k = 2.
+        message = f"k must be an integer, got {k!r}"
+        with pytest.raises(CohortError, match=re.escape(message)):
+            build_cohort_map(_hashes(range(8)), k, 8)
+        with pytest.raises(CohortError, match=re.escape(message)):
+            CohortMap(8, k, [0], [0], [8])
+
+    def test_numpy_integers_are_integers(self):
+        # A uint8 width of 16 overflowed the width check on a hash above 255.
+        values = _hashes([300, 1000, 40000, 65535])
+        cmap = build_cohort_map(values, np.int64(2), np.uint8(16))
+        assert cmap == build_cohort_map(values, 2, 16)
+        assert (type(cmap.bit_length), type(cmap.k)) == (int, int)
+        assert json.loads(json.dumps(cmap.to_json_dict())) == cmap.to_json_dict()
+
     def test_full_depth_at_64_bits(self):
         # {0, 1, 2, 4, ..., 2^63}, k=1: every node on the path to 0 splits,
         # so 0 and 1 end in leaves of length 64.

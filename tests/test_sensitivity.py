@@ -17,6 +17,7 @@ from flocpriv import sensitivity, special
 from flocpriv.geo import UNKNOWN_STATE
 from flocpriv.hashing import derive_seed
 from flocpriv.ingest import MachineWeekTable
+from flocpriv.manifest import csv_text
 from flocpriv.panels import JointDistribution, Panel, cluster_panel, stratified_panels
 from flocpriv.sensitivity import (
     DEFAULT_T_GRID,
@@ -25,7 +26,6 @@ from flocpriv.sensitivity import (
     attribute_groups,
     binomial_baseline,
     chi_square_by_group,
-    chi_square_csv,
     chi_square_test,
     cohort_violation_probabilities,
     ot_scale_control,
@@ -415,10 +415,11 @@ class TestTClosenessCurve:
 
     def test_csv_layout(self, clustered_panels):
         report = t_closeness_curve(clustered_panels, [0.0, 0.1], "race")
-        lines = report.to_csv_text().splitlines()
+        json_points = report.to_json_dict()["points"]
+        lines = csv_text(json_points).splitlines()
         assert lines[0] == "t,mean,ci_low,ci_high,shuffle_baseline,binomial_baseline"
         assert len(lines) == 3
-        json_points = report.to_json_dict()["points"]
+        assert [line.split(",")[4] for line in lines[1:]] == ["", ""]
         assert json_points[0]["t"] == 0.0
         assert json_points[0]["shuffle_baseline"] is None
 
@@ -572,13 +573,11 @@ class TestChiSquare:
         assert random_subsample_pvalue(small_table, 20, 1.0, seed=6) == pytest.approx(1.0)
 
     def test_csv_layout(self):
-        rows = [ChiSquareRow("race", "white", 10, 1.5, 0.25)]
-        text = chi_square_csv(rows)
-        assert text.splitlines()[0] == "attribute,group,D,statistic,p_value"
-        assert "race,white,10,1.5,0.25" in text
-        assert rows[0].to_json_dict() == {
+        row = ChiSquareRow("race", "white", 10, 1.5, 0.25).to_json_dict()
+        assert row == {
             "attribute": "race", "group": "white", "D": 10, "statistic": 1.5, "p_value": 0.25
         }
+        assert csv_text([row]) == "attribute,group,D,statistic,p_value\nrace,white,10,1.5,0.25\n"
 
 
 _OT_JOINTS = {

@@ -386,3 +386,44 @@ class TestKernels:
         )
         for row, names in zip(batched, name_sets):
             assert int(row) == simhash(names, sim_config)
+
+
+class TestIntegerParameters:
+    """A width or seed is an integer: a bool or a float is refused, not truncated."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        parsed = parse_sessions(io.StringIO(bundled_table1_sessions()), FormatConfig())
+        return build_machine_weeks(parsed.records, WeekConfig()).table
+
+    def test_bool_bit_length_is_rejected(self):
+        with pytest.raises(ValueError, match="bit_length must be an integer, got True"):
+            SimHashConfig(bit_length=True)
+
+    def test_float_seed_is_rejected(self):
+        # It hashed like seed 7.
+        with pytest.raises(ValueError, match="seed must be an integer, got 7.9"):
+            SimHashConfig(50, 7.9)
+        with pytest.raises(TypeError):
+            seed_key(7.9)
+
+    def test_float_bit_length_is_rejected_by_table_hashes(self, table):
+        with pytest.raises(ValueError, match="bit_length must be an integer, got 50.0"):
+            table.hashes(50.0, 7)
+
+    def test_numpy_integers_are_integers(self, table):
+        names = ["a.example", "b.example", "c.example"]
+        config = SimHashConfig(np.int64(50), np.uint64(7))
+        assert simhash(names, config) == simhash(names, SimHashConfig(50, 7))
+        expected = table.hashes(50, 7).copy()
+        assert table.hashes(np.int64(50), np.int64(7)).tolist() == expected.tolist()
+        assert table.hashes(np.int64(16), np.int64(7)).tolist() == (expected >> 34).tolist()
+        # A uint8 width of 22 wrapped 22 * 12 draws per feature to 8.
+        config = SimHashConfig(np.uint8(22), np.uint8(7))
+        assert (type(config.bit_length), type(config.seed)) == (int, int)
+        expected = table.hashes(22, 7).copy()
+        table._hash_cache.clear()
+        assert table.hashes(np.uint8(22), np.uint8(7)).tolist() == expected.tolist()
+        values = table.vocab_hashes[table.dom_indices]
+        narrow = simhash_rows(values, table.offsets, np.uint8(22), seed_key(7))
+        assert narrow.tolist() == expected.tolist()

@@ -163,6 +163,13 @@ class TestPearson:
         with pytest.raises(ConstantInputError):
             pearson_r([1.0, 2.0, 3.0], [0.25, 0.25, 0.25])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_errors(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            pearson_r([0.1, bad, 0.3], [0.1, 0.2, 0.4])
+        with pytest.raises(ValueError, match="non-finite"):
+            pearson_r([0.1, 0.2, 0.4], [bad, bad, bad])
+
     def test_against_scipy(self, rng):
         for _ in range(100):
             xs = rng.normal(size=8)

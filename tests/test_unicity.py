@@ -20,6 +20,7 @@ from flocpriv.fixtures import (
     make_table1_sessions,
 )
 from flocpriv.ingest import FormatConfig, WeekConfig, build_machine_weeks, parse_sessions
+from flocpriv.manifest import csv_text
 from flocpriv.prefixlsh import CohortError
 from flocpriv.simhash import SimHashConfig
 from flocpriv.unicity import (
@@ -250,9 +251,9 @@ class TestUnicityFractions:
         blob = report.to_json_dict()
         assert len(blob["horizons"]) == 4
         assert blob["n_samples"] == report.n_samples
-        csv = report.to_csv_text()
-        assert csv.splitlines()[0] == "horizon,frac_sequence,frac_fingerprint,frac_sequence_known"
-        assert len(csv.splitlines()) == 5
+        lines = csv_text(blob["horizons"]).splitlines()
+        assert lines[0] == "horizon,frac_sequence,frac_fingerprint,frac_sequence_known"
+        assert len(lines) == 5
 
 
 def _direct_pool(ids, state_idx, known):
@@ -405,4 +406,14 @@ class TestSweeps:
         blob = sweep.to_json_dict()
         assert blob["param"] == "k"
         assert [p["k"] for p in blob["points"]] == [5, 40]
-        assert sweep.to_csv_text().splitlines()[0] == "k,n_samples,frac_sequence,frac_fingerprint"
+        assert blob["horizon"] == blob["window"] == 4
+        header = csv_text(blob["points"]).splitlines()[0]
+        assert header == "k,n_samples,frac_sequence,frac_fingerprint"
+
+    def test_sweep_k_refuses_a_k_that_is_not_an_integer(self, small_table, sim_config):
+        seqs = build_sequences(small_table, window=4)
+        with pytest.raises(CohortError, match="k must be an integer, got 5.5"):
+            sweep_k(seqs, [5.5], config=sim_config)
+        point = sweep_k(seqs, [np.int64(5)], config=sim_config).points[0]
+        assert point == sweep_k(seqs, [5], config=sim_config).points[0]
+        assert type(point.param) is int

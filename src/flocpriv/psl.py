@@ -6,6 +6,11 @@ most labels; wildcard labels (``*``) match exactly one label. A bundled
 snapshot of common rules ships with the package; callers can load a full
 list from disk instead.
 
+The rules are held as a label trie, read right to left and built once per
+``SuffixSet``. A host is matched by one walk down it: one dict step per
+label from the TLD leftwards, stopping at the first label with no child,
+so no candidate suffix string is built.
+
 By default a hostname whose TLD appears nowhere in the list is rejected
 (treated as not a real registrable domain). Passing ``implicit_star=True``
 restores the reference semantics where unlisted TLDs are themselves
@@ -30,6 +35,10 @@ def _ascii_label(label: str) -> str:
         return label
 
 
+#: Bits of a trie node's ``kinds``: the rules that end at that node.
+_EXACT, _WILDCARD, _EXCEPTION = _KINDS = (1, 2, 4)
+
+
 @dataclass(frozen=True)
 class SuffixSet:
     """Parsed suffix rules, keyed by canonical (punycode) form."""
@@ -37,34 +46,49 @@ class SuffixSet:
     exact: frozenset[str]
     wildcard: frozenset[str]  # stored without the leading "*."
     exception: frozenset[str]  # stored without the leading "!"
-    #: Labels in the longest suffix any rule can match: a wildcard rule
-    #: matches one label more than its stored body.
-    depth: int = field(init=False, repr=False, compare=False)
+    #: The rules as a label trie read right to left: each label maps to
+    #: ``[children, kinds]`` for the suffix that ends with it.
+    trie: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        labels = [rule.count(".") + 1 for rule in (*self.exact, *self.exception)]
-        labels += [rule.count(".") + 2 for rule in self.wildcard]
-        object.__setattr__(self, "depth", max(labels, default=0))
+        trie: dict = {}
+        for rules, kind in zip((self.exact, self.wildcard, self.exception), _KINDS):
+            for rule in rules:
+                node = [trie, 0]
+                for label in reversed(rule.split(".")):
+                    node = node[0].setdefault(label, [{}, 0])
+                node[1] |= kind
+        object.__setattr__(self, "trie", trie)
 
     @classmethod
     def from_text(cls, text: str) -> "SuffixSet":
+        """One rule per line. A rule with an empty label, or with a ``*`` other than a
+        leading ``*.`` label, could never match and raises ``ValueError`` naming its line."""
         exact: set[str] = set()
         wildcard: set[str] = set()
         exception: set[str] = set()
-        for raw in text.splitlines():
+        for number, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("//"):
                 continue
-            line = line.split()[0].lower()
-            if line.startswith("!"):
+            rule = line.split()[0]
+            body = rule.lower()
+            if body.startswith("!"):
                 target = exception
-                line = line[1:]
-            elif line.startswith("*."):
+                body = body[1:]
+            elif body.startswith("*."):
                 target = wildcard
-                line = line[2:]
+                body = body[2:]
             else:
                 target = exact
-            target.add(".".join(_ascii_label(lb) for lb in line.split(".")))
+            labels = body.split(".")
+            if "" in labels:
+                raise ValueError(f"line {number}: suffix rule {rule!r} has an empty label")
+            if "*" in body:
+                raise ValueError(
+                    f"line {number}: suffix rule {rule!r} has a '*' other than a leading '*.' label"
+                )
+            target.add(".".join(_ascii_label(lb) for lb in labels))
         return cls(frozenset(exact), frozenset(wildcard), frozenset(exception))
 
     @classmethod
@@ -80,51 +104,9 @@ def default_suffixes() -> SuffixSet:
     return SuffixSet.from_text(text)
 
 
-def _strip_host(host: str) -> str | None:
-    host = host.strip().lower()
-    if host.endswith("."):
-        host = host[:-1]
-    if host.startswith("["):  # bracketed IPv6 literal
-        return None
-    if ":" in host:  # port suffix (ASCII digits) or bare IPv6 literal
-        head, _, tail = host.rpartition(":")
-        if not (tail.isascii() and tail.isdigit()) or ":" in head:
-            return None
-        host = head
-    return host or None
-
-
-def _is_ipv4(labels: list[str]) -> bool:
-    # Labels are nonempty here, so the join is digits only if each label is.
-    return len(labels) == 4 and "".join(labels).isdigit()
-
-
 # Hostname labels: nonempty, and LDH plus underscore once punycoded.
 _LABEL = re.compile(r"[A-Za-z0-9_-]+")
 _ASCII_HOST = re.compile(rf"{_LABEL.pattern}(?:\.{_LABEL.pattern})*")
-
-
-def _suffix_label_count(canon: list[str], suffixes: SuffixSet, implicit_star: bool) -> int | None:
-    """Number of labels in the prevailing public suffix, or None.
-
-    ``canon`` holds the host's canonical labels. Only suffixes of at most
-    ``suffixes.depth`` labels can match a rule; each of those is built
-    once, right to left, and scanning them from the longest, the first
-    match is the longest.
-    """
-    tails = canon[max(len(canon) - suffixes.depth, 0) :]
-    n = len(tails)
-    for i in range(n - 2, -1, -1):
-        tails[i] += "." + tails[i + 1]
-    for i, tail in enumerate(tails):
-        if tail in suffixes.exception:
-            # An exception rule wins outright; its suffix is the rule
-            # minus its leftmost label.
-            return n - i - 1
-    for i, tail in enumerate(tails):
-        if tail in suffixes.exact or (i + 1 < n and tails[i + 1] in suffixes.wildcard):
-            return n - i
-    return 1 if implicit_star else None
 
 
 def registrable_domain(
@@ -141,21 +123,48 @@ def registrable_domain(
     """
     if suffixes is None:
         suffixes = default_suffixes()
-    stripped = _strip_host(host)
-    if stripped is None:
+    host = host.strip().lower()
+    if host.endswith("."):
+        host = host[:-1]
+    if host.startswith("["):  # bracketed IPv6 literal
         return None
-    labels = stripped.split(".")
-    if stripped.isascii():
-        if not _ASCII_HOST.fullmatch(stripped):
+    if ":" in host:  # port suffix (ASCII digits) or bare IPv6 literal
+        head, _, tail = host.rpartition(":")
+        if not (tail.isascii() and tail.isdigit()) or ":" in head:
+            return None
+        host = head
+    labels = host.split(".")
+    if host.isascii():
+        if not _ASCII_HOST.fullmatch(host):  # an empty host fails here too
             return None
         canon = labels
     else:
         canon = [_ascii_label(lb) for lb in labels]
         if not all(_LABEL.fullmatch(lb) for lb in canon):
             return None
-    if _is_ipv4(labels):
+    n = len(labels)
+    # An IPv4 literal (labels are nonempty, so a digit join means digit labels).
+    if n == 4 and "".join(labels).isdigit():
         return None
-    count = _suffix_label_count(canon, suffixes, implicit_star)
-    if count is None or count >= len(labels):
+    # Walk from the TLD leftwards, one dict step per label, up to the first
+    # label with no child. At depth d an exception wins outright (its suffix
+    # is the rule minus one label); else the longest match: an exact rule
+    # is d labels, a wildcard body d + 1 when one more label exists.
+    children = suffixes.trie
+    exception = longest = d = 0
+    while d < n:
+        node = children.get(canon[-1 - d])
+        if node is None:
+            break
+        d += 1
+        children, kinds = node
+        if kinds & _EXCEPTION:
+            exception = d
+        if kinds & _EXACT:
+            longest = d
+        if kinds & _WILDCARD and d < n:
+            longest = d + 1
+    count = exception - 1 if exception else longest or (1 if implicit_star else None)
+    if count is None or count >= n:
         return None
-    return ".".join(labels[len(labels) - count - 1 :])
+    return ".".join(labels[n - count - 1 :])

@@ -6,12 +6,15 @@ for rejection). They assume unlisted TLDs act as suffixes, so they run
 with implicit_star=True; strict-mode behavior has its own tests.
 """
 
+import hashlib
+import json
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flocpriv.cli import main
 from flocpriv.psl import SuffixSet, default_suffixes, registrable_domain
 
 # (host, expected registrable domain) — None means rejection.
@@ -172,9 +175,16 @@ class TestSuffixSet:
         assert registrable_domain("foo.com", s) is None
 
     def test_hosts_deeper_than_every_rule(self):
-        # No rule has more than 5 labels, so longer suffixes are never built.
-        s = SuffixSet.from_text("com\na.b.c.d.com\n*.w.com\n!x.w.com\n")
-        assert s.depth == 5
+        # No rule has more than 5 labels; the walk stops where the rules do.
+        text = "com\na.b.c.d.com\n*.w.com\n!x.w.com\n"
+        s = SuffixSet.from_text(text)
+        # The trie is derived state: equality and hashing see the rules only.
+        assert SuffixSet.from_text(text) == s
+        assert hash(SuffixSet.from_text(text)) == hash(s)
+        deep = ".".join(["p"] * 95 + ["a", "b", "c", "d", "com"])
+        assert registrable_domain(deep, s) == oracle_registrable_domain(deep, s, False) == (
+            "p.a.b.c.d.com"
+        )
         cases = {
             "x.y.z.a.b.c.d.com": "z.a.b.c.d.com",
             "z.a.b.c.d.com": "z.a.b.c.d.com",
@@ -188,9 +198,60 @@ class TestSuffixSet:
             assert oracle_registrable_domain(host, s, False) == expected, host
         assert registrable_domain("a.b.c.d.e.f.nosuchtld", s, implicit_star=True) == "f.nosuchtld"
         empty = SuffixSet.from_text("")
-        assert empty.depth == 0
         assert registrable_domain("a.b.c", empty, implicit_star=True) == "b.c"
         assert registrable_domain("a.b.c", empty) is None
+
+
+class TestMalformedRules:
+    @pytest.mark.parametrize(
+        "rule,problem",
+        [
+            (".com", "an empty label"),
+            ("com.", "an empty label"),
+            ("foo..bar", "an empty label"),
+            ("!", "an empty label"),
+            ("*.", "an empty label"),
+            ("!.com", "an empty label"),
+            ("*", "a '*' other than a leading '*.' label"),
+            ("*.*.jp", "a '*' other than a leading '*.' label"),
+            ("a.*.jp", "a '*' other than a leading '*.' label"),
+            ("!*.jp", "a '*' other than a leading '*.' label"),
+            ("*foo.com", "a '*' other than a leading '*.' label"),
+        ],
+    )
+    def test_rejected_with_line_and_rule(self, rule, problem):
+        with pytest.raises(ValueError) as exc:
+            SuffixSet.from_text(f"// header\ncom\n  {rule} trailing words\n*.ck\n")
+        assert str(exc.value) == f"line 3: suffix rule {rule!r} has {problem}"
+
+    def test_first_bad_line_is_named(self):
+        with pytest.raises(ValueError, match=r"^line 1: suffix rule '\.com' "):
+            SuffixSet.from_text(".com\n*.\nfoo..bar\n*.*.jp")
+
+    def test_bundled_snapshot_loads(self):
+        text = resources.files("flocpriv.data").joinpath("public_suffix_list.dat").read_text("utf-8")
+        suffixes = SuffixSet.from_text(text)
+        assert len(suffixes.exact) > 100 and suffixes.wildcard and suffixes.exception
+
+    def test_preprocess_with_a_bad_list_fails_and_writes_nothing(self, capsys, tmp_path):
+        psl = tmp_path / "bad.dat"
+        psl.write_text("com\n*.*.jp\n", encoding="utf-8")
+        sessions = tmp_path / "sessions.tsv"
+        sessions.write_text(
+            "machine_id\tsession_id\tdomain\tdate\ttime\tpages\tduration\tincome\trace\tzip\n"
+            "1\t1\ta.com\t20170102\t12:00:00\t1\t60\t4\t1\t36832\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "pre"
+        argv = ["preprocess", "--sessions", sessions, "--psl", psl, "--out", out]
+        assert main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "line 2: suffix rule '*.*.jp' has a '*' other than a leading '*.' label",
+        }
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -368,3 +429,90 @@ class TestAgainstPerPositionOracle:
         for host, expected in cases.items():
             assert registrable_domain(host, suffixes) == expected, host
             assert oracle_registrable_domain(host, suffixes, False) == expected, host
+
+
+RULE_LABELS = ["a", "b", "c", "d"]
+
+
+@st.composite
+def small_rule_sets(draw):
+    """Rules over a 4-label alphabet: random exact, wildcard and exception
+    bodies, plus a body that is both an exact rule and a wildcard body, an
+    exact rule nested under it, and an exception with no wildcard above."""
+    body = st.lists(st.sampled_from(RULE_LABELS), min_size=1, max_size=3).map(".".join)
+    exact, wildcard, exception = (set(draw(st.lists(body, max_size=5))) for _ in range(3))
+    shared = draw(body)
+    exact.add(shared)
+    wildcard.add(shared)
+    exact.add(draw(st.sampled_from(RULE_LABELS)) + "." + shared)
+    lone = draw(body.filter(lambda b: b != shared))
+    wildcard.discard(lone)
+    exception.add(draw(st.sampled_from(RULE_LABELS)) + "." + lone)
+    lines = [*exact, *("*." + b for b in wildcard), *("!" + b for b in exception)]
+    return "\n".join(draw(st.permutations(lines)))
+
+
+class TestSmallRuleSets:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        text=small_rule_sets(),
+        labels=st.lists(st.sampled_from([*RULE_LABELS, "e", "f"]), min_size=1, max_size=6),
+    )
+    def test_matches_oracle(self, text, labels):
+        suffixes = SuffixSet.from_text(text)
+        host = ".".join(labels)
+        for implicit_star in (False, True):
+            assert registrable_domain(host, suffixes, implicit_star=implicit_star) == (
+                oracle_registrable_domain(host, suffixes, implicit_star)
+            ), (text, host, implicit_star)
+
+
+# ---------------------------------------------------------------------------
+# Golden run: preprocess on a handmade log whose hosts cover every kind of
+# rule and every rejection, with its outputs pinned byte for byte.
+
+#: host -> registrable domain under the bundled list (None: rejected).
+GOLDEN_HOSTS = {
+    "www.x.co.uk": "x.co.uk",  # multi-label exact rule
+    "x.co.uk": "x.co.uk",
+    "a.b.kobe.jp": "a.b.kobe.jp",  # wildcard *.kobe.jp
+    "q.mm": None,  # a wildcard's match is itself a suffix
+    "p.q.mm": "p.q.mm",
+    "city.kobe.jp": "city.kobe.jp",  # exception !city.kobe.jp
+    "www.city.kobe.jp": "city.kobe.jp",
+    "www.ck": "www.ck",  # exception !www.ck
+    "a.foo.github.io": "foo.github.io",  # private-section rule
+    "bücher.de": "bücher.de",  # IDN label
+    "WWW.Example.COM.": "example.com",  # upper case, trailing dot
+    "example.org:8080": "example.org",  # port
+    "192.168.0.1": None,  # IPv4 literal
+    "[2001:db8::1]": None,  # bracketed IPv6 literal
+    "example.nosuchtld": None,  # TLD in no rule
+    "co.uk": None,  # bare suffix
+}
+
+GOLDEN_SHA256 = {
+    "machine_weeks.tsv": "5ec708e078111c9e6261301a4935b695b6ef9c37473c67e386b21eab6085d5de",
+    "rejects.json": "89bf58767a8629b7d638d668d315f153de8225cc56c5d55004d6dd402c9f1804",
+}
+
+
+def test_preprocess_golden_outputs(tmp_path):
+    header = "machine_id\tsession_id\tdomain\tdate\ttime\tpages\tduration\tincome\trace\tzip"
+    lines = [
+        f"{machine}\t{machine}\t{host}\t20170102\t12:00:00\t1\t60\t4\t1\t36832"
+        for machine, host in enumerate(GOLDEN_HOSTS, 1)
+    ]
+    lines.append("99\t99\t\t20170102\t12:00:00\t1\t60\t4\t1\t36832")  # empty domain
+    sessions, out = tmp_path / "sessions.tsv", tmp_path / "pre"
+    sessions.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    argv = ["preprocess", "--sessions", sessions, "--out", out, "--min-domains", "1"]
+    assert main([str(a) for a in argv]) == 0
+    rows = (out / "machine_weeks.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    got = {int(row.split("\t")[0]): row.split("\t")[-1] for row in rows}
+    want = {m: d for m, d in enumerate(GOLDEN_HOSTS.values(), 1) if d is not None}
+    assert got == want
+    report = json.loads((out / "ingest_report.json").read_text(encoding="utf-8"))
+    assert report["rejected_domains"] == len(GOLDEN_HOSTS) - len(want)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
+    assert digests == GOLDEN_SHA256

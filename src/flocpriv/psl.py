@@ -39,6 +39,15 @@ def _ascii_label(label: str) -> str:
 _EXACT, _WILDCARD, _EXCEPTION = _KINDS = (1, 2, 4)
 
 
+def _check_rule(rule: str, body: str) -> None:
+    """``ValueError`` naming ``rule`` unless its ``body`` (the rule less a leading
+    ``!`` or ``*.``) could ever match: no empty label, and no ``*`` left in it."""
+    if "" in body.split("."):
+        raise ValueError(f"suffix rule {rule!r} has an empty label")
+    if "*" in body:
+        raise ValueError(f"suffix rule {rule!r} has a '*' other than a leading '*.' label")
+
+
 @dataclass(frozen=True)
 class SuffixSet:
     """Parsed suffix rules, keyed by canonical (punycode) form."""
@@ -51,9 +60,12 @@ class SuffixSet:
     trie: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        """Build the trie; a rule that could never match raises ``ValueError``."""
         trie: dict = {}
-        for rules, kind in zip((self.exact, self.wildcard, self.exception), _KINDS):
+        rule_sets = (self.exact, self.wildcard, self.exception)
+        for rules, kind, prefix in zip(rule_sets, _KINDS, ("", "*.", "!")):
             for rule in rules:
+                _check_rule(prefix + rule, rule)
                 node = [trie, 0]
                 for label in reversed(rule.split(".")):
                     node = node[0].setdefault(label, [{}, 0])
@@ -81,14 +93,11 @@ class SuffixSet:
                 body = body[2:]
             else:
                 target = exact
-            labels = body.split(".")
-            if "" in labels:
-                raise ValueError(f"line {number}: suffix rule {rule!r} has an empty label")
-            if "*" in body:
-                raise ValueError(
-                    f"line {number}: suffix rule {rule!r} has a '*' other than a leading '*.' label"
-                )
-            target.add(".".join(_ascii_label(lb) for lb in labels))
+            try:
+                _check_rule(rule, body)
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
+            target.add(".".join(_ascii_label(lb) for lb in body.split(".")))
         return cls(frozenset(exact), frozenset(wildcard), frozenset(exception))
 
     @classmethod

@@ -13,12 +13,13 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import TextIO
 
 import numpy as np
 
 from .geo import STATES, representative_zip
-from .hashing import derive_seed
+from .hashing import check_integer, check_seed, derive_seed
 from .ingest import INCOME_GROUPS, RACE_GROUPS, MachineWeekTable, WeekConfig
 from .panels import N_CELLS, JointDistribution
 
@@ -45,6 +46,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_machines", "n_weeks", "vocab_size", "min_domains", "max_domains",
+                     "top_stratum"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.n_machines < 1 or self.n_weeks < 1:
             raise ValueError("need at least one machine and one week")
         if not 1 <= self.min_domains <= self.max_domains:
@@ -119,40 +124,49 @@ def _cell_weights(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     return cells
 
 
+def _lead(need: int) -> int:
+    """Columns of a row's uniforms that ``_draw_rows`` searches first."""
+    return 2 * need
+
+
 def _draw_rows(weights: np.ndarray, sizes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Sequential sampling without replacement, vectorized across rows.
 
     Each row i receives the first ``sizes[i]`` distinct values of an
-    i.i.d. stream drawn from ``weights`` (successive sampling). One wide
-    vectorized round covers nearly all rows; rows whose stream had too
-    many repeats keep their kept values and extend the stream one draw
-    at a time.
+    i.i.d. stream drawn from ``weights`` (successive sampling). Every row
+    draws ``4 * need + 16`` uniforms, but only the first ``_lead(need)``
+    are searched in the CDF and ranked; the rows that do not reach their
+    size within that lead are redone on the full width. A row's kept
+    values are its first distinct draws, so the lead holds them all
+    whenever it holds enough, and the output does not depend on the lead.
+    Rows whose whole width had too many repeats keep their kept values and
+    extend the stream one draw at a time.
     """
-    n_rows = len(sizes)
     cum = np.cumsum(weights)
     cum[-1] = 1.0
     need = int(sizes.max())
     width = 4 * need + 16
-    out_vals = np.zeros((n_rows, need), dtype=np.int64)
+    out_vals = np.zeros((len(sizes), need), dtype=np.int64)
+    uniforms = rng.random((len(sizes), width))
+    rows = np.arange(len(sizes))
+    for cols in (min(_lead(need), width), width):
+        draws = np.searchsorted(cum, uniforms[rows, :cols], side="right")
+        # Mark the first occurrence of each value per row, in draw order.
+        order = np.argsort(draws, axis=1, kind="stable")
+        sorted_vals = np.take_along_axis(draws, order, axis=1)
+        first_sorted = np.ones_like(sorted_vals, dtype=bool)
+        first_sorted[:, 1:] = sorted_vals[:, 1:] != sorted_vals[:, :-1]
+        first = np.zeros_like(first_sorted)
+        np.put_along_axis(first, order, first_sorted, axis=1)
+        rank = np.cumsum(first, axis=1)  # distinct values seen so far
+        # The j-th distinct value of a row goes to its slot j - 1.
+        r, c = np.nonzero(first & (rank <= sizes[rows, None]))
+        out_vals[rows[r], rank[r, c] - 1] = draws[r, c]
+        short = rank[:, -1] < sizes[rows]
+        rows, got = rows[short], rank[short, -1]
 
-    draws = np.searchsorted(cum, rng.random((n_rows, width)), side="right")
-    # Mark the first occurrence of each value per row, in draw order.
-    order = np.argsort(draws, axis=1, kind="stable")
-    sorted_vals = np.take_along_axis(draws, order, axis=1)
-    first_sorted = np.ones_like(sorted_vals, dtype=bool)
-    first_sorted[:, 1:] = sorted_vals[:, 1:] != sorted_vals[:, :-1]
-    first = np.zeros_like(first_sorted)
-    np.put_along_axis(first, order, first_sorted, axis=1)
-    rank = np.cumsum(first, axis=1)  # distinct values seen so far
-    keep = first & (rank <= sizes[:, None])
-    got = np.minimum(rank[:, -1], sizes)
-
-    # Row i keeps got[i] values, so its first got[i] slots take them in order.
-    out_vals[np.arange(need) < got[:, None]] = draws[keep]
-
-    for i in np.nonzero(got < sizes)[0]:
-        seen = set(int(v) for v in out_vals[i, : got[i]])
-        j = int(got[i])
+    for i, j in zip(rows.tolist(), got.tolist()):
+        seen = set(out_vals[i, :j].tolist())
         while j < sizes[i]:
             v = int(np.searchsorted(cum, rng.random(), side="right"))
             if v not in seen:
@@ -226,27 +240,28 @@ def write_sessions(pop: GeneratedPopulation, fh: TextIO) -> int:
 
     Week w's visits are dated w weeks after ``WeekConfig().epoch``. Returns
     the number of session rows written. Parsing the output back through
-    the ingest pipeline reproduces ``pop.table`` exactly.
+    the ingest pipeline reproduces ``pop.table`` exactly. Each machine-week
+    formats its fixed head (machine id) and tail (date, time, pages,
+    duration and demographic codes) once, and writes its visit lines as
+    one join of the head, session id, domain and tail columns.
     """
     epoch = WeekConfig().epoch
-    fh.write(
-        "machine_id\tsession_id\tdomain\tdate\ttime\tpages\tduration\tincome\trace\tzip\n"
-    )
+    fh.write("machine_id\tsession_id\tdomain\tdate\ttime\tpages\tduration\tincome\trace\tzip\n")
     table = pop.table
-    machine_pos = {int(m): i for i, m in enumerate(pop.machine_ids)}
-    session_id = 0
-    n = 0
-    for i in range(len(table)):
-        mid = int(table.machine_ids[i])
-        pos = machine_pos[mid]
-        date = (epoch + dt.timedelta(weeks=int(table.week_indices[i]))).strftime("%Y%m%d")
-        income = _INCOME_TO_CODE[INCOME_GROUPS[pop.income_idx[pos]]]
-        race = _RACE_TO_CODE[RACE_GROUPS[pop.race_idx[pos]]]
-        zip_code = representative_zip(STATES[pop.state_idx[pos]])
-        for j in table.domains(i):
-            session_id += 1
-            fh.write(
-                f"{mid}\t{session_id}\t{j}\t{date}\t12:00:00\t1\t60\t{income}\t{race}\t{zip_code}\n"
-            )
-            n += 1
-    return n
+    weeks = table.week_values().tolist()
+    dates = {w: (epoch + dt.timedelta(weeks=w)).strftime("%Y%m%d") for w in weeks}
+    zips = list(map(representative_zip, STATES))
+    machines = (pop.machine_ids, pop.income_idx, pop.race_idx, pop.state_idx)
+    codes = {  # each machine's income, race and ZIP columns
+        m: f"\t{_INCOME_TO_CODE[INCOME_GROUPS[i]]}\t{_RACE_TO_CODE[RACE_GROUPS[r]]}\t{zips[s]}\n"
+        for m, i, r, s in zip(*(column.tolist() for column in machines))
+    }
+    names = list(map(table.vocab.__getitem__, table.dom_indices.tolist()))
+    bounds = table.offsets.tolist()
+    session_ids = [f"{s}\t" for s in range(1, bounds[-1] + 1)]
+    for i, (mid, week) in enumerate(zip(table.machine_ids.tolist(), table.week_indices.tolist())):
+        head, tail = f"{mid}\t", f"\t{dates[week]}\t12:00:00\t1\t60{codes[mid]}"
+        lo, hi = bounds[i], bounds[i + 1]
+        visits = zip(repeat(head), session_ids[lo:hi], names[lo:hi], repeat(tail))
+        fh.write("".join(chain.from_iterable(visits)))
+    return bounds[-1]

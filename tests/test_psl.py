@@ -224,6 +224,24 @@ class TestMalformedRules:
             SuffixSet.from_text(f"// header\ncom\n  {rule} trailing words\n*.ck\n")
         assert str(exc.value) == f"line 3: suffix rule {rule!r} has {problem}"
 
+    @pytest.mark.parametrize(
+        "rules, message",
+        [
+            ((frozenset({".com"}), frozenset(), frozenset()),
+             "suffix rule '.com' has an empty label"),
+            ((frozenset(), frozenset({"*.jp"}), frozenset()),
+             "suffix rule '*.*.jp' has a '*' other than a leading '*.' label"),
+            ((frozenset(), frozenset(), frozenset({"a..jp"})),
+             "suffix rule '!a..jp' has an empty label"),
+        ],
+        ids=["exact-empty-label", "wildcard-inner-star", "exception-empty-label"],
+    )
+    def test_direct_construction_checks_every_rule(self, rules, message):
+        # These constructed, and registrable_domain("a.com", ...) then gave None.
+        with pytest.raises(ValueError) as exc:
+            SuffixSet(*rules)
+        assert str(exc.value) == message
+
     def test_first_bad_line_is_named(self):
         with pytest.raises(ValueError, match=r"^line 1: suffix rule '\.com' "):
             SuffixSet.from_text(".com\n*.\nfoo..bar\n*.*.jp")

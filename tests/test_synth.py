@@ -2,11 +2,16 @@
 
 import io
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+import synth_oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from flocpriv import synth
 from flocpriv.geo import STATES
 from flocpriv.ingest import FormatConfig, WeekConfig, build_machine_weeks, parse_sessions
 from flocpriv.panels import N_CELLS
@@ -30,6 +35,31 @@ class TestConfigValidation:
             SynthConfig(skew=1.5)
         with pytest.raises(ValueError, match="top_stratum"):
             SynthConfig(vocab_size=50, top_stratum=51, max_domains=10)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # Each of these constructed: 7.5 and the seeds ran, and a float
+            # seed or True aliased seed 1; the others failed late with a
+            # TypeError or AxisError inside generate_population.
+            ("min_domains", 7.5, "min_domains must be an integer, got 7.5"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("seed", True, "seed must be an integer, got True"),
+            ("n_machines", True, "n_machines must be an integer, got True"),
+            ("vocab_size", 400.0, "vocab_size must be an integer, got 400.0"),
+            ("top_stratum", 10.5, "top_stratum must be an integer, got 10.5"),
+            ("seed", -1, "seed must fit in 64 bits, got -1"),
+        ],
+        ids=["min_domains=7.5", "seed=1.5", "seed=True", "n_machines=True", "vocab_size=400.0",
+             "top_stratum=10.5", "seed=-1"],
+    )
+    def test_integer_fields_take_integers_only(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SynthConfig(**{field: value})
+
+    def test_numpy_integers_are_read_as_python_ints(self):
+        cfg = SynthConfig(n_machines=np.int64(5), n_weeks=np.uint8(1), seed=np.uint64(3))
+        assert [type(v) for v in (cfg.n_machines, cfg.n_weeks, cfg.seed)] == [int, int, int]
 
     @pytest.mark.parametrize(
         "exponent, message",
@@ -154,3 +184,81 @@ class TestSessionRoundTrip:
         ).table
         assert rebuilt.save_text() == pop.table.save_text()
         assert np.array_equal(rebuilt.hashes(50, 7), pop.table.hashes(50, 7))
+
+
+#: A Zipf exponent of 2 over 200 domains with rows of 20-60: most rows need
+#: more than the searched lead, and most of those more than the whole width,
+#: so both the redo and the one-draw-at-a-time loop run.
+FALLBACK_HEAVY = dict(vocab_size=200, zipf_exponent=2.0, min_domains=20, max_domains=60)
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    """``got == want``, naming the first differing line: pytest's own diff of
+    two texts of thousands of lines takes minutes."""
+    if got != want:
+        a, b = got.splitlines(), want.splitlines()
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        pytest.fail(f"texts differ first at line {i + 1}: {a[i : i + 1]} != {b[i : i + 1]}")
+
+
+def _oracle_population(cfg):
+    with mock.patch.object(synth, "_draw_rows", synth_oracle.draw_rows):
+        return generate_population(cfg)
+
+
+class TestAgainstOracle:
+    """The searched-lead draw and the per-machine-week session writer give
+    the bytes of the full-width draw and the per-visit writer."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n_machines=st.integers(1, 30),
+        n_weeks=st.integers(1, 3),
+        vocab_size=st.sampled_from([200, 500, 3000]),
+        zipf_exponent=st.sampled_from([0.5, 1.0, 2.0]),
+        min_domains=st.integers(1, 30),
+        extra=st.integers(0, 30),
+        skew=st.sampled_from([0.0, 0.25, 1.0]),
+    )
+    @example(seed=0, n_machines=30, n_weeks=2, vocab_size=200, zipf_exponent=2.0,
+             min_domains=20, extra=40, skew=0.25)  # FALLBACK_HEAVY
+    @example(seed=0, n_machines=30, n_weeks=1, vocab_size=3000, zipf_exponent=1.0,
+             min_domains=7, extra=0, skew=0.25)
+    def test_population_and_sessions_match_oracle(self, seed, extra, **fields):
+        cfg = SynthConfig(max_domains=fields["min_domains"] + extra, seed=seed, **fields)
+        pop = generate_population(cfg)
+        _assert_same_text(pop.table.save_text(), _oracle_population(cfg).table.save_text())
+        got, want = io.StringIO(), io.StringIO()
+        assert write_sessions(pop, got) == synth_oracle.write_sessions(pop, want)
+        _assert_same_text(got.getvalue(), want.getvalue())
+
+    def test_fallback_heavy_config_runs_the_redo_and_the_per_row_loop(self):
+        # Rows of this config's sizes over its weights: most hold fewer distinct
+        # domains than their size within the lead, and most within the width.
+        rng = np.random.default_rng(1)
+        sizes = rng.integers(20, 61, size=200)
+        need = int(sizes.max())
+        cum = np.cumsum(synth._zipf_weights(200, 2.0))
+        draws = np.searchsorted(cum, rng.random((len(sizes), 4 * need + 16)), side="right")
+        in_lead = np.array([len(set(row[: synth._lead(need)])) for row in draws.tolist()])
+        in_width = np.array([len(set(row)) for row in draws.tolist()])
+        assert np.mean(in_lead < sizes) > 0.9
+        assert np.mean(in_width < sizes) > 0.5
+
+    @pytest.mark.parametrize("lead", [lambda need: 1, lambda need: 4 * need + 16],
+                             ids=["one-column", "full-width"])
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(n_machines=40, n_weeks=2, vocab_size=500),
+            dict(n_machines=200, n_weeks=1, min_domains=7, max_domains=7),
+            dict(n_machines=30, n_weeks=2, **FALLBACK_HEAVY),
+        ],
+        ids=["default", "fixed-size", "fallback-heavy"],
+    )
+    def test_output_does_not_depend_on_the_lead(self, monkeypatch, lead, fields):
+        cfg = SynthConfig(seed=11, **fields)
+        want = generate_population(cfg).table.save_text()
+        monkeypatch.setattr(synth, "_lead", lead)
+        _assert_same_text(generate_population(cfg).table.save_text(), want)

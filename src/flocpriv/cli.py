@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .cohorts import compute_weekly_cohorts
-from .hashing import derive_seed
+from .hashing import check_seed, derive_seed
 from .ingest import (
     INCOME_GROUPS,
     RACE_GROUPS,
@@ -527,6 +527,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"flocpriv {args.subcommand}: missing required: {', '.join(missing)}", file=sys.stderr)
         return 2
     try:
+        if "seed" in args:  # every subcommand that samples, flag or config file
+            check_seed(args.seed)
         files = args.func(args)
         os.makedirs(args.out, exist_ok=True)
         for name, text in files.items():

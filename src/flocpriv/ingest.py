@@ -5,9 +5,10 @@ lines as columns -> one row per (machine, epoch week) of
 ``MachineWeekTable`` holding the registrable domains visited, the
 machine's state (from its ZIP) and its demographic groups. Profiles with
 fewer distinct domains than the cutoff are dropped. The table's columnar
-CSR arrays are the only representation of machine-weeks;
-``build_machine_weeks`` and ``MachineWeekTable.load`` fill them through
-one builder, which takes per-row columns.
+CSR arrays are the only representation of machine-weeks, and its
+constructor takes integer columns: ``build_machine_weeks`` hands it the
+domain and state indices it has already interned, and
+``MachineWeekTable.load`` interns the file's names and states first.
 
 ``parse_sessions`` reads the log in blocks of lines. Only the blank-line
 filter and the field count look at each line on its own; a block's
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import kernels, special
 from .geo import UNKNOWN_STATE, state_for_zip
-from .hashing import check_bit_length, check_seed, domain_hashes64, seed_key
+from .hashing import check_bit_length, check_integer, check_seed, domain_hashes64, seed_key
 from .psl import SuffixSet, registrable_domain
 
 RACE_GROUPS: tuple[str, ...] = ("white", "black", "asian", "other")
@@ -347,11 +348,23 @@ def parse_sessions(source: Iterable[str] | TextIO, fmt: FormatConfig | None = No
 
 @dataclass(frozen=True)
 class WeekConfig:
-    """Epoch anchoring week 0 and the optional week-range clamp."""
+    """Epoch anchoring week 0, the optional week-range clamp and the cutoff.
+
+    ``n_weeks`` (None: no clamp) and ``min_domains`` must be integers of at
+    least 1, as ``check_integer`` reads them; anything else raises
+    ``ValueError`` naming the field.
+    """
 
     epoch: dt.date = dt.date(2017, 1, 1)
     n_weeks: int | None = None
     min_domains: int = MIN_WEEKLY_DOMAINS
+
+    def __post_init__(self) -> None:
+        for name in ("min_domains",) if self.n_weeks is None else ("n_weeks", "min_domains"):
+            value = check_integer(getattr(self, name), name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+            object.__setattr__(self, name, value)
 
 
 def _intern(names: list[str]) -> tuple[list[str], np.ndarray]:
@@ -415,34 +428,6 @@ class MachineWeekTable:
             )
         self._hash_cache: dict[tuple[int, int], np.ndarray] = {}
         self._ranking: tuple[np.ndarray, np.ndarray] | None = None
-
-    @classmethod
-    def _from_columns(
-        cls,
-        keys: Sequence[tuple[int, int]],
-        states: Sequence[str],
-        race_idx: Sequence[int],
-        income_idx: Sequence[int],
-        names: list[str],
-        counts: Sequence[int],
-    ) -> "MachineWeekTable":
-        """Table from per-row columns, rows ascending by ``(machine_id, week)``.
-
-        Row i is ``keys[i]`` and holds the next ``counts[i]`` of ``names``,
-        in any order. States are interned in row order after
-        ``UNKNOWN_STATE``; domains are interned as met, and the constructor
-        puts them in name order.
-        """
-        ids = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=2 * len(keys))
-        ids = ids.reshape(-1, 2)  # (machine_id, week) per row
-        labels, state_idx = _intern([UNKNOWN_STATE, *states])
-        vocab, dom_indices = _intern(names)
-        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return cls(
-            ids[:, 0], ids[:, 1], labels, race_idx, income_idx, state_idx[1:],
-            dom_indices, offsets, vocab,
-        )
 
     def __len__(self) -> int:
         return len(self.machine_ids)
@@ -576,15 +561,17 @@ class MachineWeekTable:
         linenos, states, races, incomes, fields = (
             zip(*map(rows.__getitem__, keys)) if keys else ((),) * 5
         )
+        ids = np.fromiter(chain.from_iterable(keys), np.int64, 2 * len(keys)).reshape(-1, 2)
+        labels, state_idx = _intern([UNKNOWN_STATE, *states])  # states in row order
         counts = [d.count("|") + 1 if d else 0 for d in fields]
+        offsets = np.cumsum([0, *counts])
         joined = "|".join(filter(None, fields))
-        table = cls._from_columns(
-            keys,
-            states,
+        vocab, dom_indices = _intern(joined.split("|") if joined else [])
+        table = cls(
+            ids[:, 0], ids[:, 1], labels,
             list(map(_RACE_CODES.__getitem__, races)),
             list(map(_INCOME_CODES.__getitem__, incomes)),
-            joined.split("|") if joined else [],
-            counts,
+            state_idx[1:], dom_indices, offsets, vocab,
         )
         # Every line before a failing one was kept, so a repeat found here
         # is on an earlier line than the failure.
@@ -658,17 +645,18 @@ def build_machine_weeks(
     pairs = pairs[np.diff(pairs, prepend=-1) > 0]  # each (row, domain) once
     counts = np.bincount(pairs // width, minlength=len(rows))
     keep = counts >= cfg.min_domains
-    names = list(map(domains.__getitem__, (pairs[keep[pairs // width]] % width).tolist()))
+    offsets = np.concatenate(([0], np.cumsum(counts[keep])))
     row_machine, row_week = np.divmod(rows[keep], span)
     line = first[row_machine]  # each kept row's machine's first line
-    states = [state_for_zip(records.zip_codes[i]) for i in first.tolist()]
-    table = MachineWeekTable._from_columns(
-        list(zip(machines[row_machine].tolist(), row_week.tolist())),
-        list(map(states.__getitem__, row_machine.tolist())),
-        records.race_idx[line],
-        records.income_idx[line],
-        names,
-        counts[keep],
+    # Rows ascend by machine, so the kept machines in ascending order meet
+    # their states in row order, the order ``load`` interns them in.
+    kept, row_kept = np.unique(row_machine, return_inverse=True)
+    states = [state_for_zip(records.zip_codes[i]) for i in first[kept].tolist()]
+    labels, state_idx = _intern([UNKNOWN_STATE, *states])
+    table = MachineWeekTable(
+        machines[row_machine], row_week, labels,
+        records.race_idx[line], records.income_idx[line], state_idx[1:][row_kept],
+        pairs[keep[pairs // width]] % width, offsets, domains,
     )
     report = {
         "n_records": len(records),

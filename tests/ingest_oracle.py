@@ -2,14 +2,15 @@
 
 ``parse_sessions`` turns each accepted line into a ``SessionRecord`` tuple,
 checking one line at a time, and ``build_machine_weeks`` walks those
-records one at a time into per-(machine, week) domain sets. Tests compare
-the runtime's ``rejects``, ``report`` and ``save_text()`` with these.
+records one at a time into per-(machine, week) domain sets, and hands the
+table's constructor indices it interns itself. Tests compare the runtime's
+``rejects``, ``report`` and whole table with these.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
@@ -164,14 +165,21 @@ def build_machine_weeks(
 
     keys = sorted(key for key, domains in weeks.items() if len(domains) >= cfg.min_domains)
     demographics = [machine_demo[machine_id] for machine_id, _ in keys]
+    states = [state_for_zip(zip_code) for _, _, zip_code in demographics]
+    labels = list(dict.fromkeys([UNKNOWN_STATE, *states]))  # row order after UNKNOWN_STATE
     row_domains = [sorted(weeks[key]) for key in keys]
-    table = MachineWeekTable._from_columns(
-        keys,
-        [state_for_zip(zip_code) or UNKNOWN_STATE for _, _, zip_code in demographics],
+    vocab = sorted(set(chain.from_iterable(row_domains)))
+    position = {name: i for i, name in enumerate(vocab)}
+    table = MachineWeekTable(
+        [machine_id for machine_id, _ in keys],
+        [week for _, week in keys],
+        labels,
         [_RACE_CODES[race] for race, _, _ in demographics],
         [_INCOME_CODES[income] for _, income, _ in demographics],
-        list(chain.from_iterable(row_domains)),
-        list(map(len, row_domains)),
+        list(map(labels.index, states)),
+        [position[name] for name in chain.from_iterable(row_domains)],
+        [0, *accumulate(map(len, row_domains))],
+        vocab,
     )
     report = {
         "n_records": len(records),

@@ -163,6 +163,12 @@ class TestTGrid:
         assert _parse_t_grid(text) == values
 
 
+#: Subcommands that take the sampling seed.
+_SEEDED = sorted(
+    name for name, sp in build_parser()[1].items() if any(a.dest == "seed" for a in sp._actions)
+)
+
+
 class TestPipelineErrors:
     def test_missing_table_file(self, capsys, tmp_path):
         assert _run("unicity", "--out", tmp_path / "o", "--table", tmp_path / "no.tsv") == 1
@@ -199,6 +205,47 @@ class TestPipelineErrors:
         assert _run("preprocess", "--out", tmp_path / "pre", "--sessions", sessions) == 0
         rejects = json.loads((tmp_path / "pre" / "rejects.json").read_text())
         assert rejects["counts"] == {"bad_integer_field": len(huge)}
+
+    # derive_seed takes any integer, so only the check in main stops the
+    # subcommands other than synth from sampling with these.
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["seed=-1", "seed=2**64"])
+    @pytest.mark.parametrize("name", _SEEDED)
+    def test_seed_outside_64_bits_is_an_error(self, capsys, tmp_path, synth_table, name, seed):
+        flags = {
+            "synth": ["--machines", 60, "--weeks", 1, "--vocab", 300],
+            "sweep-n": ["--table", synth_table, "--k", 10, "--grid", "30,60"],
+            "t-closeness": ["--table", synth_table, "--k", 10, "--panels", 1,
+                            "--target", "empirical"],
+            "chisq": ["--table", synth_table],
+            "ot-control": ["--cohorts", 5, "--k", 5],
+        }[name]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": seed}))
+        out = tmp_path / "o"
+        for extra in (["--seed", seed], ["--config", cfg]):
+            assert _run(name, "--out", out, *flags, *extra) == 1
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "ValueError", "message": f"seed must fit in 64 bits, got {seed}",
+            }
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--weeks", -1, "n_weeks must be at least 1, got -1"),
+            ("--min-domains", 0, "min_domains must be at least 1, got 0"),
+        ],
+        ids=["weeks=-1", "min-domains=0"],
+    )
+    def test_preprocess_week_range_and_cutoff_are_positive(
+        self, capsys, tmp_path, flag, value, message
+    ):
+        sessions = tmp_path / "sessions.tsv"
+        sessions.write_text(bundled_table1_sessions())
+        out = tmp_path / "pre"
+        assert _run("preprocess", "--out", out, "--sessions", sessions, flag, value) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+        assert not out.exists()
 
     @pytest.mark.parametrize("delimiter", ["", "::"])
     def test_preprocess_rejects_bad_delimiter(self, capsys, tmp_path, delimiter):

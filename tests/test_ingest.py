@@ -338,6 +338,33 @@ class TestBuildMachineWeeks:
         assert rebuilt.table.save_text() == built.table.save_text()
 
 
+class TestWeekConfig:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # Unchecked, True keeps week 0 alone, 2.5 and 7.5 act as 3 and 8,
+            # a cutoff of -3 or 0 as 1, and 0 weeks drop every line.
+            ("n_weeks", True, "n_weeks must be an integer, got True"),
+            ("n_weeks", 2.5, "n_weeks must be an integer, got 2.5"),
+            ("min_domains", 7.5, "min_domains must be an integer, got 7.5"),
+            ("min_domains", -3, "min_domains must be at least 1, got -3"),
+            ("min_domains", 0, "min_domains must be at least 1, got 0"),
+            ("n_weeks", 0, "n_weeks must be at least 1, got 0"),
+        ],
+        ids=["n_weeks=True", "n_weeks=2.5", "min_domains=7.5", "min_domains=-3",
+             "min_domains=0", "n_weeks=0"],
+    )
+    def test_fields_take_positive_integers_only(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            WeekConfig(**{field: value})
+
+    def test_numpy_integers_are_read_as_python_ints(self):
+        cfg = WeekConfig(n_weeks=np.int16(3), min_domains=np.uint8(1))
+        assert (cfg.n_weeks, cfg.min_domains) == (3, 1)
+        assert type(cfg.n_weeks) is int and type(cfg.min_domains) is int
+        assert WeekConfig().n_weeks is None
+
+
 _OUT_OF_RANGE = "machine_id must fit in int64 and week_index in int32"
 _NOT_INTEGERS = "machine_id and week_index must be integers"
 
@@ -866,9 +893,7 @@ def _assert_like_oracle(source, fmt, week_cfg, suffixes, implicit_star):
         )
     assert got_calls == want_calls  # each in-range host once, first-seen order
     assert built.report == oracle.report
-    assert built.table.save_text() == oracle.table.save_text()
-    assert built.table.vocab == oracle.table.vocab
-    assert np.array_equal(built.table.dom_indices, oracle.table.dom_indices)
+    _assert_same_table(built.table, oracle.table)
     return got, built
 
 
@@ -881,7 +906,7 @@ class TestIngestMatchesOracle:
         log=_session_log(),
         block=st.sampled_from([1, 3, 8192]),
         n_weeks=st.sampled_from([None, 1, 2, 6]),
-        min_domains=st.integers(0, 4),
+        min_domains=st.integers(1, 4),
         psl=st.sampled_from([None, _CUSTOM_PSL]),
         implicit_star=st.booleans(),
     )

@@ -350,9 +350,10 @@ def parse_sessions(source: Iterable[str] | TextIO, fmt: FormatConfig | None = No
 class WeekConfig:
     """Epoch anchoring week 0, the optional week-range clamp and the cutoff.
 
-    ``n_weeks`` (None: no clamp) and ``min_domains`` must be integers of at
-    least 1, as ``check_integer`` reads them; anything else raises
-    ``ValueError`` naming the field.
+    ``epoch`` must be a ``datetime.date``; a ``datetime`` is one and is
+    accepted, and only its date counts. ``n_weeks`` (None: no clamp) and
+    ``min_domains`` must be integers of at least 1, as ``check_integer``
+    reads them. Anything else raises ``ValueError`` naming the field.
     """
 
     epoch: dt.date = dt.date(2017, 1, 1)
@@ -360,6 +361,8 @@ class WeekConfig:
     min_domains: int = MIN_WEEKLY_DOMAINS
 
     def __post_init__(self) -> None:
+        if not isinstance(self.epoch, dt.date):
+            raise ValueError(f"epoch must be a datetime.date, got {self.epoch!r}")
         for name in ("min_domains",) if self.n_weeks is None else ("n_weeks", "min_domains"):
             value = check_integer(getattr(self, name), name)
             if value < 1:

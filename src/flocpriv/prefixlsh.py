@@ -20,11 +20,11 @@ At depth d the builder reads only bit d, and a node stops at the first
 depth where it cannot split. A map whose leaves are all shorter than B
 bits therefore depends only on the top B bits of each value: values with
 their lower bits cleared give the same map and the same ``assign`` ids.
-``cohorts.cluster_rows`` builds on 16-bit hashes first for that reason.
+``cohorts.SortedPopulation`` builds on 16-bit hashes first for that reason.
 
 Each leaf is one consecutive run of the sorted values, and the leaves run
 in cohort-id order, so a caller that sorted the values itself can read
-every value's id off its order without ``assign``; ``cluster_rows`` does.
+every value's id off its order without ``assign``; ``cohorts`` does.
 ``assign`` is for a published map and hashes it did not build from.
 """
 
@@ -192,7 +192,7 @@ def build_cohort_map(hash_values: np.ndarray, k: int, bit_length: int) -> Cohort
     population is smaller than k, or when a hash is wider than bit_length.
 
     The sort is stable (timsort), which makes one linear pass over values
-    that are already ascending, as ``cohorts.cluster_rows`` passes them;
+    that are already ascending, as ``cohorts.SortedPopulation`` passes them;
     unsorted values (only tests and outside callers pass them) sort about
     ten times slower than with the default sort.
     """

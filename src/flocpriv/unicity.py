@@ -8,14 +8,22 @@ signature at horizon h is its cohort ids at positions 1..h (optionally
 prefixed with the machine's state). The unicity fraction is the share of
 samples whose signature is unique in the pool.
 
-Signatures are grouped by ``_signature_groups``: a sample's group is the
-dense rank of its id tuple, read from one mixed-radix int64 key
-(``key * (col.max() + 1) + col``, column by column) that is ranked only
-when the next column could carry it past int64. ``unicity_fractions``
-ranks each horizon's (group at h-1, cohort ID at h) pair, one sort per
-horizon (one more over the known-state subset for the fingerprint). A
-sweep point reports the full-window horizon alone, so it ranks the whole
-window's signature once and the fingerprint once.
+A signature is one mixed-radix int64 key per sample (``_signature_key``:
+``key * (col.max() + 1) + col``, column by column), equal for two
+samples exactly when their id tuples are. Only when the next column could
+carry the key past int64 is it replaced by its dense rank, which needs an
+argsort and a scatter; otherwise no rank is computed, because a share
+reads only group sizes. Each reported share (``_unique_share``) is then
+one sort of its keys, ``np.unique`` with counts only.
+``unicity_fractions`` carries the key from one horizon to the next and
+takes three shares per horizon: the key's, the known-state subset's, and
+that subset's (key, state) fingerprint key's. A sweep point reports the
+full-window horizon alone: the window's key share and its fingerprint's.
+
+A sweep over k clusters the same positions at every k. Each position's
+pooled population is sorted by hash once (``cohorts.SortedPopulation``),
+kept in its ``SequenceSet`` per hash width and seed, and clustered again
+at each k; ``SequenceSet.select`` starts a new set with nothing kept.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .cohorts import cluster_rows
+from .cohorts import SortedPopulation
 from .geo import UNKNOWN_STATE
 from .ingest import MachineWeekTable
 from .prefixlsh import CohortError, CohortMap
@@ -43,6 +51,10 @@ class SequenceSet:
     window_index: np.ndarray
     state_idx: np.ndarray
     known_state: np.ndarray
+    # (bit_length, seed, position) -> that position's population sorted by hash
+    _populations: dict[tuple[int, int, int], SortedPopulation] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n_samples(self) -> int:
@@ -58,6 +70,16 @@ class SequenceSet:
             state_idx=self.state_idx[sample_mask],
             known_state=self.known_state[sample_mask],
         )
+
+    def population(self, position: int, config: SimHashConfig) -> SortedPopulation:
+        """Position ``position``'s pooled rows sorted by hash under ``config``,
+        sorted on first use and kept per (bit_length, seed), as the table
+        keeps its hashes."""
+        key = (config.bit_length, config.seed, position)
+        if key not in self._populations:
+            rows = self.row_matrix[:, position]
+            self._populations[key] = SortedPopulation(self.table, rows, config)
+        return self._populations[key]
 
 
 def build_sequences(table: MachineWeekTable, window: int = 4) -> SequenceSet:
@@ -111,20 +133,19 @@ class SequenceCohorts:
 def assign_sequence_cohorts(
     seqs: SequenceSet, k: int, config: SimHashConfig = SimHashConfig()
 ) -> SequenceCohorts:
-    """Cluster each relabeled position's pooled population at level k."""
+    """Cluster each relabeled position's pooled population at level k.
+
+    Each position's population is sorted by hash on the set's first call
+    under ``config`` and reused by every later one (``SequenceSet.population``).
+    """
     if seqs.n_samples == 0:
         raise CohortError(f"no complete {seqs.window}-week windows to cluster")
     maps: list[CohortMap] = []
     ids = np.empty((seqs.n_samples, seqs.window), dtype=np.int32)
     for p in range(seqs.window):
-        cmap, ids[:, p] = cluster_rows(seqs.table, seqs.row_matrix[:, p], k, config)
+        cmap, ids[:, p] = seqs.population(p, config).cluster(k)
         maps.append(cmap)
     return SequenceCohorts(k=k, window=seqs.window, maps=maps, cohort_ids=ids)
-
-
-def _singleton_share(counts: np.ndarray, total: int) -> float:
-    """Share of ``total`` samples that sit in a group of size 1."""
-    return float((counts == 1).sum()) / total if total else 0.0
 
 
 @dataclass
@@ -161,16 +182,14 @@ class UnicityReport:
         }
 
 
-def _signature_groups(columns: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Each sample's group, the dense rank of its tuple of (non-negative)
-    column values in lexicographic order, and each group's size: ``(gid, counts)``.
+def _signature_key(columns: Iterable[np.ndarray]) -> np.ndarray:
+    """One int64 key per sample, equal for two samples exactly when their
+    tuples of (non-negative) column values are.
 
-    The tuple is read into one int64 key, ``key * (col.max() + 1) + col``
-    per column, so keys order as the tuples do. When the next product
-    could pass 2**63 the key is first replaced by its dense rank, which is
-    below n; so every value must stay below 2**63 / n, as int32 cohort IDs
-    and state indices do. Ranks of the same tuples in the same order are
-    the same integers however many times the key was ranked on the way.
+    The key is ``key * (col.max() + 1) + col`` per column. When the next
+    product could pass 2**63 the key is first replaced by its dense rank,
+    which is below n; so every value must stay below 2**63 / n, as int32
+    cohort IDs and state indices do.
     """
     key: Any = 0
     bound = 1  # every key is below it
@@ -178,19 +197,17 @@ def _signature_groups(columns: Iterable[np.ndarray]) -> tuple[np.ndarray, np.nda
         col = col.astype(np.int64)
         radix = int(col.max(initial=0)) + 1
         if bound * radix > 2**63:
-            _, key, counts = np.unique(key, return_inverse=True, return_counts=True)
-            bound = len(counts)
+            uniques, key = np.unique(key, return_inverse=True)
+            bound = len(uniques)
         key = key * radix + col
         bound *= radix
-    _, gid, counts = np.unique(key, return_inverse=True, return_counts=True)
-    return gid, counts
+    return key
 
 
-def _fingerprint_share(seqs: SequenceSet, gid: np.ndarray) -> float:
-    """Unique share of (group, state) signatures on the known-state subset."""
-    known = seqs.known_state
-    _, counts = _signature_groups((gid[known], seqs.state_idx[known]))
-    return _singleton_share(counts, int(known.sum()))
+def _unique_share(key: np.ndarray) -> float:
+    """Share of the samples whose key no other sample has: one sort."""
+    _, counts = np.unique(key, return_counts=True)
+    return float((counts == 1).sum()) / len(key) if len(key) else 0.0
 
 
 def unicity_fractions(seqs: SequenceSet, cohorts: SequenceCohorts) -> UnicityReport:
@@ -199,10 +216,10 @@ def unicity_fractions(seqs: SequenceSet, cohorts: SequenceCohorts) -> UnicityRep
     The fingerprint column is computed over the subpopulation whose state
     is known; unknown-state samples are excluded from it and counted.
 
-    Each horizon's groups rank the pair (group at h-1, cohort ID at h)
-    with ``_signature_groups``, one sort per horizon. The known-state
-    column counts the same groups within the known subset, and the
-    fingerprint column ranks (group, state) on that subset.
+    Each horizon's key is ``_signature_key`` of the pair (key at h-1,
+    cohort ID at h). The known-state column is the share of the same keys
+    within the known subset, and the fingerprint column the share of the
+    (key, state) key on that subset.
     """
     known = seqs.known_state
     n = seqs.n_samples
@@ -215,15 +232,16 @@ def unicity_fractions(seqs: SequenceSet, cohorts: SequenceCohorts) -> UnicityRep
         n_unknown_excluded=n - n_known,
         cohorts_per_position=cohorts.cohorts_per_position(),
     )
-    gid = np.zeros(n, dtype=np.int64)
+    states = seqs.state_idx[known]
+    key = np.zeros(n, dtype=np.int64)
     for h, col in enumerate(cohorts.cohort_ids.T, start=1):
-        gid, counts = _signature_groups((gid, col))
+        key = _signature_key((key, col))
         report.rows.append(
             HorizonRow(
                 h,
-                _singleton_share(counts, n),
-                _fingerprint_share(seqs, gid),
-                _singleton_share(np.bincount(gid[known]), n_known),
+                _unique_share(key),
+                _unique_share(_signature_key((key[known], states))),
+                _unique_share(key[known]),
             )
         )
     return report
@@ -263,12 +281,13 @@ class SweepResult:
 def _point(seqs: SequenceSet, k: int, config: SimHashConfig, param: int) -> SweepPoint:
     """Unicity at the full-window horizon only: ``unicity_fractions``' last row."""
     cohorts = assign_sequence_cohorts(seqs, k, config)
-    gid, counts = _signature_groups(cohorts.cohort_ids.T)
+    key = _signature_key(cohorts.cohort_ids.T)
+    known = seqs.known_state
     return SweepPoint(
         param=param,
         n_samples=seqs.n_samples,
-        frac_sequence=_singleton_share(counts, seqs.n_samples),
-        frac_fingerprint=_fingerprint_share(seqs, gid),
+        frac_sequence=_unique_share(key),
+        frac_fingerprint=_unique_share(_signature_key((key[known], seqs.state_idx[known]))),
     )
 
 
@@ -302,6 +321,10 @@ def sweep_population(
 def sweep_k(
     seqs: SequenceSet, k_grid: Sequence[int], config: SimHashConfig = SimHashConfig()
 ) -> SweepResult:
-    """Unicity at the full-window horizon versus the anonymity level k."""
+    """Unicity at the full-window horizon versus the anonymity level k.
+
+    Every k clusters the same positions, so each position's population is
+    sorted once for the whole grid (``SequenceSet.population``).
+    """
     points = [_point(seqs, k, config, int(k)) for k in k_grid]
     return SweepResult("k", seqs.window, points)

@@ -16,6 +16,8 @@ checks those ids against ``assign`` of a full-width build, and that the
 pipeline runs with ``assign`` unusable.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +31,13 @@ from flocpriv.panels import JointDistribution, PanelError, cluster_panel, strati
 from flocpriv.prefixlsh import CohortMap, build_cohort_map
 from flocpriv.simhash import SimHashConfig
 from flocpriv.synth import SynthConfig, generate_population
-from flocpriv.unicity import assign_sequence_cohorts, build_sequences, sweep_k, sweep_population
+from flocpriv.unicity import (
+    assign_sequence_cohorts,
+    build_sequences,
+    sweep_k,
+    sweep_population,
+    unicity_fractions,
+)
 
 SHARED = [f"shared{i}.example" for i in range(40)]
 
@@ -291,3 +299,79 @@ class TestOneSortPerPopulation:
         sweep_population(seqs, 5, [50, 100], seed=1, config=config)
         panels = stratified_panels(small_table, default_joint, 1, seed=2, bit_length=50, sim_seed=7)
         assert cluster_panel(panels[0], k=5, bit_length=50).cohort_map.num_cohorts >= 1
+
+
+def _hash_sorts(argsort):
+    """The mocked ``np.argsort``'s calls on hash values (``build_cohort_map``'s
+    own argsort orders ``intp`` leaf starts)."""
+    return [c for c in argsort.call_args_list if c.args[0].dtype in (np.uint16, np.uint64)]
+
+
+class TestSortedOncePerSweep:
+    """A ``SequenceSet`` keeps each position's sorted population per
+    (bit_length, seed); every k of a sweep clusters it again."""
+
+    @pytest.mark.parametrize(
+        "deep, window, grid",
+        [(False, 4, [1, 5, 20, 40, 5]), (True, 1, [1, 5, 1])],
+        ids=["small-4-week-windows", "deep-1-week-pool"],
+    )
+    def test_sweep_k_equals_fresh_sets_at_every_k(self, small_table, deep, window, grid):
+        table = _deep_table() if deep else small_table
+        config = SimHashConfig()
+        seqs = build_sequences(table, window=window)
+        sweep = sweep_k(seqs, grid, config)
+        for k, point in zip(grid, sweep.points):
+            fresh = build_sequences(table, window=window)
+            cohorts = assign_sequence_cohorts(fresh, k, config)
+            last = unicity_fractions(fresh, cohorts).rows[-1]
+            assert (point.param, point.n_samples) == (k, fresh.n_samples)
+            assert (point.frac_sequence, point.frac_fingerprint) == (
+                last.frac_sequence,
+                last.frac_fingerprint,
+            )
+            kept = assign_sequence_cohorts(seqs, k, config)
+            assert kept.maps == cohorts.maps
+            assert np.array_equal(kept.cohort_ids, cohorts.cohort_ids)
+            if deep and k == 1:  # the full-width pass, kept from the first k = 1
+                assert cohorts.maps[0].lengths.max() > FIRST_PASS_BITS
+
+    def test_each_position_is_sorted_once_across_the_grid(self, monkeypatch):
+        table = _deep_table()
+        config = SimHashConfig()
+        seqs = build_sequences(table, window=2)
+        argsort = mock.Mock(wraps=np.argsort)
+        monkeypatch.setattr(np, "argsort", argsort)
+        sweep_k(seqs, [10, 5, 1, 20, 1], config)
+        sorts = _hash_sorts(argsort)
+        # A 16-bit and, from the first k = 1 on, a full-width sort per position.
+        assert [c.args[0].dtype for c in sorts] == [np.uint16, np.uint16, np.uint64, np.uint64]
+        assert all(len(c.args[0]) == seqs.n_samples for c in sorts)
+        argsort.reset_mock()
+        sweep_k(seqs, [1, 3], config)
+        assert _hash_sorts(argsort) == []
+
+    def test_select_starts_with_no_populations(self, small_table):
+        config = SimHashConfig()
+        seqs = build_sequences(small_table, window=2)
+        assign_sequence_cohorts(seqs, 5, config)
+        sub = seqs.select(seqs.machine_ids % 3 == 0)
+        assert sub._populations == {}
+        got = assign_sequence_cohorts(sub, 5, config)
+        for p in range(2):
+            cmap, ids = cluster_rows(small_table, sub.row_matrix[:, p], 5, config)
+            assert got.maps[p] == cmap
+            assert np.array_equal(got.cohort_ids[:, p], ids)
+
+    def test_each_width_and_seed_gets_populations_of_its_own(self, small_table):
+        seqs = build_sequences(small_table, window=2)
+        configs = [SimHashConfig(50, 7), SimHashConfig(50, 8), SimHashConfig(30, 7)]
+        for config in configs * 2:
+            got = assign_sequence_cohorts(seqs, 5, config)
+            for p in range(2):
+                cmap, ids = cluster_rows(small_table, seqs.row_matrix[:, p], 5, config)
+                assert got.maps[p] == cmap
+                assert np.array_equal(got.cohort_ids[:, p], ids)
+        assert sorted(seqs._populations) == sorted(
+            (c.bit_length, c.seed, p) for c in configs for p in range(2)
+        )

@@ -364,6 +364,22 @@ class TestWeekConfig:
         assert type(cfg.n_weeks) is int and type(cfg.min_domains) is int
         assert WeekConfig().n_weeks is None
 
+    # Unchecked, each of these constructs and build_machine_weeks then fails
+    # on epoch.toordinal() with an AttributeError.
+    @pytest.mark.parametrize("epoch", ["2017-01-01", 20170101, None])
+    def test_epoch_must_be_a_date(self, epoch):
+        message = f"epoch must be a datetime.date, got {epoch!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            WeekConfig(epoch=epoch)
+
+    def test_a_datetime_epoch_counts_by_its_date(self):
+        rows = _sessions_for(1, DOMAINS_7) + _sessions_for(1, DOMAINS_7, date="20170108")
+        records = _parse(rows).records
+        noon = WeekConfig(epoch=dt.datetime(2017, 1, 1, 12, 30))
+        built = build_machine_weeks(records, noon).table
+        assert built.week_indices.tolist() == [0, 1]
+        assert built.save_text() == build_machine_weeks(records, WeekConfig()).table.save_text()
+
 
 _OUT_OF_RANGE = "machine_id must fit in int64 and week_index in int32"
 _NOT_INTEGERS = "machine_id and week_index must be integers"

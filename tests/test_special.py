@@ -132,6 +132,14 @@ class TestMeanConfidenceInterval:
                 half = student_t_ppf(0.5 + 0.9 / 2.0, n - 1) * math.sqrt(var / n)
             assert interval == (mean, mean - half, mean + half)
 
+    def test_the_t_quantile_is_computed_once_per_q_and_df(self):
+        student_t_ppf.cache_clear()
+        samples = [[1.0, 2.0, 4.0, 8.0, 16.0]] * 3 + [[1.0, 3.0]]
+        first = mean_confidence_intervals(samples, 0.95)
+        assert mean_confidence_intervals(samples, 0.95) == first
+        info = student_t_ppf.cache_info()
+        assert (info.misses, info.hits) == (2, 6)  # df = 4 and df = 1, each once
+
 
 class TestPearson:
     def test_identical_vectors(self):

@@ -314,26 +314,45 @@ class TestUnicityMatchesBruteForce:
             assert row.frac_fingerprint == _brute_unique_share(fingerprints)
 
 
-class TestSignatureGroups:
+def _brute_shares(matrix, states):
+    """The unique shares of the row tuples and of the (state, row) tuples."""
+    rows = [tuple(row) for row in matrix.tolist()]
+    fingerprints = [(s, *row) for row, s in zip(rows, states.tolist())]
+    return _brute_unique_share(rows), _brute_unique_share(fingerprints)
+
+
+class TestSignatureKeys:
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(0, 60),
         st.lists(st.integers(0, 2**40), min_size=1, max_size=4, unique=True),
         st.integers(1, 6),
+        st.integers(1, 4),
         st.integers(0, 2**32 - 1),
     )
-    @example(3, [0], 1, 0)  # one column of zeros: one group
-    @example(0, [5], 3, 0)  # no samples
-    def test_ranks_and_sizes_match_a_tuple_count(self, n, palette, width, seed):
+    @example(3, [0], 1, 1, 0)  # one column of zeros: one group
+    @example(0, [5], 3, 2, 0)  # no samples
+    # Two columns of values up to 2**40: the window's product passes 2**63.
+    @example(40, [0, 2**40], 2, 3, 1)
+    # Two columns of values up to 2**31 - 1 multiply to under 2**63, but
+    # times three states the fingerprint's product passes it.
+    @example(40, [0, 2**31 - 1], 2, 3, 2)
+    def test_shares_match_a_tuple_count(self, n, palette, width, n_states, seed):
         """Values up to 2**40 over up to six columns pass int64 and re-rank."""
         rng = np.random.default_rng(seed)
         matrix = rng.choice(np.array(palette, dtype=np.int64), size=(n, width))
-        gid, counts = unicity._signature_groups(matrix.T)
-        tuples = [tuple(row) for row in matrix.tolist()]
-        tally = Counter(tuples)
-        rank = {t: i for i, t in enumerate(sorted(tally))}
-        assert gid.tolist() == [rank[t] for t in tuples]
-        assert counts.tolist() == [tally[t] for t in sorted(tally)]
+        states = rng.integers(0, n_states, size=n)
+        key = unicity._signature_key(matrix.T)
+        fingerprint = unicity._signature_key((key, states))
+        got = unicity._unique_share(key), unicity._unique_share(fingerprint)
+        assert got == _brute_shares(matrix, states)
+
+
+def _unique_calls(unique):
+    """The mocked ``np.unique``'s calls, split into those that pass
+    ``return_inverse`` and those that do not."""
+    inverse = [c for c in unique.call_args_list if c.kwargs.get("return_inverse")]
+    return len(inverse), unique.call_count - len(inverse)
 
 
 class TestSweepPoint:
@@ -348,19 +367,39 @@ class TestSweepPoint:
               np.array([0, 0, 1, 0]), np.ones(4, bool)))
     def test_point_fractions_are_the_last_horizon(self, pool):
         """A sweep point computes only the full-window horizon's fractions,
-        and they equal the full report's last row. It ranks the window's
-        key and the fingerprint's once each, and the key once more on the
-        way whenever the product of the columns' ranges passes 2**63."""
+        and they equal the full report's last row. It sorts the window's
+        key and the fingerprint's once each, counting groups only; a call
+        that ranks (passes ``return_inverse``) is made only where a key's
+        product of column ranges passes 2**63, and is made there."""
         seqs, cohorts = _direct_pool(*pool)
-        passes = math.prod(int(c.max(initial=0)) + 1 for c in pool[0].T) > 2**63
+        ids, states = pool[0], pool[1]
+        window = math.prod(int(c.max(initial=0)) + 1 for c in ids.T)
+        with_states = window * (int(states.max(initial=0)) + 1)
         with mock.patch.object(unicity, "assign_sequence_cohorts", return_value=cohorts), \
                 mock.patch.object(np, "unique", wraps=np.unique) as unique:
             point = unicity._point(seqs, 1, SimHashConfig(), 7)
-        assert (unique.call_count > 2) == passes
+        ranks, counts = _unique_calls(unique)
+        assert counts == 2
+        if window > 2**63:
+            assert ranks >= 1
+        if with_states <= 2**63:
+            assert ranks == 0
         last = unicity_fractions(seqs, cohorts).rows[-1]
         assert (point.param, point.n_samples) == (7, seqs.n_samples)
         assert point.frac_sequence == last.frac_sequence
         assert point.frac_fingerprint == last.frac_fingerprint
+
+    def test_only_the_fingerprint_key_is_ranked(self):
+        """Two columns of IDs up to 2**31 - 1 fit int64 unranked (below
+        2**62); times three states the fingerprint's key does not, and is
+        ranked once."""
+        ids = np.array([[2**31 - 1, 2**31 - 1], [0, 1], [2**31 - 1, 2**31 - 1]], np.int32)
+        seqs, cohorts = _direct_pool(ids, np.array([0, 2, 1]), np.ones(3, bool))
+        with mock.patch.object(unicity, "assign_sequence_cohorts", return_value=cohorts), \
+                mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            point = unicity._point(seqs, 1, SimHashConfig(), 1)
+        assert _unique_calls(unique) == (1, 2)
+        assert (point.frac_sequence, point.frac_fingerprint) == (1 / 3, 1.0)
 
 
 class TestSweeps:

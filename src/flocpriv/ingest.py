@@ -10,22 +10,26 @@ constructor takes integer columns: ``build_machine_weeks`` hands it the
 domain and state indices it has already interned, and
 ``MachineWeekTable.load`` interns the file's names and states first.
 
-``parse_sessions`` reads the log in blocks of lines. Only the blank-line
-filter and the field count look at each line on its own; a block's
-well-formed lines are split into columns at once and every check runs
-over a whole column. ``build_machine_weeks`` keys rows with array
-operations on integer codes. Work that depends only on a value is done
-once per distinct value: each date string is parsed and checked once per
-``parse_sessions`` call, and each hostname's registrable domain found
-once per ``build_machine_weeks`` call. Integer fields are ASCII digits
-with an optional leading "-"; any other spelling is rejected, not
-converted.
+``parse_sessions`` and ``MachineWeekTable.load`` read their file in
+blocks of ``_BLOCK`` lines. Only the blank-line test and the field count
+look at each line on its own (``load`` tests for blank only the lines
+that fail a check); a block's well-formed lines are split into columns
+at once and every check runs over a whole column. ``build_machine_weeks``
+keys rows with array operations on integer codes. Work that depends only
+on a value is done once per distinct value: each date string is parsed
+and checked once per ``parse_sessions`` call, and each hostname's
+registrable domain found once per ``build_machine_weeks`` call. Integer
+fields are ASCII digits with an optional leading "-"; any other spelling
+is rejected, not converted.
 
 A row is a set of domains, and only the table's constructor orders them.
-``load`` splits and checks each line, then treats the domains of all
-lines in bulk (one join and split, one interning pass, one comparison of
-neighbours in the built table that finds a domain named twice), and
-``save_text`` joins each row's names once.
+``load`` keeps integer columns and one dict of the distinct names across
+blocks, never the file's text, so its memory follows the table's integer
+columns plus one block's strings. After the last block, one ``lexsort``
+finds a (machine, week) on two lines (the rows are reordered only when
+the file does not list them in order), and one comparison of neighbours
+in the built table finds a domain named twice. ``save_text`` joins each
+row's names once.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import datetime as dt
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, count, islice, repeat
+from itertools import compress, islice, repeat
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -191,9 +195,9 @@ def _parse_date(text: str, date_format: str) -> dt.date | None:
     return date if date.strftime(date_format) == text else None
 
 
-#: Lines parsed together. A block's split fields are held at once, so
-#: splitting a whole file in one piece would raise peak memory by several
-#: times the file's size.
+#: Lines ``parse_sessions`` and ``MachineWeekTable.load`` split together.
+#: A block's split fields are held at once, so splitting a whole file in
+#: one piece would raise peak memory by several times the file's size.
 _BLOCK = 8192
 
 #: Reject reasons in the order a line is checked; a line counts under the
@@ -213,8 +217,6 @@ _REASONS = (
 _is_integer_column = re.compile(r"-?[0-9]+(?:\n-?[0-9]+)*").fullmatch
 # On an integer, a match means it is below zero ("-0" is not).
 _is_negative = re.compile(r"-0*[1-9]").match
-# ASCII digits with an optional "-" in at most 18 characters fit in int64.
-_INT64_SAFE_CHARS = 18
 
 
 def _where(column: list[str], test: Callable[[str], object]) -> np.ndarray:
@@ -238,13 +240,16 @@ def _negatives(column: list[str]) -> np.ndarray:
     return _where(column, _is_negative)
 
 
-def _outside_int64(column: list[str]) -> np.ndarray:
-    """Which integer values of ``column`` do not fit in int64."""
-    if max(map(len, column)) <= _INT64_SAFE_CHARS:
+def _outside(column: list[str], lo: int, hi: int) -> np.ndarray:
+    """Which integer values of ``column`` lie outside [lo, hi], the range of
+    a signed integer type; none is converted when all are short.
+
+    A value with fewer characters than ``hi`` has digits is fewer digits
+    than ``hi`` has, or a "-" and fewer digits than ``lo`` has, so it fits.
+    """
+    if max(map(len, column), default=0) < len(str(hi)):
         return np.zeros(len(column), dtype=bool)
-    return _where(
-        column, lambda v: _is_integer(v) and not _INT64_MIN <= int(v) <= _INT64_MAX
-    )
+    return _where(column, lambda v: _is_integer(v) and not lo <= int(v) <= hi)
 
 
 def parse_sessions(source: Iterable[str] | TextIO, fmt: FormatConfig | None = None) -> ParseResult:
@@ -315,7 +320,7 @@ def parse_sessions(source: Iterable[str] | TextIO, fmt: FormatConfig | None = No
             )
             failed = [  # one mask per check, in _REASONS order after field_count
                 _not_integers(mid) | _not_integers(sid) | _not_integers(pages)
-                | _not_integers(dur) | _outside_int64(mid),
+                | _not_integers(dur) | _outside(mid, _INT64_MIN, _INT64_MAX),
                 _negatives(pages) | _negatives(dur),
                 ~np.fromiter(map(bool, host), dtype=bool, count=n),
                 day == 0,
@@ -370,13 +375,93 @@ class WeekConfig:
             object.__setattr__(self, name, value)
 
 
-def _intern(names: list[str]) -> tuple[list[str], np.ndarray]:
+def _intern_into(index: dict, names: list) -> np.ndarray:
+    """Each name's index in ``index``, a dict of distinct names to their
+    first-seen order, which gains the names it lacks; one dict operation
+    per name, so a sequence read a block at a time interns like a whole."""
+    # Before each name is looked up, the second iterator yields the index a
+    # new name takes: the number of names seen so far.
+    return np.fromiter(
+        map(index.setdefault, names, iter(index.__len__, -1)), np.int32, len(names)
+    )
+
+
+def _intern(names: list) -> tuple[list, np.ndarray]:
     """The distinct names in first-seen order, and each name's index in them."""
-    first: dict[str, int] = {}  # name -> position of its first occurrence
-    at = np.fromiter(map(first.setdefault, names, count()), dtype=np.int64, count=len(names))
-    index = np.empty(len(names), dtype=np.int32)
-    index[np.fromiter(first.values(), dtype=np.int64, count=len(first))] = np.arange(len(first))
-    return list(first), index[at]
+    index: dict = {}
+    at = _intern_into(index, names)
+    return list(index), at
+
+
+#: Why a table line fails on its own, in the order its fields are checked;
+#: formatted with the line's fields and their number ``n``.
+_TABLE_PROBLEMS = (
+    "expected 6 fields, got {n}",
+    "machine_id and week_index must be integers",
+    "machine_id must fit in int64 and week_index in int32",
+    "unknown race/income label {3!r}/{4!r}",
+)
+
+
+def _table_block(
+    block: list[str], lineno: int, names: dict[str, int], states: dict[str, int]
+) -> tuple[tuple[np.ndarray, ...], tuple[int, str] | None]:
+    """The columns of a block of table lines, up to its first failing line.
+
+    ``block`` holds the lines without their line breaks, the first one
+    numbered ``lineno``. Returns, for each line kept, its number, machine
+    ID, week, state and domain count, its race and income codes and each
+    domain's index into ``names``, with the number and problem of the
+    first line failing on its own, or None. ``names`` and ``states`` gain
+    the block's new names. Only the field count and the blank-line test of
+    a failing line look at a line on its own; every check runs over a
+    whole column.
+    """
+    n_fields = np.fromiter(map(str.count, block, repeat("\t")), np.int64, len(block)) + 1
+    well = n_fields == 6
+    reason = np.where(well, -1, 0)  # index into _TABLE_PROBLEMS; -1: passes
+    at = np.flatnonzero(well)
+    # A tab cannot straddle the join of two lines, so this splits each line
+    # exactly as splitting it alone would.
+    fields = "\t".join(compress(block, well.tolist())).split("\t") if len(at) else []
+    mid, week, state, race, income, domains = (fields[p::6] for p in range(6))
+    race_idx = np.fromiter(map(_RACE_CODES.get, race, repeat(-1)), np.int8, len(at))
+    income_idx = np.fromiter(map(_INCOME_CODES.get, income, repeat(-1)), np.int8, len(at))
+    failed = [
+        _not_integers(mid) | _not_integers(week),
+        _outside(mid, _INT64_MIN, _INT64_MAX) | _outside(week, _INT32_MIN, _INT32_MAX),
+        (race_idx < 0) | (income_idx < 0),
+    ]
+    reason[at] = np.select(failed, range(1, len(_TABLE_PROBLEMS)), -1)
+    # A blank line fails the field count, or the integer check of its blank
+    # fields; it is skipped, not reported.
+    first = next((i for i in np.flatnonzero(reason >= 0).tolist() if block[i].strip()), None)
+    kept = reason < 0
+    problem = None
+    if first is not None:
+        kept[first:] = False
+        problem = (lineno + first, _TABLE_PROBLEMS[reason[first]].format(
+            *block[first].split("\t"), n=n_fields[first]
+        ))
+    ok = kept[at]
+    if not ok.all():
+        keep = ok.tolist()
+        mid, week, state, domains = (list(compress(c, keep)) for c in (mid, week, state, domains))
+        race_idx, income_idx = race_idx[ok], income_idx[ok]
+    counts = np.fromiter(map(str.count, domains, repeat("|")), np.int64, len(domains))
+    counts += np.fromiter(map(bool, domains), bool, len(domains))  # an empty field has none
+    joined = "|".join(filter(None, domains))
+    columns = (
+        np.flatnonzero(kept) + lineno,
+        np.fromiter(map(int, mid), np.int64, len(mid)),
+        np.fromiter(map(int, week), np.int32, len(week)),
+        _intern_into(states, state),
+        race_idx,
+        income_idx,
+        counts,
+        _intern_into(names, joined.split("|") if joined else []),
+    )
+    return columns, problem
 
 
 class MachineWeekTable:
@@ -410,16 +495,21 @@ class MachineWeekTable:
         self.state_idx = np.asarray(state_idx, dtype=np.int16)
         self.offsets = np.asarray(offsets, dtype=np.int64)
         vocab = list(vocab)
-        dom_indices = np.asarray(dom_indices, dtype=np.intp)
-        used = np.flatnonzero(np.bincount(dom_indices, minlength=len(vocab))).tolist()
-        by_name = sorted(used, key=vocab.__getitem__)
+        dom_indices = np.asarray(dom_indices, dtype=np.int32)
+        used = np.zeros(len(vocab), dtype=bool)
+        used[dom_indices] = True
+        by_name = sorted(np.flatnonzero(used).tolist(), key=vocab.__getitem__)
         self.vocab = list(map(vocab.__getitem__, by_name))
-        rank = np.zeros(len(vocab), dtype=np.intp)  # each used entry's position in name order
+        rank = np.zeros(len(vocab), dtype=np.int32)  # each used entry's position in name order
         rank[by_name] = np.arange(len(by_name))
         width = max(len(by_name), 1)
-        row = np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets))
-        keys = np.sort(row * width + rank[dom_indices])
-        self.dom_indices = (keys % width).astype(np.int32)
+        n_rows = len(self.offsets) - 1
+        # Each pair's key row * width + rank is below n_rows * width: int32 when that fits.
+        key_type = np.int32 if n_rows * width <= _INT32_MAX + 1 else np.int64
+        keys = np.repeat(np.arange(n_rows, dtype=key_type) * width, np.diff(self.offsets))
+        keys += rank[dom_indices]
+        keys.sort()
+        self.dom_indices = np.remainder(keys, width, out=keys).astype(np.int32, copy=False)
         ids, weeks = self.machine_ids, self.week_indices
         unordered = (ids[1:] < ids[:-1]) | ((ids[1:] == ids[:-1]) & (weeks[1:] <= weeks[:-1]))
         if unordered.any():
@@ -511,11 +601,16 @@ class MachineWeekTable:
     def load(cls, path: str) -> "MachineWeekTable":
         """Read a table written by ``save``; lines and a line's names may come in any order.
 
-        The file is read once. Each line is split and its fields checked
-        on their own. The domains of all lines are then handled in bulk:
-        split from one joined string in row order and interned in one
-        pass; a domain listed twice then sits next to itself in the built
-        table's sorted row, where one comparison of neighbours finds it.
+        The file is read in blocks of ``_BLOCK`` lines. A block's lines are
+        split into six columns at once and each check runs over a whole
+        column; only integer columns and the vocabulary, one dict of every
+        distinct name, outlive the block, so memory follows the table's
+        integer columns plus one block's text, never the whole file's. After
+        the last block one ``lexsort`` finds a (machine, week) on two lines
+        and puts the rows in order, when the file does not list them so
+        already; a domain listed twice then sits next to itself in the
+        built table's sorted row, where one comparison of neighbours finds
+        it.
 
         A malformed line raises ``ValueError("<path>:<line>: ...")`` for the
         first offending line: a wrong field count, a machine ID or week
@@ -527,64 +622,59 @@ class MachineWeekTable:
         besides ``UNKNOWN_STATE`` raises ``ValueError``, since state indices
         are int16.
         """
+        names: dict[str, int] = {}  # domain name -> index, in first-seen order
+        states = {UNKNOWN_STATE: 0}
+        blocks = []
         with open(path, encoding="utf-8") as fh:
             header = fh.readline()
             if not header.startswith("machine_id\t"):
                 raise ValueError(f"{path}: not a machine-week table")
-            text = fh.read()
-        rows: dict[tuple[int, int], tuple[int, str, str, str, str]] = {}
-        problem = None
-        for lineno, line in enumerate(text.split("\n"), start=2):
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 6:
-                problem = f"expected 6 fields, got {len(fields)}"
-                break
-            mid, week, state, race, income, domains = fields
-            if not (_is_integer(mid) and _is_integer(week)):
-                problem = "machine_id and week_index must be integers"
-                break
-            key = (int(mid), int(week))
-            if not (_INT64_MIN <= key[0] <= _INT64_MAX and _INT32_MIN <= key[1] <= _INT32_MAX):
-                problem = "machine_id must fit in int64 and week_index in int32"
-                break
-            if race not in _RACE_CODES or income not in _INCOME_CODES:
-                problem = f"unknown race/income label {race!r}/{income!r}"
-                break
-            if key in rows:
-                problem = f"machine {key[0]}, week {key[1]} appears twice"
-                break
-            if domains[:1] == "|" or domains[-1:] == "|" or "||" in domains:
-                problem = "empty domain name"
-                break
-            rows[key] = (lineno, state, race, income, domains)
-
-        keys = sorted(rows)
-        linenos, states, races, incomes, fields = (
-            zip(*map(rows.__getitem__, keys)) if keys else ((),) * 5
-        )
-        ids = np.fromiter(chain.from_iterable(keys), np.int64, 2 * len(keys)).reshape(-1, 2)
-        labels, state_idx = _intern([UNKNOWN_STATE, *states])  # states in row order
-        counts = [d.count("|") + 1 if d else 0 for d in fields]
-        offsets = np.cumsum([0, *counts])
-        joined = "|".join(filter(None, fields))
-        vocab, dom_indices = _intern(joined.split("|") if joined else [])
-        table = cls(
-            ids[:, 0], ids[:, 1], labels,
-            list(map(_RACE_CODES.__getitem__, races)),
-            list(map(_INCOME_CODES.__getitem__, incomes)),
-            state_idx[1:], dom_indices, offsets, vocab,
-        )
-        # Every line before a failing one was kept, so a repeat found here
-        # is on an earlier line than the failure.
-        dom, row = table.dom_indices, np.repeat(np.arange(len(table)), counts)
-        repeated = row[1:][(dom[1:] == dom[:-1]) & (row[1:] == row[:-1])]
-        if len(repeated):
-            first = min(linenos[r] for r in repeated.tolist())
-            raise ValueError(f"{path}:{first}: a domain is listed twice")
-        if problem is not None:
-            raise ValueError(f"{path}:{lineno}: {problem}")
+            lineno, problem = 2, None
+            while problem is None:
+                block = list(map(str.rstrip, islice(fh, _BLOCK), repeat("\n")))
+                columns, problem = _table_block(block, lineno, names, states)
+                blocks.append(columns)
+                if len(block) < _BLOCK:
+                    break
+                lineno += _BLOCK
+        found = [] if problem is None else [problem]  # (line, message) of each failure kind
+        linenos, ids, weeks, codes, races, incomes, counts, dom = map(np.concatenate, zip(*blocks))
+        del blocks  # before the constructor's temporaries are allocated
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        unordered = (ids[1:] < ids[:-1]) | ((ids[1:] == ids[:-1]) & (weeks[1:] <= weeks[:-1]))
+        if unordered.any():
+            order = np.lexsort((weeks, ids))
+            same = (ids[order[1:]] == ids[order[:-1]]) & (weeks[order[1:]] == weeks[order[:-1]])
+            if same.any():
+                # The sort is stable, so a key's first line comes first and
+                # every line after it on the key is a repeat.
+                i = int(order[1:][same].min())
+                found.append((int(linenos[i]), f"machine {ids[i]}, week {weeks[i]} appears twice"))
+                order = order[order < i]
+            linenos, ids, weeks, codes, races, incomes, counts = (
+                column[order] for column in (linenos, ids, weeks, codes, races, incomes, counts)
+            )
+            starts = offsets[:-1][order]
+            offsets = np.concatenate(([0], np.cumsum(counts)))
+            dom = dom[np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])]
+        distinct, state_idx = _intern([0, *codes.tolist()])  # states in row order
+        labels = list(map(list(states).__getitem__, distinct))
+        table = cls(ids, weeks, labels, races, incomes, state_idx[1:], dom, offsets, list(names))
+        dom, offsets = table.dom_indices, table.offsets
+        if table.vocab[:1] == [""]:  # "" sorts first, so a row holding it starts with it
+            filled = np.flatnonzero(np.diff(offsets))
+            rows = filled[dom[offsets[filled]] == 0]
+            found.append((int(linenos[rows].min()), "empty domain name"))
+        twice = np.flatnonzero(dom[1:] == dom[:-1]) + 1  # pairs equal to the one before
+        rows = np.searchsorted(offsets, twice, side="right") - 1
+        rows = rows[offsets[rows] != twice]  # not a row's first pair
+        if len(rows):
+            found.append((int(linenos[rows].min()), "a domain is listed twice"))
+        if found:
+            # The first offending line; on one line an empty name outranks a
+            # name listed twice.
+            line, message = min(found, key=lambda f: f[0])
+            raise ValueError(f"{path}:{line}: {message}")
         # A file-wide limit, checked after every line's checks; past it the
         # table's int16 state indices have wrapped, so it is not returned.
         if len(table.state_labels) > _INT16_MAX + 1:

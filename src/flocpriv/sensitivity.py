@@ -23,7 +23,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import special
-from .hashing import derive_seed
+from .hashing import check_integer, derive_seed
 from .ingest import INCOME_GROUPS, RACE_GROUPS, MachineWeekTable
 from .panels import JointDistribution, Panel
 
@@ -454,10 +454,12 @@ def ot_scale_control(
     are i.i.d. from the target joint. Members are streamed in fixed blocks
     of at most ``_OT_BLOCK`` through buffers allocated once, so scratch
     memory is constant and only the per-cohort demographic count matrices
-    are held, never the member-level population. A count below 1, a ratio
-    below 1, a non-finite ``t`` or ratio, or a non-finite member count is a
+    are held, never the member-level population. A count that is not an
+    integer (as ``check_integer`` reads it) or is below 1, a ratio below 1,
+    a non-finite ``t`` or ratio, or a non-finite member count is a
     ``ValueError``.
     """
+    num_cohorts, k = check_integer(num_cohorts, "num_cohorts"), check_integer(k, "k")
     for name, value in (("num_cohorts", num_cohorts), ("k", k)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")

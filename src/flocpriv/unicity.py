@@ -35,6 +35,7 @@ import numpy as np
 
 from .cohorts import SortedPopulation
 from .geo import UNKNOWN_STATE
+from .hashing import check_integer
 from .ingest import MachineWeekTable
 from .prefixlsh import CohortError, CohortMap
 from .simhash import SimHashConfig
@@ -86,8 +87,11 @@ def build_sequences(table: MachineWeekTable, window: int = 4) -> SequenceSet:
     """Pool every machine's complete aligned windows.
 
     Window j covers weeks [j*window, (j+1)*window); a machine contributes
-    a sample for j only when all of those weeks are present.
+    a sample for j only when all of those weeks are present. A ``window``
+    that is not an integer (as ``check_integer`` reads it) or is below 1
+    raises ``ValueError``.
     """
+    window = check_integer(window, "window")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     n = len(table)

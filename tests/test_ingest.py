@@ -407,6 +407,20 @@ class TestMachineWeekTable:
             with pytest.raises(ValueError, match="strictly ascending"):
                 MachineWeekTable(machine_ids, weeks, *args)
 
+    def test_constructor_orders_domains_when_row_keys_pass_int32(self):
+        # 70,000 rows x 31,000 names in use: a key row * 31,000 + rank passes int32.
+        n_rows, n_names = 70_000, 31_000
+        rng = np.random.default_rng(0)
+        vocab = [f"n{i}.com" for i in rng.permutation(n_names)]
+        rows = np.sort(rng.integers(0, n_rows, n_names))
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
+        zeros = np.zeros(n_rows, dtype=np.int8)
+        table = MachineWeekTable(np.arange(n_rows), zeros, ["XX"], zeros, zeros, zeros,
+                                 np.arange(n_names), offsets, vocab)
+        assert table.vocab == sorted(vocab)
+        got = list(zip(rows.tolist(), map(table.vocab.__getitem__, table.dom_indices.tolist())))
+        assert got == sorted(zip(rows.tolist(), vocab))
+
     @pytest.mark.parametrize(
         "line, message",
         [
@@ -626,19 +640,56 @@ def _maybe_bad_line(draw):
     return "\t".join(fields)
 
 
+#: Lines ``load`` reads at once: the module's, or so few that repeated keys,
+#: repeated names and the first offending line fall in different blocks.
+_LOAD_BLOCK = st.sampled_from([ingest._BLOCK, 1, 2, 3])
+
+
 class TestTableIOMatchesOracle:
     """``load``, the builder, the constructor, ``save_text`` and the hashes
     give what the per-line implementations in ``table_io_oracle`` give."""
 
     @settings(max_examples=300, deadline=None)
-    @given(_valid_lines())
-    def test_valid_files(self, lines):
-        assert _load_like_oracle(lines) is not None
+    @given(_valid_lines(), _LOAD_BLOCK)
+    def test_valid_files(self, lines, block):
+        with mock.patch.object(ingest, "_BLOCK", block):
+            assert _load_like_oracle(lines) is not None
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(_maybe_bad_line(), _BLANK), min_size=1, max_size=10))
-    def test_malformed_files(self, lines):
-        _load_like_oracle(lines)
+    @given(st.lists(st.one_of(_maybe_bad_line(), _BLANK), min_size=1, max_size=10), _LOAD_BLOCK)
+    def test_malformed_files(self, lines, block):
+        with mock.patch.object(ingest, "_BLOCK", block):
+            _load_like_oracle(lines)
+
+    @pytest.mark.parametrize("block", [ingest._BLOCK, 1, 3])
+    def test_the_first_repeated_key_is_on_the_earliest_line(self, block):
+        # (2, 0) repeats on line 4 and (1, 0) on line 5, though (1, 0) sorts first.
+        directory, path = _write([f"{m}\t0\tAL\twhite\tlt25k\ta.com" for m in (2, 1, 2, 1)])
+        message = "^" + re.escape(f"{path}:4: machine 2, week 0 appears twice") + "$"
+        with directory, mock.patch.object(ingest, "_BLOCK", block):
+            for table_type in (MachineWeekTable, OracleTable):
+                with pytest.raises(ValueError, match=message):
+                    table_type.load(path)
+
+    def test_shuffled_crlf_file_across_blocks_loads_like_the_sorted_file(self, tmp_path):
+        rng = random.Random(26)
+        lines = [
+            f"{m}\t{w}\t{rng.choice(['AL', 'CA', 'NY'])}\t{rng.choice(RACE_GROUPS)}\t"
+            f"{rng.choice(INCOME_GROUPS)}\t" + "|".join(sorted(rng.sample(_SHARED_NAMES, 3)))
+            for m in range(-4, 6) for w in range(3)
+        ]
+        sorted_path, shuffled_path = tmp_path / "sorted.tsv", tmp_path / "shuffled.tsv"
+        sorted_path.write_text("\n".join([_TABLE_HEADER, *lines]) + "\n", encoding="utf-8")
+        rng.shuffle(lines)
+        for at in (3, 9, 9, 17, 25):
+            lines.insert(at, rng.choice(["", " ", "\t", " \t \t"]))
+        shuffled_path.write_bytes(("\r\n".join([_TABLE_HEADER, *lines]) + "\r\n").encode())
+        want = MachineWeekTable.load(sorted_path)
+        for block in (1, 2, 4, 7):
+            with mock.patch.object(ingest, "_BLOCK", block):
+                table = MachineWeekTable.load(shuffled_path)
+            _assert_same_table(table, want)
+        assert want.save_text() == sorted_path.read_text()
 
     def test_hash_collisions_sort_like_the_oracle(self, monkeypatch):
         alias = {"b.com": "a.com", "d.com": "a.com", "e.com": "c.com"}

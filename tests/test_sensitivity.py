@@ -691,9 +691,12 @@ class TestOTScaleControl:
              "num_cohorts * k * cohort_size_ratio must be finite, got inf"),
             ({"num_cohorts": 10**400},
              "num_cohorts * k * cohort_size_ratio must be finite, got inf"),
+            ({"k": True}, "k must be an integer, got True"),
+            ({"k": 2.5}, "k must be an integer, got 2.5"),
+            ({"num_cohorts": 3.0}, "num_cohorts must be an integer, got 3.0"),
         ],
         ids=["ratio", "num_cohorts", "k", "t_nan", "t_inf", "ratio_inf", "ratio_nan",
-             "members_inf", "members_beyond_float"],
+             "members_inf", "members_beyond_float", "k_bool", "k_float", "num_cohorts_float"],
     )
     def test_ratio_below_one_rejected(self, default_joint, changes, message):
         kwargs = {"num_cohorts": 10, "k": 10, "cohort_size_ratio": 1.5, "t": 0.1, **changes}

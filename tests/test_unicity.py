@@ -109,6 +109,12 @@ class TestBuildSequences:
         with pytest.raises(ValueError):
             build_sequences(_table({1: range(4)}), window=0)
 
+    @pytest.mark.parametrize("window", [2.5, True], ids=["float", "bool"])
+    def test_window_must_be_an_integer(self, window):
+        # 2.5 would find no complete window and True would act as 1.
+        with pytest.raises(ValueError, match=f"^window must be an integer, got {window!r}$"):
+            build_sequences(_table({1: range(4)}), window=window)
+
     def test_unknown_state_flagged(self):
         table = _table({1: range(2), 2: range(2)}, zips={2: "00000"}, min_domains=1)
         seqs = build_sequences(table, window=2)

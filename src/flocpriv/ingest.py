@@ -26,10 +26,9 @@ A row is a set of domains, and only the table's constructor orders them.
 ``load`` keeps integer columns and one dict of the distinct names across
 blocks, never the file's text, so its memory follows the table's integer
 columns plus one block's strings. After the last block, one ``lexsort``
-finds a (machine, week) on two lines (the rows are reordered only when
-the file does not list them in order), and one comparison of neighbours
-in the built table finds a domain named twice. ``save_text`` joins each
-row's names once.
+finds a (machine, week) on two lines and puts the rows in order, and one
+comparison of neighbours in the built table finds a domain named twice.
+``save_text`` joins each row's names once.
 """
 
 from __future__ import annotations
@@ -469,7 +468,8 @@ class MachineWeekTable:
 
     Rows are strictly ascending by ``(machine_id, week_index)``, so no
     (machine, week) appears twice; the constructor raises ``ValueError``
-    otherwise. Domains are interned in a vocabulary. A row is a set, so the
+    otherwise, and when a domain index lies outside the vocabulary.
+    Domains are interned in a vocabulary. A row is a set, so the
     constructor keeps only the names some row holds, puts them in name
     order (``str`` order) and each row's indices ascending, whatever
     vocabulary and order they were given in.
@@ -495,7 +495,10 @@ class MachineWeekTable:
         self.state_idx = np.asarray(state_idx, dtype=np.int16)
         self.offsets = np.asarray(offsets, dtype=np.int64)
         vocab = list(vocab)
-        dom_indices = np.asarray(dom_indices, dtype=np.int32)
+        dom_indices = np.asarray(dom_indices)
+        if len(dom_indices) and not 0 <= dom_indices.min() <= dom_indices.max() < len(vocab):
+            raise ValueError(f"domain indices must lie in [0, {len(vocab)}), the vocabulary's size")
+        dom_indices = dom_indices.astype(np.int32, copy=False)
         used = np.zeros(len(vocab), dtype=bool)
         used[dom_indices] = True
         by_name = sorted(np.flatnonzero(used).tolist(), key=vocab.__getitem__)
@@ -503,10 +506,7 @@ class MachineWeekTable:
         rank = np.zeros(len(vocab), dtype=np.int32)  # each used entry's position in name order
         rank[by_name] = np.arange(len(by_name))
         width = max(len(by_name), 1)
-        n_rows = len(self.offsets) - 1
-        # Each pair's key row * width + rank is below n_rows * width: int32 when that fits.
-        key_type = np.int32 if n_rows * width <= _INT32_MAX + 1 else np.int64
-        keys = np.repeat(np.arange(n_rows, dtype=key_type) * width, np.diff(self.offsets))
+        keys = np.repeat(np.arange(len(self.offsets) - 1) * width, np.diff(self.offsets))
         keys += rank[dom_indices]
         keys.sort()
         self.dom_indices = np.remainder(keys, width, out=keys).astype(np.int32, copy=False)
@@ -607,10 +607,9 @@ class MachineWeekTable:
         distinct name, outlive the block, so memory follows the table's
         integer columns plus one block's text, never the whole file's. After
         the last block one ``lexsort`` finds a (machine, week) on two lines
-        and puts the rows in order, when the file does not list them so
-        already; a domain listed twice then sits next to itself in the
-        built table's sorted row, where one comparison of neighbours finds
-        it.
+        and puts the rows in order; a domain listed twice then sits next
+        to itself in the built table's sorted row, where one comparison of
+        neighbours finds it.
 
         A malformed line raises ``ValueError("<path>:<line>: ...")`` for the
         first offending line: a wrong field count, a machine ID or week
@@ -641,22 +640,20 @@ class MachineWeekTable:
         linenos, ids, weeks, codes, races, incomes, counts, dom = map(np.concatenate, zip(*blocks))
         del blocks  # before the constructor's temporaries are allocated
         offsets = np.concatenate(([0], np.cumsum(counts)))
-        unordered = (ids[1:] < ids[:-1]) | ((ids[1:] == ids[:-1]) & (weeks[1:] <= weeks[:-1]))
-        if unordered.any():
-            order = np.lexsort((weeks, ids))
-            same = (ids[order[1:]] == ids[order[:-1]]) & (weeks[order[1:]] == weeks[order[:-1]])
-            if same.any():
-                # The sort is stable, so a key's first line comes first and
-                # every line after it on the key is a repeat.
-                i = int(order[1:][same].min())
-                found.append((int(linenos[i]), f"machine {ids[i]}, week {weeks[i]} appears twice"))
-                order = order[order < i]
-            linenos, ids, weeks, codes, races, incomes, counts = (
-                column[order] for column in (linenos, ids, weeks, codes, races, incomes, counts)
-            )
-            starts = offsets[:-1][order]
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            dom = dom[np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])]
+        order = np.lexsort((weeks, ids))
+        same = (ids[order[1:]] == ids[order[:-1]]) & (weeks[order[1:]] == weeks[order[:-1]])
+        if same.any():
+            # The sort is stable, so a key's first line comes first and every
+            # line after it on the key is a repeat.
+            i = int(order[1:][same].min())
+            found.append((int(linenos[i]), f"machine {ids[i]}, week {weeks[i]} appears twice"))
+            order = order[order < i]
+        linenos, ids, weeks, codes, races, incomes, counts = (
+            column[order] for column in (linenos, ids, weeks, codes, races, incomes, counts)
+        )
+        starts = offsets[:-1][order]
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        dom = dom[np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])]
         distinct, state_idx = _intern([0, *codes.tolist()])  # states in row order
         labels = list(map(list(states).__getitem__, distinct))
         table = cls(ids, weeks, labels, races, incomes, state_idx[1:], dom, offsets, list(names))

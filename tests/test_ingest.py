@@ -407,19 +407,12 @@ class TestMachineWeekTable:
             with pytest.raises(ValueError, match="strictly ascending"):
                 MachineWeekTable(machine_ids, weeks, *args)
 
-    def test_constructor_orders_domains_when_row_keys_pass_int32(self):
-        # 70,000 rows x 31,000 names in use: a key row * 31,000 + rank passes int32.
-        n_rows, n_names = 70_000, 31_000
-        rng = np.random.default_rng(0)
-        vocab = [f"n{i}.com" for i in rng.permutation(n_names)]
-        rows = np.sort(rng.integers(0, n_rows, n_names))
-        offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
-        zeros = np.zeros(n_rows, dtype=np.int8)
-        table = MachineWeekTable(np.arange(n_rows), zeros, ["XX"], zeros, zeros, zeros,
-                                 np.arange(n_names), offsets, vocab)
-        assert table.vocab == sorted(vocab)
-        got = list(zip(rows.tolist(), map(table.vocab.__getitem__, table.dom_indices.tolist())))
-        assert got == sorted(zip(rows.tolist(), vocab))
+    @pytest.mark.parametrize("index", [-1, 2, 2**32])
+    def test_constructor_rejects_domain_indices_outside_the_vocabulary(self, index):
+        args = ([1], [0], ["XX"], [0], [0], [0])
+        MachineWeekTable(*args, [1, 0], [0, 2], ["a.com", "b.com"])
+        with pytest.raises(ValueError, match=r"domain indices must lie in \[0, 2\)"):
+            MachineWeekTable(*args, np.array([0, index]), [0, 2], ["a.com", "b.com"])
 
     @pytest.mark.parametrize(
         "line, message",

@@ -37,6 +37,7 @@ from .ingest import (
     build_machine_weeks,
     parse_sessions,
     representativeness,
+    utf8_error,
 )
 from .manifest import csv_text, dump_json, write_manifest, write_text
 from .panels import JointDistribution, PanelError, _is_number, cluster_panel, stratified_panels
@@ -173,6 +174,8 @@ def _cmd_preprocess(args: argparse.Namespace) -> dict[str, str]:
             parsed = parse_sessions(fh, fmt)
     except SchemaError as exc:
         raise PipelineError(str(exc)) from exc
+    except UnicodeDecodeError:
+        raise utf8_error(args.sessions) from None
     week_cfg = WeekConfig(
         epoch=dt.date.fromisoformat(args.epoch),
         n_weeks=args.weeks,

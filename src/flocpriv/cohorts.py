@@ -17,13 +17,12 @@ rows hashed again at full width. A width of 16 or less takes one pass.
 
 Each pass sorts its population once, and none of that depends on k:
 ``SortedPopulation`` keeps each pass's order and shifted values, and its
-``cluster(k)`` is the per-k build. ``cluster_rows`` makes one and clusters
-it once; a caller that clusters one population at many k, as
-``unicity.sweep_k`` does, keeps it and sorts nothing again. The map's
-leaves are consecutive runs of the sorted values in cohort-id order, so
-the ids are read off that same order: no ``CohortMap.assign`` searches
-for the leaves the build just found. ``assign`` is what a browser does
-with a published map.
+``cluster(k)`` is the per-k build, so ``unicity.sweep_k`` clusters one
+population at many k and sorts nothing again. The map's leaves are
+consecutive runs of the sorted values in cohort-id order, so the ids are
+read off that same order: no ``CohortMap.assign`` searches for the
+leaves the build just found. ``assign`` is what a browser does with a
+published map.
 """
 
 from __future__ import annotations
@@ -89,14 +88,6 @@ class SortedPopulation:
         return cmap, ids
 
 
-def cluster_rows(
-    table: MachineWeekTable, rows: np.ndarray, k: int, config: SimHashConfig
-) -> tuple[CohortMap, np.ndarray]:
-    """Cohort map of the table rows ``rows`` at level k, and each row's id:
-    ``SortedPopulation(table, rows, config).cluster(k)``."""
-    return SortedPopulation(table, rows, config).cluster(k)
-
-
 @dataclass
 class WeeklyCohorts:
     """Cohort maps and row-aligned assignments for every week."""
@@ -122,7 +113,7 @@ def compute_weekly_cohorts(
     for week in table.week_values():
         rows = table.rows_for_week(int(week))
         try:
-            cmap, ids = cluster_rows(table, rows, k, config)
+            cmap, ids = SortedPopulation(table, rows, config).cluster(k)
         except CohortError as exc:
             raise CohortError(f"week {int(week)}: {exc}") from None
         maps[int(week)] = cmap

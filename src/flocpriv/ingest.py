@@ -10,25 +10,14 @@ constructor takes integer columns: ``build_machine_weeks`` hands it the
 domain and state indices it has already interned, and
 ``MachineWeekTable.load`` interns the file's names and states first.
 
-``parse_sessions`` and ``MachineWeekTable.load`` read their file in
-blocks of ``_BLOCK`` lines. Only the blank-line test and the field count
-look at each line on its own (``load`` tests for blank only the lines
-that fail a check); a block's well-formed lines are split into columns
-at once and every check runs over a whole column. ``build_machine_weeks``
-keys rows with array operations on integer codes. Work that depends only
-on a value is done once per distinct value: each date string is parsed
-and checked once per ``parse_sessions`` call, and each hostname's
-registrable domain found once per ``build_machine_weeks`` call. Integer
-fields are ASCII digits with an optional leading "-"; any other spelling
-is rejected, not converted.
-
-A row is a set of domains, and only the table's constructor orders them.
-``load`` keeps integer columns and one dict of the distinct names across
-blocks, never the file's text, so its memory follows the table's integer
-columns plus one block's strings. After the last block, one ``lexsort``
-finds a (machine, week) on two lines and puts the rows in order, and one
-comparison of neighbours in the built table finds a domain named twice.
-``save_text`` joins each row's names once.
+A row is a set of domains, and only the table's constructor orders
+them. ``parse_sessions`` and ``MachineWeekTable.load`` read their file in
+blocks of ``_BLOCK`` lines and run each check over a whole column of a
+block (their docstrings give the rules); ``build_machine_weeks`` keys
+rows with array operations on integer codes. Work that depends only on a
+value is done once per distinct value: each date string is parsed once
+per ``parse_sessions`` call, and each hostname's registrable domain
+found once per ``build_machine_weeks`` call.
 """
 
 from __future__ import annotations
@@ -192,6 +181,17 @@ def _parse_date(text: str, date_format: str) -> dt.date | None:
     # strptime tolerates short month/day fields ("2017051"); require the
     # canonical rendering so truncated dates are rejected, not guessed at.
     return date if date.strftime(date_format) == text else None
+
+
+def utf8_error(path: str) -> ValueError:
+    """``ValueError("<path>:<line>: not UTF-8 ...")`` for the first bad byte of
+    ``path``. It reads the file again: call it only once a UTF-8 read failed."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if bad := re.search("[\udc80-\udcff]", line):  # byte b escapes to U+DC00 + b
+                byte, column = ord(bad.group()) - 0xDC00, bad.start() + 1
+                return ValueError(f"{path}:{lineno}: not UTF-8: byte {byte:#04x} at column {column}")
+    return ValueError(f"{path}: not UTF-8")
 
 
 #: Lines ``parse_sessions`` and ``MachineWeekTable.load`` split together.
@@ -542,7 +542,8 @@ class MachineWeekTable:
         return list(map(self.vocab.__getitem__, self.dom_indices[lo:hi].tolist()))
 
     def hashes(self, bit_length: int, seed: int) -> np.ndarray:
-        """Per-row hash bitvectors, cached per (bit_length, seed).
+        """Per-row hash bitvectors, cached per (bit_length, seed), from the rows
+        as stored: the kernel reads ``dom_indices`` into ``vocab_hashes``.
 
         Bit b of a hash depends on feature b alone, so a narrower hash is
         the top bits of a wider one. When some width W > ``bit_length`` is
@@ -556,8 +557,8 @@ class MachineWeekTable:
         if cached is None:
             wider = next((w for w, s in self._hash_cache if s == seed and w > bit_length), None)
             if wider is None:
-                values = self.vocab_hashes[self.dom_indices]
-                cached = kernels.simhash_rows(values, self.offsets, bit_length, seed_key(seed))
+                rows = self.dom_indices, self.offsets, self.vocab_hashes
+                cached = kernels.simhash_rows(*rows, bit_length, seed_key(seed))
             else:
                 cached = self._hash_cache[wider, seed] >> np.uint64(wider - bit_length)
             self._hash_cache[key] = cached
@@ -616,26 +617,29 @@ class MachineWeekTable:
         that is not ASCII digits with an optional leading "-", a machine ID
         outside int64 or a week outside int32, an unknown race or income
         label, a (machine, week) already seen on an earlier line, an empty
-        domain name, or a domain listed twice. An empty domains field is a
-        row without domains. A file naming more than 32,767 distinct states
-        besides ``UNKNOWN_STATE`` raises ``ValueError``, since state indices
-        are int16.
+        domain name, a domain listed twice, or a byte that is not UTF-8. An
+        empty domains field is a row without domains. A file naming more
+        than 32,767 distinct states besides ``UNKNOWN_STATE`` raises
+        ``ValueError``, since state indices are int16.
         """
         names: dict[str, int] = {}  # domain name -> index, in first-seen order
         states = {UNKNOWN_STATE: 0}
         blocks = []
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline()
-            if not header.startswith("machine_id\t"):
-                raise ValueError(f"{path}: not a machine-week table")
-            lineno, problem = 2, None
-            while problem is None:
-                block = list(map(str.rstrip, islice(fh, _BLOCK), repeat("\n")))
-                columns, problem = _table_block(block, lineno, names, states)
-                blocks.append(columns)
-                if len(block) < _BLOCK:
-                    break
-                lineno += _BLOCK
+        try:
+            with open(path, encoding="utf-8") as fh:
+                header = fh.readline()
+                if not header.startswith("machine_id\t"):
+                    raise ValueError(f"{path}: not a machine-week table")
+                lineno, problem = 2, None
+                while problem is None:
+                    block = list(map(str.rstrip, islice(fh, _BLOCK), repeat("\n")))
+                    columns, problem = _table_block(block, lineno, names, states)
+                    blocks.append(columns)
+                    if len(block) < _BLOCK:
+                        break
+                    lineno += _BLOCK
+        except UnicodeDecodeError:
+            raise utf8_error(path) from None
         found = [] if problem is None else [problem]  # (line, message) of each failure kind
         linenos, ids, weeks, codes, races, incomes, counts, dom = map(np.concatenate, zip(*blocks))
         del blocks  # before the constructor's temporaries are allocated

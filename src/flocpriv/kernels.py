@@ -18,10 +18,6 @@ partial sum is subnormal, and rounding commutes with a power-of-two scale,
 so each partial sum is the scalar one times 2**53. No draw is cast
 from uint64, because NumPy has no fast uint64-to-float64 conversion and
 buffers it, while the int64 view of the same bits converts in one pass.
-
-Both the table fill and the row sums work through blocks of about
-``_BLOCK`` elements, in buffers allocated once per call, so the working set
-stays in cache and scratch memory does not grow with the input.
 """
 
 from __future__ import annotations
@@ -47,8 +43,9 @@ _SHIFT_11 = _U64(11)
 _MIX_C1 = _U64(MIX_C1)
 _MIX_C2 = _U64(MIX_C2)
 
-# Elements in each (domains or rows, bit_length) scratch block: small
-# enough that a block's buffers stay in cache.
+# Elements in each (domains or rows, bit_length) block of the table fill
+# and of the row sums. A block's buffers, allocated once per call, stay in
+# cache, and scratch memory does not grow with the input.
 _BLOCK = 1 << 15
 
 
@@ -105,33 +102,36 @@ def _feature_table(keys: np.ndarray, bit_length: int) -> np.ndarray:
 
 
 def simhash_rows(
-    values: np.ndarray,
+    indices: np.ndarray,
     offsets: np.ndarray,
+    hashes: np.ndarray,
     bit_length: int,
     seed_key: int,
 ) -> np.ndarray:
-    """Hash bitvectors for every row of a CSR (values, offsets) layout.
+    """Hash bitvectors for every row of a CSR (indices, offsets) layout.
 
-    ``values`` holds concatenated 64-bit domain hashes, each row slice in
-    any order; ``offsets`` is the usual length n_rows + 1 index array.
-    Bit b of a result (counting from the most significant end of a
-    ``bit_length``-wide value) is 1 iff the row's summed feature is > 0, so
-    empty rows hash to 0. Memory is O(distinct hashes × bit_length) for the
-    feature table plus a constant scratch of a few ``_BLOCK``-element
-    buffers. Raises ``ValueError`` unless ``bit_length`` is an integer in [1, 64].
+    Each row lists, in any order, positions in ``hashes``, which holds one
+    64-bit hash per name; ``offsets`` has n_rows + 1 entries. The hashes
+    are ranked once (equal ones share a rank and a table row), never a
+    hash per pair. Bit b of a result (from the most significant end of a
+    ``bit_length``-wide value) is 1 iff the row's summed feature is > 0,
+    so empty rows hash to 0. Memory: the O(distinct hashes × bit_length)
+    table, two int64 per pair and a few ``_BLOCK``-element buffers.
+    Raises ``ValueError`` unless ``bit_length`` is an integer in [1, 64].
     """
     bit_length = check_bit_length(bit_length)
-    values = np.asarray(values, dtype=np.uint64)
     offsets = np.asarray(offsets, dtype=np.int64)
     out = np.zeros(len(offsets) - 1, dtype=np.uint64)
-    distinct, inv = np.unique(values, return_inverse=True)
+    distinct, rank = np.unique(np.asarray(hashes, dtype=np.uint64), return_inverse=True)
     keys = distinct ^ _U64(seed_key)
     _mix64(keys, np.empty_like(keys))
     table = _feature_table(keys, bit_length)
     # Sorting (row, hash rank) keys puts each row in hash order.
     lengths = np.diff(offsets)
-    row_base = np.repeat(np.arange(len(lengths), dtype=np.int64) * len(distinct), lengths)
-    inv = np.sort(row_base + inv) - row_base
+    inv = np.repeat(np.arange(len(lengths), dtype=np.int64) * len(distinct), lengths)
+    inv += rank[indices]
+    inv.sort()
+    np.remainder(inv, max(len(distinct), 1), out=inv)
 
     # Longest rows first, so the rows still open at position p are a prefix.
     order = np.argsort(-lengths, kind="stable")

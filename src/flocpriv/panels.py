@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .cohorts import cluster_rows
+from .cohorts import SortedPopulation
 from .ingest import INCOME_GROUPS, RACE_GROUPS, MachineWeekTable
 from .prefixlsh import CohortMap
 from .simhash import SimHashConfig
@@ -207,11 +207,11 @@ def cluster_panel(panel: Panel, k: int, bit_length: int) -> Panel:
     """Attach the panel's cohort map and per-machine cohort ids.
 
     The map is built on the panel rows' ``bit_length``-bit hashes with the
-    panel's ``hash_seed``, by ``cohorts.cluster_rows``. Raises
+    panel's ``hash_seed``, by a ``cohorts.SortedPopulation``. Raises
     ``PanelError`` for a panel without a source table.
     """
     if panel.table is None or panel.hash_seed is None:
         raise PanelError(f"panel {panel.panel_id} has no source table and hash seed to cluster")
-    config = SimHashConfig(bit_length, panel.hash_seed)
-    panel.cohort_map, panel.cohort_ids = cluster_rows(panel.table, panel.rows, k, config)
+    sim = SimHashConfig(bit_length, panel.hash_seed)
+    panel.cohort_map, panel.cohort_ids = SortedPopulation(panel.table, panel.rows, sim).cluster(k)
     return panel

@@ -6,14 +6,16 @@ seed. Bit b of a set's hash is 1 iff the features of its members sum to a
 strictly positive value, so machines with similar domain sets collide in
 nearby bitvectors. The feature is a sum of 12 uniforms minus 6 (unit
 variance, zero mean), built from exact integer draws so hash values are
-reproducible across platforms. ``kernels.simhash_rows`` computes every hash;
-tests check it against the scalar feature of ``tests/simhash_oracle.py``.
+reproducible across platforms. ``kernels.simhash_rows`` computes every hash
+from one hash per name; tests check it against ``tests/simhash_oracle.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from . import kernels
 from .hashing import check_bit_length, check_seed, domain_hashes64, seed_key
@@ -39,6 +41,6 @@ def simhash(domains: Iterable[str], config: SimHashConfig = SimHashConfig()) -> 
     unique = set(domains)
     if not unique:
         raise ValueError("cannot hash an empty domain set")
-    values = domain_hashes64(unique)
-    out = kernels.simhash_rows(values, [0, len(values)], config.bit_length, seed_key(config.seed))
+    rows = np.arange(len(unique)), [0, len(unique)], domain_hashes64(unique)
+    out = kernels.simhash_rows(*rows, config.bit_length, seed_key(config.seed))
     return int(out[0])

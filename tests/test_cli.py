@@ -197,6 +197,24 @@ class TestPipelineErrors:
             f"{table}:2: machine_id must fit in int64 and week_index in int32"
         )
 
+    @pytest.mark.parametrize("reader", ["cohorts --table", "preprocess --sessions"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, capsys, tmp_path, reader):
+        subcommand, flag = reader.split()
+        if subcommand == "cohorts":
+            header = "machine_id\tweek_index\tstate\trace_group\tincome_group\tdomains\n"
+            lines = [header] + [f"{m}\t0\tAL\twhite\tlt25k\ta.com\n" for m in (1, 2)]
+        else:
+            lines = bundled_table1_sessions().splitlines(keepends=True)
+        column = lines[2].index("\t") + 2  # the third line's second field starts with 0xff
+        head = "".join(lines[:2]) + lines[2][: column - 1]
+        path = tmp_path / "input.tsv"
+        path.write_bytes(head.encode() + b"\xff" + "".join(lines)[len(head) :].encode())
+        assert _run(subcommand, "--out", tmp_path / "o", flag, path) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": f"{path}:3: not UTF-8: byte 0xff at column {column}",
+        }
+        assert not (tmp_path / "o").exists()
+
     def test_preprocess_rejects_out_of_range_machine_ids(self, tmp_path):
         sessions = tmp_path / "sessions.tsv"
         lines = bundled_table1_sessions().splitlines(keepends=True)

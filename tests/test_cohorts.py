@@ -10,10 +10,10 @@ A node stops at its first failed split, so a leaf is as deep as an
 unbroken run of successful splits. At k = 1 that reaches 17 bits only in a
 population of a few thousand varied rows: 4,000 synth machines a week do.
 
-``cluster_rows`` reads each row's id off the order its pass sorted the
-hashes in, never through ``CohortMap.assign``; ``TestOneSortPerPopulation``
-checks those ids against ``assign`` of a full-width build, and that the
-pipeline runs with ``assign`` unusable.
+``SortedPopulation.cluster`` reads each row's id off the order its pass
+sorted the hashes in, never through ``CohortMap.assign``;
+``TestOneSortPerPopulation`` checks those ids against ``assign`` of a
+full-width build, and that the pipeline runs with ``assign`` unusable.
 """
 
 from unittest import mock
@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flocpriv import kernels
-from flocpriv.cohorts import FIRST_PASS_BITS, cluster_rows, compute_weekly_cohorts
+from flocpriv.cohorts import FIRST_PASS_BITS, SortedPopulation, compute_weekly_cohorts
 from flocpriv.geo import UNKNOWN_STATE
 from flocpriv.ingest import INCOME_GROUPS, RACE_GROUPS, MachineWeekTable
 from flocpriv.panels import JointDistribution, PanelError, cluster_panel, stratified_panels
@@ -77,9 +77,9 @@ def widths(monkeypatch):
     calls = []
     kernel = kernels.simhash_rows
 
-    def counting(values, offsets, bit_length, seed_key):
+    def counting(indices, offsets, hashes, bit_length, seed_key):
         calls.append(int(bit_length))
-        return kernel(values, offsets, bit_length, seed_key)
+        return kernel(indices, offsets, hashes, bit_length, seed_key)
 
     monkeypatch.setattr(kernels, "simhash_rows", counting)
     return calls
@@ -268,7 +268,7 @@ class TestOneSortPerPopulation:
         picked = rng.permutation(len(rows))[: rng.integers(1, len(rows) + 1)]
         k = min(k, len(picked)) or len(picked)
         config = SimHashConfig(bit_length, seed)
-        cmap, ids = cluster_rows(table, picked, k, config)
+        cmap, ids = SortedPopulation(table, picked, config).cluster(k)
         want_map, want_ids = _full_build(table, picked, k, config)
         assert cmap == want_map
         assert ids.dtype == np.int32
@@ -279,7 +279,7 @@ class TestOneSortPerPopulation:
         table = _deep_table()
         config = SimHashConfig(bit_length)
         rows = np.random.default_rng(3).permutation(table.rows_for_week(1))
-        cmap, ids = cluster_rows(table, rows, 1, config)
+        cmap, ids = SortedPopulation(table, rows, config).cluster(1)
         assert widths == [FIRST_PASS_BITS, bit_length]  # the full-width pass ran
         want_map, want_ids = _full_build(table, rows, 1, config)
         assert cmap.lengths.max() >= FIRST_PASS_BITS
@@ -359,7 +359,7 @@ class TestSortedOncePerSweep:
         assert sub._populations == {}
         got = assign_sequence_cohorts(sub, 5, config)
         for p in range(2):
-            cmap, ids = cluster_rows(small_table, sub.row_matrix[:, p], 5, config)
+            cmap, ids = SortedPopulation(small_table, sub.row_matrix[:, p], config).cluster(5)
             assert got.maps[p] == cmap
             assert np.array_equal(got.cohort_ids[:, p], ids)
 
@@ -369,7 +369,7 @@ class TestSortedOncePerSweep:
         for config in configs * 2:
             got = assign_sequence_cohorts(seqs, 5, config)
             for p in range(2):
-                cmap, ids = cluster_rows(small_table, seqs.row_matrix[:, p], 5, config)
+                cmap, ids = SortedPopulation(small_table, seqs.row_matrix[:, p], config).cluster(5)
                 assert got.maps[p] == cmap
                 assert np.array_equal(got.cohort_ids[:, p], ids)
         assert sorted(seqs._populations) == sorted(

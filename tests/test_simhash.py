@@ -28,7 +28,14 @@ from flocpriv.hashing import (
     domain_hashes64,
     seed_key,
 )
-from flocpriv.ingest import FormatConfig, WeekConfig, build_machine_weeks, parse_sessions
+from flocpriv.geo import UNKNOWN_STATE
+from flocpriv.ingest import (
+    FormatConfig,
+    MachineWeekTable,
+    WeekConfig,
+    build_machine_weeks,
+    parse_sessions,
+)
 from flocpriv.kernels import _feature_table, simhash_rows
 from flocpriv.simhash import DEFAULT_BIT_LENGTH, SimHashConfig, simhash
 from rank_correlation import spearman_rho
@@ -180,19 +187,17 @@ def pairs():
     pool = np.array(
         [domain_hash64(f"loc{i}.example") for i in range(200_000)], dtype=np.uint64
     )
-    vals, offs, jac = [], [0], np.empty(n_pairs)
+    rows, offs, jac = [], [0], np.empty(n_pairs)
     for i in range(n_pairs):
         m = int(rng.integers(0, size + 1))
         idx = rng.choice(len(pool), size + m, replace=False)
-        a = pool[idx[:size]]
-        b = np.concatenate([pool[idx[m:size]], pool[idx[size : size + m]]])
         jac[i] = (size - m) / (size + m)
-        vals.append(np.sort(a))
+        rows.append(idx[:size])
         offs.append(offs[-1] + size)
-        vals.append(np.sort(b))
+        rows.append(np.concatenate([idx[m:size], idx[size : size + m]]))
         offs.append(offs[-1] + size)
     hashes = simhash_rows(
-        np.concatenate(vals), np.array(offs, dtype=np.int64), 50, seed_key(7)
+        np.concatenate(rows), np.array(offs, dtype=np.int64), pool, 50, seed_key(7)
     )
     xor = hashes[0::2] ^ hashes[1::2]
     hamming = np.array([bin(v).count("1") for v in xor])
@@ -281,13 +286,15 @@ class TestKernels:
         # gets the rows both in hash order and in the order they were
         # drawn. Small scratch budgets make the table chunks and row blocks
         # cross many boundaries, including blocks that end between rows of
-        # different lengths.
+        # different lengths. Rows are indices into one hash per name.
         pool = [f"k{i}.example" for i in range(30)]
         rows = [list(rng.choice(pool, size=int(rng.integers(0, 9)))) for _ in range(24)]
         rows += [[], ["dup.example", "k1.example", "dup.example"]]
         hash_ordered = [sorted(row, key=domain_hash64) for row in rows]
         assert hash_ordered != rows
         offsets = np.cumsum([0] + [len(row) for row in rows]).astype(np.int64)
+        names = pool + ["dup.example"]
+        hashes = np.array([domain_hash64(d) for d in names], dtype=np.uint64)
         for bits in (1, 17, 50, 64):
             expected = []
             for row in hash_ordered:
@@ -299,34 +306,38 @@ class TestKernels:
                     value = (value << 1) | (total > 0.0)
                 expected.append(value)
             for layout in (hash_ordered, rows):
-                values = np.array(
-                    [domain_hash64(d) for row in layout for d in row], dtype=np.uint64
-                )
+                indices = np.array([names.index(d) for row in layout for d in row], np.int64)
                 for budget in (kernels._BLOCK, 64, 20):
                     monkeypatch.setattr(kernels, "_BLOCK", budget)
-                    got = simhash_rows(values, offsets, bits, seed_key(7))
+                    got = simhash_rows(indices, offsets, hashes, bits, seed_key(7))
                     assert got.tolist() == expected, (bits, budget, layout is rows)
                     monkeypatch.undo()
 
     def test_each_row_is_summed_in_hash_order_whatever_its_given_order(self, monkeypatch):
         # Features chosen so that the order of the adds decides the sign:
         # (1e16 + 1) - 1e16 rounds to 0, while (1e16 - 1e16) + 1 is 1.
-        # The kernel's table has one row per distinct hash, ascending.
+        # The kernel's table has one row per distinct hash, ascending, so
+        # two indices to equal hashes (20, in the second input) share a row.
         features = np.array([[1e16], [1.0], [-1e16]])
         monkeypatch.setattr(kernels, "_feature_table", lambda keys, bits: features.copy())
-        rows = list(itertools.permutations([10, 20, 30]))
-        values = np.array(rows, dtype=np.uint64).ravel()
-        offsets = np.arange(0, len(values) + 1, 3)
-        assert simhash_rows(values, offsets, 1, seed_key(7)).tolist() == [0] * len(rows)
+        for hashes, rows in (
+            ([30, 10, 20], [*itertools.permutations([0, 1, 2])]),
+            ([30, 10, 20, 20], [*itertools.permutations([0, 1, 3]), (0, 1, 2, 3), (3, 2, 1, 0)]),
+        ):
+            hashes = np.array(hashes, dtype=np.uint64)
+            offsets = np.cumsum([0] + [len(row) for row in rows])
+            got = simhash_rows(np.concatenate(rows), offsets, hashes, 1, seed_key(7))
+            assert got.tolist() == [0] * len(rows)
 
     @pytest.mark.parametrize("bit_length", [0, 65, -1])
     def test_bit_length_outside_1_to_64_is_rejected(self, bit_length):
         message = rf"bit_length must be in \[1, 64\], got {bit_length}"
-        values = np.array([domain_hash64("a.example")], dtype=np.uint64)
+        hashes = np.array([domain_hash64("a.example")], dtype=np.uint64)
+        indices = np.array([0], dtype=np.int64)
         with pytest.raises(ValueError, match=message):
-            simhash_rows(values, np.array([0, 1]), bit_length, seed_key(7))
+            simhash_rows(indices, np.array([0, 1]), hashes, bit_length, seed_key(7))
         with pytest.raises(ValueError, match=message):
-            simhash_rows(values[:0], np.array([0, 0]), bit_length, seed_key(7))
+            simhash_rows(indices[:0], np.array([0, 0]), hashes[:0], bit_length, seed_key(7))
         parsed = parse_sessions(io.StringIO(bundled_table1_sessions()), FormatConfig())
         table = build_machine_weeks(parsed.records, WeekConfig()).table
         for _ in range(2):  # a failed call caches nothing
@@ -368,19 +379,46 @@ class TestKernels:
             assert table.hashes(bits, seed).tolist() == expected, (bits, seed)
 
     def test_empty_rows_hash_to_zero(self):
-        values = np.array([], dtype=np.uint64)
+        indices = np.array([], dtype=np.int64)
         offsets = np.array([0, 0, 0], dtype=np.int64)
-        out = simhash_rows(values, offsets, 50, seed_key(7))
-        assert list(out) == [0, 0]
+        hashes = np.array([domain_hash64("unused.example")], dtype=np.uint64)
+        for vocabulary in (hashes[:0], hashes):
+            assert list(simhash_rows(indices, offsets, vocabulary, 50, seed_key(7))) == [0, 0]
+
+    def test_unique_runs_over_the_names_not_the_pairs(self, monkeypatch):
+        # 300 rows of 30 of 40 names each: 9,000 pairs.
+        rng = np.random.default_rng(5)
+        rows = [rng.choice(40, size=30, replace=False) for _ in range(300)]
+        table = MachineWeekTable(
+            np.arange(300), np.zeros(300), [UNKNOWN_STATE], np.zeros(300), np.zeros(300),
+            np.zeros(300), np.concatenate(rows), np.arange(0, 9001, 30),
+            [f"n{i}.example" for i in range(40)],
+        )
+        seen, unique = [], np.unique
+
+        def spy(values, *args, **kwargs):
+            seen.append(np.size(values))
+            return unique(values, *args, **kwargs)
+
+        monkeypatch.setattr(kernels.np, "unique", spy)
+        for bits in (16, 50):
+            got = table.hashes(bits, 7)
+        monkeypatch.undo()
+        assert seen and max(seen) <= len(table.vocab_hashes) == 40
+        assert got.tolist() == [
+            simhash(table.domains(i), SimHashConfig(50, 7)) for i in range(len(table))
+        ]
 
     def test_batch_matches_scalar_api(self, sim_config, rng):
         name_sets = [
             {f"d{v}.example" for v in rng.integers(0, 2**63, size=int(rng.integers(1, 12)))}
             for _ in range(25)
         ]
+        names = sorted(set().union(*name_sets))
         batched = simhash_rows(
-            np.array([domain_hash64(d) for names in name_sets for d in names], dtype=np.uint64),
+            np.array([names.index(d) for row in name_sets for d in row], dtype=np.int64),
             np.concatenate([[0], np.cumsum([len(n) for n in name_sets])]).astype(np.int64),
+            np.array([domain_hash64(d) for d in names], dtype=np.uint64),
             sim_config.bit_length,
             seed_key(sim_config.seed),
         )
@@ -424,6 +462,7 @@ class TestIntegerParameters:
         expected = table.hashes(22, 7).copy()
         table._hash_cache.clear()
         assert table.hashes(np.uint8(22), np.uint8(7)).tolist() == expected.tolist()
-        values = table.vocab_hashes[table.dom_indices]
-        narrow = simhash_rows(values, table.offsets, np.uint8(22), seed_key(7))
+        narrow = simhash_rows(
+            table.dom_indices, table.offsets, table.vocab_hashes, np.uint8(22), seed_key(7)
+        )
         assert narrow.tolist() == expected.tolist()

@@ -37,9 +37,8 @@ from .ingest import (
     build_machine_weeks,
     parse_sessions,
     representativeness,
-    utf8_error,
 )
-from .manifest import csv_text, dump_json, write_manifest, write_text
+from .manifest import csv_text, dump_json, read_text, utf8_error, write_manifest, write_text
 from .panels import JointDistribution, PanelError, _is_number, cluster_panel, stratified_panels
 from .prefixlsh import CohortError
 from .psl import SuffixSet
@@ -126,8 +125,7 @@ def _load_joint(path: str | None, table: MachineWeekTable | None = None) -> Join
         probs = counts / counts.sum()
         grid = probs.reshape(len(RACE_GROUPS), len(INCOME_GROUPS))
         return JointDistribution(tuple(tuple(float(p) for p in row) for row in grid))
-    with open(path, encoding="utf-8") as fh:
-        return JointDistribution.from_json_dict(json.load(fh))
+    return JointDistribution.from_json_dict(json.loads(read_text(path)))
 
 
 def _attributes(selection: str) -> tuple[str, ...]:
@@ -186,8 +184,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> dict[str, str]:
     )
     report = dict(built.report)
     if args.reference:
-        with open(args.reference, encoding="utf-8") as fh:
-            reference = json.load(fh)
+        reference = json.loads(read_text(args.reference))
         race, income = _machine_demographics(built.table)
         report["representativeness"] = {}
         for attribute, idx, groups in (("race", race, RACE_GROUPS), ("income", income, INCOME_GROUPS)):
@@ -349,8 +346,7 @@ def _cmd_report(args: argparse.Namespace) -> dict[str, str]:
         manifest_path = os.path.join(run_dir, "manifest.json")
         if not os.path.exists(manifest_path):
             raise PipelineError(f"{run_dir}: no manifest.json (not a run directory?)")
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        manifest = json.loads(read_text(manifest_path))
         run_name = os.path.basename(os.path.normpath(run_dir))
         if run_name in summary:
             raise PipelineError(f"{run_dir}: another run directory is also named {run_name!r}")
@@ -482,8 +478,7 @@ _REQUIRED = ("out", "sessions", "table", "grid")
 
 def _apply_config_file(path: str, sp: argparse.ArgumentParser) -> None:
     """Make config-file values the parser defaults for the subcommand."""
-    with open(path, encoding="utf-8") as fh:
-        values = json.load(fh)
+    values = json.loads(read_text(path))
     if not isinstance(values, dict):
         sp.error(f"config file must hold a JSON object, not {type(values).__name__}")
     known = {a.dest for a in sp._actions}
@@ -520,7 +515,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.config is not None:
         try:
             _apply_config_file(args.config, registry[args.subcommand])
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # a JSONDecodeError or a byte not UTF-8
             print(f"flocpriv: cannot read config file: {exc}", file=sys.stderr)
             return 2
         args = parser.parse_args(argv)  # explicit flags still beat the file

@@ -1,77 +1,22 @@
 """Bundled 6-device worked example.
 
-Six devices, three weeks, seven domains per device-week, engineered (by
-salt-domain search) so each week's population splits into exactly two
-cohorts of three at k=3 with a chosen membership pattern. The resulting
-unicity fractions are the canonical worked values: 0/6, 2/6, 6/6 at
-horizons 1-3 for cohort sequences alone, and 2/6, 6/6, 6/6 once the
-state fingerprint is added.
+Six devices, three weeks, seven domains per device-week, engineered so
+each week's population splits into exactly two cohorts of three at k=3.
+The resulting unicity fractions are the canonical worked values: 0/6,
+2/6, 6/6 at horizons 1-3 for cohort sequences alone, and 2/6, 6/6, 6/6
+once the state fingerprint is added.
 
-A pre-generated copy ships in ``data/table1_sessions.tsv``; a test pins
-the generated text to the bundled file so hash-affecting changes fail
-loudly.
+The session log ships in ``data/table1_sessions.tsv``. Its generator is
+``tests/table1_oracle.py``; a test pins the generated text to the bundled
+file so hash-affecting changes fail loudly.
 """
 
 from __future__ import annotations
 
 from importlib import resources
 
-from .simhash import SimHashConfig, simhash
-
-#: Per-week cohort side for each device (device -> (week0, week1, week2)).
-TARGET_SIDES: dict[int, tuple[int, int, int]] = {
-    1: (0, 0, 0),
-    2: (0, 1, 1),
-    3: (0, 1, 0),
-    4: (1, 0, 0),
-    5: (1, 0, 1),
-    6: (1, 1, 1),
-}
-
-#: Device states come in pairs: AL, AL, CA, CA, NY, NY.
-DEVICE_ZIPS: dict[int, str] = {
-    1: "36832",
-    2: "36832",
-    3: "90210",
-    4: "90210",
-    5: "10001",
-    6: "10001",
-}
-
-_DEVICE_RACE = {1: "1", 2: "2", 3: "1", 4: "4", 5: "3", 6: "1"}
-_DEVICE_INCOME = {1: "4", 2: "14", 3: "16", 4: "10", 5: "8", 6: "14"}
-_WEEK_DATES = {0: "20170101", 1: "20170108", 2: "20170115"}
-
 EXPECTED_SEQUENCE_FRACTIONS = (0 / 6, 2 / 6, 6 / 6)
 EXPECTED_FINGERPRINT_FRACTIONS = (2 / 6, 6 / 6, 6 / 6)
-
-
-def _device_week_domains(device: int, week: int, config: SimHashConfig) -> list[str]:
-    """Seven domains, salted together until the hash MSB hits the side
-    that produces the worked-example cohort splits (expected ~2 tries)."""
-    target = TARGET_SIDES[device][week]
-    for n in range(100_000):
-        domains = [f"site-d{device}w{week}s{n}n{i}.com" for i in range(7)]
-        value = simhash(domains, config)
-        if value >> (config.bit_length - 1) == target:
-            return domains
-    raise RuntimeError("hash side search failed; hash constants changed?")
-
-
-def make_table1_sessions(config: SimHashConfig = SimHashConfig()) -> str:
-    """The worked-example session log as TSV text (deterministic)."""
-    lines = ["machine_id\tsession_id\tdomain\tdate\ttime\tpages\tduration\tincome\trace\tzip"]
-    session = 0
-    for device in range(1, 7):
-        for week in range(3):
-            for domain in _device_week_domains(device, week, config):
-                session += 1
-                lines.append(
-                    f"{100 + device}\t{session}\t{domain}\t{_WEEK_DATES[week]}\t"
-                    f"12:00:00\t1\t60\t{_DEVICE_INCOME[device]}\t"
-                    f"{_DEVICE_RACE[device]}\t{DEVICE_ZIPS[device]}"
-                )
-    return "\n".join(lines) + "\n"
 
 
 def bundled_table1_sessions() -> str:

@@ -34,6 +34,7 @@ import numpy as np
 from . import kernels, special
 from .geo import UNKNOWN_STATE, state_for_zip
 from .hashing import check_bit_length, check_integer, check_seed, domain_hashes64, seed_key
+from .manifest import utf8_error
 from .psl import SuffixSet, registrable_domain
 
 RACE_GROUPS: tuple[str, ...] = ("white", "black", "asian", "other")
@@ -181,17 +182,6 @@ def _parse_date(text: str, date_format: str) -> dt.date | None:
     # strptime tolerates short month/day fields ("2017051"); require the
     # canonical rendering so truncated dates are rejected, not guessed at.
     return date if date.strftime(date_format) == text else None
-
-
-def utf8_error(path: str) -> ValueError:
-    """``ValueError("<path>:<line>: not UTF-8 ...")`` for the first bad byte of
-    ``path``. It reads the file again: call it only once a UTF-8 read failed."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if bad := re.search("[\udc80-\udcff]", line):  # byte b escapes to U+DC00 + b
-                byte, column = ord(bad.group()) - 0xDC00, bad.start() + 1
-                return ValueError(f"{path}:{lineno}: not UTF-8: byte {byte:#04x} at column {column}")
-    return ValueError(f"{path}: not UTF-8")
 
 
 #: Lines ``parse_sessions`` and ``MachineWeekTable.load`` split together.

@@ -1,5 +1,5 @@
-"""JSON and CSV writers, and run manifests: the full resolved config
-echoed next to the outputs.
+"""JSON and CSV writers, the one UTF-8 rule for reading input files, and
+run manifests: the full resolved config echoed next to the outputs.
 
 A report's CSV is ``csv_text`` of its JSON's row list, so the two files
 hold the same rows. A manifest contains everything needed to re-run a
@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from typing import Any, Mapping, Sequence
 
 
@@ -39,6 +40,27 @@ def csv_text(rows: Sequence[Mapping[str, Any]]) -> str:
 def write_json(path: str, payload: Any) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dump_json(payload))
+
+
+def utf8_error(path: str) -> ValueError:
+    """``ValueError("<path>:<line>: not UTF-8 ...")`` for the first bad byte of
+    ``path``. It reads the file again: call it only once a UTF-8 read failed."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if bad := re.search("[\udc80-\udcff]", line):  # byte b escapes to U+DC00 + b
+                byte, column = ord(bad.group()) - 0xDC00, bad.start() + 1
+                return ValueError(f"{path}:{lineno}: not UTF-8: byte {byte:#04x} at column {column}")
+    return ValueError(f"{path}: not UTF-8")
+
+
+def read_text(path: str) -> str:
+    """The text of the UTF-8 file ``path``; a byte that is not UTF-8 raises
+    ``utf8_error(path)``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
 
 
 def write_text(path: str, text: str) -> None:

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
+from .manifest import read_text
+
 
 def _ascii_label(label: str) -> str:
     """Canonical (punycode) form of one lowercase label, for matching."""
@@ -102,8 +104,7 @@ class SuffixSet:
 
     @classmethod
     def from_file(cls, path: str) -> "SuffixSet":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        return cls.from_text(read_text(path))
 
 
 @lru_cache(maxsize=1)

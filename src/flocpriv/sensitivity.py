@@ -497,20 +497,16 @@ def ot_scale_control(
         rng_cell.random(n, out=u[:n])
         return _uniform_cells(u[:n], cell_cum, cell_lut, bins[:n], cells[:n])
 
-    per_block = block // k
-    if per_block:
-        # A block holds whole cohorts; member i of it counts in row i // k.
-        offsets = np.repeat(np.arange(per_block, dtype=np.intp) * n_cells, k)
-        for lo in range(0, num_cohorts, per_block):
-            c = min(per_block, num_cohorts - lo)
-            n = c * k
+    # A block holds per_block whole cohorts, or one span of a cohort longer
+    # than a block; member i of it counts in row i // span of the block.
+    per_block, span = max(1, block // k), min(k, block)
+    offsets = np.repeat(np.arange(per_block, dtype=np.intp) * n_cells, span)
+    for lo in range(0, num_cohorts, per_block):
+        c = min(per_block, num_cohorts - lo)
+        for start in range(0, k, span):
+            n = c * min(span, k - start)
             np.add(offsets[:n], next_cells(n), out=flat[:n])
             counts[lo : lo + c] += np.bincount(flat[:n], minlength=c * n_cells).reshape(c, -1)
-    else:
-        # A cohort spans several blocks, which count into its row alone.
-        for row in counts:
-            for lo in range(0, k, block):
-                row += np.bincount(next_cells(min(block, k - lo)), minlength=n_cells)
 
     flat_counts = counts.reshape(-1)
     for lo in range(n_direct, n_members, block):

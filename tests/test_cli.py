@@ -169,6 +169,16 @@ _SEEDED = sorted(
 )
 
 
+def _write_not_utf8(path, lines):
+    """Write ``lines`` to ``path`` with byte 0xff where the third line's second
+    tab-separated field starts, and return that byte's column."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    column = lines[2].index("\t") + 2
+    head = "".join(lines[:2]) + lines[2][: column - 1]
+    path.write_bytes(head.encode() + b"\xff" + "".join(lines)[len(head) :].encode())
+    return column
+
+
 class TestPipelineErrors:
     def test_missing_table_file(self, capsys, tmp_path):
         assert _run("unicity", "--out", tmp_path / "o", "--table", tmp_path / "no.tsv") == 1
@@ -197,22 +207,47 @@ class TestPipelineErrors:
             f"{table}:2: machine_id must fit in int64 and week_index in int32"
         )
 
-    @pytest.mark.parametrize("reader", ["cohorts --table", "preprocess --sessions"])
-    def test_a_byte_that_is_not_utf8_names_its_line(self, capsys, tmp_path, reader):
-        subcommand, flag = reader.split()
-        if subcommand == "cohorts":
+    @pytest.mark.parametrize(
+        "reader",
+        ["cohorts --table", "preprocess --sessions", "preprocess --psl", "preprocess --reference",
+         "synth --target", "t-closeness --target", "ot-control --target", "report"],
+    )
+    def test_a_byte_that_is_not_utf8_names_its_line(self, capsys, tmp_path, synth_table, reader):
+        subcommand, _, flag = reader.partition(" ")
+        sessions = tmp_path / "sessions.tsv"
+        sessions.write_text(bundled_table1_sessions())
+        if flag == "--table":
             header = "machine_id\tweek_index\tstate\trace_group\tincome_group\tdomains\n"
             lines = [header] + [f"{m}\t0\tAL\twhite\tlt25k\ta.com\n" for m in (1, 2)]
-        else:
+        elif flag == "--sessions":
             lines = bundled_table1_sessions().splitlines(keepends=True)
-        column = lines[2].index("\t") + 2  # the third line's second field starts with 0xff
-        head = "".join(lines[:2]) + lines[2][: column - 1]
-        path = tmp_path / "input.tsv"
-        path.write_bytes(head.encode() + b"\xff" + "".join(lines)[len(head) :].encode())
-        assert _run(subcommand, "--out", tmp_path / "o", flag, path) == 1
+        else:  # each of these files is decoded whole before it is parsed
+            lines = ["{\n", '  "race":\n', '  "a"\t"b"\n', "}\n"]
+        if flag:
+            path = tmp_path / "input"
+            argv = [flag, path]
+        else:  # report reads each run directory's manifest.json
+            path = tmp_path / "run" / "manifest.json"
+            argv = [path.parent]
+        column = _write_not_utf8(path, lines)
+        argv += {
+            "preprocess": [] if flag == "--sessions" else ["--sessions", sessions],
+            "t-closeness": ["--table", synth_table, "--k", 10, "--panels", 1],
+        }.get(subcommand, [])
+        assert _run(subcommand, "--out", tmp_path / "o", *argv) == 1
         assert json.loads(capsys.readouterr().err) == {
             "error": "ValueError", "message": f"{path}:3: not UTF-8: byte 0xff at column {column}",
         }
+        assert not (tmp_path / "o").exists()
+
+    def test_a_config_file_not_utf8_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        column = _write_not_utf8(path, ["{\n", '  "k":\n', '  5\t\n', "}\n"])
+        assert _run("ot-control", "--out", tmp_path / "o", "--config", path) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"flocpriv: cannot read config file: {path}:3: not UTF-8: byte 0xff at column {column}\n"
+        )
         assert not (tmp_path / "o").exists()
 
     def test_preprocess_rejects_out_of_range_machine_ids(self, tmp_path):
@@ -666,6 +701,63 @@ class TestDemographicConflicts:
             assert report["demographic_conflicts"] == conflicts
             (row,) = files["machine_weeks.tsv"].decode().splitlines()[1:]
             assert row.split("\t")[3] == race
+
+
+#: Lines that preprocess counts but keeps out of the table, or that add to it
+#: once: the rejected lines above, an IP literal (no registrable domain), a
+#: date before week 0, a domain machine 1 may already list in week 0, and a
+#: one-domain machine-week (below a --min-domains above 1).
+_COUNTED_LINES = [
+    *_BAD_SESSION_LINES,
+    "1\t2\t10.0.0.1\t20170101\t12:00:00\t1\t60\t4\t1\t36832",
+    "1\t2\tsite00001.com\t20161231\t12:00:00\t1\t60\t4\t1\t36832",
+    "1\t2\tsite00001.com\t20170101\t12:00:00\t1\t60\t4\t1\t36832",
+    "99\t2\tsite00001.com\t20170101\t12:00:00\t1\t60\t4\t1\t36832",
+]
+
+#: The fields of ingest_report.json that count lines. Writing every line of
+#: a log twice doubles these, and rejects.json's "total" and "counts", and
+#: changes no other field of the two reports.
+_LINE_COUNTS = ("n_records", "rejected_domains", "weeks_out_of_range", "demographic_conflicts")
+
+
+class TestRepeatedLines:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        machines=st.integers(1, 6),
+        weeks=st.integers(1, 3),
+        seed=st.integers(0, 2**32),
+        min_domains=st.integers(1, 12),
+        in_place=st.booleans(),
+        data=st.data(),
+    )
+    def test_writing_every_line_twice_changes_only_line_counts(
+        self, machines, weeks, seed, min_domains, in_place, data
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert _run(
+                "synth", "--out", tmp, "--machines", machines, "--weeks", weeks, "--vocab", 100,
+                "--seed", seed, "--emit", "sessions",
+            ) == 0
+            header, *lines = (Path(tmp) / "sessions.tsv").read_text().splitlines()
+        for line in data.draw(st.lists(st.sampled_from(_COUNTED_LINES), max_size=6)):
+            lines.insert(data.draw(st.integers(0, len(lines))), line)
+        twice = [line for line in lines for _ in "ab"] if in_place else lines + lines
+        once = _preprocess(header, lines, "--min-domains", min_domains)
+        doubled = _preprocess(header, twice, "--min-domains", min_domains)
+        assert doubled["machine_weeks.tsv"] == once["machine_weeks.tsv"]
+        report, report2 = (json.loads(files["ingest_report.json"]) for files in (once, doubled))
+        assert report2 == {**report, **{field: 2 * report[field] for field in _LINE_COUNTS}}
+        rejects, rejects2 = (json.loads(files["rejects.json"]) for files in (once, doubled))
+        # samples are each reason's first five lines, now of the doubled log
+        assert rejects2 == {
+            "total": 2 * rejects["total"],
+            "counts": {reason: 2 * n for reason, n in rejects["counts"].items()},
+            "samples": {
+                reason: ([s for s in seen for _ in "ab"] if in_place else seen + seen)[:5]
+                for reason, seen in rejects["samples"].items()
+            },
+        }
 
 
 class TestAnalysisPipeline:

@@ -19,10 +19,7 @@ RUNTIME = ROOT / "src" / "flocpriv"
 SEARCHED = [*sorted(RUNTIME.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
 
 #: (module, name) kept without a caller, each with its reason.
-ALLOWED = {
-    # Regenerates the bundled worked example; test_unicity pins its output.
-    ("fixtures", "make_table1_sessions"),
-}
+ALLOWED: set[tuple[str, str]] = set()
 
 
 def _references(tree: ast.AST) -> Counter:

@@ -15,9 +15,7 @@ from flocpriv.cohorts import compute_weekly_cohorts
 from flocpriv.fixtures import (
     EXPECTED_FINGERPRINT_FRACTIONS,
     EXPECTED_SEQUENCE_FRACTIONS,
-    TARGET_SIDES,
     bundled_table1_sessions,
-    make_table1_sessions,
 )
 from flocpriv.ingest import FormatConfig, WeekConfig, build_machine_weeks, parse_sessions
 from flocpriv.manifest import csv_text
@@ -32,6 +30,7 @@ from flocpriv.unicity import (
     sweep_population,
     unicity_fractions,
 )
+from table1_oracle import TARGET_SIDES, make_table1_sessions
 
 HEADER = "machine_id\tsession_id\tdomain\tdate\ttime\tpages\tduration\tincome\trace\tzip"
 _EPOCH_DATES = {w: f"2017{1 + (w * 7 + 1) // 32:02d}{(w * 7 + 1) % 31 or 31:02d}" for w in range(5)}

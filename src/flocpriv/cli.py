@@ -38,7 +38,7 @@ from .ingest import (
     parse_sessions,
     representativeness,
 )
-from .manifest import csv_text, dump_json, read_text, utf8_error, write_manifest, write_text
+from .manifest import csv_text, dump_json, read_json, utf8_error, write_manifest, write_text
 from .panels import JointDistribution, PanelError, _is_number, cluster_panel, stratified_panels
 from .prefixlsh import CohortError
 from .psl import SuffixSet
@@ -125,7 +125,7 @@ def _load_joint(path: str | None, table: MachineWeekTable | None = None) -> Join
         probs = counts / counts.sum()
         grid = probs.reshape(len(RACE_GROUPS), len(INCOME_GROUPS))
         return JointDistribution(tuple(tuple(float(p) for p in row) for row in grid))
-    return JointDistribution.from_json_dict(json.loads(read_text(path)))
+    return JointDistribution.from_json_dict(read_json(path))
 
 
 def _attributes(selection: str) -> tuple[str, ...]:
@@ -184,7 +184,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> dict[str, str]:
     )
     report = dict(built.report)
     if args.reference:
-        reference = json.loads(read_text(args.reference))
+        reference = read_json(args.reference)
         race, income = _machine_demographics(built.table)
         report["representativeness"] = {}
         for attribute, idx, groups in (("race", race, RACE_GROUPS), ("income", income, INCOME_GROUPS)):
@@ -346,7 +346,7 @@ def _cmd_report(args: argparse.Namespace) -> dict[str, str]:
         manifest_path = os.path.join(run_dir, "manifest.json")
         if not os.path.exists(manifest_path):
             raise PipelineError(f"{run_dir}: no manifest.json (not a run directory?)")
-        manifest = json.loads(read_text(manifest_path))
+        manifest = read_json(manifest_path)
         run_name = os.path.basename(os.path.normpath(run_dir))
         if run_name in summary:
             raise PipelineError(f"{run_dir}: another run directory is also named {run_name!r}")
@@ -478,7 +478,7 @@ _REQUIRED = ("out", "sessions", "table", "grid")
 
 def _apply_config_file(path: str, sp: argparse.ArgumentParser) -> None:
     """Make config-file values the parser defaults for the subcommand."""
-    values = json.loads(read_text(path))
+    values = read_json(path)
     if not isinstance(values, dict):
         sp.error(f"config file must hold a JSON object, not {type(values).__name__}")
     known = {a.dest for a in sp._actions}
@@ -515,7 +515,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.config is not None:
         try:
             _apply_config_file(args.config, registry[args.subcommand])
-        except (OSError, ValueError) as exc:  # a JSONDecodeError or a byte not UTF-8
+        except (OSError, ValueError) as exc:  # not JSON, or a byte not UTF-8
             print(f"flocpriv: cannot read config file: {exc}", file=sys.stderr)
             return 2
         args = parser.parse_args(argv)  # explicit flags still beat the file

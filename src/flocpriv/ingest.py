@@ -13,7 +13,8 @@ domain and state indices it has already interned, and
 A row is a set of domains, and only the table's constructor orders
 them. ``parse_sessions`` and ``MachineWeekTable.load`` read their file in
 blocks of ``_BLOCK`` lines and run each check over a whole column of a
-block (their docstrings give the rules); ``build_machine_weeks`` keys
+block (their docstrings give the rules), and ``save_text`` formats a
+block of rows at a time; ``build_machine_weeks`` keys
 rows with array operations on integer codes. Work that depends only on a
 value is done once per distinct value: each date string is parsed once
 per ``parse_sessions`` call, and each hostname's registrable domain
@@ -27,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, islice, repeat
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -184,8 +185,9 @@ def _parse_date(text: str, date_format: str) -> dt.date | None:
     return date if date.strftime(date_format) == text else None
 
 
-#: Lines ``parse_sessions`` and ``MachineWeekTable.load`` split together.
-#: A block's split fields are held at once, so splitting a whole file in
+#: Lines ``parse_sessions`` and ``MachineWeekTable.load`` split together, and
+#: rows ``MachineWeekTable.save_text`` and ``synth.write_sessions`` format
+#: together. A block's fields or lines are held at once, so a whole file in
 #: one piece would raise peak memory by several times the file's size.
 _BLOCK = 8192
 
@@ -569,24 +571,36 @@ class MachineWeekTable:
         return self._ranking
 
     def save_text(self) -> str:
-        """The table as deterministic TSV text (each row's domains in name order, |-joined)."""
-        names = list(map(self.vocab.__getitem__, self.dom_indices.tolist()))
-        bounds = self.offsets.tolist()
-        columns = zip(
-            map(str, self.machine_ids.tolist()),
-            map(str, self.week_indices.tolist()),
-            map(self.state_labels.__getitem__, self.state_idx.tolist()),
-            map(RACE_GROUPS.__getitem__, self.race_idx.tolist()),
-            map(INCOME_GROUPS.__getitem__, self.income_idx.tolist()),
-            ("|".join(names[lo:hi]) for lo, hi in zip(bounds, bounds[1:])),
-        )
-        lines = ["machine_id\tweek_index\tstate\trace_group\tincome_group\tdomains"]
-        lines.extend(map("\t".join, columns))
-        return "\n".join(lines) + "\n"
+        """The table as deterministic TSV text (each row's domains in name order, |-joined).
+
+        The text is built ``_BLOCK`` rows at a time from slices of the
+        columns, so besides the text only one block's names and lines are
+        held, never a Python object per row-domain pair of the table.
+        """
+        return "".join(self._text_blocks())
 
     def save(self, path: str) -> None:
+        """Write ``save_text()`` to ``path`` one block of rows at a time."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.save_text())
+            fh.writelines(self._text_blocks())
+
+    def _text_blocks(self) -> Iterator[str]:
+        """``save_text()`` in pieces: the header line, then ``_BLOCK`` rows' lines each."""
+        yield "machine_id\tweek_index\tstate\trace_group\tincome_group\tdomains\n"
+        for start in range(0, len(self), _BLOCK):
+            stop = min(start + _BLOCK, len(self))
+            lo, hi = self.offsets[start], self.offsets[stop]
+            names = list(map(self.vocab.__getitem__, self.dom_indices[lo:hi].tolist()))
+            bounds = (self.offsets[start : stop + 1] - lo).tolist()
+            columns = zip(
+                map(str, self.machine_ids[start:stop].tolist()),
+                map(str, self.week_indices[start:stop].tolist()),
+                map(self.state_labels.__getitem__, self.state_idx[start:stop].tolist()),
+                map(RACE_GROUPS.__getitem__, self.race_idx[start:stop].tolist()),
+                map(INCOME_GROUPS.__getitem__, self.income_idx[start:stop].tolist()),
+                ("|".join(names[i:j]) for i, j in zip(bounds, bounds[1:])),
+            )
+            yield "\n".join([*map("\t".join, columns), ""])  # ends with its last line's "\n"
 
     @classmethod
     def load(cls, path: str) -> "MachineWeekTable":

@@ -1,4 +1,4 @@
-"""JSON and CSV writers, the one UTF-8 rule for reading input files, and
+"""JSON and CSV writers, the one rule for reading input files (UTF-8, then JSON), and
 run manifests: the full resolved config echoed next to the outputs.
 
 A report's CSV is ``csv_text`` of its JSON's row list, so the two files
@@ -63,9 +63,26 @@ def read_text(path: str) -> str:
         raise utf8_error(path) from None
 
 
+def read_json(path: str) -> Any:
+    """The JSON value in the UTF-8 file ``path``. Text that is not JSON raises
+    ``ValueError("<path>:<line>: not JSON: ...")``, a byte that is not UTF-8
+    ``utf8_error(path)``."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: not JSON: {exc.msg} at column {exc.colno}") from None
+
+
+#: Characters ``write_text`` hands the encoder at once: a whole output in one
+#: write would be encoded into a second copy of itself first.
+_WRITE_PIECE = 1 << 20
+
+
 def write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        for start in range(0, len(text), _WRITE_PIECE):
+            fh.write(text[start : start + _WRITE_PIECE])
 
 
 def file_sha256(path: str) -> str:

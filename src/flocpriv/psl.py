@@ -77,7 +77,18 @@ class SuffixSet:
     @classmethod
     def from_text(cls, text: str) -> "SuffixSet":
         """One rule per line. A rule with an empty label, or with a ``*`` other than a
-        leading ``*.`` label, could never match and raises ``ValueError`` naming its line."""
+        leading ``*.`` label, could never match and raises ``ValueError("line N: ...")``."""
+        return cls._parse(text, "line ")
+
+    @classmethod
+    def from_file(cls, path: str) -> "SuffixSet":
+        """``from_text`` of the UTF-8 file ``path``; a bad rule raises
+        ``ValueError("<path>:<line>: ...")``."""
+        return cls._parse(read_text(path), f"{path}:")
+
+    @classmethod
+    def _parse(cls, text: str, where: str) -> "SuffixSet":
+        """The rules of ``text``; a bad one's error starts ``<where><line>: ``."""
         exact: set[str] = set()
         wildcard: set[str] = set()
         exception: set[str] = set()
@@ -98,13 +109,9 @@ class SuffixSet:
             try:
                 _check_rule(rule, body)
             except ValueError as exc:
-                raise ValueError(f"line {number}: {exc}") from None
+                raise ValueError(f"{where}{number}: {exc}") from None
             target.add(".".join(_ascii_label(lb) for lb in body.split(".")))
         return cls(frozenset(exact), frozenset(wildcard), frozenset(exception))
-
-    @classmethod
-    def from_file(cls, path: str) -> "SuffixSet":
-        return cls.from_text(read_text(path))
 
 
 @lru_cache(maxsize=1)

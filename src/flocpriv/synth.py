@@ -18,6 +18,7 @@ from typing import TextIO
 
 import numpy as np
 
+from . import ingest
 from .geo import STATES, representative_zip
 from .hashing import check_integer, check_seed, derive_seed
 from .ingest import INCOME_GROUPS, RACE_GROUPS, MachineWeekTable, WeekConfig
@@ -28,6 +29,10 @@ from .panels import N_CELLS, JointDistribution
 #: the heaviest ``max_domains - 1`` bound the chance that a draw is new to a
 #: row, so a row needs about 1 / MIN_NEW_DRAW_MASS draws per domain at most.
 MIN_NEW_DRAW_MASS = 1e-4
+
+#: Uniforms ``_draw_rows`` draws at once (at least one row's), so a cell's
+#: temporaries stay one block's size whatever its number of rows.
+_DRAW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -111,17 +116,16 @@ def _zipf_weights(size: int, exponent: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _cell_weights(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
-    """Per-cell sampling weights: global Zipf blended with a permuted top."""
-    base = _zipf_weights(cfg.vocab_size, cfg.zipf_exponent)
-    cells = np.tile(base, (N_CELLS, 1))
-    if cfg.skew > 0.0 and cfg.top_stratum > 1:
-        for c in range(N_CELLS):
-            perm = rng.permutation(cfg.top_stratum)
-            permuted = base.copy()
-            permuted[: cfg.top_stratum] = base[:cfg.top_stratum][perm]
-            cells[c] = (1.0 - cfg.skew) * base + cfg.skew * permuted
-    return cells
+def _cell_weights(cfg: SynthConfig, base: np.ndarray, perm: np.ndarray | None) -> np.ndarray:
+    """A cell's sampling weights: the global Zipf ``base`` blended with the
+    copy of it whose top stratum is reordered by ``perm`` (``None``: no skew)."""
+    if perm is None:
+        return base
+    weights = base.copy()
+    weights[: cfg.top_stratum] = base[: cfg.top_stratum][perm]
+    weights *= cfg.skew
+    weights += (1.0 - cfg.skew) * base
+    return weights
 
 
 def _lead(need: int) -> int:
@@ -139,33 +143,41 @@ def _draw_rows(weights: np.ndarray, sizes: np.ndarray, rng: np.random.Generator)
     size within that lead are redone on the full width. A row's kept
     values are its first distinct draws, so the lead holds them all
     whenever it holds enough, and the output does not depend on the lead.
-    Rows whose whole width had too many repeats keep their kept values and
-    extend the stream one draw at a time.
+    Rows are drawn in blocks of whole rows of about ``_DRAW_BLOCK``
+    uniforms, which take the stream in the order one draw of every row's
+    uniforms would. Rows whose whole width had too many repeats keep their
+    kept values and, after the last block and in row order, extend the
+    stream one draw at a time.
     """
     cum = np.cumsum(weights)
     cum[-1] = 1.0
     need = int(sizes.max())
     width = 4 * need + 16
     out_vals = np.zeros((len(sizes), need), dtype=np.int64)
-    uniforms = rng.random((len(sizes), width))
-    rows = np.arange(len(sizes))
-    for cols in (min(_lead(need), width), width):
-        draws = np.searchsorted(cum, uniforms[rows, :cols], side="right")
-        # Mark the first occurrence of each value per row, in draw order.
-        order = np.argsort(draws, axis=1, kind="stable")
-        sorted_vals = np.take_along_axis(draws, order, axis=1)
-        first_sorted = np.ones_like(sorted_vals, dtype=bool)
-        first_sorted[:, 1:] = sorted_vals[:, 1:] != sorted_vals[:, :-1]
-        first = np.zeros_like(first_sorted)
-        np.put_along_axis(first, order, first_sorted, axis=1)
-        rank = np.cumsum(first, axis=1)  # distinct values seen so far
-        # The j-th distinct value of a row goes to its slot j - 1.
-        r, c = np.nonzero(first & (rank <= sizes[rows, None]))
-        out_vals[rows[r], rank[r, c] - 1] = draws[r, c]
-        short = rank[:, -1] < sizes[rows]
-        rows, got = rows[short], rank[short, -1]
+    step = max(1, _DRAW_BLOCK // width)
+    short_rows, short_got = [], []
+    for start in range(0, len(sizes), step):
+        uniforms = rng.random((min(step, len(sizes) - start), width))
+        rows = np.arange(start, start + len(uniforms))
+        for cols in (min(_lead(need), width), width):
+            draws = np.searchsorted(cum, uniforms[rows - start, :cols], side="right")
+            # Mark the first occurrence of each value per row, in draw order.
+            order = np.argsort(draws, axis=1, kind="stable")
+            sorted_vals = np.take_along_axis(draws, order, axis=1)
+            first_sorted = np.ones_like(sorted_vals, dtype=bool)
+            first_sorted[:, 1:] = sorted_vals[:, 1:] != sorted_vals[:, :-1]
+            first = np.zeros_like(first_sorted)
+            np.put_along_axis(first, order, first_sorted, axis=1)
+            rank = np.cumsum(first, axis=1)  # distinct values seen so far
+            # The j-th distinct value of a row goes to its slot j - 1.
+            r, c = np.nonzero(first & (rank <= sizes[rows, None]))
+            out_vals[rows[r], rank[r, c] - 1] = draws[r, c]
+            short = rank[:, -1] < sizes[rows]
+            rows, got = rows[short], rank[short, -1]
+        short_rows += rows.tolist()
+        short_got += got.tolist()
 
-    for i, j in zip(rows.tolist(), got.tolist()):
+    for i, j in zip(short_rows, short_got):
         seen = set(out_vals[i, :j].tolist())
         while j < sizes[i]:
             v = int(np.searchsorted(cum, rng.random(), side="right"))
@@ -188,27 +200,38 @@ def generate_population(cfg: SynthConfig) -> GeneratedPopulation:
     income_idx = (cell_of_machine % len(INCOME_GROUPS)).astype(np.int8)
     state_idx = rng_demo.integers(0, len(STATES), size=cfg.n_machines).astype(np.int16)
 
-    weights = _cell_weights(cfg, rng_pref)
-    vocab = [f"site{v:05d}.com" for v in range(cfg.vocab_size)]
-
     n_rows = cfg.n_machines * cfg.n_weeks
     sizes = rng_domains.integers(cfg.min_domains, cfg.max_domains + 1, size=n_rows)
     row_machine = np.repeat(np.arange(cfg.n_machines), cfg.n_weeks)
     row_week = np.tile(np.arange(cfg.n_weeks), cfg.n_machines)
     row_cell = cell_of_machine[row_machine]
-
-    dom_values = np.zeros((n_rows, int(sizes.max())), dtype=np.int64)
-    for cell in range(N_CELLS):
-        rows = np.nonzero(row_cell == cell)[0]
-        if len(rows) == 0:
-            continue
-        vals = _draw_rows(weights[cell], sizes[rows], rng_domains)
-        dom_values[rows, : vals.shape[1]] = vals
-
     offsets = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
-    row_mask = np.arange(dom_values.shape[1]) < sizes[:, None]
-    dom_indices = dom_values[row_mask].astype(np.int32)
+
+    # Each cell's values go straight to its rows' slots; a cell's weights
+    # exist only while its rows are drawn, but every cell takes its
+    # permutation, so that each takes the same one whichever cells are empty.
+    base = _zipf_weights(cfg.vocab_size, cfg.zipf_exponent)
+    skewed = cfg.skew > 0.0 and cfg.top_stratum > 1
+    dom_indices = np.empty(offsets[-1], dtype=np.int32)
+    for cell in range(N_CELLS):
+        perm = rng_pref.permutation(cfg.top_stratum) if skewed else None
+        rows = np.flatnonzero(row_cell == cell)
+        if len(rows) == 0:
+            continue
+        vals = _draw_rows(_cell_weights(cfg, base, perm), sizes[rows], rng_domains)
+        slots = np.arange(vals.shape[1])
+        filled = slots < sizes[rows, None]
+        dom_indices[(offsets[rows, None] + slots)[filled]] = vals[filled]
+        del vals, filled  # before the next cell's are allocated
+
+    # Name only the entries some row drew, and index them in that list.
+    drawn = np.zeros(cfg.vocab_size, dtype=bool)
+    drawn[dom_indices] = True
+    entries = np.flatnonzero(drawn)
+    vocab = [f"site{v:05d}.com" for v in entries.tolist()]
+    position = np.cumsum(drawn, dtype=np.int32) - 1
+    dom_indices = position[dom_indices]
 
     table = MachineWeekTable(
         machine_ids[row_machine],
@@ -242,8 +265,9 @@ def write_sessions(pop: GeneratedPopulation, fh: TextIO) -> int:
     the number of session rows written. Parsing the output back through
     the ingest pipeline reproduces ``pop.table`` exactly. Each machine-week
     formats its fixed head (machine id) and tail (date, time, pages,
-    duration and demographic codes) once, and writes its visit lines as
-    one join of the head, session id, domain and tail columns.
+    duration and demographic codes) once. The log is built and written
+    ``ingest._BLOCK`` machine-weeks at a time from slices of the table's
+    columns, so only one block's names, session IDs and text are held.
     """
     epoch = WeekConfig().epoch
     fh.write("machine_id\tsession_id\tdomain\tdate\ttime\tpages\tduration\tincome\trace\tzip\n")
@@ -256,12 +280,20 @@ def write_sessions(pop: GeneratedPopulation, fh: TextIO) -> int:
         m: f"\t{_INCOME_TO_CODE[INCOME_GROUPS[i]]}\t{_RACE_TO_CODE[RACE_GROUPS[r]]}\t{zips[s]}\n"
         for m, i, r, s in zip(*(column.tolist() for column in machines))
     }
-    names = list(map(table.vocab.__getitem__, table.dom_indices.tolist()))
-    bounds = table.offsets.tolist()
-    session_ids = [f"{s}\t" for s in range(1, bounds[-1] + 1)]
-    for i, (mid, week) in enumerate(zip(table.machine_ids.tolist(), table.week_indices.tolist())):
-        head, tail = f"{mid}\t", f"\t{dates[week]}\t12:00:00\t1\t60{codes[mid]}"
-        lo, hi = bounds[i], bounds[i + 1]
-        visits = zip(repeat(head), session_ids[lo:hi], names[lo:hi], repeat(tail))
+    for start in range(0, len(table), ingest._BLOCK):
+        stop = min(start + ingest._BLOCK, len(table))
+        lo, hi = table.offsets[start], table.offsets[stop]
+        ids = table.machine_ids[start:stop].tolist()
+        tails = (
+            f"\t{dates[w]}\t12:00:00\t1\t60{codes[m]}"
+            for m, w in zip(ids, table.week_indices[start:stop].tolist())
+        )
+        counts = np.diff(table.offsets[start : stop + 1]).tolist()
+        visits = zip(
+            chain.from_iterable(map(repeat, map("{}\t".format, ids), counts)),
+            map("{}\t".format, range(lo + 1, hi + 1)),  # session IDs
+            map(table.vocab.__getitem__, table.dom_indices[lo:hi].tolist()),
+            chain.from_iterable(map(repeat, tails, counts)),
+        )
         fh.write("".join(chain.from_iterable(visits)))
-    return bounds[-1]
+    return int(table.offsets[-1])

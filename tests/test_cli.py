@@ -250,6 +250,45 @@ class TestPipelineErrors:
         )
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "reader",
+        ["preprocess --reference", "synth --target", "t-closeness --target", "ot-control --target",
+         "report"],
+    )
+    def test_a_file_that_is_not_json_names_its_line(self, capsys, tmp_path, synth_table, reader):
+        subcommand, _, flag = reader.partition(" ")
+        if flag:
+            path = tmp_path / "input.json"
+            argv = [flag, path]
+        else:  # report reads each run directory's manifest.json
+            path = tmp_path / "run" / "manifest.json"
+            argv = [path.parent]
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text('{\n  "race" 1\n}\n')
+        sessions = tmp_path / "sessions.tsv"
+        sessions.write_text(bundled_table1_sessions())
+        argv += {
+            "preprocess": ["--sessions", sessions],
+            "t-closeness": ["--table", synth_table, "--k", 10, "--panels", 1],
+            "ot-control": ["--cohorts", 5, "--k", 5],
+        }.get(subcommand, [])
+        assert _run(subcommand, "--out", tmp_path / "o", *argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": f"{path}:2: not JSON: Expecting ':' delimiter at column 10",
+        }
+        assert not (tmp_path / "o").exists()
+
+    def test_a_config_file_not_json_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("{")
+        assert _run("ot-control", "--out", tmp_path / "o", "--config", path) == 2
+        assert capsys.readouterr().err == (
+            f"flocpriv: cannot read config file: {path}:1: not JSON: "
+            "Expecting property name enclosed in double quotes at column 2\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_preprocess_rejects_out_of_range_machine_ids(self, tmp_path):
         sessions = tmp_path / "sessions.tsv"
         lines = bundled_table1_sessions().splitlines(keepends=True)

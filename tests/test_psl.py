@@ -252,6 +252,7 @@ class TestMalformedRules:
         assert len(suffixes.exact) > 100 and suffixes.wildcard and suffixes.exception
 
     def test_preprocess_with_a_bad_list_fails_and_writes_nothing(self, capsys, tmp_path):
+        # A file's bad rule is named by path and line; from_text names the line only.
         psl = tmp_path / "bad.dat"
         psl.write_text("com\n*.*.jp\n", encoding="utf-8")
         sessions = tmp_path / "sessions.tsv"
@@ -267,7 +268,7 @@ class TestMalformedRules:
         assert err.count("\n") == 1
         assert json.loads(err) == {
             "error": "ValueError",
-            "message": "line 2: suffix rule '*.*.jp' has a '*' other than a leading '*.' label",
+            "message": f"{psl}:2: suffix rule '*.*.jp' has a '*' other than a leading '*.' label",
         }
         assert not out.exists()
 

@@ -2,6 +2,7 @@
 
 import io
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,8 +11,9 @@ import synth_oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from table_io_oracle import OracleTable
 
-from flocpriv import synth
+from flocpriv import ingest, synth
 from flocpriv.geo import STATES
 from flocpriv.ingest import FormatConfig, WeekConfig, build_machine_weeks, parse_sessions
 from flocpriv.panels import N_CELLS
@@ -201,6 +203,19 @@ def _assert_same_text(got: str, want: str) -> None:
         pytest.fail(f"texts differ first at line {i + 1}: {a[i : i + 1]} != {b[i : i + 1]}")
 
 
+#: Configs whose rows are drawn with every path of ``_draw_rows``: sizes that
+#: vary, one size, and rows still short after the full width.
+_DRAW_CONFIGS = pytest.mark.parametrize(
+    "fields",
+    [
+        dict(n_machines=40, n_weeks=2, vocab_size=500),
+        dict(n_machines=200, n_weeks=1, min_domains=7, max_domains=7),
+        dict(n_machines=30, n_weeks=2, **FALLBACK_HEAVY),
+    ],
+    ids=["default", "fixed-size", "fallback-heavy"],
+)
+
+
 def _oracle_population(cfg):
     with mock.patch.object(synth, "_draw_rows", synth_oracle.draw_rows):
         return generate_population(cfg)
@@ -248,17 +263,70 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("lead", [lambda need: 1, lambda need: 4 * need + 16],
                              ids=["one-column", "full-width"])
-    @pytest.mark.parametrize(
-        "fields",
-        [
-            dict(n_machines=40, n_weeks=2, vocab_size=500),
-            dict(n_machines=200, n_weeks=1, min_domains=7, max_domains=7),
-            dict(n_machines=30, n_weeks=2, **FALLBACK_HEAVY),
-        ],
-        ids=["default", "fixed-size", "fallback-heavy"],
-    )
+    @_DRAW_CONFIGS
     def test_output_does_not_depend_on_the_lead(self, monkeypatch, lead, fields):
         cfg = SynthConfig(seed=11, **fields)
         want = generate_population(cfg).table.save_text()
         monkeypatch.setattr(synth, "_lead", lead)
         _assert_same_text(generate_population(cfg).table.save_text(), want)
+
+    @pytest.mark.parametrize("block", ["one-uniform", "one-row", "default"])
+    @_DRAW_CONFIGS
+    def test_output_does_not_depend_on_the_draw_block(self, monkeypatch, block, fields):
+        # Short rows of earlier blocks extend the stream only after the last
+        # block, as they do after the oracle's single draw of every row.
+        cfg = SynthConfig(seed=11, **fields)
+        want = _oracle_population(cfg).table.save_text()
+        width = 4 * cfg.max_domains + 16  # the widest row's uniforms
+        size = {"one-uniform": 1, "one-row": width, "default": synth._DRAW_BLOCK}[block]
+        monkeypatch.setattr(synth, "_DRAW_BLOCK", size)
+        _assert_same_text(generate_population(cfg).table.save_text(), want)
+
+
+def _empty_population(pop):
+    """``pop`` with a table of no rows."""
+    table = pop.table
+    empty = type(table)(
+        table.machine_ids[:0], table.week_indices[:0], table.state_labels, table.race_idx[:0],
+        table.income_idx[:0], table.state_idx[:0], table.dom_indices[:0], [0], table.vocab,
+    )
+    return synth.GeneratedPopulation(pop.config, empty, pop.machine_ids, pop.race_idx,
+                                     pop.income_idx, pop.state_idx)
+
+
+class TestBlockWiseWriters:
+    """``save_text``, ``save`` and ``write_sessions`` give the per-row
+    writers' bytes however many rows a block holds."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, ingest._BLOCK])
+    @pytest.mark.parametrize("rows", ["seven", "none"])
+    def test_match_the_per_row_writers(self, tmp_path, block, rows):
+        pop = generate_population(SynthConfig(n_machines=7, n_weeks=1, vocab_size=300, seed=5))
+        if rows == "none":
+            pop = _empty_population(pop)
+        t = pop.table
+        oracle = OracleTable(t.machine_ids, t.week_indices, t.state_labels, t.race_idx,
+                             t.income_idx, t.state_idx, t.dom_indices, t.offsets, t.vocab)
+        want_sessions = io.StringIO()
+        n = synth_oracle.write_sessions(pop, want_sessions)
+        with mock.patch.object(ingest, "_BLOCK", block):
+            assert t.save_text() == oracle.save_text()
+            t.save(tmp_path / "table.tsv")
+            got_sessions = io.StringIO()
+            assert write_sessions(pop, got_sessions) == n
+        assert (tmp_path / "table.tsv").read_bytes() == oracle.save_text().encode()
+        assert got_sessions.getvalue() == want_sessions.getvalue()
+
+
+def test_generate_population_holds_names_and_weights_of_drawn_rows_only():
+    # 20 rows over a 200,000-name vocabulary: naming every entry or holding a
+    # weight vector per cell would pass 12 MB; one cell's weights and the
+    # drawn entries' names stay well below it.
+    cfg = SynthConfig(n_machines=20, n_weeks=1, vocab_size=200_000)
+    tracemalloc.start()
+    try:
+        generate_population(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
-import io
 import json
 import math
 import os
 import sys
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .psl import SuffixSet
 from .sensitivity import (
     ATTRIBUTES,
     DEFAULT_T_GRID,
+    OTWorkerError,
     chi_square_by_group,
     ot_scale_control,
     random_subsample_pvalue,
@@ -53,7 +53,7 @@ from .sensitivity import (
 )
 from .simhash import DEFAULT_BIT_LENGTH, DEFAULT_SEED, SimHashConfig
 from .special import ConstantInputError
-from .synth import SynthConfig, generate_population, write_sessions
+from .synth import SynthConfig, _session_blocks, generate_population
 from .unicity import assign_sequence_cohorts, build_sequences, sweep_k, sweep_population, unicity_fractions
 
 
@@ -160,8 +160,9 @@ def _report_files(stem: str, payload: dict[str, Any], rows: str) -> dict[str, st
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each maps the parsed flags to {output file name: text}
-# and writes nothing; main writes the files and the manifest.
+# Subcommand handlers: each maps the parsed flags to {output file name: text},
+# where a text may be an iterable of text pieces, and writes nothing; main
+# writes the files and the manifest.
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> dict[str, str]:
@@ -211,7 +212,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> dict[str, str]:
     }
 
 
-def _cmd_synth(args: argparse.Namespace) -> dict[str, str]:
+def _cmd_synth(args: argparse.Namespace) -> dict[str, str | Iterable[str]]:
     joint = _load_joint(args.target)
     cfg = SynthConfig(
         n_machines=args.machines,
@@ -226,13 +227,14 @@ def _cmd_synth(args: argparse.Namespace) -> dict[str, str]:
         seed=args.seed,
     )
     pop = generate_population(cfg)
-    files = {"demographics.json": dump_json(pop.demographics_json())}
+    files: dict[str, str | Iterable[str]] = {
+        "demographics.json": dump_json(pop.demographics_json())
+    }
+    # Handed over in blocks, which main writes as they are formatted.
     if args.emit in ("table", "both"):
-        files["machine_weeks.tsv"] = pop.table.save_text()
+        files["machine_weeks.tsv"] = pop.table._text_blocks()
     if args.emit in ("sessions", "both"):
-        buf = io.StringIO()
-        write_sessions(pop, buf)
-        files["sessions.tsv"] = buf.getvalue()
+        files["sessions.tsv"] = _session_blocks(pop)
     return files
 
 
@@ -392,7 +394,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     subs = parser.add_subparsers(dest="subcommand", required=True)
     registry: dict[str, argparse.ArgumentParser] = {}
 
-    def sub(name: str, func: Callable[[argparse.Namespace], dict[str, str]], help_text: str):
+    def sub(
+        name: str,
+        func: Callable[[argparse.Namespace], dict[str, str | Iterable[str]]],
+        help_text: str,
+    ):
         sp = subs.add_parser(name, help=help_text)
         _add_common(sp)
         sp.set_defaults(func=func)
@@ -534,7 +540,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         write_manifest(
             args.out, args.subcommand, __version__, _config_echo(args), _inputs(args), list(files)
         )
-    except (PipelineError, CohortError, PanelError, ValueError, OSError, MemoryError) as exc:
+    except (
+        PipelineError, CohortError, PanelError, OTWorkerError, ValueError, OSError, MemoryError
+    ) as exc:
         # NumPy raises a private MemoryError subclass for a failed allocation
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import re
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 
 def dump_json(payload: Any) -> str:
@@ -79,10 +79,12 @@ def read_json(path: str) -> Any:
 _WRITE_PIECE = 1 << 20
 
 
-def write_text(path: str, text: str) -> None:
+def write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, or each text piece of an iterable in turn, to ``path`` as UTF-8."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for start in range(0, len(text), _WRITE_PIECE):
-            fh.write(text[start : start + _WRITE_PIECE])
+        for piece in [text] if isinstance(text, str) else text:
+            for start in range(0, len(piece), _WRITE_PIECE):
+                fh.write(piece[start : start + _WRITE_PIECE])
 
 
 def file_sha256(path: str) -> str:

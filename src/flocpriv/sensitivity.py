@@ -15,10 +15,16 @@ Covers four related measurements:
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import numbers
+import os
+import signal
+import threading
 import warnings
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Sequence
+from typing import Any, BinaryIO, Sequence
 
 import numpy as np
 
@@ -364,14 +370,23 @@ def chi_square_by_group(
     return rows
 
 
+def _check_real(value: float, name: str) -> float:
+    """``value``; a ``ValueError`` naming ``name`` if it is a ``bool`` or not a
+    ``numbers.Real`` (a string, a complex number, ``np.bool_``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def random_subsample_pvalue(
     table: MachineWeekTable, d: int, fraction: float, seed: int
 ) -> float:
     """Control: chi-square p of a demographics-blind row subsample.
 
-    Raises ``ValueError`` unless ``0 < fraction <= 1`` and the sample holds a row.
+    Raises ``ValueError`` unless ``fraction`` is a real number (not a
+    ``bool``) with ``0 < fraction <= 1`` and the sample holds a row.
     """
-    if not 0 < fraction <= 1:
+    if not 0 < _check_real(fraction, "fraction") <= 1:
         raise ValueError(f"control fraction must be in (0, 1], got {fraction!r}")
     take = int(round(len(table) * fraction))
     if take == 0:
@@ -439,6 +454,227 @@ def _uniform_cells(
     return out
 
 
+def _count_members(
+    m0: int, m1: int, counts: np.ndarray, k: int, cell_cum: np.ndarray, cell_lut: np.ndarray,
+    seed: int,
+) -> None:
+    """Add the members ``[m0, m1)`` to the (num_cohorts, cells) ``counts``.
+
+    Member i's cell is the cell stream's draw i, and a member past the
+    first num_cohorts * k draws its cohort as the cohort stream's draw
+    i - num_cohorts * k; each draw is one double, so the streams jump to m0
+    by ``advance``. A bound inside the direct phase is a multiple of k.
+    """
+    num_cohorts, n_cells = counts.shape
+    n_direct = num_cohorts * k
+    rng_cohort = np.random.default_rng(derive_seed(seed, "ot-control", 0))
+    rng_cell = np.random.default_rng(derive_seed(seed, "ot-control", 1))
+    rng_cell.bit_generator.advance(m0)
+    rng_cohort.bit_generator.advance(max(m0, n_direct) - n_direct)
+
+    block = min(_OT_BLOCK, m1 - m0)
+    u = np.empty(block)
+    bins = np.empty(block, dtype=np.uint16)
+    cells = np.empty(block, dtype=np.uint8)
+    flat = np.empty(block, dtype=np.intp)
+
+    def next_cells(n: int) -> np.ndarray:
+        """Cells of the next n members of the cell stream."""
+        rng_cell.random(n, out=u[:n])
+        return _uniform_cells(u[:n], cell_cum, cell_lut, bins[:n], cells[:n])
+
+    # A block holds per_block whole cohorts, or one span of a cohort longer
+    # than a block; member i of it counts in row i // span of the block.
+    per_block, span = max(1, block // k), min(k, block)
+    offsets = np.repeat(np.arange(per_block, dtype=np.intp) * n_cells, span)
+    last = min(m1, n_direct) // k
+    for lo in range(m0 // k, last, per_block):
+        c = min(per_block, last - lo)
+        for start in range(0, k, span):
+            n = c * min(span, k - start)
+            np.add(offsets[:n], next_cells(n), out=flat[:n])
+            counts[lo : lo + c] += np.bincount(flat[:n], minlength=c * n_cells).reshape(c, -1)
+
+    flat_counts = counts.reshape(-1)
+    for lo in range(max(m0, n_direct), m1, block):
+        n = min(block, m1 - lo)
+        cohort = u[:n]
+        rng_cohort.random(n, out=cohort)
+        cohort *= num_cohorts
+        np.floor(cohort, out=cohort)
+        cohort *= n_cells  # exact: integers below 2**53
+        np.copyto(flat[:n], cohort, casting="unsafe")
+        flat[:n] += next_cells(n)  # overwrites u; the cohorts are already in flat
+        np.add.at(flat_counts, flat[:n], 1)
+
+
+class OTWorkerError(RuntimeError):
+    """A worker process of ``ot_scale_control`` exited non-zero or sent short counts."""
+
+
+#: Fewest members a worker's range may hold, since a fork and its reaping
+#: cost milliseconds: on a 2-core x86-64 VM two processes counted a smallest
+#: range of 0.21 M members at 0.89 times the speed of one and of 0.42 M at
+#: 1.19 times. 2^21 leaves a margin for a bigger caller (BENCH_30.json).
+_OT_MIN_WORKER_MEMBERS = 1 << 21
+
+#: Fewest members a worker's range may hold per entry of the count matrix.
+#: Each process fills its own copy of the matrix, and each child sends its
+#: copy for the caller to add: on the same VM a split of 10 M members ran at
+#: 0.83-1.09 times the speed of one process at 0.4-3.9 members per entry in
+#: the smaller range, 1.12 at 7.8 and 1.79 at 19.5. At 8, a child's copy
+#: holds at most one byte per member it counts.
+_OT_MIN_MEMBERS_PER_COUNT = 8
+
+#: Counts a worker's pipe is read and added in at once, so that the caller
+#: never holds a second count matrix.
+_OT_PIPE_ITEMS = 1 << 17
+
+#: Relative counting cost per member of the direct and the tail phase, by
+#: which the ranges are cut: a tail member, which also draws its cohort, took
+#: 1.5-1.9 times as long as a direct one on a 2-core x86-64 VM.
+_OT_DIRECT_COST, _OT_TAIL_COST = 2, 3
+
+
+def _cut_members(num_cohorts: int, k: int, n_members: int, parts: int) -> list[tuple[int, int]]:
+    """``parts`` ranges tiling ``[0, n_members)`` at about equal counting cost;
+    a cut in the direct phase falls on a cohort boundary."""
+    n_direct = num_cohorts * k
+    direct_cost = _OT_DIRECT_COST * n_direct
+    total = direct_cost + _OT_TAIL_COST * (n_members - n_direct)
+    cuts = [0]
+    for i in range(1, parts):
+        cost = total * i // parts
+        if cost < direct_cost:  # the nearest cohort boundary
+            cuts.append(k * ((cost + _OT_DIRECT_COST * k // 2) // (_OT_DIRECT_COST * k)))
+        else:
+            cuts.append(n_direct + (cost - direct_cost) // _OT_TAIL_COST)
+    cuts.append(n_members)
+    return list(zip(cuts, cuts[1:]))
+
+
+def _member_ranges(
+    num_cohorts: int, k: int, n_members: int, workers: int
+) -> list[tuple[int, int]]:
+    """The most ranges, at most ``workers``, that ``_cut_members`` can make
+    with every range holding at least ``_OT_MIN_WORKER_MEMBERS`` members and
+    ``_OT_MIN_MEMBERS_PER_COUNT`` members per count-matrix entry; else one
+    range, the whole population."""
+    n_counts = num_cohorts * len(RACE_GROUPS) * len(INCOME_GROUPS)
+    least = max(_OT_MIN_WORKER_MEMBERS, _OT_MIN_MEMBERS_PER_COUNT * n_counts)
+    for parts in range(workers, 1, -1):
+        ranges = _cut_members(num_cohorts, k, n_members, parts)
+        if all(m1 - m0 >= least for m0, m1 in ranges):
+            return ranges
+    return [(0, n_members)]
+
+
+def _worker_cpus() -> set[int]:
+    """The CPUs this process may run on, each to count in one process; none
+    where ``os.fork`` or ``os.sched_getaffinity`` is missing, or where another
+    Python thread runs, since a child forked then could inherit a lock that
+    thread holds and hang on it."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return set()
+    if threading.active_count() > 1:
+        return set()
+    return os.sched_getaffinity(0)
+
+
+def _current_cpu() -> int | None:
+    """The CPU the calling thread is on (the C library's ``sched_getcpu``), or None."""
+    try:
+        sched_getcpu = ctypes.CDLL(None).sched_getcpu
+    except (OSError, AttributeError):
+        return None
+    sched_getcpu.argtypes, sched_getcpu.restype = [], ctypes.c_int
+    cpu = sched_getcpu()
+    return cpu if cpu >= 0 else None
+
+
+def _fork_counter(
+    m0: int, m1: int, counts: np.ndarray, cpus: set[int], args: tuple
+) -> tuple[int, BinaryIO]:
+    """Fork a child that counts ``[m0, m1)`` into its copy of the all-zero
+    ``counts`` on ``cpus`` and writes them to a pipe; the child's pid and the
+    pipe's read end.
+
+    The child always leaves through ``os._exit``: status 0 once every byte
+    is written, 1 on any exception. Pinning is best effort; it only places work.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            if cpus:
+                with contextlib.suppress(OSError):
+                    os.sched_setaffinity(0, cpus)
+            _count_members(m0, m1, counts, *args)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(memoryview(counts).cast("B"))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _count_in_workers(
+    ranges: list[tuple[int, int]], counts: np.ndarray, cpus: set[int], args: tuple
+) -> None:
+    """Count ``ranges[0]`` into ``counts`` here and each other range, if any, in
+    a forked child, then add each child's counts exactly.
+
+    The children run on the allowed ``cpus`` other than the one the caller
+    is on; the caller's own affinity never changes. Left to the scheduler,
+    ``study``'s split was faster than one process in 3 of 10 alternated runs
+    at one seed and 9 of 10 at another; pinned, in 20 of 20 (BENCH_30.json).
+    A child's non-zero exit or short counts raise ``OTWorkerError``. Each
+    child's counts are added a piece at a time as they arrive. No child
+    outlives the call: on any exception every child still running is killed
+    and reaped.
+    """
+    others = cpus - {_current_cpu()}
+    children: list[tuple[int, BinaryIO, tuple[int, int]]] = []
+    reaped: set[int] = set()
+    try:
+        for m0, m1 in ranges[1:]:
+            children.append((*_fork_counter(m0, m1, counts, others, args), (m0, m1)))
+        _count_members(*ranges[0], counts, *args)
+        flat = counts.reshape(-1)
+        for pid, pipe, (m0, m1) in children:
+            received = 0
+            with pipe:
+                for lo in range(0, flat.size, _OT_PIPE_ITEMS):
+                    part = flat[lo : lo + _OT_PIPE_ITEMS]
+                    piece = pipe.read(part.nbytes)
+                    received += len(piece)
+                    if len(piece) < part.nbytes:
+                        break
+                    part += np.frombuffer(piece, dtype=np.int64)
+            _, wait_status = os.waitpid(pid, 0)
+            reaped.add(pid)
+            status = os.waitstatus_to_exitcode(wait_status)
+            if status or received != counts.nbytes:
+                raise OTWorkerError(
+                    f"worker counting members [{m0}, {m1}) exited with status {status} "
+                    f"after sending {received} of {counts.nbytes} bytes of counts"
+                )
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def ot_scale_control(
     num_cohorts: int,
     k: int,
@@ -454,17 +690,27 @@ def ot_scale_control(
     are i.i.d. from the target joint. Members are streamed in fixed blocks
     of at most ``_OT_BLOCK`` through buffers allocated once, so scratch
     memory is constant and only the per-cohort demographic count matrices
-    are held, never the member-level population. A count that is not an
-    integer (as ``check_integer`` reads it) or is below 1, a ratio below 1,
-    a non-finite ``t`` or ratio, or a non-finite member count is a
-    ``ValueError``.
+    are held, never the member-level population.
+
+    Where the process may run on more than one CPU (``os.sched_getaffinity``)
+    and no other Python thread runs, the members are cut into as many ranges
+    of about equal cost as there are CPUs and big enough ranges
+    (``_member_ranges``), and all but the first are counted in forked
+    children pinned off the caller's CPU (``_count_in_workers``). Counts are integers added exactly, and
+    every range jumps its streams to its first member, so the result depends
+    neither on the number of ranges nor on the block.
+
+    A count that is not an integer (as ``check_integer`` reads it) or is
+    below 1, a ratio or ``t`` that is a ``bool`` or not a real number, a
+    ratio below 1, a non-finite ``t`` or ratio, or a non-finite member count
+    is a ``ValueError``.
     """
     num_cohorts, k = check_integer(num_cohorts, "num_cohorts"), check_integer(k, "k")
     for name, value in (("num_cohorts", num_cohorts), ("k", k)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     for name, value in (("cohort_size_ratio", cohort_size_ratio), ("t", t)):
-        if not math.isfinite(value):
+        if not math.isfinite(_check_real(value, name)):
             raise ValueError(f"{name} must be finite, got {value!r}")
     try:
         members = num_cohorts * k * cohort_size_ratio
@@ -473,52 +719,15 @@ def ot_scale_control(
     if not math.isfinite(members):
         raise ValueError(f"num_cohorts * k * cohort_size_ratio must be finite, got {members!r}")
     n_members = int(round(members))
-    n_direct = num_cohorts * k
-    if n_direct > n_members:
+    if num_cohorts * k > n_members:
         raise ValueError("cohort_size_ratio must be >= 1")
-    n_cells = len(RACE_GROUPS) * len(INCOME_GROUPS)
     cell_cum = np.cumsum(target.flat())
     cell_cum[-1] = 1.0
-    counts = np.zeros((num_cohorts, n_cells), dtype=np.int64)
-    # Separate streams, one double consumed per member, so the result is
-    # independent of how the population is split into blocks.
-    rng_cohort = np.random.default_rng(derive_seed(seed, "ot-control", 0))
-    rng_cell = np.random.default_rng(derive_seed(seed, "ot-control", 1))
-    cell_lut = _cell_lookup_table(cell_cum)
-
-    block = min(_OT_BLOCK, n_members)
-    u = np.empty(block)
-    bins = np.empty(block, dtype=np.uint16)
-    cells = np.empty(block, dtype=np.uint8)
-    flat = np.empty(block, dtype=np.intp)
-
-    def next_cells(n: int) -> np.ndarray:
-        """Cells of the next n members of the cell stream."""
-        rng_cell.random(n, out=u[:n])
-        return _uniform_cells(u[:n], cell_cum, cell_lut, bins[:n], cells[:n])
-
-    # A block holds per_block whole cohorts, or one span of a cohort longer
-    # than a block; member i of it counts in row i // span of the block.
-    per_block, span = max(1, block // k), min(k, block)
-    offsets = np.repeat(np.arange(per_block, dtype=np.intp) * n_cells, span)
-    for lo in range(0, num_cohorts, per_block):
-        c = min(per_block, num_cohorts - lo)
-        for start in range(0, k, span):
-            n = c * min(span, k - start)
-            np.add(offsets[:n], next_cells(n), out=flat[:n])
-            counts[lo : lo + c] += np.bincount(flat[:n], minlength=c * n_cells).reshape(c, -1)
-
-    flat_counts = counts.reshape(-1)
-    for lo in range(n_direct, n_members, block):
-        n = min(block, n_members - lo)
-        cohort = u[:n]
-        rng_cohort.random(n, out=cohort)
-        cohort *= num_cohorts
-        np.floor(cohort, out=cohort)
-        cohort *= n_cells  # exact: integers below 2**53
-        np.copyto(flat[:n], cohort, casting="unsafe")
-        flat[:n] += next_cells(n)  # overwrites u; the cohorts are already in flat
-        np.add.at(flat_counts, flat[:n], 1)
+    counts = np.zeros((num_cohorts, len(RACE_GROUPS) * len(INCOME_GROUPS)), dtype=np.int64)
+    args = (k, cell_cum, _cell_lookup_table(cell_cum), seed)
+    cpus = _worker_cpus()
+    ranges = _member_ranges(num_cohorts, k, n_members, max(1, len(cpus)))
+    _count_in_workers(ranges, counts, cpus, args)
 
     grid = counts.reshape(num_cohorts, len(RACE_GROUPS), len(INCOME_GROUPS))
     violations: dict[str, int] = {}

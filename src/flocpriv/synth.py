@@ -14,7 +14,7 @@ import datetime as dt
 import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -263,14 +263,24 @@ def write_sessions(pop: GeneratedPopulation, fh: TextIO) -> int:
 
     Week w's visits are dated w weeks after ``WeekConfig().epoch``. Returns
     the number of session rows written. Parsing the output back through
-    the ingest pipeline reproduces ``pop.table`` exactly. Each machine-week
-    formats its fixed head (machine id) and tail (date, time, pages,
-    duration and demographic codes) once. The log is built and written
-    ``ingest._BLOCK`` machine-weeks at a time from slices of the table's
-    columns, so only one block's names, session IDs and text are held.
+    the ingest pipeline reproduces ``pop.table`` exactly. The log is
+    written one block of ``_session_blocks`` at a time.
+    """
+    fh.writelines(_session_blocks(pop))
+    return int(pop.table.offsets[-1])
+
+
+def _session_blocks(pop: GeneratedPopulation) -> Iterator[str]:
+    """``write_sessions``'s log in pieces: the header line, then ``ingest._BLOCK``
+    machine-weeks' visit lines each.
+
+    Each machine-week formats its fixed head (machine id) and tail (date,
+    time, pages, duration and demographic codes) once. A block is built
+    from slices of the table's columns, so only one block's names, session
+    IDs and text are held.
     """
     epoch = WeekConfig().epoch
-    fh.write("machine_id\tsession_id\tdomain\tdate\ttime\tpages\tduration\tincome\trace\tzip\n")
+    yield "machine_id\tsession_id\tdomain\tdate\ttime\tpages\tduration\tincome\trace\tzip\n"
     table = pop.table
     weeks = table.week_values().tolist()
     dates = {w: (epoch + dt.timedelta(weeks=w)).strftime("%Y%m%d") for w in weeks}
@@ -295,5 +305,4 @@ def write_sessions(pop: GeneratedPopulation, fh: TextIO) -> int:
             map(table.vocab.__getitem__, table.dom_indices[lo:hi].tolist()),
             chain.from_iterable(map(repeat, tails, counts)),
         )
-        fh.write("".join(chain.from_iterable(visits)))
-    return int(table.offsets[-1])
+        yield "".join(chain.from_iterable(visits))

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -9,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flocpriv import cli
+from flocpriv import cli, ingest
 from flocpriv.cli import _parse_t_grid, build_parser, main
 from flocpriv.ingest import INCOME_GROUPS, RACE_GROUPS
-from flocpriv.sensitivity import DEFAULT_T_GRID
+from flocpriv.sensitivity import DEFAULT_T_GRID, OTWorkerError
 from flocpriv.fixtures import (
     EXPECTED_FINGERPRINT_FRACTIONS,
     EXPECTED_SEQUENCE_FRACTIONS,
@@ -490,6 +491,18 @@ class TestPipelineErrors:
         assert json.loads(err) == {"error": "MemoryError", "message": message}
         assert not out.exists()
 
+    def test_a_failed_worker_is_a_one_line_error(self, capsys, tmp_path, monkeypatch):
+        message = "worker counting members [5, 9) exited with status 1 after sending 0 of 8 bytes"
+
+        def failed_worker(**_):
+            raise OTWorkerError(message)
+
+        monkeypatch.setattr(cli, "ot_scale_control", failed_worker)
+        out = tmp_path / "o"
+        assert _run("ot-control", "--out", out) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "OTWorkerError", "message": message}
+        assert not out.exists()
+
     @pytest.mark.parametrize("exponent", ["nan", "1000", "-1000", "10", "30"])
     def test_synth_rejects_zipf_exponents_that_cannot_fill_a_row(self, capsys, tmp_path, exponent):
         out = tmp_path / "o"
@@ -687,6 +700,26 @@ class TestSynthCommand:
         report = json.loads((pre / "ingest_report.json").read_text())
         assert report["n_machines"] == 25
         assert json.loads((pre / "rejects.json").read_text())["total"] == 0
+
+    def test_session_log_and_table_are_written_as_they_are_formatted(self, tmp_path, monkeypatch):
+        """synth --emit both holds one block of its outputs at a time: with
+        256-row blocks its traced peak stays under the size of the session
+        log, which a log held whole and then joined into a copy doubles."""
+        monkeypatch.setattr(ingest, "_BLOCK", 256)
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = _run(
+                "synth", "--out", out, "--machines", 2000, "--weeks", 4,
+                "--vocab", 2000, "--emit", "both",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        log = (out / "sessions.tsv").stat().st_size
+        assert log > 6_000_000
+        assert peak < log
 
 
 #: Session lines failing one check each, so rejects.json keeps one sample

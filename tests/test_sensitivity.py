@@ -1,7 +1,12 @@
 """Demographic leakage analyses: t-closeness, baselines, chi-square, controls."""
 
+import contextlib
+import hashlib
 import math
+import os
 import re
+import threading
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -13,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flocpriv import sensitivity, special
+from flocpriv import cli, sensitivity, special
 from flocpriv.geo import UNKNOWN_STATE
 from flocpriv.hashing import derive_seed
 from flocpriv.ingest import MachineWeekTable
@@ -563,6 +568,14 @@ class TestChiSquare:
         with pytest.raises(ValueError, match=r"control fraction must be in \(0, 1\]"):
             random_subsample_pvalue(small_table, 20, fraction, seed=6)
 
+    @pytest.mark.parametrize("fraction", [True, np.True_, "0.25", 0.25j, None])
+    def test_random_subsample_rejects_a_fraction_that_is_not_a_real_number(
+        self, small_table, fraction
+    ):
+        message = f"fraction must be a real number, got {fraction!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            random_subsample_pvalue(small_table, 20, fraction, seed=6)
+
     def test_random_subsample_rejects_a_fraction_that_samples_no_row(self, small_table):
         assert len(small_table) == 1600
         with pytest.raises(ValueError, match=r"control fraction 0\.0003 of 1600 rows samples no row"):
@@ -694,9 +707,16 @@ class TestOTScaleControl:
             ({"k": True}, "k must be an integer, got True"),
             ({"k": 2.5}, "k must be an integer, got 2.5"),
             ({"num_cohorts": 3.0}, "num_cohorts must be an integer, got 3.0"),
+            ({"cohort_size_ratio": True}, "cohort_size_ratio must be a real number, got True"),
+            ({"cohort_size_ratio": "1.5"}, "cohort_size_ratio must be a real number, got '1.5'"),
+            ({"t": True}, "t must be a real number, got True"),
+            ({"t": np.False_}, f"t must be a real number, got {np.False_!r}"),
+            ({"t": "0.1"}, "t must be a real number, got '0.1'"),
+            ({"t": 0.1j}, "t must be a real number, got 0.1j"),
         ],
         ids=["ratio", "num_cohorts", "k", "t_nan", "t_inf", "ratio_inf", "ratio_nan",
-             "members_inf", "members_beyond_float", "k_bool", "k_float", "num_cohorts_float"],
+             "members_inf", "members_beyond_float", "k_bool", "k_float", "num_cohorts_float",
+             "ratio_bool", "ratio_str", "t_bool", "t_numpy_bool", "t_str", "t_complex"],
     )
     def test_ratio_below_one_rejected(self, default_joint, changes, message):
         kwargs = {"num_cohorts": 10, "k": 10, "cohort_size_ratio": 1.5, "t": 0.1, **changes}
@@ -706,3 +726,202 @@ class TestOTScaleControl:
     def test_tight_threshold_flags_everything(self, default_joint):
         res = ot_scale_control(8, 5, 1.0, default_joint, t=-1.0, seed=0)
         assert res.violations == {"race": 8, "income": 8}
+
+
+@contextlib.contextmanager
+def _ot_workers(workers):
+    """``ot_scale_control`` as in a process allowed ``workers`` CPUs, with every
+    range big enough to fork for; yields the mock that counts the forks."""
+    with mock.patch.object(os, "sched_getaffinity", return_value=set(range(workers))), \
+            mock.patch.object(sensitivity, "_OT_MIN_WORKER_MEMBERS", 1), \
+            mock.patch.object(sensitivity, "_OT_MIN_MEMBERS_PER_COUNT", 0), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        yield fork
+
+
+def _no_child_remains():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+#: ``ot_scale_control`` of the ``study`` workload and of ``flocpriv ot-control``
+#: (SHA-256 of its ``ot_control.json``), both as counted by one process.
+_STUDY_CONTROL = {
+    "num_cohorts": 3387, "k": 2000, "cohort_size_ratio": 1.5, "t": 0.1, "n_members": 10161000,
+    "violations": {"race": 0, "income": 0},
+    "max_excess": {"race": 0.03140051639197161, "income": 0.032329786202328015},
+}
+_CLI_CONTROL_SHA256 = "ccbcd75a7a9becdc04d7025d3645fa4a52dde3c632f0744289ae8bba78be5a16"
+
+
+class TestOTWorkers:
+    """The control split over forked worker processes counts what one process counts."""
+
+    @pytest.mark.parametrize("block", [7, 64, sensitivity._OT_BLOCK])
+    @pytest.mark.parametrize(
+        "num_cohorts, k, ratio",
+        [(7, 100, 1.5), (13, 30, 1.0), (300, 1, 2.5)],
+        ids=["k_above_block", "ratio_one", "k_one"],
+    )
+    def test_counts_do_not_depend_on_the_workers(self, default_joint, num_cohorts, k, ratio, block):
+        want = _reference_control(num_cohorts, k, ratio, default_joint, 0.05, 9)
+        for workers in (1, 2, 3):
+            with _ot_workers(workers) as fork, mock.patch.object(sensitivity, "_OT_BLOCK", block):
+                res = ot_scale_control(num_cohorts, k, ratio, default_joint, t=0.05, seed=9)
+            assert fork.call_count == workers - 1
+            assert (res.violations, res.max_excess) == want, workers
+        assert _no_child_remains()
+
+    def test_study_and_cli_defaults_do_not_depend_on_the_workers(self, tmp_path, default_joint):
+        for workers in (1, 2, 3):
+            with _ot_workers(workers) as fork:
+                res = ot_scale_control(3387, 2000, 1.5, default_joint, t=0.1, seed=0)
+                assert cli.main(["ot-control", "--out", str(tmp_path / str(workers))]) == 0
+            assert fork.call_count == 2 * (workers - 1)
+            assert res.to_json_dict() == _STUDY_CONTROL
+            out = (tmp_path / str(workers) / "ot_control.json").read_bytes()
+            assert hashlib.sha256(out).hexdigest() == _CLI_CONTROL_SHA256, workers
+        assert _no_child_remains()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 40), st.integers(1, 40), st.integers(0, 3000), st.integers(1, 5),
+        st.integers(1, 400), st.integers(0, 3),
+    )
+    def test_ranges_tile_the_members_at_about_equal_cost(
+        self, num_cohorts, k, extra, workers, least, per_count
+    ):
+        n_direct = num_cohorts * k
+        n_members = n_direct + extra
+        least = max(least, per_count * num_cohorts * 16)
+        with mock.patch.object(sensitivity, "_OT_MIN_WORKER_MEMBERS", least), \
+                mock.patch.object(sensitivity, "_OT_MIN_MEMBERS_PER_COUNT", per_count):
+            ranges = sensitivity._member_ranges(num_cohorts, k, n_members, workers)
+        assert ranges[0][0] == 0 and ranges[-1][1] == n_members
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert all(m0 % k == 0 for m0, _ in ranges if m0 < n_direct)
+
+        def cost(m):
+            return 2 * min(m, n_direct) + 3 * max(0, m - n_direct)
+
+        def short(parts):
+            cut = sensitivity._cut_members(num_cohorts, k, n_members, parts)
+            return any(m1 - m0 < least for m0, m1 in cut)
+
+        parts = len(ranges)
+        assert 1 <= parts <= workers
+        assert all(short(more) for more in range(parts + 1, workers + 1))
+        if parts == 1:
+            return
+        assert all(m1 - m0 >= least for m0, m1 in ranges)
+        for i, (m0, _) in enumerate(ranges):  # each cut within a cohort of its target
+            assert abs(cost(m0) - cost(n_members) * i / parts) <= k + 3
+
+    @pytest.mark.parametrize("cpus, parts", [(2, 2), (3, 3), (4, 3), (8, 3), (64, 3)])
+    def test_study_control_splits_on_any_number_of_cpus(self, cpus, parts):
+        ranges = sensitivity._member_ranges(3387, 2000, 10_161_000, cpus)
+        assert len(ranges) == parts
+        assert min(m1 - m0 for m0, m1 in ranges) >= sensitivity._OT_MIN_WORKER_MEMBERS
+
+    @pytest.mark.parametrize(
+        "num_cohorts, k, n_members, cpus",
+        [(1_000_000, 1, 5_000_000, 2), (10_000_000, 1, 10_000_000, 4), (200_000, 10, 40_000_000, 8)],
+        ids=["5_members_per_cohort", "1_member_per_cohort", "200_members_per_cohort"],
+    )
+    def test_a_count_of_few_members_per_cohort_is_not_split(self, num_cohorts, k, n_members, cpus):
+        assert sensitivity._member_ranges(num_cohorts, k, n_members, cpus) == [(0, n_members)]
+
+    def test_small_calls_never_fork(self, default_joint):
+        with mock.patch.object(os, "fork", side_effect=OSError("fork refused")):
+            res = ot_scale_control(10, 10, 1.5, default_joint, t=0.9, seed=3)
+        assert res.n_members == 150
+
+    def test_one_process_while_another_thread_runs(self, default_joint):
+        want = ot_scale_control(7, 100, 1.5, default_joint, t=0.05, seed=9)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            with _ot_workers(2) as fork:
+                res = ot_scale_control(7, 100, 1.5, default_joint, t=0.05, seed=9)
+        finally:
+            release.set()
+            other.join()
+        assert fork.call_count == 0
+        assert res.to_json_dict() == want.to_json_dict()
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_one_process_where_the_platform_cannot_fork(
+        self, default_joint, monkeypatch, missing
+    ):
+        want = ot_scale_control(7, 100, 1.5, default_joint, t=0.05, seed=9)
+        with _ot_workers(2) as fork:
+            monkeypatch.delattr(os, missing)
+            res = ot_scale_control(7, 100, 1.5, default_joint, t=0.05, seed=9)
+            monkeypatch.undo()
+        assert fork.call_count == 0
+        assert res.to_json_dict() == want.to_json_dict()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs two CPUs",
+    )
+    def test_children_leave_the_callers_cpu_and_its_affinity(self, default_joint):
+        allowed, parent = os.sched_getaffinity(0), os.getpid()
+        count = sensitivity._count_members
+
+        def count_if_pinned(*args):
+            if os.getpid() != parent:
+                pinned = os.sched_getaffinity(0)
+                if not (pinned < allowed and len(pinned) == len(allowed) - 1):
+                    os._exit(5)
+            count(*args)
+
+        with mock.patch.object(sensitivity, "_OT_MIN_WORKER_MEMBERS", 1), \
+                mock.patch.object(sensitivity, "_OT_MIN_MEMBERS_PER_COUNT", 0), \
+                mock.patch.object(sensitivity, "_count_members", count_if_pinned):
+            ot_scale_control(7, 100, 1.5, default_joint, t=0.05, seed=9)
+        assert os.sched_getaffinity(0) == allowed
+        assert _no_child_remains()
+
+    @pytest.mark.parametrize(
+        "status, sent", [(3, "status 3 after sending 0 of"), (0, "status 0 after sending 0 of")],
+        ids=["non_zero_exit", "short_counts"],
+    )
+    def test_a_failed_child_fails_the_call_and_is_reaped(self, default_joint, status, sent):
+        parent, count = os.getpid(), sensitivity._count_members
+
+        def exit_in_child(*args):
+            if os.getpid() != parent:
+                os._exit(status)
+            count(*args)
+
+        with _ot_workers(3), mock.patch.object(sensitivity, "_count_members", exit_in_child):
+            message = f"members \\[.*\\) exited with {sent}"
+            with pytest.raises(sensitivity.OTWorkerError, match=message):
+                ot_scale_control(7, 100, 1.5, default_joint, t=0.05, seed=9)
+        assert _no_child_remains()
+
+    def test_a_child_that_exits_non_zero_after_its_counts_fails_the_call(self, default_joint):
+        exit_now = os._exit
+        with _ot_workers(2), mock.patch.object(os, "_exit", lambda status: exit_now(7)):
+            message = r"status 7 after sending (\d+) of \1 bytes"
+            with pytest.raises(sensitivity.OTWorkerError, match=message):
+                ot_scale_control(7, 100, 1.5, default_joint, t=0.05, seed=9)
+        assert _no_child_remains()
+
+    def test_an_error_in_the_callers_range_kills_and_reaps_every_child(self, default_joint):
+        parent = os.getpid()
+
+        def stall_or_fail(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        started = time.monotonic()
+        with _ot_workers(3), mock.patch.object(sensitivity, "_count_members", stall_or_fail):
+            with pytest.raises(KeyboardInterrupt):
+                ot_scale_control(7, 100, 1.5, default_joint, t=0.05, seed=9)
+        assert time.monotonic() - started < 30
+        assert _no_child_remains()

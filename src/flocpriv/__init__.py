@@ -17,7 +17,7 @@ from .ingest import (
 )
 from .panels import JointDistribution, Panel, cluster_panel, stratified_panels
 from .prefixlsh import CohortError, CohortMap, build_cohort_map
-from .psl import SuffixSet, registrable_domain
+from .psl import SuffixSet, registrable_domain, registrable_domains
 from .sensitivity import (
     anomalous_category,
     binomial_baseline,
@@ -65,6 +65,7 @@ __all__ = [
     "ot_scale_control",
     "parse_sessions",
     "registrable_domain",
+    "registrable_domains",
     "representativeness",
     "shuffle_baseline",
     "simhash",

@@ -17,8 +17,8 @@ block (their docstrings give the rules), and ``save_text`` formats a
 block of rows at a time; ``build_machine_weeks`` keys
 rows with array operations on integer codes. Work that depends only on a
 value is done once per distinct value: each date string is parsed once
-per ``parse_sessions`` call, and each hostname's registrable domain
-found once per ``build_machine_weeks`` call.
+per ``parse_sessions`` call, and ``build_machine_weeks`` resolves its
+distinct hostnames in one ``registrable_domains`` call.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from . import kernels, special
 from .geo import UNKNOWN_STATE, state_for_zip
 from .hashing import check_bit_length, check_integer, check_seed, domain_hashes64, seed_key
 from .manifest import utf8_error
-from .psl import SuffixSet, registrable_domain
+from .psl import SuffixSet, registrable_domains
 
 RACE_GROUPS: tuple[str, ...] = ("white", "black", "asian", "other")
 INCOME_GROUPS: tuple[str, ...] = ("lt25k", "25k_75k", "75k_150k", "ge150k")
@@ -203,9 +203,6 @@ _REASONS = (
     "bad_race_code",
 )
 
-# A column of integers joined by "\n". A value holding "\n" itself (only a
-# list-of-lines source can supply one) is caught by counting the "\n"s.
-_is_integer_column = re.compile(r"-?[0-9]+(?:\n-?[0-9]+)*").fullmatch
 # On an integer, a match means it is below zero ("-0" is not).
 _is_negative = re.compile(r"-0*[1-9]").match
 
@@ -217,9 +214,21 @@ def _where(column: list[str], test: Callable[[str], object]) -> np.ndarray:
 
 
 def _not_integers(column: list[str]) -> np.ndarray:
-    """Which values of ``column`` are not integers; one regex when none."""
-    joined = "\n".join(column)
-    if _is_integer_column(joined) and joined.count("\n") == len(column) - 1:
+    """Which values of ``column`` are not integers. The column is tested
+    once, without a regex (whose matching allocates about 200 bytes per
+    value). Its values joined by "\n", each one's leading "-" dropped, must
+    be ASCII digits, with one "\n" between each two values (so no value
+    holds a "\n") and no empty value. Only a column holding a non-integer
+    is checked a distinct value at a time."""
+    text = "\n".join(column).replace("\n-", "\n").removeprefix("-")
+    if (
+        text.isascii()
+        and text.replace("\n", "").isdigit()
+        and text.count("\n") == len(column) - 1
+        and "\n\n" not in text
+        and not text.startswith("\n")
+        and not text.endswith("\n")
+    ):
         return np.zeros(len(column), dtype=bool)
     return ~_where(column, _is_integer)
 
@@ -711,16 +720,17 @@ def build_machine_weeks(
     A machine's demographics and ZIP come from its first line; later
     lines with other values are counted as conflicts, not applied.
 
-    Each distinct hostname of an in-range line is resolved once; the rest
-    is array work on integer keys.
+    The distinct hostnames of in-range lines, in first-seen order, are
+    resolved by one ``registrable_domains`` call, and ZIP codes are
+    interned once; the rest is array work on integer keys.
     """
     cfg = week_config or WeekConfig()
     machines, first, machine = np.unique(
         records.machine_ids, return_index=True, return_inverse=True
     )
     differs = np.zeros(len(records), dtype=bool)
-    zip_codes = np.array(records.zip_codes, dtype=object)
-    for column in (records.race_idx, records.income_idx, zip_codes):
+    _, zip_idx = _intern(records.zip_codes)
+    for column in (records.race_idx, records.income_idx, zip_idx):
         differs |= column != column[first][machine]
     week = (records.days - cfg.epoch.toordinal()) // 7
     in_range = week >= 0
@@ -729,7 +739,7 @@ def build_machine_weeks(
     at = np.flatnonzero(in_range)
     n_in_range = len(at)
     hosts, host_idx = _intern(list(compress(records.hosts, in_range.tolist())))
-    resolved = [registrable_domain(h, suffixes, implicit_star=implicit_star) for h in hosts]
+    resolved = registrable_domains(hosts, suffixes, implicit_star=implicit_star)
     domains, domain_idx = _intern([None, *resolved])  # index 0: no registrable domain
     dom = domain_idx[1:][host_idx]
     valid = dom > 0

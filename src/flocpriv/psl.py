@@ -11,6 +11,13 @@ The rules are held as a label trie, read right to left and built once per
 label from the TLD leftwards, stopping at the first label with no child,
 so no candidate suffix string is built.
 
+``registrable_domains`` resolves a column of hosts at a time, and
+``registrable_domain`` is that of one host, so there is one walk. The
+hosts that need more normalisation than stripping and lowercasing are
+found in the column joined into one string, with ``bytes.translate`` and
+substring searches and never a regex: a regex over a joined column
+allocates several hundred bytes per repetition.
+
 By default a hostname whose TLD appears nowhere in the list is rejected
 (treated as not a real registrable domain). Passing ``implicit_star=True``
 restores the reference semantics where unlisted TLDs are themselves
@@ -23,6 +30,8 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from itertools import repeat
+from typing import Iterable
 
 from .manifest import read_text
 
@@ -125,22 +134,46 @@ def default_suffixes() -> SuffixSet:
 _LABEL = re.compile(r"[A-Za-z0-9_-]+")
 _ASCII_HOST = re.compile(rf"{_LABEL.pattern}(?:\.{_LABEL.pattern})*")
 
+#: ``bytes.translate`` table for a column joined by "\n": the bytes of
+#: lowercase LDH-plus-underscore labels and their dots stay, "\n" reads as
+#: ".", and every other byte becomes "\0".
+_PLAIN_VIEW = bytes(
+    b if b in b"abcdefghijklmnopqrstuvwxyz0123456789-_." else ord(".") if b == ord("\n") else 0
+    for b in range(256)
+)
 
-def registrable_domain(
-    host: str,
-    suffixes: SuffixSet | None = None,
-    *,
-    implicit_star: bool = False,
-) -> str | None:
-    """The eTLD+1 of ``host``, or None when none exists.
 
-    Rejections (None): empty input, IP literals, empty labels, hosts that
-    are themselves public suffixes, and (unless ``implicit_star``)
-    hostnames whose TLD is not in the list at all.
-    """
-    if suffixes is None:
-        suffixes = default_suffixes()
-    host = host.strip().lower()
+def _odd(hosts: list[str]) -> Iterable[int]:
+    """The indices of those of ``hosts`` (stripped and lowercased) that are
+    not plain: nonempty ASCII LDH-plus-underscore labels joined by single
+    dots. They are found in the hosts joined by "\n" and read through
+    ``_PLAIN_VIEW``, where an odd host holds a "\0" or, once wrapped in
+    "\n"s, a ".." (an empty host or label, a leading or trailing dot). A
+    "\n" inside a host would shift the hosts' places, so then every host
+    counts as odd."""
+    data = ("\n" + "\n".join(hosts) + "\n").encode("utf-8", "surrogatepass")
+    if data.count(b"\n") != len(hosts) + 1:
+        return range(len(hosts))
+    view = data.translate(_PLAIN_VIEW)
+    odd = set()
+    for mark in (b"\0", b".."):
+        at = view.find(mark)
+        counted = newlines = 0  # newlines: the "\n"s in data[:counted]
+        while at >= 0:
+            newlines += data.count(b"\n", counted, at + 1)
+            counted = at + 1
+            odd.add(newlines - 1)  # the host after the newlines-th "\n"
+            # Resume at the "\n" that ends this host (data ends with one).
+            at = view.find(mark, data.find(b"\n", at + 1))
+    return odd
+
+
+def _labels(host: str) -> tuple[list[str], list[str]] | None:
+    """The labels of a stripped, lowercased ``host``, as written and as
+    matched (punycode), or None if it has no registrable domain: a
+    bracketed or bare IPv6 literal, a port that is not ASCII digits, or an
+    empty or non-LDH label. A trailing dot and an ASCII-digit port are
+    dropped."""
     if host.endswith("."):
         host = host[:-1]
     if host.startswith("["):  # bracketed IPv6 literal
@@ -154,34 +187,86 @@ def registrable_domain(
     if host.isascii():
         if not _ASCII_HOST.fullmatch(host):  # an empty host fails here too
             return None
-        canon = labels
-    else:
-        canon = [_ascii_label(lb) for lb in labels]
-        if not all(_LABEL.fullmatch(lb) for lb in canon):
-            return None
-    n = len(labels)
-    # An IPv4 literal (labels are nonempty, so a digit join means digit labels).
-    if n == 4 and "".join(labels).isdigit():
+        return labels, labels
+    canon = [_ascii_label(lb) for lb in labels]
+    if not all(_LABEL.fullmatch(lb) for lb in canon):
         return None
-    # Walk from the TLD leftwards, one dict step per label, up to the first
-    # label with no child. At depth d an exception wins outright (its suffix
-    # is the rule minus one label); else the longest match: an exact rule
-    # is d labels, a wildcard body d + 1 when one more label exists.
-    children = suffixes.trie
-    exception = longest = d = 0
-    while d < n:
-        node = children.get(canon[-1 - d])
-        if node is None:
-            break
-        d += 1
-        children, kinds = node
-        if kinds & _EXCEPTION:
-            exception = d
-        if kinds & _EXACT:
-            longest = d
-        if kinds & _WILDCARD and d < n:
-            longest = d + 1
-    count = exception - 1 if exception else longest or (1 if implicit_star else None)
-    if count is None or count >= n:
-        return None
-    return ".".join(labels[n - count - 1 :])
+    return labels, canon
+
+
+def registrable_domains(
+    hosts: Iterable[str],
+    suffixes: SuffixSet | None = None,
+    *,
+    implicit_star: bool = False,
+) -> list[str | None]:
+    """The eTLD+1 of each of ``hosts``, in order, or None where none exists.
+
+    Rejections (None): empty input, IP literals, empty labels, hosts that
+    are themselves public suffixes, and (unless ``implicit_star``)
+    hostnames whose TLD is not in the list at all.
+
+    Hosts are stripped and lowercased, and each is split on its dots as it
+    is, save those that ``_odd`` finds in the column: only those go through
+    ``_labels`` (trailing dot, brackets, port, IDNA, empty labels). Every
+    host then takes one walk down the rule trie.
+    """
+    if suffixes is None:
+        suffixes = default_suffixes()
+    hosts = list(map(str.lower, map(str.strip, hosts)))
+    # Per host: None to split it on its dots, else what _labels made of it
+    # (its labels as written and as matched, or () if it has no domain).
+    fixed: Iterable[tuple | None] = repeat(None)
+    if odd := _odd(hosts):
+        fixed = [None] * len(hosts)
+        for i in odd:
+            fixed[i] = _labels(hosts[i]) or ()
+    trie = suffixes.trie
+    unlisted = 1 if implicit_star else None
+    out: list[str | None] = []
+    append = out.append
+    for labels, fix in zip(map(str.split, hosts, repeat(".")), fixed):
+        canon = labels  # the labels the trie is walked with (punycode)
+        if fix is not None:
+            if not fix:
+                append(None)
+                continue
+            labels, canon = fix
+        n = len(labels)
+        # An IPv4 literal (labels are nonempty, so a digit join means digit labels).
+        if n == 4 and "".join(labels).isdigit():
+            append(None)
+            continue
+        # Walk from the TLD leftwards, one dict step per label, up to the
+        # first label with no child. At depth d an exception wins outright
+        # (its suffix is the rule minus one label); else the longest match:
+        # an exact rule is d labels, a wildcard body d + 1 when one more
+        # label exists.
+        children = trie
+        exception = longest = d = 0
+        for label in reversed(canon):
+            node = children.get(label)
+            if node is None:
+                break
+            d += 1
+            children, kinds = node
+            if kinds & _EXCEPTION:
+                exception = d
+            if kinds & _EXACT:
+                longest = d
+            if kinds & _WILDCARD and d < n:
+                longest = d + 1
+        count = exception - 1 if exception else longest or unlisted
+        append(None if count is None or count >= n else ".".join(labels[n - count - 1 :]))
+    return out
+
+
+def registrable_domain(
+    host: str,
+    suffixes: SuffixSet | None = None,
+    *,
+    implicit_star: bool = False,
+) -> str | None:
+    """The eTLD+1 of ``host``, or None when none exists:
+    ``registrable_domains`` of the one host."""
+    return registrable_domains([host], suffixes, implicit_star=implicit_star)[0]

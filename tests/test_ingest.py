@@ -6,6 +6,7 @@ import os
 import random
 import re
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import ingest_oracle
@@ -18,7 +19,7 @@ from table_io_oracle import OracleTable
 from flocpriv import hashing, ingest
 
 from flocpriv.geo import UNKNOWN_STATE, representative_zip, state_for_zip
-from flocpriv.psl import SuffixSet, registrable_domain
+from flocpriv.psl import SuffixSet, registrable_domain, registrable_domains
 from flocpriv.synth import _INCOME_TO_CODE, _RACE_TO_CODE, SynthConfig, generate_population
 from flocpriv.ingest import (
     INCOME_GROUPS,
@@ -244,6 +245,28 @@ class TestParseSessions:
         assert result.records.machine_ids.tolist() == [7]
         assert result.records.hosts == ["example.com"]
         assert result.rejects.total == 0
+
+    @pytest.mark.parametrize("column", [
+        [], [""], ["1", ""], ["12", "0"], ["1", "-2"], ["-0", "7"], ["1", "\u00b2"],
+        ["\u0661", "1"], ["1 ", "2"], ["1\n2"], ["1_000"], ["+1"], ["1", "x"],
+    ])
+    def test_integer_column_check_matches_the_per_value_rule(self, column):
+        assert ingest._not_integers(column).tolist() == [
+            not re.fullmatch(r"-?[0-9]+", value) for value in column
+        ]
+
+    def test_a_column_of_digits_is_checked_without_a_regex(self):
+        # A regex over the joined column allocates about 200 bytes a value,
+        # 1.7 MB for a block of 8,192; one test of the joined digits does not.
+        column = [str(i * 7919 % 100_000) for i in range(8192)]
+        tracemalloc.start()
+        try:
+            not_integers = ingest._not_integers(column)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not not_integers.any()
+        assert peak < 100_000
 
 
 def _sessions_for(machine, domains, date="20170101", zip_code="36832", race=1, income=14):
@@ -913,10 +936,12 @@ def _session_log(draw):
     return [line + end for line in lines[:-1]] + [lines[-1] + final], fmt
 
 
-def _spy(calls):
-    def spy(host, *args, **kwargs):
-        calls.append(host)
-        return registrable_domain(host, *args, **kwargs)
+def _spy(calls, resolve):
+    """``resolve``, recording its first argument in ``calls`` at each call."""
+
+    def spy(hosts, *args, **kwargs):
+        calls.append(hosts)
+        return resolve(hosts, *args, **kwargs)
 
     return spy
 
@@ -945,13 +970,15 @@ def _assert_like_oracle(source, fmt, week_cfg, suffixes, implicit_star):
     assert records.zip_codes == [r.zip_code for r in want.records]
 
     got_calls, want_calls = [], []
-    with mock.patch.object(ingest, "registrable_domain", _spy(got_calls)), \
-            mock.patch.object(ingest_oracle, "registrable_domain", _spy(want_calls)):
+    with mock.patch.object(ingest, "registrable_domains", _spy(got_calls, registrable_domains)), \
+            mock.patch.object(ingest_oracle, "registrable_domain",
+                              _spy(want_calls, registrable_domain)):
         built = build_machine_weeks(records, week_cfg, suffixes, implicit_star=implicit_star)
         oracle = ingest_oracle.build_machine_weeks(
             want.records, week_cfg, suffixes, implicit_star=implicit_star
         )
-    assert got_calls == want_calls  # each in-range host once, first-seen order
+    # One batch holding each in-range host once, in first-seen order.
+    assert [list(hosts) for hosts in got_calls] == [want_calls]
     assert built.report == oracle.report
     _assert_same_table(built.table, oracle.table)
     return got, built

@@ -8,14 +8,18 @@ with implicit_star=True; strict-mode behavior has its own tests.
 
 import hashlib
 import json
+import re
+import tracemalloc
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flocpriv import psl
 from flocpriv.cli import main
-from flocpriv.psl import SuffixSet, default_suffixes, registrable_domain
+from flocpriv.psl import SuffixSet, default_suffixes, registrable_domain, registrable_domains
 
 # (host, expected registrable domain) — None means rejection.
 REFERENCE_VECTORS = [
@@ -448,6 +452,120 @@ class TestAgainstPerPositionOracle:
         for host, expected in cases.items():
             assert registrable_domain(host, suffixes) == expected, host
             assert oracle_registrable_domain(host, suffixes, False) == expected, host
+
+
+#: Labels a plain host is made of: lowercase LDH and underscore only.
+PLAIN_LABELS = ["www", "a", "foo", "x_y", "-", "_", "0", "192", "255", "city", "xn--85x722f"]
+ASCII_RULES = [rule for rule in BUNDLED_RULES if rule.isascii()]
+PLAIN_HOST = re.compile(r"[a-z0-9_-]+(?:\.[a-z0-9_-]+)*")
+
+#: Hosts that are odd as written, one kind each: empty, blank, dots alone,
+#: an empty label, a leading or trailing dot, upper case, a port, brackets,
+#: an IPv4 literal, IDNA, a space inside, one "\n" inside or joining two
+#: hosts, padding and a tab inside.
+ODD_HOSTS = [
+    "", " ", ".", "..", "a..co.uk", ".a.com", "a.com.", "A.CO.UK", "a.com:8080", "a.com:x",
+    "[a.com", "[::1]", "1.2.3.4", "01.2.3.4", "bücher.de", "食狮.com.cn", "ｅｘａｍｐｌｅ.com",
+    "ab cd.com", "a\nb.com", "a.com\nb.org", " www.x.co.uk ", "foo\tbar.jp",
+]
+
+
+@st.composite
+def plain_hosts(draw):
+    """Up to three plain labels in front of an ASCII rule, its wildcard filled."""
+    rule = draw(st.sampled_from(ASCII_RULES)).lstrip("!")
+    labels = rule.split(".")
+    if labels[0] == "*":
+        labels[0] = draw(st.sampled_from(PLAIN_LABELS))
+    return ".".join(draw(st.lists(st.sampled_from(PLAIN_LABELS), max_size=3)) + labels)
+
+
+class TestColumns:
+    """``registrable_domains`` gives, host by host, what the oracle gives,
+    and only the hosts ``_odd`` finds take the per-host ``_labels``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        hosts=st.lists(
+            st.one_of(
+                plain_hosts(),
+                hosts_from_rules(BUNDLED_RULES, ODD_LABELS),
+                st.sampled_from(ODD_HOSTS),
+            ),
+            max_size=12,
+        ),
+        implicit_star=st.booleans(),
+    )
+    def test_mixed_column_matches_oracle(self, hosts, implicit_star):
+        suffixes = default_suffixes()
+        assert registrable_domains(hosts, suffixes, implicit_star=implicit_star) == [
+            oracle_registrable_domain(host, suffixes, implicit_star) for host in hosts
+        ]
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        hosts=st.lists(
+            st.one_of(
+                plain_hosts(),
+                st.sampled_from(ODD_HOSTS),
+                st.text(alphabet="aZ9_-.:[\n ü", max_size=6),
+            ),
+            max_size=12,
+        )
+    )
+    def test_odd_finds_each_host_that_is_not_plain(self, hosts):
+        hosts = [h.strip().lower() for h in hosts]
+        if any("\n" in h for h in hosts):
+            want = set(range(len(hosts)))
+        else:
+            want = {i for i, h in enumerate(hosts) if not PLAIN_HOST.fullmatch(h)}
+        assert set(psl._odd(hosts)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(hosts=st.lists(plain_hosts(), min_size=1, max_size=12), implicit_star=st.booleans())
+    def test_plain_column_matches_oracle(self, hosts, implicit_star):
+        suffixes = default_suffixes()
+        assert not psl._odd(hosts)  # no host needs _labels
+        assert registrable_domains(hosts, suffixes, implicit_star=implicit_star) == [
+            oracle_registrable_domain(host, suffixes, implicit_star) for host in hosts
+        ]
+
+    @pytest.mark.parametrize("host", ODD_HOSTS)
+    def test_only_an_odd_host_takes_the_per_host_path(self, host):
+        suffixes = default_suffixes()
+        hosts = ["www.example.com", "a..b.com", host, "a.b.co.uk", "x.de."]
+        # Stripping and lowercasing make upper case and padding plain, and an
+        # IPv4 literal is plain labels, which the walk rejects. A "\n" inside
+        # a host makes every host odd.
+        stays_plain = host in ("A.CO.UK", " www.x.co.uk ", "1.2.3.4", "01.2.3.4")
+        odd = set(range(5)) if "\n" in host else {1, 4} if stays_plain else {1, 2, 4}
+        assert set(psl._odd([h.strip().lower() for h in hosts])) == odd
+        with mock.patch.object(psl, "_labels", wraps=psl._labels) as labels:
+            got = registrable_domains(hosts, suffixes)
+        assert sorted(call.args[0] for call in labels.call_args_list) == sorted(
+            hosts[i].strip().lower() for i in odd
+        )
+        assert got == ["example.com", None, oracle_registrable_domain(host, suffixes, False),
+                       "b.co.uk", "x.de"]
+
+    def test_single_host_and_empty_column(self):
+        assert registrable_domains([]) == []
+        assert registrable_domains(iter(["WWW.Example.COM."])) == ["example.com"]
+        assert registrable_domain("www.example.com") == "example.com"
+
+    def test_plain_column_memory_follows_its_hosts(self):
+        # A regex over the joined column took 17 MB for these 30,000 hosts;
+        # the resolved names alone hold about 2 MB.
+        hosts = [f"www.host{i}.example.co.uk" for i in range(30_000)]
+        suffixes = default_suffixes()
+        tracemalloc.start()
+        try:
+            resolved = registrable_domains(hosts, suffixes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert resolved[7] == "example.co.uk"
+        assert peak < 8e6
 
 
 RULE_LABELS = ["a", "b", "c", "d"]

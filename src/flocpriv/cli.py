@@ -165,7 +165,7 @@ def _report_files(stem: str, payload: dict[str, Any], rows: str) -> dict[str, st
 # writes the files and the manifest.
 
 
-def _cmd_preprocess(args: argparse.Namespace) -> dict[str, str]:
+def _cmd_preprocess(args: argparse.Namespace) -> dict[str, str | Iterable[str]]:
     fmt = FormatConfig(delimiter=args.delimiter, date_format=args.date_format)
     suffixes = SuffixSet.from_file(args.psl) if args.psl else None
     try:
@@ -205,8 +205,8 @@ def _cmd_preprocess(args: argparse.Namespace) -> dict[str, str]:
                 except ConstantInputError:
                     fit = {"r": None, "p_value": None, "reason": "constant shares"}
             report["representativeness"][attribute] = fit
-    return {
-        "machine_weeks.tsv": built.table.save_text(),
+    return {  # the table in blocks, which main writes as they are formatted
+        "machine_weeks.tsv": built.table._text_blocks(),
         "rejects.json": dump_json(parsed.rejects.to_json_dict()),
         "ingest_report.json": dump_json(report),
     }

@@ -11,14 +11,17 @@ domain and state indices it has already interned, and
 ``MachineWeekTable.load`` interns the file's names and states first.
 
 A row is a set of domains, and only the table's constructor orders
-them. ``parse_sessions`` and ``MachineWeekTable.load`` read their file in
-blocks of ``_BLOCK`` lines and run each check over a whole column of a
-block (their docstrings give the rules), and ``save_text`` formats a
-block of rows at a time; ``build_machine_weeks`` keys
-rows with array operations on integer codes. Work that depends only on a
-value is done once per distinct value: each date string is parsed once
-per ``parse_sessions`` call, and ``build_machine_weeks`` resolves its
-distinct hostnames in one ``registrable_domains`` call.
+them. ``parse_sessions`` and ``MachineWeekTable.load`` read their file
+through one reader, ``_read_block``: ``_BLOCK`` lines at a time, line ends
+stripped, blank and whitespace-only lines skipped (but counted in line
+numbers), and the well-formed lines split into columns at once. Each
+check runs over a whole column of a block (their docstrings give the
+rules), and ``save_text`` formats a block of rows at a time;
+``build_machine_weeks`` keys rows with array operations on integer
+codes. Work that depends only on a value is done once per distinct
+value: each date string is parsed once per ``parse_sessions`` call, and
+``build_machine_weeks`` resolves its distinct hostnames in one
+``registrable_domains`` call.
 """
 
 from __future__ import annotations
@@ -185,8 +188,8 @@ def _parse_date(text: str, date_format: str) -> dt.date | None:
     return date if date.strftime(date_format) == text else None
 
 
-#: Lines ``parse_sessions`` and ``MachineWeekTable.load`` split together, and
-#: rows ``MachineWeekTable.save_text`` and ``synth.write_sessions`` format
+#: Lines ``_read_block`` reads and splits together, and rows
+#: ``MachineWeekTable.save_text`` and ``synth.write_sessions`` format
 #: together. A block's fields or lines are held at once, so a whole file in
 #: one piece would raise peak memory by several times the file's size.
 _BLOCK = 8192
@@ -252,23 +255,40 @@ def _outside(column: list[str], lo: int, hi: int) -> np.ndarray:
     return _where(column, lambda v: _is_integer(v) and not lo <= int(v) <= hi)
 
 
+def _read_block(
+    lines: Iterator[str], delimiter: str, n_fields: int
+) -> tuple[int, list[str], np.ndarray, np.ndarray, list[list[str]]]:
+    """The next ``_BLOCK`` lines of ``lines`` as ``parse_sessions`` and
+    ``MachineWeekTable.load`` read them: how many were read; the lines kept,
+    each without its end ("\n" or "\r\n"), blank and whitespace-only lines
+    dropped, with their places among those read; which of them hold
+    ``n_fields`` fields; and those lines' ``n_fields`` columns."""
+    block = list(map(str.rstrip, islice(lines, _BLOCK), repeat("\r\n")))
+    filled = np.fromiter(map(bool, map(str.strip, block)), bool, len(block))
+    kept = list(compress(block, filled.tolist()))
+    well = np.fromiter(map(str.count, kept, repeat(delimiter)), np.int64, len(kept)) == n_fields - 1
+    # One delimiter character cannot straddle the join of two lines, so this
+    # splits each line exactly as splitting it alone would.
+    fields = delimiter.join(compress(kept, well.tolist())).split(delimiter) if well.any() else []
+    columns = [fields[p::n_fields] for p in range(n_fields)]
+    return len(block), kept, np.flatnonzero(filled), well, columns
+
+
 def parse_sessions(source: Iterable[str] | TextIO, fmt: FormatConfig | None = None) -> ParseResult:
     """Parse raw session rows, counting (not raising on) malformed ones.
 
     The first line must be a header naming every configured column;
-    a missing column raises ``SchemaError``. Line ends, ``"\n"`` or
-    ``"\r\n"``, are stripped, and blank lines skipped. Each other line is
+    a missing column raises ``SchemaError``. ``_read_block`` reads the
+    other lines, ``_BLOCK`` at a time: it strips line ends, ``"\n"`` or
+    ``"\r\n"``, skips blank and whitespace-only lines, and splits the lines
+    of the header's field count into columns at once. Each other line is
     checked in turn for, and rejected at the first failure of: its field
     count; integer fields (machine ID, session ID, pages, duration) that
     are ASCII digits with an optional leading "-", with the machine ID
     inside signed 64-bit; nonnegative pages and duration; a nonempty
     domain; a valid date in ``fmt.date_format``; known income and race
-    codes. Rejects are counted in line order.
-
-    Lines are read in blocks of ``_BLOCK``. Only the blank-line filter and
-    the field count look at each line on its own; each block's well-formed
-    lines are split into columns at once, and each check runs over a
-    whole column. Each distinct date string is parsed once per call.
+    codes. Rejects are counted in line order. Each check runs over a whole
+    column of a block; each distinct date string is parsed once per call.
     """
     fmt = fmt or FormatConfig()
     rejects = RejectReport()
@@ -284,71 +304,59 @@ def parse_sessions(source: Iterable[str] | TextIO, fmt: FormatConfig | None = No
         if name not in header:
             raise SchemaError(f"required column {name!r} ({logical}) missing from header")
         positions.append(header.index(name))
-    n_columns = len(header)
     income_codes = {code: _INCOME_CODES[g] for code, g in fmt.income_code_map.items()}
     race_codes = {code: _RACE_CODES[g] for code, g in fmt.race_code_map.items()}
     days: dict[str, int] = {}  # date string -> day ordinal, 0 if invalid
-    ids: list[np.ndarray] = []
     hosts: list[str] = []
-    day_parts: list[np.ndarray] = []
-    races: list[np.ndarray] = []
-    incomes: list[np.ndarray] = []
     zips: list[str] = []
-    while block := list(islice(lines, _BLOCK)):
-        block = list(filter(str.strip, map(str.rstrip, block, repeat("\r\n"))))
-        n_delimiters = np.fromiter(map(str.count, block, repeat(delimiter)), np.int64, len(block))
-        well = n_delimiters == n_columns - 1
+    blocks = []  # each block's accepted machine IDs, days, race and income codes
+
+    def parse_block() -> int:
+        # A function of its own, so that a block's lines and columns are
+        # freed before the next block is read.
+        n_read, block, _, well, columns = _read_block(lines, delimiter, len(header))
+        mid, sid, host, date, _, pages, dur, income, race, zip_code = (
+            columns[p] for p in positions
+        )
+        n = len(mid)
+        host = list(map(str.strip, host))
+        for text in dict.fromkeys(date).keys() - days.keys():
+            parsed = _parse_date(text, fmt.date_format)
+            days[text] = 0 if parsed is None else parsed.toordinal()
+        day = np.fromiter(map(days.__getitem__, date), np.int64, n)
+        income_idx = np.fromiter(
+            map(income_codes.get, map(str.strip, income), repeat(-1)), np.int8, n
+        )
+        race_idx = np.fromiter(map(race_codes.get, map(str.strip, race), repeat(-1)), np.int8, n)
+        failed = [  # one mask per check, in _REASONS order after field_count
+            _not_integers(mid) | _not_integers(sid) | _not_integers(pages)
+            | _not_integers(dur) | _outside(mid, _INT64_MIN, _INT64_MAX),
+            _negatives(pages) | _negatives(dur),
+            ~np.fromiter(map(bool, host), dtype=bool, count=n),
+            day == 0,
+            income_idx < 0,
+            race_idx < 0,
+        ]
+        # np.select takes the first true condition: the first failed check.
+        found = np.select(failed, range(1, len(_REASONS)), -1)
         reason = np.zeros(len(block), dtype=np.int8)  # index into _REASONS; -1: accepted
-        if well.any():
-            # One delimiter character cannot straddle the join of two lines,
-            # so this splits each line exactly as splitting it alone would.
-            fields = delimiter.join(compress(block, well.tolist())).split(delimiter)
-            mid, sid, host, date, _, pages, dur, income, race, zip_code = (
-                fields[p::n_columns] for p in positions
-            )
-            n = len(mid)
-            host = list(map(str.strip, host))
-            for text in dict.fromkeys(date).keys() - days.keys():
-                parsed = _parse_date(text, fmt.date_format)
-                days[text] = 0 if parsed is None else parsed.toordinal()
-            day = np.fromiter(map(days.__getitem__, date), np.int64, n)
-            income_idx = np.fromiter(
-                map(income_codes.get, map(str.strip, income), repeat(-1)), np.int8, n
-            )
-            race_idx = np.fromiter(
-                map(race_codes.get, map(str.strip, race), repeat(-1)), np.int8, n
-            )
-            failed = [  # one mask per check, in _REASONS order after field_count
-                _not_integers(mid) | _not_integers(sid) | _not_integers(pages)
-                | _not_integers(dur) | _outside(mid, _INT64_MIN, _INT64_MAX),
-                _negatives(pages) | _negatives(dur),
-                ~np.fromiter(map(bool, host), dtype=bool, count=n),
-                day == 0,
-                income_idx < 0,
-                race_idx < 0,
-            ]
-            # np.select takes the first true condition: the first failed check.
-            found = np.select(failed, range(1, len(_REASONS)), -1)
-            reason[well] = found
-            accepted = found < 0
-            ok = accepted.tolist()
-            ids.append(np.fromiter(map(int, compress(mid, ok)), np.int64))
-            hosts.extend(compress(host, ok))
-            day_parts.append(day[accepted])
-            races.append(race_idx[accepted])
-            incomes.append(income_idx[accepted])
-            zips.extend(map(str.strip, compress(zip_code, ok)))
+        reason[well] = found
+        accepted = found < 0
+        ok = accepted.tolist()
+        hosts.extend(compress(host, ok))
+        zips.extend(map(str.strip, compress(zip_code, ok)))
+        blocks.append((
+            np.fromiter(map(int, compress(mid, ok)), np.int64),
+            day[accepted], race_idx[accepted], income_idx[accepted],
+        ))
         for i in np.flatnonzero(reason >= 0).tolist():
             rejects.add(_REASONS[reason[i]], block[i])
-    records = SessionColumns(
-        np.concatenate([np.zeros(0, np.int64), *ids]),
-        hosts,
-        np.concatenate([np.zeros(0, np.int64), *day_parts]),
-        np.concatenate([np.zeros(0, np.int8), *races]),
-        np.concatenate([np.zeros(0, np.int8), *incomes]),
-        zips,
-    )
-    return ParseResult(records, rejects)
+        return n_read
+
+    while parse_block() == _BLOCK:
+        pass
+    ids, day, race, income = map(np.concatenate, zip(*blocks))
+    return ParseResult(SessionColumns(ids, hosts, day, race, income, zips), rejects)
 
 
 @dataclass(frozen=True)
@@ -404,46 +412,38 @@ _TABLE_PROBLEMS = (
 
 
 def _table_block(
-    block: list[str], lineno: int, names: dict[str, int], states: dict[str, int]
-) -> tuple[tuple[np.ndarray, ...], tuple[int, str] | None]:
-    """The columns of a block of table lines, up to its first failing line.
-
-    ``block`` holds the lines without their line breaks, the first one
-    numbered ``lineno``. Returns, for each line kept, its number, machine
-    ID, week, state and domain count, its race and income codes and each
-    domain's index into ``names``, with the number and problem of the
-    first line failing on its own, or None. ``names`` and ``states`` gain
-    the block's new names. Only the field count and the blank-line test of
-    a failing line look at a line on its own; every check runs over a
-    whole column.
+    lines: Iterator[str], lineno: int, names: dict[str, int], states: dict[str, int]
+) -> tuple[int, tuple[np.ndarray, ...], tuple[int, str] | None]:
+    """Read the next block of table lines, the first one numbered
+    ``lineno``. Returns how many lines were read; for each line kept (up to
+    the block's first failing line) its number, machine ID, week, state and
+    domain count, its race and income codes and each domain's index into
+    ``names``; and the number and problem of the first line failing on its
+    own, or None. ``names`` and ``states`` gain the block's new names.
+    Every check runs over a whole column.
     """
-    n_fields = np.fromiter(map(str.count, block, repeat("\t")), np.int64, len(block)) + 1
-    well = n_fields == 6
-    reason = np.where(well, -1, 0)  # index into _TABLE_PROBLEMS; -1: passes
-    at = np.flatnonzero(well)
-    # A tab cannot straddle the join of two lines, so this splits each line
-    # exactly as splitting it alone would.
-    fields = "\t".join(compress(block, well.tolist())).split("\t") if len(at) else []
-    mid, week, state, race, income, domains = (fields[p::6] for p in range(6))
-    race_idx = np.fromiter(map(_RACE_CODES.get, race, repeat(-1)), np.int8, len(at))
-    income_idx = np.fromiter(map(_INCOME_CODES.get, income, repeat(-1)), np.int8, len(at))
+    n_read, block, places, well, (mid, week, state, race, income, domains) = _read_block(
+        lines, "\t", 6
+    )
+    race_idx = np.fromiter(map(_RACE_CODES.get, race, repeat(-1)), np.int8, len(mid))
+    income_idx = np.fromiter(map(_INCOME_CODES.get, income, repeat(-1)), np.int8, len(mid))
     failed = [
         _not_integers(mid) | _not_integers(week),
         _outside(mid, _INT64_MIN, _INT64_MAX) | _outside(week, _INT32_MIN, _INT32_MAX),
         (race_idx < 0) | (income_idx < 0),
     ]
-    reason[at] = np.select(failed, range(1, len(_TABLE_PROBLEMS)), -1)
-    # A blank line fails the field count, or the integer check of its blank
-    # fields; it is skipped, not reported.
-    first = next((i for i in np.flatnonzero(reason >= 0).tolist() if block[i].strip()), None)
+    reason = np.zeros(len(block), dtype=np.int8)  # index into _TABLE_PROBLEMS; -1: passes
+    reason[well] = np.select(failed, range(1, len(_TABLE_PROBLEMS)), -1)
     kept = reason < 0
     problem = None
-    if first is not None:
+    if not kept.all():
+        first = int(np.argmin(kept))
         kept[first:] = False
-        problem = (lineno + first, _TABLE_PROBLEMS[reason[first]].format(
-            *block[first].split("\t"), n=n_fields[first]
+        fields = block[first].split("\t")
+        problem = (lineno + int(places[first]), _TABLE_PROBLEMS[reason[first]].format(
+            *fields, n=len(fields)
         ))
-    ok = kept[at]
+    ok = kept[well]
     if not ok.all():
         keep = ok.tolist()
         mid, week, state, domains = (list(compress(c, keep)) for c in (mid, week, state, domains))
@@ -452,7 +452,7 @@ def _table_block(
     counts += np.fromiter(map(bool, domains), bool, len(domains))  # an empty field has none
     joined = "|".join(filter(None, domains))
     columns = (
-        np.flatnonzero(kept) + lineno,
+        places[kept] + lineno,
         np.fromiter(map(int, mid), np.int64, len(mid)),
         np.fromiter(map(int, week), np.int32, len(week)),
         _intern_into(states, state),
@@ -461,7 +461,7 @@ def _table_block(
         counts,
         _intern_into(names, joined.split("|") if joined else []),
     )
-    return columns, problem
+    return n_read, columns, problem
 
 
 class MachineWeekTable:
@@ -615,10 +615,12 @@ class MachineWeekTable:
     def load(cls, path: str) -> "MachineWeekTable":
         """Read a table written by ``save``; lines and a line's names may come in any order.
 
-        The file is read in blocks of ``_BLOCK`` lines. A block's lines are
-        split into six columns at once and each check runs over a whole
-        column; only integer columns and the vocabulary, one dict of every
-        distinct name, outlive the block, so memory follows the table's
+        ``_read_block`` reads the file ``_BLOCK`` lines at a time, by the
+        rules of ``parse_sessions``: it strips line ends, skips blank and
+        whitespace-only lines (which still count in line numbers) and splits
+        a block's six-field lines into columns at once. Each check runs over
+        a whole column; only integer columns and the vocabulary, one dict of
+        every distinct name, outlive the block, so memory follows the table's
         integer columns plus one block's text, never the whole file's. After
         the last block one ``lexsort`` finds a (machine, week) on two lines
         and puts the rows in order; a domain listed twice then sits next
@@ -643,14 +645,11 @@ class MachineWeekTable:
                 header = fh.readline()
                 if not header.startswith("machine_id\t"):
                     raise ValueError(f"{path}: not a machine-week table")
-                lineno, problem = 2, None
-                while problem is None:
-                    block = list(map(str.rstrip, islice(fh, _BLOCK), repeat("\n")))
-                    columns, problem = _table_block(block, lineno, names, states)
+                lineno, n_read, problem = 2, _BLOCK, None
+                while n_read == _BLOCK and problem is None:
+                    n_read, columns, problem = _table_block(fh, lineno, names, states)
                     blocks.append(columns)
-                    if len(block) < _BLOCK:
-                        break
-                    lineno += _BLOCK
+                    lineno += n_read
         except UnicodeDecodeError:
             raise utf8_error(path) from None
         found = [] if problem is None else [problem]  # (line, message) of each failure kind

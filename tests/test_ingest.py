@@ -280,6 +280,52 @@ def _sessions_for(machine, domains, date="20170101", zip_code="36832", race=1, i
 DOMAINS_7 = [f"d{i}.com" for i in range(7)]
 
 
+def _read_like_lines(lines, block):
+    """What each ``_read_block`` call over ``lines`` returns, by a per-line
+    strip and split of tab-delimited, three-field lines: one read per
+    ``block`` lines, and a last read of 0 lines when ``block`` divides
+    their number."""
+    reads = []
+    for start in range(0, len(lines) + 1, block):
+        stripped = [line.rstrip("\r\n") for line in lines[start : start + block]]
+        places = [i for i, line in enumerate(stripped) if line.strip()]
+        kept = [stripped[i] for i in places]
+        well = [len(line.split("\t")) == 3 for line in kept]
+        rows = [line.split("\t") for line, w in zip(kept, well) if w]
+        columns = [[row[p] for row in rows] for p in range(3)]
+        reads.append((len(stripped), kept, places, well, columns))
+    return reads
+
+
+class TestReadBlock:
+    """``_read_block``, the one line reader of ``parse_sessions`` and
+    ``MachineWeekTable.load``, reads blocks as a per-line strip and split
+    does."""
+
+    # At blocks of 1, 2 and 3, blank lines fall at block edges, and lines
+    # 4-5 (and 6-7 at 2) make a block with no three-field line.
+    LINES = [
+        "\n", "a\tb\tc\n", "d\te\tf\r\n", " \t \t \r\n", "g\th\n", "i\tj\tk\tl\r\n",
+        "m\n", "n\to\tp\tq\n", " x \t\t\n", "\t\t\r\n", "r\ts\tt\n", "\r\n",
+    ]
+
+    @pytest.mark.parametrize("block", [ingest._BLOCK, 1, 2, 3])
+    @pytest.mark.parametrize("tail", [[], ["u\tv\tw"], None])
+    def test_blocks_match_a_per_line_split(self, block, tail):
+        if tail is None:  # a file with no three-field line
+            lines = ["x\n", "\n", "a\tb\tc\td\r\n"]
+        else:  # whole blocks, the fewest that hold LINES, and maybe one line without its end
+            n = -(-len(self.LINES) // block) * block
+            lines = (self.LINES * n)[:n] + tail
+        it = iter(lines)
+        with mock.patch.object(ingest, "_BLOCK", block):
+            for n_read, kept, places, well, columns in _read_like_lines(lines, block):
+                got = ingest._read_block(it, "\t", 3)
+                assert got[0] == n_read and got[1] == kept and got[4] == columns
+                assert got[2].tolist() == places and got[3].tolist() == well
+            assert got[0] < block and next(it, None) is None
+
+
 class TestBuildMachineWeeks:
     def test_seven_domain_boundary(self):
         parsed = _parse(_sessions_for(1, DOMAINS_7))
@@ -566,7 +612,7 @@ _MACHINE = st.one_of(
 _WEEK = st.one_of(st.integers(-2, 5), st.sampled_from([-(2**31), 2**31 - 1]))
 _STATE = st.text(st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
                  max_size=3)
-_BLANK = st.sampled_from(["", " ", "\t", " \t \t"])
+_BLANK = st.sampled_from(["", " ", "\t", " \t \t", "\t\t\t\t\t", " \t \t \t \t \t "])
 
 
 def _write(lines):
@@ -882,10 +928,12 @@ def _format(draw):
 
 @st.composite
 def _line(draw, fmt, header):
-    """A session line that may fail any number of checks at once, or a
-    blank or whitespace-only line."""
+    """A session line that may fail any number of checks at once, a blank
+    or whitespace-only line, or a line of spaces in the header's field
+    count (whitespace-only when the delimiter is a tab)."""
     if draw(st.integers(0, 9)) == 0:
-        return draw(st.sampled_from(["", " ", "\t", " \t ", "\r"]))
+        spaces = fmt.delimiter.join([" "] * len(header))
+        return draw(st.sampled_from(["", " ", "\t", " \t ", "\r", spaces]))
     bad = draw(st.sets(st.sampled_from(
         ["count", "machine", "range", "session", "pages", "duration", "negative", "domain",
          "date", "income", "race"]

@@ -18,13 +18,14 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
+import mmap
 import numbers
 import os
 import signal
 import threading
 import warnings
 from dataclasses import asdict, dataclass, replace
-from typing import Any, BinaryIO, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -509,64 +510,52 @@ def _count_members(
 
 
 class OTWorkerError(RuntimeError):
-    """A worker process of ``ot_scale_control`` exited non-zero or sent short counts."""
+    """A worker process of ``ot_scale_control`` exited non-zero or before its counts were done."""
 
 
-#: Fewest members a worker's range may hold, since a fork and its reaping
+#: Fewest members a worker's share may hold, since a fork and its reaping
 #: cost milliseconds: on a 2-core x86-64 VM two processes counted a smallest
-#: range of 0.21 M members at 0.89 times the speed of one and of 0.42 M at
+#: share of 0.21 M members at 0.89 times the speed of one and of 0.42 M at
 #: 1.19 times. 2^21 leaves a margin for a bigger caller (BENCH_30.json).
 _OT_MIN_WORKER_MEMBERS = 1 << 21
 
-#: Fewest members a worker's range may hold per entry of the count matrix.
-#: Each process fills its own copy of the matrix, and each child sends its
-#: copy for the caller to add: on the same VM a split of 10 M members ran at
-#: 0.83-1.09 times the speed of one process at 0.4-3.9 members per entry in
-#: the smaller range, 1.12 at 7.8 and 1.79 at 19.5. At 8, a child's copy
-#: holds at most one byte per member it counts.
+#: Fewest members a worker's share may hold per entry of the count matrix.
+#: Each process fills its own copy of the matrix, and the caller adds each
+#: child's copy: on the same VM a split of 10 M members ran at 0.83-1.09
+#: times the speed of one process at 0.4-3.9 members per entry in the
+#: smaller share, 1.12 at 7.8 and 1.79 at 19.5. At 8, a child's copy holds
+#: at most one byte per member it counts.
 _OT_MIN_MEMBERS_PER_COUNT = 8
-
-#: Counts a worker's pipe is read and added in at once, so that the caller
-#: never holds a second count matrix.
-_OT_PIPE_ITEMS = 1 << 17
-
-#: Relative counting cost per member of the direct and the tail phase, by
-#: which the ranges are cut: a tail member, which also draws its cohort, took
-#: 1.5-1.9 times as long as a direct one on a 2-core x86-64 VM.
-_OT_DIRECT_COST, _OT_TAIL_COST = 2, 3
-
-
-def _cut_members(num_cohorts: int, k: int, n_members: int, parts: int) -> list[tuple[int, int]]:
-    """``parts`` ranges tiling ``[0, n_members)`` at about equal counting cost;
-    a cut in the direct phase falls on a cohort boundary."""
-    n_direct = num_cohorts * k
-    direct_cost = _OT_DIRECT_COST * n_direct
-    total = direct_cost + _OT_TAIL_COST * (n_members - n_direct)
-    cuts = [0]
-    for i in range(1, parts):
-        cost = total * i // parts
-        if cost < direct_cost:  # the nearest cohort boundary
-            cuts.append(k * ((cost + _OT_DIRECT_COST * k // 2) // (_OT_DIRECT_COST * k)))
-        else:
-            cuts.append(n_direct + (cost - direct_cost) // _OT_TAIL_COST)
-    cuts.append(n_members)
-    return list(zip(cuts, cuts[1:]))
 
 
 def _member_ranges(
     num_cohorts: int, k: int, n_members: int, workers: int
-) -> list[tuple[int, int]]:
-    """The most ranges, at most ``workers``, that ``_cut_members`` can make
-    with every range holding at least ``_OT_MIN_WORKER_MEMBERS`` members and
-    ``_OT_MIN_MEMBERS_PER_COUNT`` members per count-matrix entry; else one
-    range, the whole population."""
+) -> list[tuple[int, ...]]:
+    """Each process's share of ``[0, n_members)``, as the bounds of its ranges.
+
+    Of P shares, share i is ``(d0, d1, t0, t1)``: the i-th of P equal runs of
+    whole cohorts of the direct phase, ``[d0, d1)``, and the i-th of P equal
+    runs of the tail, ``[t0, t1)``; either may be empty. So every process
+    counts the same work of each phase, whatever the phases' costs. P is the
+    most shares, at most ``workers``, each holding at least
+    ``_OT_MIN_WORKER_MEMBERS`` members and ``_OT_MIN_MEMBERS_PER_COUNT``
+    members per count-matrix entry; else the one share is ``(0, n_members)``.
+    """
+    n_direct = num_cohorts * k
     n_counts = num_cohorts * len(RACE_GROUPS) * len(INCOME_GROUPS)
     least = max(_OT_MIN_WORKER_MEMBERS, _OT_MIN_MEMBERS_PER_COUNT * n_counts)
     for parts in range(workers, 1, -1):
-        ranges = _cut_members(num_cohorts, k, n_members, parts)
-        if all(m1 - m0 >= least for m0, m1 in ranges):
-            return ranges
+        direct = [k * (num_cohorts * i // parts) for i in range(parts + 1)]
+        tail = [n_direct + (n_members - n_direct) * i // parts for i in range(parts + 1)]
+        shares = [(*direct[i : i + 2], *tail[i : i + 2]) for i in range(parts)]
+        if all(d1 - d0 + t1 - t0 >= least for d0, d1, t0, t1 in shares):
+            return shares
     return [(0, n_members)]
+
+
+def _ranges(share: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The non-empty ranges ``[m0, m1)`` whose bounds ``share`` lists."""
+    return [(m0, m1) for m0, m1 in zip(share[::2], share[1::2]) if m0 < m1]
 
 
 def _worker_cpus() -> set[int]:
@@ -592,87 +581,65 @@ def _current_cpu() -> int | None:
     return cpu if cpu >= 0 else None
 
 
-def _fork_counter(
-    m0: int, m1: int, counts: np.ndarray, cpus: set[int], args: tuple
-) -> tuple[int, BinaryIO]:
-    """Fork a child that counts ``[m0, m1)`` into its copy of the all-zero
-    ``counts`` on ``cpus`` and writes them to a pipe; the child's pid and the
-    pipe's read end.
-
-    The child always leaves through ``os._exit``: status 0 once every byte
-    is written, 1 on any exception. Pinning is best effort; it only places work.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            if cpus:
-                with contextlib.suppress(OSError):
-                    os.sched_setaffinity(0, cpus)
-            _count_members(m0, m1, counts, *args)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(memoryview(counts).cast("B"))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
 def _count_in_workers(
-    ranges: list[tuple[int, int]], counts: np.ndarray, cpus: set[int], args: tuple
+    shares: list[tuple[int, ...]], counts: np.ndarray, cpus: set[int], args: tuple
 ) -> None:
-    """Count ``ranges[0]`` into ``counts`` here and each other range, if any, in
+    """Count ``shares[0]`` into ``counts`` here and each other share, if any, in
     a forked child, then add each child's counts exactly.
 
+    Each child counts into its own anonymous shared ``mmap``, made just
+    before its fork, and then sets the mapping's last byte, its done byte.
     The children run on the allowed ``cpus`` other than the one the caller
-    is on; the caller's own affinity never changes. Left to the scheduler,
-    ``study``'s split was faster than one process in 3 of 10 alternated runs
-    at one seed and 9 of 10 at another; pinned, in 20 of 20 (BENCH_30.json).
-    A child's non-zero exit or short counts raise ``OTWorkerError``. Each
-    child's counts are added a piece at a time as they arrive. No child
-    outlives the call: on any exception every child still running is killed
-    and reaped.
+    is on; the caller's own affinity never changes, and a child's pinning is
+    best effort. Left to the scheduler, ``study``'s split was faster than
+    one process in 3 of 10 alternated runs at one seed and 9 of 10 at
+    another; pinned, in 20 of 20 (BENCH_30.json). The caller reaps the
+    children in order; a non-zero exit or a done byte not set raises
+    ``OTWorkerError``, else the child's counts are added and its mapping
+    closed. No child outlives the call: on any exception every child still
+    running is killed and reaped, and every mapping is closed.
     """
     others = cpus - {_current_cpu()}
-    children: list[tuple[int, BinaryIO, tuple[int, int]]] = []
-    reaped: set[int] = set()
+    maps: list[mmap.mmap] = []
+    pids: list[int] = []
     try:
-        for m0, m1 in ranges[1:]:
-            children.append((*_fork_counter(m0, m1, counts, others, args), (m0, m1)))
-        _count_members(*ranges[0], counts, *args)
-        flat = counts.reshape(-1)
-        for pid, pipe, (m0, m1) in children:
-            received = 0
-            with pipe:
-                for lo in range(0, flat.size, _OT_PIPE_ITEMS):
-                    part = flat[lo : lo + _OT_PIPE_ITEMS]
-                    piece = pipe.read(part.nbytes)
-                    received += len(piece)
-                    if len(piece) < part.nbytes:
-                        break
-                    part += np.frombuffer(piece, dtype=np.int64)
-            _, wait_status = os.waitpid(pid, 0)
-            reaped.add(pid)
-            status = os.waitstatus_to_exitcode(wait_status)
-            if status or received != counts.nbytes:
+        for share in shares[1:]:
+            maps.append(mmap.mmap(-1, counts.nbytes + 1))
+            pids.append(os.fork())
+            if pids[-1] == 0:  # the child always leaves through os._exit
+                status = 1
+                try:
+                    if others:
+                        with contextlib.suppress(OSError):
+                            os.sched_setaffinity(0, others)
+                    mine = np.frombuffer(maps[-1], np.int64, counts.size).reshape(counts.shape)
+                    for m0, m1 in _ranges(share):
+                        _count_members(m0, m1, mine, *args)
+                    maps[-1][-1] = 1
+                    status = 0
+                finally:
+                    os._exit(status)
+        for m0, m1 in _ranges(shares[0]):
+            _count_members(m0, m1, counts, *args)
+        for share in shares[1:]:
+            status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]
+            done = maps[0][-1]
+            if status or not done:
+                members = " and ".join(f"[{m0}, {m1})" for m0, m1 in _ranges(share))
+                early = "" if done else " before its counts were done"
                 raise OTWorkerError(
-                    f"worker counting members [{m0}, {m1}) exited with status {status} "
-                    f"after sending {received} of {counts.nbytes} bytes of counts"
+                    f"worker counting members {members} exited with status {status}{early}"
                 )
+            # No view of the mapping outlives this line, so that it can close.
+            counts += np.frombuffer(maps[0], np.int64, counts.size).reshape(counts.shape)
+            maps.pop(0).close()
     finally:
-        for pid, pipe, _ in children:
-            pipe.close()
-            if pid not in reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for shared in maps:
+            shared.close()
 
 
 def ot_scale_control(
@@ -693,12 +660,13 @@ def ot_scale_control(
     are held, never the member-level population.
 
     Where the process may run on more than one CPU (``os.sched_getaffinity``)
-    and no other Python thread runs, the members are cut into as many ranges
-    of about equal cost as there are CPUs and big enough ranges
-    (``_member_ranges``), and all but the first are counted in forked
-    children pinned off the caller's CPU (``_count_in_workers``). Counts are integers added exactly, and
-    every range jumps its streams to its first member, so the result depends
-    neither on the number of ranges nor on the block.
+    and no other Python thread runs, the members are split into as many
+    shares, each an equal part of each phase, as there are CPUs and big
+    enough shares (``_member_ranges``), and all but the first are counted in
+    forked children pinned off the caller's CPU (``_count_in_workers``).
+    Counts are integers added exactly, and every range jumps its streams to
+    its first member, so the result depends neither on the number of shares
+    nor on the block.
 
     A count that is not an integer (as ``check_integer`` reads it) or is
     below 1, a ratio or ``t`` that is a ``bool`` or not a real number, a
@@ -726,8 +694,8 @@ def ot_scale_control(
     counts = np.zeros((num_cohorts, len(RACE_GROUPS) * len(INCOME_GROUPS)), dtype=np.int64)
     args = (k, cell_cum, _cell_lookup_table(cell_cum), seed)
     cpus = _worker_cpus()
-    ranges = _member_ranges(num_cohorts, k, n_members, max(1, len(cpus)))
-    _count_in_workers(ranges, counts, cpus, args)
+    shares = _member_ranges(num_cohorts, k, n_members, max(1, len(cpus)))
+    _count_in_workers(shares, counts, cpus, args)
 
     grid = counts.reshape(num_cohorts, len(RACE_GROUPS), len(INCOME_GROUPS))
     violations: dict[str, int] = {}

@@ -492,7 +492,7 @@ class TestPipelineErrors:
         assert not out.exists()
 
     def test_a_failed_worker_is_a_one_line_error(self, capsys, tmp_path, monkeypatch):
-        message = "worker counting members [5, 9) exited with status 1 after sending 0 of 8 bytes"
+        message = "worker counting members [5, 9) exited with status 1"
 
         def failed_worker(**_):
             raise OTWorkerError(message)

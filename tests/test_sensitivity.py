@@ -2,7 +2,9 @@
 
 import contextlib
 import hashlib
+import json
 import math
+import mmap
 import os
 import re
 import threading
@@ -761,8 +763,8 @@ class TestOTWorkers:
     @pytest.mark.parametrize("block", [7, 64, sensitivity._OT_BLOCK])
     @pytest.mark.parametrize(
         "num_cohorts, k, ratio",
-        [(7, 100, 1.5), (13, 30, 1.0), (300, 1, 2.5)],
-        ids=["k_above_block", "ratio_one", "k_one"],
+        [(7, 100, 1.5), (13, 30, 1.0), (300, 1, 2.5), (2, 100, 1.5)],
+        ids=["k_above_block", "ratio_one", "k_one", "fewer_cohorts_than_workers"],
     )
     def test_counts_do_not_depend_on_the_workers(self, default_joint, num_cohorts, k, ratio, block):
         want = _reference_control(num_cohorts, k, ratio, default_joint, 0.05, 9)
@@ -789,7 +791,7 @@ class TestOTWorkers:
         st.integers(1, 40), st.integers(1, 40), st.integers(0, 3000), st.integers(1, 5),
         st.integers(1, 400), st.integers(0, 3),
     )
-    def test_ranges_tile_the_members_at_about_equal_cost(
+    def test_shares_are_equal_runs_of_each_phase(
         self, num_cohorts, k, extra, workers, least, per_count
     ):
         n_direct = num_cohorts * k
@@ -797,32 +799,38 @@ class TestOTWorkers:
         least = max(least, per_count * num_cohorts * 16)
         with mock.patch.object(sensitivity, "_OT_MIN_WORKER_MEMBERS", least), \
                 mock.patch.object(sensitivity, "_OT_MIN_MEMBERS_PER_COUNT", per_count):
-            ranges = sensitivity._member_ranges(num_cohorts, k, n_members, workers)
-        assert ranges[0][0] == 0 and ranges[-1][1] == n_members
-        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-        assert all(m0 % k == 0 for m0, _ in ranges if m0 < n_direct)
-
-        def cost(m):
-            return 2 * min(m, n_direct) + 3 * max(0, m - n_direct)
-
-        def short(parts):
-            cut = sensitivity._cut_members(num_cohorts, k, n_members, parts)
-            return any(m1 - m0 < least for m0, m1 in cut)
-
-        parts = len(ranges)
+            shares = sensitivity._member_ranges(num_cohorts, k, n_members, workers)
+        parts = len(shares)
         assert 1 <= parts <= workers
-        assert all(short(more) for more in range(parts + 1, workers + 1))
-        if parts == 1:
-            return
-        assert all(m1 - m0 >= least for m0, m1 in ranges)
-        for i, (m0, _) in enumerate(ranges):  # each cut within a cohort of its target
-            assert abs(cost(m0) - cost(n_members) * i / parts) <= k + 3
 
-    @pytest.mark.parametrize("cpus, parts", [(2, 2), (3, 3), (4, 3), (8, 3), (64, 3)])
+        def smallest_share(parts):  # of parts equal runs of each phase, by their definition
+            direct = [k * (num_cohorts * (i + 1) // parts - num_cohorts * i // parts)
+                      for i in range(parts)]
+            tail = [extra * (i + 1) // parts - extra * i // parts for i in range(parts)]
+            return min(map(sum, zip(direct, tail)))
+
+        assert all(smallest_share(more) < least for more in range(parts + 1, workers + 1))
+        if parts == 1:
+            assert shares == [(0, n_members)]
+            return
+        # The direct runs, then the tail runs, tile the members in order.
+        ranges = [share[:2] for share in shares] + [share[2:] for share in shares]
+        assert ranges[0][0] == 0 and ranges[parts - 1][1] == n_direct
+        assert ranges[-1][1] == n_members
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert all(m0 <= m1 for m0, m1 in ranges)
+        assert all(m % k == 0 for m0, m1 in ranges[:parts] for m in (m0, m1))
+        direct = [d1 - d0 for d0, d1, _, _ in shares]
+        tail = [t1 - t0 for _, _, t0, t1 in shares]
+        assert max(direct) - min(direct) <= k and max(tail) - min(tail) <= 1
+        assert min(map(sum, zip(direct, tail))) >= least
+
+    @pytest.mark.parametrize("cpus, parts", [(2, 2), (3, 3), (4, 4), (8, 4), (64, 4)])
     def test_study_control_splits_on_any_number_of_cpus(self, cpus, parts):
-        ranges = sensitivity._member_ranges(3387, 2000, 10_161_000, cpus)
-        assert len(ranges) == parts
-        assert min(m1 - m0 for m0, m1 in ranges) >= sensitivity._OT_MIN_WORKER_MEMBERS
+        shares = sensitivity._member_ranges(3387, 2000, 10_161_000, cpus)
+        assert len(shares) == parts
+        smallest = min(d1 - d0 + t1 - t0 for d0, d1, t0, t1 in shares)
+        assert smallest >= sensitivity._OT_MIN_WORKER_MEMBERS
 
     @pytest.mark.parametrize(
         "num_cohorts, k, n_members, cpus",
@@ -885,11 +893,8 @@ class TestOTWorkers:
         assert os.sched_getaffinity(0) == allowed
         assert _no_child_remains()
 
-    @pytest.mark.parametrize(
-        "status, sent", [(3, "status 3 after sending 0 of"), (0, "status 0 after sending 0 of")],
-        ids=["non_zero_exit", "short_counts"],
-    )
-    def test_a_failed_child_fails_the_call_and_is_reaped(self, default_joint, status, sent):
+    @pytest.mark.parametrize("status", [3, 0], ids=["non_zero_exit", "short_counts"])
+    def test_a_failed_child_fails_the_call_and_is_reaped(self, default_joint, status):
         parent, count = os.getpid(), sensitivity._count_members
 
         def exit_in_child(*args):
@@ -898,7 +903,10 @@ class TestOTWorkers:
             count(*args)
 
         with _ot_workers(3), mock.patch.object(sensitivity, "_count_members", exit_in_child):
-            message = f"members \\[.*\\) exited with {sent}"
+            message = (
+                rf"^worker counting members \[.*\) exited with status {status} "
+                "before its counts were done$"
+            )
             with pytest.raises(sensitivity.OTWorkerError, match=message):
                 ot_scale_control(7, 100, 1.5, default_joint, t=0.05, seed=9)
         assert _no_child_remains()
@@ -906,7 +914,8 @@ class TestOTWorkers:
     def test_a_child_that_exits_non_zero_after_its_counts_fails_the_call(self, default_joint):
         exit_now = os._exit
         with _ot_workers(2), mock.patch.object(os, "_exit", lambda status: exit_now(7)):
-            message = r"status 7 after sending (\d+) of \1 bytes"
+            ranges = r"\[\d+, \d+\) and \[\d+, \d+\)"
+            message = rf"^worker counting members {ranges} exited with status 7$"
             with pytest.raises(sensitivity.OTWorkerError, match=message):
                 ot_scale_control(7, 100, 1.5, default_joint, t=0.05, seed=9)
         assert _no_child_remains()
@@ -924,4 +933,41 @@ class TestOTWorkers:
             with pytest.raises(KeyboardInterrupt):
                 ot_scale_control(7, 100, 1.5, default_joint, t=0.05, seed=9)
         assert time.monotonic() - started < 30
+        assert _no_child_remains()
+
+    @pytest.mark.parametrize("via", ["call", "cli"])
+    def test_a_refused_fork_kills_the_children_and_closes_every_mapping(
+        self, default_joint, tmp_path, capsys, via
+    ):
+        parent, fork, make_mapping = os.getpid(), os.fork, mmap.mmap
+        mappings = []
+
+        def refuse_the_second_fork():
+            if len(mappings) > 1:
+                raise OSError("fork refused")
+            return fork()
+
+        def record_mapping(*args):
+            mappings.append(make_mapping(*args))
+            return mappings[-1]
+
+        def stall_in_child(*args):
+            assert os.getpid() != parent, "the caller counts only after every fork"
+            time.sleep(60)
+
+        started = time.monotonic()
+        with _ot_workers(3), mock.patch.object(os, "fork", refuse_the_second_fork), \
+                mock.patch.object(mmap, "mmap", record_mapping), \
+                mock.patch.object(sensitivity, "_count_members", stall_in_child):
+            if via == "call":
+                with pytest.raises(OSError, match="^fork refused$"):
+                    ot_scale_control(7, 100, 1.5, default_joint, t=0.05, seed=9)
+            else:
+                out = tmp_path / "o"
+                assert cli.main(["ot-control", "--out", str(out)]) == 1
+                err = capsys.readouterr().err
+                assert json.loads(err) == {"error": "OSError", "message": "fork refused"}
+                assert not out.exists()
+        assert time.monotonic() - started < 30
+        assert len(mappings) == 2 and all(shared.closed for shared in mappings)
         assert _no_child_remains()

@@ -4,21 +4,33 @@ Ties hashing and prefix clustering together: each week's population is
 hashed, clustered at the requested k, and every machine-week row gets a
 (week, cohort id) pair. Cohort ids are only meaningful within their week.
 
-Every population is hashed at ``FIRST_PASS_BITS`` bits first. At depth d
-the prefix tree reads only bit d, and a node stops at the first depth
-where it cannot split; bit b of a hash depends on feature b alone, so the
-16-bit hashes are the top bits of the full-width ones. A build
-shifts them up to the configured width and builds the map there. When
-every leaf is shorter than 16 bits, each split read bits both widths
-share, so the map and the ids equal a full-width build's. A leaf of
-length 16 means the first pass ran out of bits (shifted values that agree
-on their top 16 bits never split below depth 16), and only then are the
-rows hashed again at full width. A width of 16 or less takes one pass.
+A build at level k hashes its population at W bits first, where
+``_first_pass_width`` gives W = min(bit_length, ``FIRST_PASS_BITS`` = 16,
+((N - 1) // k).bit_length() + 3) for the table's largest weekly
+population N. A tree over N hashes at level k has leaves about
+log2(N / k) bits deep, and the + 3 covers the deepest ones measured: at
+500 machines a week the deepest leaf needs 5-6 bits at k = 30 (W = 8) and
+7-8 at k = 10 (W = 9); at 90,000 machines and k = 30, W is 15. Every
+population of a table asks for one width at a given k, so one kernel call
+serves them all.
+
+At depth d the prefix tree reads only bit d, and a node stops at the
+first depth where it cannot split; bit b of a hash depends on feature b
+alone, so the W-bit hashes are the top bits of the full-width ones. A
+build shifts them up to the configured width and builds the map there.
+Shifted values that agree on their top W bits never split below depth W,
+so every leaf shorter than W bits is a leaf of the full-width tree, with
+the same rows. A leaf of length W is a node of that tree at depth W, and
+holds exactly the rows that share its W-bit prefix; only those rows are
+hashed again at full width, their runs sorted again, and the map rebuilt
+once. That map and its ids equal a full-width build's. When W is the
+configured width itself, the first pass is the only one.
 
 Each pass sorts its population once, and none of that depends on k:
 ``SortedPopulation`` keeps each pass's order and shifted values, and its
-``cluster(k)`` is the per-k build, so ``unicity.sweep_k`` clusters one
-population at many k and sorts nothing again. The map's leaves are
+``cluster(k)`` is the per-k build on the narrowest kept pass at least W
+bits wide, so ``unicity.sweep_k`` clusters one population at many k and,
+with its smallest k first, sorts it once. The map's leaves are
 consecutive runs of the sorted values in cohort-id order, so the ids are
 read off that same order: no ``CohortMap.assign`` searches for the
 leaves the build just found. ``assign`` is what a browser does with a
@@ -30,59 +42,90 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from . import kernels
+from .hashing import seed_key
 from .ingest import MachineWeekTable
-from .prefixlsh import CohortError, CohortMap, build_cohort_map
+from .prefixlsh import CohortError, CohortMap, _check_k, build_cohort_map
 from .simhash import SimHashConfig
 
-#: Hash width of the first clustering pass. n hashes at level k give
-#: leaves about log2(n / k) bits deep, so few builds reach 16 bits.
+#: Widest first clustering pass: hashes of at most 16 bits sort as ``uint16``.
 FIRST_PASS_BITS = 16
+
+
+def _first_pass_width(population: int, k: int, bit_length: int) -> int:
+    """Hash width of the first pass at level k for a largest population of
+    ``population`` rows: the leaves' depth, about log2(population / k)
+    bits, plus 3, and at most ``FIRST_PASS_BITS`` and ``bit_length``."""
+    return min(bit_length, FIRST_PASS_BITS, ((population - 1) // k).bit_length() + 3)
+
+
+def _full_width_hashes(
+    table: MachineWeekTable, rows: np.ndarray, config: SimHashConfig
+) -> np.ndarray:
+    """``table.hashes(config.bit_length, config.seed)[rows]``, from one
+    kernel call on those rows' slice of the table and their names alone."""
+    lo = table.offsets[rows]
+    lengths = table.offsets[rows + 1] - lo
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    pairs = np.repeat(lo - offsets[:-1], lengths) + np.arange(offsets[-1])
+    names, indices = np.unique(table.dom_indices[pairs], return_inverse=True)
+    hashes = table.vocab_hashes[names]
+    return kernels.simhash_rows(indices, offsets, hashes, config.bit_length, seed_key(config.seed))
 
 
 class SortedPopulation:
     """The rows ``rows`` of ``table`` in ascending hash order under ``config``,
     sorted once and clustered at any number of k.
 
-    Each pass's hashes are read, argsorted once (hashes of at most 16 bits
-    as ``uint16``, which NumPy radix-sorts) and shifted up to the configured
-    width: the ``FIRST_PASS_BITS`` pass when the population is made, the
-    full-width pass the first time a build falls back to it. Both are kept,
-    so a k grid sorts each population at most twice.
+    A pass is made the first time a build asks for a width that no kept
+    pass reaches: its hashes are read, argsorted once as ``uint16`` (which
+    NumPy radix-sorts) and shifted up to the configured width. Every pass
+    is kept; the full-width hashes of deep leaves' rows are not.
     """
 
     def __init__(self, table: MachineWeekTable, rows: np.ndarray, config: SimHashConfig):
         self.table, self.rows, self.config = table, rows, config
         self._passes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._sorted(min(FIRST_PASS_BITS, config.bit_length))
 
-    def _sorted(self, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """The argsort order of the rows' ``width``-bit hashes, and the
-        hashes in that order shifted up to the configured width."""
-        if width not in self._passes:
+    def _sorted(self, width: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """The narrowest kept pass at least ``width`` bits wide, else a new
+        ``width``-bit one: its width, its argsort order of the rows' hashes,
+        and the hashes in that order shifted up to the configured width."""
+        wider = [w for w in self._passes if w >= width]
+        if wider:
+            width = min(wider)
+        else:
             values = self.table.hashes(width, self.config.seed)[self.rows]
-            if width <= 16:
-                order = np.argsort(values.astype(np.uint16), kind="stable")
-            else:
-                order = np.argsort(values)
+            order = np.argsort(values.astype(np.uint16), kind="stable")
             shift = np.uint64(self.config.bit_length - width)
             self._passes[width] = order, values[order] << shift
-        return self._passes[width]
+        return (width, *self._passes[width])
 
     def cluster(self, k: int) -> tuple[CohortMap, np.ndarray]:
         """Cohort map of the population at level k, and each row's id.
 
         The map is the one ``build_cohort_map`` gives on the rows'
         full-width hashes, and the ids are its ``assign`` of them; see the
-        module docstring for why the first pass gives both exactly. Each
-        leaf's run of the pass's order gets its cohort id. Raises
-        ``CohortError`` as ``build_cohort_map`` does.
+        module docstring for why the first pass and the refinement of its
+        deep leaves give both exactly. Each leaf's run of the pass's order
+        gets its cohort id. Raises ``CohortError`` as ``build_cohort_map``
+        does.
         """
+        k = _check_k(k)
         bits = self.config.bit_length
-        for width in (min(FIRST_PASS_BITS, bits), bits):
-            order, values = self._sorted(width)
+        width, order, values = self._sorted(_first_pass_width(self.table._largest_week, k, bits))
+        cmap = build_cohort_map(values, k, bits)
+        if width < bits and cmap.lengths.max() == width:
+            # The rows of the leaves of length W, whose runs are in prefix
+            # order and each share a W-bit prefix, so one sort of their
+            # full-width hashes sorts each run in place.
+            deep = np.flatnonzero(np.repeat(cmap.lengths == width, cmap.counts))
+            full = _full_width_hashes(self.table, self.rows[order[deep]], self.config)
+            resort = np.argsort(full)
+            order, values = order.copy(), values.copy()
+            order[deep], values[deep] = order[deep][resort], full[resort]
             cmap = build_cohort_map(values, k, bits)
-            if width == bits or cmap.lengths.max() < width:
-                break
         ids = np.empty(len(order), dtype=np.int32)
         ids[order] = np.repeat(np.arange(cmap.num_cohorts, dtype=np.int32), cmap.counts)
         return cmap, ids

@@ -20,7 +20,10 @@ At depth d the builder reads only bit d, and a node stops at the first
 depth where it cannot split. A map whose leaves are all shorter than B
 bits therefore depends only on the top B bits of each value: values with
 their lower bits cleared give the same map and the same ``assign`` ids.
-``cohorts.SortedPopulation`` builds on 16-bit hashes first for that reason.
+``cohorts.SortedPopulation`` builds on W-bit hashes first for that reason,
+W being about log2(n / k) + 3 and at most 16. A leaf of length W is the
+full-width tree's node at depth W and holds exactly the values sharing its
+W-bit prefix, so it rebuilds once with only those values at full width.
 
 Each leaf is one consecutive run of the sorted values, and the leaves run
 in cohort-id order, so a caller that sorted the values itself can read

@@ -21,9 +21,12 @@ that subset's (key, state) fingerprint key's. A sweep point reports the
 full-window horizon alone: the window's key share and its fingerprint's.
 
 A sweep over k clusters the same positions at every k. Each position's
-pooled population is sorted by hash once (``cohorts.SortedPopulation``),
-kept in its ``SequenceSet`` per hash width and seed, and clustered again
-at each k; ``SequenceSet.select`` starts a new set with nothing kept.
+pooled population is sorted by hash (``cohorts.SortedPopulation``), kept
+in its ``SequenceSet`` per hash width and seed, and clustered again at
+each k; ``SequenceSet.select`` starts a new set with nothing kept. A
+smaller k asks for a wider first pass, so a grid whose smallest k comes
+first sorts each position once, and a pass sorted for one k serves every
+larger k.
 """
 
 from __future__ import annotations
@@ -328,7 +331,8 @@ def sweep_k(
     """Unicity at the full-window horizon versus the anonymity level k.
 
     Every k clusters the same positions, so each position's population is
-    sorted once for the whole grid (``SequenceSet.population``).
+    sorted once for the whole grid when its smallest k comes first
+    (``SequenceSet.population``).
     """
     points = [_point(seqs, k, config, int(k)) for k in k_grid]
     return SweepResult("k", seqs.window, points)

@@ -1,14 +1,20 @@
-"""The two-pass hashing of cohort builds: the width rule, the cache, the fallback.
+"""The two-pass hashing of cohort builds: the width rule, the cache, the deep leaves.
 
 A hash of width B is the top B bits of the same rows' hash at any wider
-width, and the table's cache derives narrower widths that way. Cohort
-builds hash 16 bits first and rehash at full width only when a leaf
-reaches 16 bits; the fallback tests count the kernel's calls to show it
-ran, and compare every map and id with a single full-width build.
+width, and the table's cache derives narrower widths that way. A build at
+level k hashes W = min(bit_length, 16, ((N - 1) // k).bit_length() + 3)
+bits first, N being the table's largest weekly population: leaves lie
+about log2(N / k) bits deep, and the + 3 covers the deepest measured (5-6
+bits at 500 machines and k = 30, 7-8 at k = 10). It hashes at full width
+only the rows of the leaves that reach W bits, each of which holds every
+row with its W-bit prefix; the deep-leaf tests count the kernel's calls
+and rows to show that, and compare every map and id with a single
+full-width build.
 
 A node stops at its first failed split, so a leaf is as deep as an
 unbroken run of successful splits. At k = 1 that reaches 17 bits only in a
-population of a few thousand varied rows: 4,000 synth machines a week do.
+population of a few thousand varied rows: 4,000 synth machines a week do,
+and their first pass is 15 bits wide.
 
 ``SortedPopulation.cluster`` reads each row's id off the order its pass
 sorted the hashes in, never through ``CohortMap.assign``;
@@ -24,11 +30,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flocpriv import kernels
-from flocpriv.cohorts import FIRST_PASS_BITS, SortedPopulation, compute_weekly_cohorts
+from flocpriv.cohorts import (
+    FIRST_PASS_BITS,
+    SortedPopulation,
+    _first_pass_width,
+    compute_weekly_cohorts,
+)
 from flocpriv.geo import UNKNOWN_STATE
 from flocpriv.ingest import INCOME_GROUPS, RACE_GROUPS, MachineWeekTable
 from flocpriv.panels import JointDistribution, PanelError, cluster_panel, stratified_panels
-from flocpriv.prefixlsh import CohortMap, build_cohort_map
+from flocpriv.prefixlsh import CohortError, CohortMap, build_cohort_map
 from flocpriv.simhash import SimHashConfig
 from flocpriv.synth import SynthConfig, generate_population
 from flocpriv.unicity import (
@@ -72,17 +83,21 @@ def _near_duplicates(n_machines, n_weeks=1):
 
 
 @pytest.fixture()
-def widths(monkeypatch):
-    """The bit length of every ``kernels.simhash_rows`` call, in order."""
-    calls = []
+def calls(monkeypatch):
+    """The bit length and row count of every ``kernels.simhash_rows`` call, in order."""
+    seen = []
     kernel = kernels.simhash_rows
 
     def counting(indices, offsets, hashes, bit_length, seed_key):
-        calls.append(int(bit_length))
+        seen.append((int(bit_length), len(offsets) - 1))
         return kernel(indices, offsets, hashes, bit_length, seed_key)
 
     monkeypatch.setattr(kernels, "simhash_rows", counting)
-    return calls
+    return seen
+
+
+def _widths(calls):
+    return [width for width, _ in calls]
 
 
 def _full_build(table, rows, k, config):
@@ -93,12 +108,16 @@ def _full_build(table, rows, k, config):
 
 
 @st.composite
-def _random_tables(draw):
+def _random_tables(draw, min_rows=1, max_rows=10, min_names=1):
     """Rows of a few short names, empty rows included."""
     names = draw(
-        st.lists(st.text("abc.", min_size=1, max_size=4), min_size=1, max_size=12, unique=True)
+        st.lists(
+            st.text("abc.", min_size=1, max_size=4), min_size=min_names, max_size=12, unique=True
+        )
     )
-    rows = draw(st.lists(st.sets(st.sampled_from(names), max_size=6), min_size=1, max_size=10))
+    rows = draw(
+        st.lists(st.sets(st.sampled_from(names), max_size=6), min_size=min_rows, max_size=max_rows)
+    )
     return [sorted(row) for row in rows], names
 
 
@@ -123,15 +142,63 @@ class TestWidthRule:
         assert got.dtype == np.uint64
         assert np.array_equal(got, _table(rows, vocab=names).hashes(second, seed))
 
-    def test_a_narrower_width_is_derived_without_hashing(self, widths):
+    def test_a_narrower_width_is_derived_without_hashing(self, calls):
         table = _near_duplicates(8)
         table.hashes(50, 7)
         table.hashes(16, 7)
         table.hashes(3, 7)
-        assert widths == [50]
+        assert _widths(calls) == [50]
         table.hashes(16, 8)  # another seed is hashed
         table.hashes(60, 7)  # and so is a wider width
-        assert widths == [50, 16, 60]
+        assert _widths(calls) == [50, 16, 60]
+
+    @pytest.mark.parametrize(
+        "population, k, width",
+        [
+            (500, 30, 8),
+            (500, 10, 9),
+            (600, 30, 8),
+            (4000, 1, 15),
+            (8000, 10, 13),
+            (90000, 30, 15),
+            (90000, 10, 16),
+        ],
+    )
+    def test_the_first_width_follows_the_population_and_k(self, population, k, width):
+        assert _first_pass_width(population, k, 50) == width
+        assert _first_pass_width(population, k, width - 1) == width - 1  # capped by bit_length
+        assert _first_pass_width(population, k, 64) <= FIRST_PASS_BITS
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [(0, "k must be >= 1, got 0"), (True, "got True"), (2.5, "got 2.5")],
+    )
+    def test_k_is_checked_before_the_width(self, monkeypatch, k, message):
+        def refuse(*args):
+            raise AssertionError("the width rule ran before k was checked")
+
+        monkeypatch.setattr("flocpriv.cohorts._first_pass_width", refuse)
+        population = SortedPopulation(_near_duplicates(8), np.arange(8), SimHashConfig())
+        with pytest.raises(CohortError, match=message):
+            population.cluster(k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_random_tables(8, 40, 6), st.integers(2, 64), st.integers(1, 2), st.data())
+    def test_any_first_width_gives_the_full_width_build(self, case, bit_length, k, data):
+        """The rule forced to a width from 1 to the full-width map's deepest
+        leaf (at most 16 bits), so the first pass has a leaf of that length
+        to refine unless it is the whole width."""
+        rows, names = case
+        table = _table(rows, vocab=names)
+        picked = np.array(data.draw(st.permutations(range(len(rows)))), dtype=np.int64)
+        config = SimHashConfig(bit_length, 7)
+        want_map, want_ids = _full_build(table, picked, k, config)
+        deepest = min(int(want_map.lengths.max()), FIRST_PASS_BITS)
+        width = data.draw(st.integers(1, max(deepest, 1)))
+        with mock.patch("flocpriv.cohorts._first_pass_width", return_value=width):
+            cmap, ids = SortedPopulation(table, picked, config).cluster(k)
+        assert cmap == want_map
+        assert np.array_equal(ids, want_ids)
 
 
 def _deep_table():
@@ -149,64 +216,107 @@ def _whole_week_target(table):
     return JointDistribution(tuple(tuple(float(p) for p in row) for row in grid))
 
 
+def _deep_rows(cmap, width):
+    """Rows of a full-width map's leaves at least ``width`` bits long: those
+    of a ``width``-bit first pass's leaves of length ``width``."""
+    return int(cmap.counts[cmap.lengths >= width].sum())
+
+
+def _one_week(table):
+    """``table``'s rows as one week of as many machines; ``_deep_table``'s
+    8,000 make k = 1 read 16 bits first."""
+    n = len(table)
+    return MachineWeekTable(
+        np.arange(n),
+        np.zeros(n),
+        table.state_labels,
+        table.race_idx,
+        table.income_idx,
+        table.state_idx,
+        table.dom_indices,
+        table.offsets,
+        table.vocab,
+    )
+
+
 class TestFallback:
-    def test_weekly_cohorts_rehash_when_a_leaf_reaches_16_bits(self, widths):
+    """A first pass of W bits, then one full-width kernel call per
+    population on the rows of its leaves of length W only. On the
+    8,000-row week of ``_one_week`` W is 16 at k = 1, and 15 on the
+    4,000-row weeks of ``_deep_table``."""
+
+    def test_weekly_cohorts_rehash_when_a_leaf_reaches_16_bits(self, calls):
+        table = _one_week(_deep_table())
+        config = SimHashConfig()
+        got = compute_weekly_cohorts(table, 1, config)
+        assert calls[0] == (FIRST_PASS_BITS, len(table))
+        assert _widths(calls) == [FIRST_PASS_BITS, config.bit_length]
+        cmap, ids = _full_build(table, np.arange(len(table)), 1, config)
+        assert 0 < calls[1][1] == _deep_rows(cmap, FIRST_PASS_BITS) < len(table)
+        assert got.maps[0] == cmap
+        assert np.array_equal(got.cohort_ids, ids)
+
+    def test_weekly_cohorts_take_one_first_pass_for_every_week(self, calls):
         table = _deep_table()
         config = SimHashConfig()
         got = compute_weekly_cohorts(table, 1, config)
-        assert widths == [FIRST_PASS_BITS, config.bit_length]
-        for week in (0, 1):
+        width = _first_pass_width(4000, 1, config.bit_length)
+        assert calls[0] == (width, len(table))
+        assert _widths(calls) == [width, config.bit_length, config.bit_length]
+        for week, (_, refined) in zip((0, 1), calls[1:]):
             rows = table.rows_for_week(week)
             cmap, ids = _full_build(table, rows, 1, config)
             assert cmap.lengths.max() > FIRST_PASS_BITS  # 16 bits could not give this map
+            assert 0 < refined == _deep_rows(cmap, width) < len(rows)
             assert got.maps[week] == cmap
             assert np.array_equal(got.cohort_ids[rows], ids)
 
-    def test_sequence_positions_rehash_when_a_leaf_reaches_16_bits(self, widths):
-        table = _deep_table()
+    def test_sequence_positions_rehash_when_a_leaf_reaches_16_bits(self, calls):
+        table = _one_week(_deep_table())
         config = SimHashConfig()
-        seqs = build_sequences(table, window=2)
+        seqs = build_sequences(table, window=1)
         got = assign_sequence_cohorts(seqs, 1, config)
-        assert widths == [FIRST_PASS_BITS, config.bit_length]
-        for p in range(2):
-            cmap, ids = _full_build(table, seqs.row_matrix[:, p], 1, config)
-            assert cmap.lengths.max() > FIRST_PASS_BITS
-            assert got.maps[p] == cmap
-            assert np.array_equal(got.cohort_ids[:, p], ids)
+        assert _widths(calls) == [FIRST_PASS_BITS, config.bit_length]
+        cmap, ids = _full_build(table, seqs.row_matrix[:, 0], 1, config)
+        assert cmap.lengths.max() > FIRST_PASS_BITS
+        assert 0 < calls[1][1] == _deep_rows(cmap, FIRST_PASS_BITS) < seqs.n_samples
+        assert got.maps[0] == cmap
+        assert np.array_equal(got.cohort_ids[:, 0], ids)
 
-    def test_cluster_panel_rehashes_when_a_leaf_reaches_16_bits(self, widths):
-        table = _deep_table()
+    def test_cluster_panel_rehashes_when_a_leaf_reaches_16_bits(self, calls):
+        table = _one_week(_deep_table())
         target = _whole_week_target(table)
         panels = stratified_panels(table, target, 1, seed=0, bit_length=50, sim_seed=7)
-        assert widths == []  # the draw hashes nothing
+        assert calls == []  # the draw hashes nothing
         cluster_panel(panels[0], k=1, bit_length=50)
-        assert widths == [FIRST_PASS_BITS, 50]
+        assert _widths(calls) == [FIRST_PASS_BITS, 50]
         cmap, ids = _full_build(table, panels[0].rows, 1, SimHashConfig(50, 7))
         assert cmap.lengths.max() > FIRST_PASS_BITS
+        assert 0 < calls[1][1] == _deep_rows(cmap, FIRST_PASS_BITS) < panels[0].size
         assert panels[0].cohort_map == cmap
         assert np.array_equal(panels[0].cohort_ids, ids)
 
-    def test_rows_that_differ_by_one_domain_stop_at_their_first_shared_bit(self, widths):
+    def test_rows_that_differ_by_one_domain_stop_at_their_first_shared_bit(self, calls):
         table = _near_duplicates(64)
         config = SimHashConfig()
         got = compute_weekly_cohorts(table, 1, config)
-        assert widths == [FIRST_PASS_BITS]
+        assert calls == [(_first_pass_width(64, 1, 50), 64)]
         cmap, ids = _full_build(table, table.rows_for_week(0), 1, config)
         assert len(np.unique(table.hashes(50, 7))) > 1  # the full hashes differ
         assert got.maps[0] == cmap
         assert np.array_equal(got.cohort_ids, ids)
 
-    def test_equal_rows_do_not_force_the_fallback(self, widths):
+    def test_equal_rows_do_not_force_the_fallback(self, calls):
         table = _table([SHARED] * 64)
         got = compute_weekly_cohorts(table, 1)
-        assert widths == [FIRST_PASS_BITS]
+        assert calls == [(_first_pass_width(64, 1, 50), 64)]
         assert got.maps[0].num_cohorts == 1
 
-    def test_shallow_leaves_take_one_16_bit_pass(self, widths):
+    def test_shallow_leaves_take_one_pass(self, calls):
         table = _deep_table()
         config = SimHashConfig()
         got = compute_weekly_cohorts(table, 10, config)
-        assert widths == [FIRST_PASS_BITS]
+        assert calls == [(12, len(table))]  # 3,999 // 10 is 9 bits long
         for week in (0, 1):
             rows = table.rows_for_week(week)
             cmap, ids = _full_build(table, rows, 10, config)
@@ -214,26 +324,26 @@ class TestFallback:
             assert np.array_equal(got.cohort_ids[rows], ids)
 
     @pytest.mark.parametrize("bit_length", [1, 12, 16])
-    def test_bit_length_up_to_16_takes_a_single_pass(self, widths, bit_length):
-        table = _deep_table()
+    def test_bit_length_up_to_16_takes_a_single_pass(self, calls, bit_length):
+        """Up to the first width, here 16 bits: see
+        ``test_the_fallback_table_at_k_1`` for 17 bits and more."""
+        table = _one_week(_deep_table())
         config = SimHashConfig(bit_length=bit_length)
         got = compute_weekly_cohorts(table, 1, config)
-        assert widths == [bit_length]
-        for week in (0, 1):
-            rows = table.rows_for_week(week)
-            cmap, ids = _full_build(table, rows, 1, config)
-            assert got.maps[week] == cmap
-            assert np.array_equal(got.cohort_ids[rows], ids)
+        assert calls == [(bit_length, len(table))]
+        cmap, ids = _full_build(table, np.arange(len(table)), 1, config)
+        assert got.maps[0] == cmap
+        assert np.array_equal(got.cohort_ids, ids)
         if bit_length == 16:
             assert got.maps[0].lengths.max() == 16  # a leaf at 16 bits, and no rehash
 
-    def test_cluster_panel_builds_at_its_own_bit_length(self, widths):
+    def test_cluster_panel_builds_at_its_own_bit_length(self, calls):
         table = _deep_table()
         panels = stratified_panels(
             table, _whole_week_target(table), 1, seed=0, bit_length=50, sim_seed=7
         )
         cluster_panel(panels[0], k=1, bit_length=12)
-        assert widths == [12]  # a width of at most 16 bits takes one pass
+        assert _widths(calls) == [12]  # a width up to the first pass's takes one pass
         cmap, ids = _full_build(table, panels[0].rows, 1, SimHashConfig(12, 7))
         assert panels[0].cohort_map == cmap and panels[0].cohort_map.bit_length == 12
         assert np.array_equal(panels[0].cohort_ids, ids)
@@ -275,13 +385,15 @@ class TestOneSortPerPopulation:
         assert np.array_equal(ids, want_ids)
 
     @pytest.mark.parametrize("bit_length", [17, 50, 64])
-    def test_the_fallback_table_at_k_1(self, widths, bit_length):
+    def test_the_fallback_table_at_k_1(self, calls, bit_length):
         table = _deep_table()
         config = SimHashConfig(bit_length)
         rows = np.random.default_rng(3).permutation(table.rows_for_week(1))
         cmap, ids = SortedPopulation(table, rows, config).cluster(1)
-        assert widths == [FIRST_PASS_BITS, bit_length]  # the full-width pass ran
+        width = _first_pass_width(4000, 1, bit_length)
+        assert _widths(calls) == [width, bit_length]  # the deep leaves' rows were rehashed
         want_map, want_ids = _full_build(table, rows, 1, config)
+        assert 0 < calls[1][1] == _deep_rows(want_map, width) < len(rows)
         assert cmap.lengths.max() >= FIRST_PASS_BITS
         assert cmap == want_map
         assert np.array_equal(ids, want_ids)
@@ -333,7 +445,7 @@ class TestSortedOncePerSweep:
             kept = assign_sequence_cohorts(seqs, k, config)
             assert kept.maps == cohorts.maps
             assert np.array_equal(kept.cohort_ids, cohorts.cohort_ids)
-            if deep and k == 1:  # the full-width pass, kept from the first k = 1
+            if deep and k == 1:  # deep leaves, refined at each k = 1
                 assert cohorts.maps[0].lengths.max() > FIRST_PASS_BITS
 
     def test_each_position_is_sorted_once_across_the_grid(self, monkeypatch):
@@ -342,14 +454,21 @@ class TestSortedOncePerSweep:
         seqs = build_sequences(table, window=2)
         argsort = mock.Mock(wraps=np.argsort)
         monkeypatch.setattr(np, "argsort", argsort)
-        sweep_k(seqs, [10, 5, 1, 20, 1], config)
+        sweep_k(seqs, [1, 10, 5, 1, 20], config)
         sorts = _hash_sorts(argsort)
-        # A 16-bit and, from the first k = 1 on, a full-width sort per position.
-        assert [c.args[0].dtype for c in sorts] == [np.uint16, np.uint16, np.uint64, np.uint64]
-        assert all(len(c.args[0]) == seqs.n_samples for c in sorts)
+        # The smallest k, asked first, sorts each position at the widest
+        # first pass, which every larger k reuses. After that only a k = 1
+        # build sorts, and only the full-width hashes of its deep leaves' rows.
+        dtypes = [c.args[0].dtype for c in sorts]
+        # Two k = 1 builds at each of the two positions, the first of each
+        # after its position's one sort.
+        assert dtypes == [np.uint16, np.uint64, np.uint16, np.uint64, np.uint64, np.uint64]
+        sizes = [len(c.args[0]) for c in sorts]
+        assert sizes[0] == sizes[2] == seqs.n_samples
+        assert max(sizes[1], sizes[3], sizes[4], sizes[5]) < seqs.n_samples
         argsort.reset_mock()
         sweep_k(seqs, [1, 3], config)
-        assert _hash_sorts(argsort) == []
+        assert [c.args[0].dtype for c in _hash_sorts(argsort)] == [np.uint64, np.uint64]
 
     def test_select_starts_with_no_populations(self, small_table):
         config = SimHashConfig()

@@ -531,12 +531,6 @@ class MachineWeekTable:
         """Each vocabulary entry's 64-bit domain hash, computed on first use."""
         return domain_hashes64(self.vocab)
 
-    @cached_property
-    def _largest_week(self) -> int:
-        """The most rows one week holds (0 for no rows), found on first use;
-        ``cohorts`` sizes its first hashing pass by it."""
-        return int(np.unique(self.week_indices, return_counts=True)[1].max(initial=0))
-
     def week_values(self) -> np.ndarray:
         return np.unique(self.week_indices)
 

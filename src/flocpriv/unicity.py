@@ -21,12 +21,12 @@ that subset's (key, state) fingerprint key's. A sweep point reports the
 full-window horizon alone: the window's key share and its fingerprint's.
 
 A sweep over k clusters the same positions at every k. Each position's
-pooled population is sorted by hash (``cohorts.SortedPopulation``), kept
-in its ``SequenceSet`` per hash width and seed, and clustered again at
-each k; ``SequenceSet.select`` starts a new set with nothing kept. A
-smaller k asks for a wider first pass, so a grid whose smallest k comes
-first sorts each position once, and a pass sorted for one k serves every
-larger k.
+pooled population is sorted by hash once (``cohorts.SortedPopulation``),
+kept in its ``SequenceSet`` per hash width and seed, and clustered again
+at each k; ``SequenceSet.select`` starts a new set with nothing kept. A
+smaller k asks for a wider first pass, which serves every larger k, so
+the sweep sorts each position for its grid's smallest k before the first
+point.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .cohorts import SortedPopulation
 from .geo import UNKNOWN_STATE
 from .hashing import check_integer
 from .ingest import MachineWeekTable
-from .prefixlsh import CohortError, CohortMap
+from .prefixlsh import CohortError, CohortMap, _check_k
 from .simhash import SimHashConfig
 
 
@@ -331,8 +331,12 @@ def sweep_k(
     """Unicity at the full-window horizon versus the anonymity level k.
 
     Every k clusters the same positions, so each position's population is
-    sorted once for the whole grid when its smallest k comes first
-    (``SequenceSet.population``).
+    sorted once for the whole grid (``SequenceSet.population``), at the
+    first pass of the grid's smallest k. Every k is checked first: one
+    ``prefixlsh`` refuses raises ``CohortError`` before any sort.
     """
-    points = [_point(seqs, k, config, int(k)) for k in k_grid]
+    k_grid = [_check_k(k) for k in k_grid]
+    for position in range(seqs.window if k_grid else 0):
+        seqs.population(position, config).presort(min(k_grid))
+    points = [_point(seqs, k, config, k) for k in k_grid]
     return SweepResult("k", seqs.window, points)

@@ -3,13 +3,14 @@
 A hash of width B is the top B bits of the same rows' hash at any wider
 width, and the table's cache derives narrower widths that way. A build at
 level k hashes W = min(bit_length, 16, ((N - 1) // k).bit_length() + 3)
-bits first, N being the table's largest weekly population: leaves lie
-about log2(N / k) bits deep, and the + 3 covers the deepest measured (5-6
-bits at 500 machines and k = 30, 7-8 at k = 10). It hashes at full width
-only the rows of the leaves that reach W bits, each of which holds every
-row with its W-bit prefix; the deep-leaf tests count the kernel's calls
-and rows to show that, and compare every map and id with a single
-full-width build.
+bits first, N being the larger of the table's largest weekly population
+and the population's own size (a sequence position pools several weeks'
+rows): leaves lie about log2(N / k) bits deep, and the + 3 covers the
+deepest measured (5-6 bits at 500 machines and k = 30, 7-8 at k = 10).
+It hashes at full width only the rows of the leaves that reach W bits,
+each of which holds every row with its W-bit prefix; the deep-leaf tests
+count the kernel's calls and rows to show that, and compare every map
+and id with a single full-width build.
 
 A node stops at its first failed split, so a leaf is as deep as an
 unbroken run of successful splits. At k = 1 that reaches 17 bits only in a
@@ -454,21 +455,30 @@ class TestSortedOncePerSweep:
         seqs = build_sequences(table, window=2)
         argsort = mock.Mock(wraps=np.argsort)
         monkeypatch.setattr(np, "argsort", argsort)
-        sweep_k(seqs, [1, 10, 5, 1, 20], config)
+        sweep_k(seqs, [10, 5, 1, 20, 1], config)
         sorts = _hash_sorts(argsort)
-        # The smallest k, asked first, sorts each position at the widest
-        # first pass, which every larger k reuses. After that only a k = 1
-        # build sorts, and only the full-width hashes of its deep leaves' rows.
-        dtypes = [c.args[0].dtype for c in sorts]
-        # Two k = 1 builds at each of the two positions, the first of each
-        # after its position's one sort.
-        assert dtypes == [np.uint16, np.uint64, np.uint16, np.uint64, np.uint64, np.uint64]
-        sizes = [len(c.args[0]) for c in sorts]
-        assert sizes[0] == sizes[2] == seqs.n_samples
-        assert max(sizes[1], sizes[3], sizes[4], sizes[5]) < seqs.n_samples
+        # A 16-bit pass per position, made for the grid's smallest k before
+        # the first point, and from the first k = 1 on a full-width sort of
+        # each position's deep-leaf rows, kept for the second k = 1.
+        assert [c.args[0].dtype for c in sorts] == [np.uint16, np.uint16, np.uint64, np.uint64]
+        assert [len(c.args[0]) == seqs.n_samples for c in sorts] == [True, True, False, False]
         argsort.reset_mock()
         sweep_k(seqs, [1, 3], config)
-        assert [c.args[0].dtype for c in _hash_sorts(argsort)] == [np.uint64, np.uint64]
+        assert _hash_sorts(argsort) == []
+
+    def test_a_pooled_position_sizes_its_pass_by_its_own_rows(self, calls):
+        table = generate_population(SynthConfig(n_machines=200, n_weeks=4, seed=3)).table
+        seqs = build_sequences(table, window=1)
+        sweep_k(seqs, [30, 10], SimHashConfig())
+        width = _first_pass_width(seqs.n_samples, 10, 50)
+        assert width > _first_pass_width(200, 10, 50)  # 800 rows, 4 weeks of 200
+        assert calls[0] == (width, len(table))
+
+    def test_sweep_k_checks_every_k_before_hashing(self, calls, small_table):
+        seqs = build_sequences(_one_week(small_table), window=1)
+        with pytest.raises(CohortError, match="got 0"):
+            sweep_k(seqs, [5, 0], SimHashConfig())
+        assert calls == [] and seqs._populations == {}
 
     def test_select_starts_with_no_populations(self, small_table):
         config = SimHashConfig()

@@ -9,52 +9,38 @@ A JSON config file may supply any flag (keys = flag dest names);
 explicit flags override the file.
 
 Exit codes: 0 success, 1 pipeline failure, 2 usage error.
+
+A call builds the parser of the subcommand it runs, and each handler
+imports the modules it uses when it runs, so ``report`` never loads NumPy.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime as dt
 import json
 import math
 import os
 import sys
-from typing import Any, Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from . import __version__
-from .cohorts import compute_weekly_cohorts
-from .hashing import check_seed, derive_seed
-from .ingest import (
-    INCOME_GROUPS,
-    RACE_GROUPS,
-    FormatConfig,
-    MachineWeekTable,
-    SchemaError,
-    WeekConfig,
-    build_machine_weeks,
-    parse_sessions,
-    representativeness,
+from .hashing import DEFAULT_BIT_LENGTH, DEFAULT_SEED, check_seed, derive_seed
+from .manifest import (
+    _is_number,
+    csv_text,
+    dump_json,
+    read_json,
+    utf8_error,
+    write_manifest,
+    write_text,
 )
-from .manifest import csv_text, dump_json, read_json, utf8_error, write_manifest, write_text
-from .panels import JointDistribution, PanelError, _is_number, cluster_panel, stratified_panels
-from .prefixlsh import CohortError
-from .psl import SuffixSet
-from .sensitivity import (
-    ATTRIBUTES,
-    DEFAULT_T_GRID,
-    OTWorkerError,
-    chi_square_by_group,
-    ot_scale_control,
-    random_subsample_pvalue,
-    shuffle_baseline,
-    t_closeness_curve,
-)
-from .simhash import DEFAULT_BIT_LENGTH, DEFAULT_SEED, SimHashConfig
-from .special import ConstantInputError
-from .synth import SynthConfig, _session_blocks, generate_population
-from .unicity import assign_sequence_cohorts, build_sequences, sweep_k, sweep_population, unicity_fractions
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .ingest import MachineWeekTable
+    from .panels import JointDistribution
+    from .simhash import SimHashConfig
 
 
 class PipelineError(RuntimeError):
@@ -109,11 +95,18 @@ def _non_negative(value: int, flag: str) -> int:
 
 def _machine_demographics(table: MachineWeekTable) -> tuple[np.ndarray, np.ndarray]:
     """Race and income index of each machine (by ascending ID), from its first row."""
+    import numpy as np
+
     _, first = np.unique(table.machine_ids, return_index=True)
     return table.race_idx[first], table.income_idx[first]
 
 
 def _load_joint(path: str | None, table: MachineWeekTable | None = None) -> JointDistribution:
+    import numpy as np
+
+    from .ingest import INCOME_GROUPS, RACE_GROUPS
+    from .panels import JointDistribution
+
     if path is None:
         return JointDistribution.default()
     if path == "empirical":
@@ -129,6 +122,8 @@ def _load_joint(path: str | None, table: MachineWeekTable | None = None) -> Join
 
 
 def _attributes(selection: str) -> tuple[str, ...]:
+    from .sensitivity import ATTRIBUTES
+
     # argparse and _apply_config_file both hold selection to the flag's choices.
     return ATTRIBUTES if selection == "both" else (selection,)
 
@@ -148,6 +143,8 @@ def _inputs(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _sim_config(args: argparse.Namespace) -> SimHashConfig:
+    from .simhash import SimHashConfig
+
     # The hash seed is a protocol parameter (all cooperating runs must
     # share it), so it is independent of --seed, which only drives
     # sampling randomness within one run.
@@ -162,10 +159,25 @@ def _report_files(stem: str, payload: dict[str, Any], rows: str) -> dict[str, st
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each maps the parsed flags to {output file name: text},
 # where a text may be an iterable of text pieces, and writes nothing; main
-# writes the files and the manifest.
+# writes the files and the manifest. Each imports the modules it uses.
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> dict[str, str | Iterable[str]]:
+    import datetime as dt
+
+    from .ingest import (
+        INCOME_GROUPS,
+        RACE_GROUPS,
+        FormatConfig,
+        SchemaError,
+        WeekConfig,
+        build_machine_weeks,
+        parse_sessions,
+        representativeness,
+    )
+    from .psl import SuffixSet
+    from .special import ConstantInputError
+
     fmt = FormatConfig(delimiter=args.delimiter, date_format=args.date_format)
     suffixes = SuffixSet.from_file(args.psl) if args.psl else None
     try:
@@ -213,6 +225,8 @@ def _cmd_preprocess(args: argparse.Namespace) -> dict[str, str | Iterable[str]]:
 
 
 def _cmd_synth(args: argparse.Namespace) -> dict[str, str | Iterable[str]]:
+    from .synth import SynthConfig, _session_blocks, generate_population
+
     joint = _load_joint(args.target)
     cfg = SynthConfig(
         n_machines=args.machines,
@@ -239,6 +253,9 @@ def _cmd_synth(args: argparse.Namespace) -> dict[str, str | Iterable[str]]:
 
 
 def _cmd_cohorts(args: argparse.Namespace) -> dict[str, str]:
+    from .cohorts import compute_weekly_cohorts
+    from .ingest import MachineWeekTable
+
     table = MachineWeekTable.load(args.table)
     weekly = compute_weekly_cohorts(table, args.k, _sim_config(args))
     rows = zip(table.machine_ids.tolist(), table.week_indices.tolist(), weekly.cohort_ids.tolist())
@@ -252,6 +269,9 @@ def _cmd_cohorts(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _cmd_unicity(args: argparse.Namespace) -> dict[str, str]:
+    from .ingest import MachineWeekTable
+    from .unicity import assign_sequence_cohorts, build_sequences, unicity_fractions
+
     table = MachineWeekTable.load(args.table)
     seqs = build_sequences(table, args.window)
     cohorts = assign_sequence_cohorts(seqs, args.k, _sim_config(args))
@@ -260,6 +280,9 @@ def _cmd_unicity(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _cmd_sweep_n(args: argparse.Namespace) -> dict[str, str]:
+    from .ingest import MachineWeekTable
+    from .unicity import build_sequences, sweep_population
+
     grid = _parse_int_list(args.grid)
     table = MachineWeekTable.load(args.table)
     seqs = build_sequences(table, args.window)
@@ -268,6 +291,9 @@ def _cmd_sweep_n(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _cmd_sweep_k(args: argparse.Namespace) -> dict[str, str]:
+    from .ingest import MachineWeekTable
+    from .unicity import build_sequences, sweep_k
+
     grid = _parse_int_list(args.grid)
     table = MachineWeekTable.load(args.table)
     seqs = build_sequences(table, args.window)
@@ -276,6 +302,10 @@ def _cmd_sweep_k(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _cmd_t_closeness(args: argparse.Namespace) -> dict[str, str]:
+    from .ingest import MachineWeekTable
+    from .panels import cluster_panel, stratified_panels
+    from .sensitivity import DEFAULT_T_GRID, shuffle_baseline, t_closeness_curve
+
     shuffles = _non_negative(args.shuffles, "--shuffles")
     t_grid = _parse_t_grid(args.t_grid) if args.t_grid else list(DEFAULT_T_GRID)
     table = MachineWeekTable.load(args.table)
@@ -304,6 +334,11 @@ def _cmd_t_closeness(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _cmd_chisq(args: argparse.Namespace) -> dict[str, str]:
+    import numpy as np
+
+    from .ingest import MachineWeekTable
+    from .sensitivity import chi_square_by_group, random_subsample_pvalue
+
     control_runs = _non_negative(args.control_runs, "--control-runs")
     d_grid = _parse_int_list(args.d_grid)
     table = MachineWeekTable.load(args.table)
@@ -330,6 +365,8 @@ def _cmd_chisq(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _cmd_ot_control(args: argparse.Namespace) -> dict[str, str]:
+    from .sensitivity import ot_scale_control
+
     target = _load_joint(args.target)
     result = ot_scale_control(
         num_cohorts=args.cohorts,
@@ -385,27 +422,7 @@ def _add_analysis_flags(sp: argparse.ArgumentParser, k: bool = True, window: boo
     sp.add_argument("--hash-seed", type=int, default=DEFAULT_SEED)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
-        prog="flocpriv",
-        description="Cohort-assignment pipeline with unicity and demographic leakage analyses",
-    )
-    parser.add_argument("--version", action="version", version=f"flocpriv {__version__}")
-    subs = parser.add_subparsers(dest="subcommand", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
-
-    def sub(
-        name: str,
-        func: Callable[[argparse.Namespace], dict[str, str | Iterable[str]]],
-        help_text: str,
-    ):
-        sp = subs.add_parser(name, help=help_text)
-        _add_common(sp)
-        sp.set_defaults(func=func)
-        registry[name] = sp
-        return sp
-
-    sp = sub("preprocess", _cmd_preprocess, "parse sessions into a machine-week table")
+def _preprocess_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--sessions", help="raw session TSV (required)")
     sp.add_argument("--psl", help="public suffix list file (default: bundled snapshot)")
     sp.add_argument(
@@ -421,7 +438,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--min-domains", type=int, default=7)
     sp.add_argument("--reference", help="JSON {race: {...}, income: {...}} reference shares")
 
-    sp = sub("synth", _cmd_synth, "generate a synthetic population")
+
+def _synth_flags(sp: argparse.ArgumentParser) -> None:
     _add_seed(sp)
     sp.add_argument("--machines", type=int, default=1000)
     sp.add_argument("--weeks", type=int, default=4)
@@ -434,19 +452,23 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--target", help="joint distribution JSON (default: bundled)")
     sp.add_argument("--emit", choices=("table", "sessions", "both"), default="table")
 
-    _add_analysis_flags(sub("cohorts", _cmd_cohorts, "weekly cohort maps and assignments"), window=False)
-    _add_analysis_flags(sub("unicity", _cmd_unicity, "sequence unicity report"))
 
-    sp = sub("sweep-n", _cmd_sweep_n, "unicity vs population size")
+def _cohorts_flags(sp: argparse.ArgumentParser) -> None:
+    _add_analysis_flags(sp, window=False)
+
+
+def _sweep_n_flags(sp: argparse.ArgumentParser) -> None:
     _add_analysis_flags(sp)
     _add_seed(sp)
     sp.add_argument("--grid", help="comma-separated machine counts (required)")
 
-    sp = sub("sweep-k", _cmd_sweep_k, "unicity vs anonymity level")
+
+def _sweep_k_flags(sp: argparse.ArgumentParser) -> None:
     _add_analysis_flags(sp, k=False)
     sp.add_argument("--grid", help="comma-separated k values (required)")
 
-    sp = sub("t-closeness", _cmd_t_closeness, "violation curves with baselines")
+
+def _t_closeness_flags(sp: argparse.ArgumentParser) -> None:
     _add_analysis_flags(sp, window=False)
     _add_seed(sp)
     sp.add_argument("--panels", type=int, default=10, help="panels per week")
@@ -455,7 +477,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--shuffles", type=int, default=1, help="shuffled copies per panel")
     sp.add_argument("--target", help='joint JSON, or "empirical" (default: bundled)')
 
-    sp = sub("chisq", _cmd_chisq, "browsing-difference chi-square tests")
+
+def _chisq_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--table")
     _add_seed(sp)
     sp.add_argument("--d-grid", default="10,20,30,40,50,60,70,80,90,100")
@@ -463,7 +486,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--control-runs", type=int, default=0)
     sp.add_argument("--control-fraction", type=float, default=0.25)
 
-    sp = sub("ot-control", _cmd_ot_control, "deployment-scale streamed control")
+
+def _ot_control_flags(sp: argparse.ArgumentParser) -> None:
     _add_seed(sp)
     sp.add_argument("--cohorts", type=int, default=33872)
     sp.add_argument("--k", type=int, default=2000)
@@ -471,9 +495,55 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--t", type=float, default=0.1)
     sp.add_argument("--target", help="joint distribution JSON (default: bundled)")
 
-    sp = sub("report", _cmd_report, "aggregate run manifests")
+
+def _report_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("runs", nargs="*", help="run directories to summarize")
 
+
+_Handler = Callable[[argparse.Namespace], "dict[str, str | Iterable[str]]"]
+
+#: Each subcommand's handler, help line and the adder of its own flags, in
+#: the order of the usage line's subcommand list.
+_SUBCOMMANDS: dict[str, tuple[_Handler, str, Callable[[argparse.ArgumentParser], None]]] = {
+    "preprocess": (
+        _cmd_preprocess, "parse sessions into a machine-week table", _preprocess_flags
+    ),
+    "synth": (_cmd_synth, "generate a synthetic population", _synth_flags),
+    "cohorts": (_cmd_cohorts, "weekly cohort maps and assignments", _cohorts_flags),
+    "unicity": (_cmd_unicity, "sequence unicity report", _add_analysis_flags),
+    "sweep-n": (_cmd_sweep_n, "unicity vs population size", _sweep_n_flags),
+    "sweep-k": (_cmd_sweep_k, "unicity vs anonymity level", _sweep_k_flags),
+    "t-closeness": (_cmd_t_closeness, "violation curves with baselines", _t_closeness_flags),
+    "chisq": (_cmd_chisq, "browsing-difference chi-square tests", _chisq_flags),
+    "ot-control": (_cmd_ot_control, "deployment-scale streamed control", _ot_control_flags),
+    "report": (_cmd_report, "aggregate run manifests", _report_flags),
+}
+
+
+def build_parser(
+    subcommand: str | None = None,
+) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser, and the subparser of each subcommand by name: of every
+    subcommand, or of ``subcommand`` alone, which parses an argv naming it
+    first as the full parser does."""
+    parser = argparse.ArgumentParser(
+        prog="flocpriv",
+        description="Cohort-assignment pipeline with unicity and demographic leakage analyses",
+    )
+    parser.add_argument("--version", action="version", version=f"flocpriv {__version__}")
+    # A usage line lists every subcommand, also when one subparser is built.
+    # The full build leaves the list to argparse: a metavar would also
+    # replace "subcommand" in its invalid-choice and missing-argument errors.
+    every = None if subcommand is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    subs = parser.add_subparsers(dest="subcommand", required=True, metavar=every)
+    registry: dict[str, argparse.ArgumentParser] = {}
+    for name in _SUBCOMMANDS if subcommand is None else (subcommand,):
+        func, help_text, add_flags = _SUBCOMMANDS[name]
+        sp = subs.add_parser(name, help=help_text)
+        _add_common(sp)
+        sp.set_defaults(func=func)
+        add_flags(sp)
+        registry[name] = sp
     return parser, registry
 
 
@@ -514,9 +584,20 @@ def _apply_config_file(path: str, sp: argparse.ArgumentParser) -> None:
     sp.set_defaults(**values)
 
 
+def _reported_errors() -> tuple[type[Exception], ...]:
+    """The errors main reports as one JSON line. CohortError, PanelError and
+    SchemaError are ValueErrors. OTWorkerError is not; only sensitivity
+    raises it, so it is looked up only once a handler has imported that."""
+    errors = (PipelineError, ValueError, OSError, MemoryError)
+    sensitivity = sys.modules.get(f"{__package__}.sensitivity")
+    return errors if sensitivity is None else (*errors, sensitivity.OTWorkerError)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = build_parser()
+    # An argv that does not name a subcommand first (none, -h, --version, a
+    # misspelt name) gets every subparser, to list them or name the error.
+    parser, registry = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     if args.config is not None:
         try:
@@ -540,9 +621,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         write_manifest(
             args.out, args.subcommand, __version__, _config_echo(args), _inputs(args), list(files)
         )
-    except (
-        PipelineError, CohortError, PanelError, OTWorkerError, ValueError, OSError, MemoryError
-    ) as exc:
+    except _reported_errors() as exc:
         # NumPy raises a private MemoryError subclass for a failed allocation
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)

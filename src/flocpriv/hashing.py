@@ -12,9 +12,17 @@ import hashlib
 import numbers
 import operator
 from functools import lru_cache
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
+
+#: The hash width and feature-stream seed of a ``SimHashConfig`` and of the
+#: CLI's ``--bit-length`` and ``--hash-seed``. They live here, in a module
+#: that imports NumPy only when it hashes, so that the CLI's parser reads
+#: them without loading NumPy.
+DEFAULT_BIT_LENGTH = 50
+DEFAULT_SEED = 7
 
 MASK64 = (1 << 64) - 1
 
@@ -90,6 +98,8 @@ def domain_hashes64(domains: Iterable[str]) -> np.ndarray:
     For names already known to be distinct, such as a vocabulary: the
     digests are joined and read in one ``np.frombuffer``, with no cache.
     """
+    import numpy as np
+
     return np.frombuffer(b"".join(map(_digest8, domains)), dtype="<u8")
 
 

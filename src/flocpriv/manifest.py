@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 from typing import Any, Iterable, Mapping, Sequence
 
 
@@ -72,6 +73,12 @@ def read_json(path: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: not JSON: {exc.msg} at column {exc.colno}") from None
+
+
+def _is_number(value: Any) -> bool:
+    """Whether a JSON value is a finite number (``bool`` is not one)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max  # False for NaN and ints beyond float
 
 
 #: Characters ``write_text`` hands the encoder at once: a whole output in one

@@ -9,7 +9,6 @@ panels give independent-ish views of the same population.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any
@@ -18,16 +17,11 @@ import numpy as np
 
 from .cohorts import SortedPopulation
 from .ingest import INCOME_GROUPS, RACE_GROUPS, MachineWeekTable
+from .manifest import _is_number
 from .prefixlsh import CohortMap
 from .simhash import SimHashConfig
 
 N_CELLS = len(RACE_GROUPS) * len(INCOME_GROUPS)
-
-
-def _is_number(value: Any) -> bool:
-    """Whether a JSON value is a finite number (``bool`` is not one)."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return number and abs(value) <= sys.float_info.max  # False for NaN and ints beyond float
 
 
 class PanelError(ValueError):

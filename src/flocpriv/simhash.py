@@ -18,10 +18,14 @@ from typing import Iterable
 import numpy as np
 
 from . import kernels
-from .hashing import check_bit_length, check_seed, domain_hashes64, seed_key
-
-DEFAULT_BIT_LENGTH = 50
-DEFAULT_SEED = 7
+from .hashing import (
+    DEFAULT_BIT_LENGTH,
+    DEFAULT_SEED,
+    check_bit_length,
+    check_seed,
+    domain_hashes64,
+    seed_key,
+)
 
 
 @dataclass(frozen=True)

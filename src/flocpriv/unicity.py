@@ -308,9 +308,12 @@ def sweep_population(
     """Unicity at the full-window horizon versus population size.
 
     For each grid value, that many machines are drawn without replacement
-    and cohorts are rebuilt from scratch on the reduced pool. A grid value
-    below 1 or above the number of machines is a ``ValueError``.
+    and cohorts are rebuilt from scratch on the reduced pool. A set with no
+    complete window is a ``CohortError``, as in ``assign_sequence_cohorts``;
+    a grid value below 1 or above the number of machines is a ``ValueError``.
     """
+    if seqs.n_samples == 0:
+        raise CohortError(f"no complete {seqs.window}-week windows to cluster")
     rng = np.random.default_rng(seed)
     machines = np.unique(seqs.machine_ids)
     points = []

@@ -1,6 +1,10 @@
 """End-to-end CLI behavior: exit codes, outputs, config files, determinism."""
 
+import contextlib
+import hashlib
+import io
 import json
+import sys
 import tempfile
 import tracemalloc
 from importlib import resources
@@ -10,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flocpriv import cli, ingest
+from flocpriv import cli, ingest, sensitivity
 from flocpriv.cli import _parse_t_grid, build_parser, main
 from flocpriv.ingest import INCOME_GROUPS, RACE_GROUPS
 from flocpriv.sensitivity import DEFAULT_T_GRID, OTWorkerError
@@ -150,6 +154,180 @@ class TestUsageErrors:
         assert not out.exists()
 
 
+#: Each subcommand's int flag, given a bad value on the command line and in
+#: a config file; report has none.
+_INT_FLAG = {
+    "preprocess": "weeks",
+    "synth": "machines",
+    "cohorts": "k",
+    "unicity": "window",
+    "sweep-n": "k",
+    "sweep-k": "window",
+    "t-closeness": "panels",
+    "chisq": "control_runs",
+    "ot-control": "cohorts",
+}
+
+
+def _message_cases():
+    """(id, argv) of each usage case whose messages are pinned. "{unknown}"
+    and "{bad}" stand for config files with an unknown key and a bad int value."""
+    cases = [
+        ("top-none", []),
+        ("top-help", ["-h"]),
+        ("top-version", ["--version"]),
+        ("top-bogus", ["bogus"]),
+        ("top-misspelt", ["cohort"]),
+        ("top-bogus-flag", ["--bogus"]),
+        ("cohorts-bogus-flag-value", ["cohorts", "--bogus", "1"]),
+    ]
+    for name in ("preprocess", "synth", "cohorts", "unicity", "sweep-n", "sweep-k",
+                 "t-closeness", "chisq", "ot-control", "report"):
+        cases += [
+            (f"{name}-help", [name, "-h"]),
+            (f"{name}-bogus-flag", [name, "--bogus"]),
+            (f"{name}-missing", [name]),
+            (f"{name}-config-unknown", [name, "--config", "{unknown}"]),
+        ]
+        if name in _INT_FLAG:
+            cases += [
+                (f"{name}-bad-int", [name, f"--{_INT_FLAG[name].replace('_', '-')}", "x"]),
+                (f"{name}-config-bad-int", [name, "--config", "{bad}"]),
+            ]
+    return cases
+
+
+_MESSAGE_CASES = _message_cases()
+
+
+def _message_digest(argv, tmp_path):
+    """SHA-256 of main's exit code, stdout and stderr for ``argv``, its
+    config files written under ``tmp_path``."""
+    unknown, bad = tmp_path / "unknown.json", tmp_path / "bad.json"
+    unknown.write_text(json.dumps({"bogus": 1}))
+    if argv and argv[0] in _INT_FLAG:
+        bad.write_text(json.dumps({_INT_FLAG[argv[0]]: "x"}))
+    argv = [str({"{unknown}": unknown, "{bad}": bad}.get(a, a)) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()).hexdigest()
+
+
+#: ``_message_digest`` of each case at COLUMNS=80, taken from the parser that
+#: built every subparser for every argv. argparse words its messages
+#: differently from one Python release to the next, so they are compared on
+#: the release they were taken on; the two builds are compared on every one.
+_MESSAGE_PYTHON = (3, 11, 7)
+_MESSAGE_DIGESTS = {
+    "top-none": "da8b98264467b02e973c9f4bd05d67b7323188489b7c0ccc64af6251868452b5",
+    "top-help": "a3fe2e236b1ad6bdb694170cdce1e36626d8d33f6b7e52b6f592657b90b98326",
+    "top-version": "7f2c40af9c32e40cd8b3745d8a88b997e30044e9026a78f1a1465ed03591f3f7",
+    "top-bogus": "eb8fbfe7cd4abc09a6b4ba4d0a3fd295f8d91d5d6d854030d8c66f6be915afe8",
+    "top-misspelt": "c6c6643cbca128ea6fb2f0f422e943c5e158de2d1cc4a51923a12f1cd060dd79",
+    "top-bogus-flag": "da8b98264467b02e973c9f4bd05d67b7323188489b7c0ccc64af6251868452b5",
+    "cohorts-bogus-flag-value": "16df22c5e7cf440ae903a86e71f46603834271864102baceec9673a4f8c6c33d",
+    "preprocess-help": "71c2d2988d18a64f3caa256317f0ac487b7e1dde893475bfbc1947d2ca0cc877",
+    "preprocess-bogus-flag": "482604a20372b298d189d325d3fff8f9466cc70d3fe3fa738e6bce3a275e935f",
+    "preprocess-missing": "9e9f97de3775c29d34ba4dcbdc5aa40d58773cbfdcc859719952b65ec7f458d1",
+    "preprocess-config-unknown": "505cd29733d1a6440ee6ffe196e6a4966efca6c764d92a9ce570bc7d7759a3f3",
+    "preprocess-bad-int": "ca677348e9977750f470ff90a0ee8376ed2d5344ae4d07a2a24a82abe7aa10ea",
+    "preprocess-config-bad-int": "5dc7287515bcfa710a825f2a9ad92df6b37995bbba71fbf18154792f2c4f4c8b",
+    "synth-help": "01031e82db9cc3357d20dd60a47842839b7c3d4d8c20a626747c6bfee371bfcf",
+    "synth-bogus-flag": "482604a20372b298d189d325d3fff8f9466cc70d3fe3fa738e6bce3a275e935f",
+    "synth-missing": "66eff83bd4301f379788b0e2713be1c1f8ed49ac3a72b275570de8c0fd0bd4a3",
+    "synth-config-unknown": "6fd2a1fe8f1b446cfdd90388a5228c893a8c3a640de6d23ab1754ff300de9279",
+    "synth-bad-int": "154ea3fd69fd75e8aeb61db58093aec7d14bb68bc470947cb0695d0b0ce28a73",
+    "synth-config-bad-int": "4e23be332aa6002060dfd9b30a43c46f5b108d6e34b41262ecc3f91592916dc3",
+    "cohorts-help": "442f5ae1e3420d32a092e9f7fc83312328ea2ac142a2064b17ed606d0abc4548",
+    "cohorts-bogus-flag": "482604a20372b298d189d325d3fff8f9466cc70d3fe3fa738e6bce3a275e935f",
+    "cohorts-missing": "03630c7bcece41a8880552d16f50baab58c72d73c2d5aabe4d90c6663930994c",
+    "cohorts-config-unknown": "33f8c717f22e32dab2d3e2ae182197b55b204985a993412eb98cf8f240c4674b",
+    "cohorts-bad-int": "01716e913f33054aae7e039aaeb4ede6884413a84cadcc56a680641a139eb2e6",
+    "cohorts-config-bad-int": "f30b293b73ac98ec616b67b9c7703a296c860ecbbd3e07f5115e3b10ca1844f2",
+    "unicity-help": "3df87f7b8bd7ada3d1b51aa840a618ba95fd1bfa08fa316868cfcd2f74821839",
+    "unicity-bogus-flag": "482604a20372b298d189d325d3fff8f9466cc70d3fe3fa738e6bce3a275e935f",
+    "unicity-missing": "45bc1c357168c2388e594c159ff21c50ff638e47970b83d570b81ddd028a28fa",
+    "unicity-config-unknown": "7b6282f158c34e08d5ecff6a88568bb5ee6d7900ad76e89568a34952207a866d",
+    "unicity-bad-int": "f727b1600fb4a43ce725568fea4b207faa3e8fae5e7d270364e3762e65488cff",
+    "unicity-config-bad-int": "c865dcca45a892c16aa18b9ac9b9e922896444e58e46902affd9cf390ccc2380",
+    "sweep-n-help": "4b36169f1f44ac7e13a4e60abeaf84af77dee9a55560f5f75fdd46d073684023",
+    "sweep-n-bogus-flag": "482604a20372b298d189d325d3fff8f9466cc70d3fe3fa738e6bce3a275e935f",
+    "sweep-n-missing": "d95e1176c438c7312cffefb9277de977eaab6fb549c4d766b180fbd998f18ea0",
+    "sweep-n-config-unknown": "851ed18bf1247b11f452d5b615b1982162b504de97dedeaa8b811bbd18f772d7",
+    "sweep-n-bad-int": "430b252ad84a78bfb37357e02b9cd6e17ac0b0b06e39d225511306e28851a28a",
+    "sweep-n-config-bad-int": "9d22aafcc6fe7558506bb23d6473919c8abb9e957519a30efafe9e7896a2a15b",
+    "sweep-k-help": "4830f1098f09ea0ed849805a99cbf4a879714326df7a58df2ad857b8aee5d13d",
+    "sweep-k-bogus-flag": "482604a20372b298d189d325d3fff8f9466cc70d3fe3fa738e6bce3a275e935f",
+    "sweep-k-missing": "d6eb43a99c40bfdf32c1352fe74de107a6ee09647d8c6dd686208d4c9c813bb5",
+    "sweep-k-config-unknown": "da98c10190cfcb70e2006af9705925646b7f966fd027552e75f1e40d901ebc7a",
+    "sweep-k-bad-int": "bdccea7c12a1b9d3857fc0e7e29939bc69d1e235d80235df798c5b9c916a0ad5",
+    "sweep-k-config-bad-int": "45a8a00104f97789374986db3b1bd21064c9446e20dd7d21cf4db8ec2b32dd91",
+    "t-closeness-help": "364688fbd964ebe444e10d74e9236fc1788998d3fa3c5fcfb88b84be33d223f6",
+    "t-closeness-bogus-flag": "482604a20372b298d189d325d3fff8f9466cc70d3fe3fa738e6bce3a275e935f",
+    "t-closeness-missing": "f46844cf8a9d05906d419939de9d4673581370fe972917673fd8ac526b80af61",
+    "t-closeness-config-unknown": "c5df3e3f520060541a7b67bb5f61efd80e01a116401a7299b9beda61fe54b8dc",
+    "t-closeness-bad-int": "ca6cb7507335b15e8f946d4661c22aa341055c99a62de8b5f0ad3086e5ab080a",
+    "t-closeness-config-bad-int": "28d48512a5e878bd9c2e9469c6a7168e4bbf917daed01fd8a58fe37cc3022ece",
+    "chisq-help": "09ddc1ff427d5289cb02043ef9a2439f8934c5bfacef3e95d54e1166c2991c5e",
+    "chisq-bogus-flag": "482604a20372b298d189d325d3fff8f9466cc70d3fe3fa738e6bce3a275e935f",
+    "chisq-missing": "d1bc306ae82799a728da67bbb8cbef70d84f03bbf6a585d9146b6735f56d117d",
+    "chisq-config-unknown": "deb8233226fd8b97dac11e9920d0fd246c21248b86bb4562da4af939e1474f65",
+    "chisq-bad-int": "4f1eae597311d5ad3265f8a137f5a4e3ffd5e8a61f3df36db70afa3e07a66422",
+    "chisq-config-bad-int": "c44b19b9432ac1f639b8a1fc3daff5a7f26d14b89d143e3520b7346b6b24c124",
+    "ot-control-help": "bf1875d74b7a8ca9469603142670759f96bcb5cff7d241d6a979b1fd786a1b1d",
+    "ot-control-bogus-flag": "482604a20372b298d189d325d3fff8f9466cc70d3fe3fa738e6bce3a275e935f",
+    "ot-control-missing": "0e6b1b81d6343a51ca1609f5fc86c3d0ede9f3cea4982eeba9a88dbe0b902a5f",
+    "ot-control-config-unknown": "19fc871188615c5924e14f20c5260a0eef189aa001292d8947e11fa19e6e0297",
+    "ot-control-bad-int": "a48fdab232023329a061de2650a519ae62b8b2dd1969396408b0cf9ef4619513",
+    "ot-control-config-bad-int": "d5dcb8f4f71672cd5d6b2c3fa7947e1d4ff007d4a720d88409a31c9086b1c4e9",
+    "report-help": "3f3b16de977570127aba4534ec6b6157f0d8533436f9f773c6cad36bebc61cfa",
+    "report-bogus-flag": "482604a20372b298d189d325d3fff8f9466cc70d3fe3fa738e6bce3a275e935f",
+    "report-missing": "5015bd39eb44b1e3123fa964bf07eb4ccd9076c02bd19c4590337a4934183b8b",
+    "report-config-unknown": "c7e13609bb72c648ae4fae05ed453df590fd5f6c4b0c6078f09626b7b6c9ee72",
+}
+
+
+class TestUsageMessages:
+    """main builds only the subparser that argv names first; every usage
+    message, help text and exit code stays that of the full build."""
+
+    @pytest.fixture(autouse=True)
+    def _columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.skipif(
+        sys.version_info[:3] != _MESSAGE_PYTHON, reason="digests taken on Python 3.11.7"
+    )
+    @pytest.mark.parametrize("case, argv", _MESSAGE_CASES, ids=[c for c, _ in _MESSAGE_CASES])
+    def test_messages_are_pinned(self, tmp_path, case, argv):
+        assert _message_digest(argv, tmp_path) == _MESSAGE_DIGESTS[case]
+
+    @pytest.mark.parametrize("argv", [a for _, a in _MESSAGE_CASES],
+                             ids=[i for i, _ in _MESSAGE_CASES])
+    def test_one_subparser_says_what_every_subparser_says(self, tmp_path, monkeypatch, argv):
+        one = _message_digest(argv, tmp_path)
+        every = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda subcommand=None: every())
+        assert _message_digest(argv, tmp_path) == one
+
+    @pytest.mark.parametrize("name", list(cli._SUBCOMMANDS))
+    def test_one_subparser_has_the_actions_of_every_subparser(self, name):
+        fields = ("option_strings", "dest", "default", "type", "choices", "nargs", "help")
+        one_parser, one = build_parser(name)
+        every_parser, every = build_parser()
+        assert list(one) == [name]
+        assert [[getattr(a, f) for f in fields] for a in one[name]._actions] == [
+            [getattr(a, f) for f in fields] for a in every[name]._actions
+        ]
+        assert one[name]._defaults == every[name]._defaults
+        assert one[name].prog == every[name].prog
+        assert one_parser.format_usage() == every_parser.format_usage()
+
+
 class TestTGrid:
     @pytest.mark.parametrize(
         "text, values",
@@ -207,6 +385,23 @@ class TestPipelineErrors:
         assert err["message"] == (
             f"{table}:2: machine_id must fit in int64 and week_index in int32"
         )
+
+    def test_sweep_n_without_a_complete_window_names_that(self, capsys, tmp_path):
+        table = tmp_path / "table.tsv"
+        table.write_text(
+            "machine_id\tweek_index\tstate\trace_group\tincome_group\tdomains\n"
+            + "".join(
+                f"{machine}\t{week}\tAL\twhite\tlt25k\ta.com\n"
+                for machine in (-(2**63), 0, 2**63 - 1)
+                for week in (-(2**31), 0, 7, 2**31 - 1)
+            )
+        )
+        out = tmp_path / "o"
+        assert _run("sweep-n", "--out", out, "--table", table, "--grid", 50) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CohortError", "message": "no complete 4-week windows to cluster"
+        }
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "reader",
@@ -483,7 +678,7 @@ class TestPipelineErrors:
         def out_of_memory(**_):
             raise error(message)
 
-        monkeypatch.setattr(cli, "ot_scale_control", out_of_memory)
+        monkeypatch.setattr(sensitivity, "ot_scale_control", out_of_memory)
         out = tmp_path / "o"
         assert _run("ot-control", "--out", out, "--cohorts", 10**10, "--k", 1, "--ratio", 1) == 1
         err = capsys.readouterr().err
@@ -497,7 +692,7 @@ class TestPipelineErrors:
         def failed_worker(**_):
             raise OTWorkerError(message)
 
-        monkeypatch.setattr(cli, "ot_scale_control", failed_worker)
+        monkeypatch.setattr(sensitivity, "ot_scale_control", failed_worker)
         out = tmp_path / "o"
         assert _run("ot-control", "--out", out) == 1
         assert json.loads(capsys.readouterr().err) == {"error": "OTWorkerError", "message": message}

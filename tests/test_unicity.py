@@ -435,6 +435,11 @@ class TestSweeps:
         with pytest.raises(ValueError, match=f"population grid value {bad} must be >= 1"):
             sweep_population(seqs, 20, [100, bad], seed=0, config=sim_config)
 
+    def test_sweep_population_without_a_complete_window_names_that(self, sim_config):
+        seqs = build_sequences(_table({1: [0, 1]}), window=4)
+        with pytest.raises(CohortError, match="^no complete 4-week windows to cluster$"):
+            sweep_population(seqs, 1, [50], seed=0, config=sim_config)
+
     def test_sweep_k_matches_pointwise_runs(self, small_table, sim_config):
         seqs = build_sequences(small_table, window=4)
         sweep = sweep_k(seqs, [5, 40], config=sim_config)

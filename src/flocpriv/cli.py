@@ -552,12 +552,33 @@ def build_parser(
 _REQUIRED = ("out", "sessions", "table", "grid")
 
 
+def _config_value_kind(a: argparse.Action, value: Any) -> str | None:
+    """None if the flag's own text could give ``a.dest`` the value ``value``,
+    else the kind of value it takes."""
+    if value is None and a.default is None:  # the flag's own "unset"
+        return None
+    if isinstance(a, argparse.BooleanOptionalAction):
+        return None if isinstance(value, bool) else "bool"
+    if a.nargs == "*":
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        return None if ok else "list of str"
+    if a.type is None:
+        return None if isinstance(value, str) else "str"
+    # argparse converts string defaults only, so check that every other
+    # value would convert as the flag's text does (2.5 and true are no int).
+    try:
+        a.type(str(value))
+    except ValueError:
+        return a.type.__name__
+    return None
+
+
 def _apply_config_file(path: str, sp: argparse.ArgumentParser) -> None:
     """Make config-file values the parser defaults for the subcommand."""
     values = read_json(path)
     if not isinstance(values, dict):
         sp.error(f"config file must hold a JSON object, not {type(values).__name__}")
-    known = {a.dest for a in sp._actions}
+    known = {a.dest for a in sp._actions if not isinstance(a, argparse._HelpAction)}
     unknown = set(values) - known
     if unknown:
         sp.error(f"unknown config keys: {sorted(unknown)}")
@@ -569,18 +590,9 @@ def _apply_config_file(path: str, sp: argparse.ArgumentParser) -> None:
     }
     if invalid:
         sp.error(f"config values not among the flag's choices: {invalid}")
-    # argparse converts string defaults only, so check that every other
-    # value would convert as the flag's text does (2.5 and true are no int).
     for a in sp._actions:
-        if a.type is None or a.dest not in values:
-            continue
-        value = values[a.dest]
-        if value is None and a.default is None:  # the flag's own "unset"
-            continue
-        try:
-            a.type(str(value))
-        except ValueError:
-            sp.error(f"config value {a.dest}={value!r} is not a valid {a.type.__name__}")
+        if a.dest in values and (kind := _config_value_kind(a, values[a.dest])) is not None:
+            sp.error(f"config value {a.dest}={values[a.dest]!r} is not a valid {kind}")
     sp.set_defaults(**values)
 
 

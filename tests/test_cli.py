@@ -136,12 +136,24 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "name, flags, payload, message",
         [
-            ("unicity", ["--table", "t.tsv"], {"k": 2.5}, "k=2.5 is not a valid int"),
-            ("unicity", ["--table", "t.tsv"], {"k": True}, "k=True is not a valid int"),
-            ("ot-control", [], {"t": "x"}, "t='x' is not a valid float"),
-            ("synth", [], {"weeks": None}, "weeks=None is not a valid int"),
+            ("unicity", ["--table", "t.tsv"], {"k": 2.5}, "config value k=2.5 is not a valid int"),
+            ("unicity", ["--table", "t.tsv"], {"k": True},
+             "config value k=True is not a valid int"),
+            ("ot-control", [], {"t": "x"}, "config value t='x' is not a valid float"),
+            ("synth", [], {"weeks": None}, "config value weeks=None is not a valid int"),
+            ("preprocess", ["--sessions", "s.tsv"], {"implicit_star": "no"},
+             "config value implicit_star='no' is not a valid bool"),
+            ("cohorts", [], {"table": 0}, "config value table=0 is not a valid str"),
+            ("report", [], {"runs": "ab"}, "config value runs='ab' is not a valid list of str"),
+            ("report", [], {"runs": 5}, "config value runs=5 is not a valid list of str"),
+            ("synth", [], {"out": 5}, "config value out=5 is not a valid str"),
+            ("preprocess", ["--sessions", "s.tsv"], {"epoch": 20170101},
+             "config value epoch=20170101 is not a valid str"),
+            ("synth", [], {"help": "x"}, "unknown config keys: ['help']"),
         ],
-        ids=["int-given-float", "int-given-bool", "float-given-text", "int-given-null"],
+        ids=["int-given-float", "int-given-bool", "float-given-text", "int-given-null",
+             "bool-given-text", "text-given-int", "list-given-text", "list-given-int",
+             "out-given-int", "epoch-given-int", "help-is-no-key"],
     )
     def test_config_value_of_wrong_type_rejected(self, capsys, tmp_path, name, flags, payload, message):
         cfg = tmp_path / "cfg.json"
@@ -150,7 +162,8 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             _run(name, "--out", out, *flags, "--config", cfg)
         assert exc.value.code == 2
-        assert f"config value {message}" in capsys.readouterr().err
+        (line,) = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert line.endswith(f"error: {message}")
         assert not out.exists()
 
 
@@ -1145,6 +1158,17 @@ class TestConfigFile:
         out = tmp_path / "pre"
         assert _run("preprocess", "--out", out, "--sessions", sessions, "--config", cfg) == 0
         assert json.loads((out / "manifest.json").read_text())["config"]["weeks"] is None
+
+    def test_a_bool_flag_takes_a_bool(self, tmp_path):
+        sessions = tmp_path / "sessions.tsv"
+        sessions.write_text(bundled_table1_sessions())
+        cfg = tmp_path / "cfg.json"
+        for value in (False, True):
+            cfg.write_text(json.dumps({"implicit_star": value}))
+            out = tmp_path / f"pre-{value}"
+            assert _run("preprocess", "--out", out, "--sessions", sessions, "--config", cfg) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["implicit_star"] is value
 
 
 class TestWorkedExampleThroughCli:

@@ -2,8 +2,12 @@
 
 The package resolves its exports on first use (PEP 562), and each CLI
 handler imports the modules it uses, so ``import flocpriv`` loads no
-submodule and ``report`` runs without NumPy. Each check runs in a fresh
-interpreter, since this one has imported every module already.
+submodule and ``report`` runs without NumPy. The runtime needs NumPy
+alone: with SciPy and the test packages made unimportable, every module
+imports, every name of ``__all__`` star-imports, and every subcommand runs
+with a ``RuntimeWarning`` (a NaN from an empty mean, an overflow) raised
+as an error. Each check runs in a fresh interpreter, since this one has
+imported every module already.
 """
 
 import json
@@ -12,20 +16,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+from flocpriv.ingest import INCOME_GROUPS, RACE_GROUPS
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _python(code, *args):
-    """The JSON that ``code`` prints, run by a fresh interpreter on ``args``."""
+def _python(code, *args, options=()):
+    """The JSON that ``code`` prints, run by a fresh interpreter with
+    interpreter ``options`` on ``args``."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
+        [sys.executable, *options, "-c", code, *map(str, args)],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
-        check=True,
     )
+    assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
 
 
@@ -108,3 +115,72 @@ print(json.dumps({
 def test_star_import_binds_each_name_to_its_defining_module():
     for order in ("star first", "submodules first"):
         assert _python(_STAR, order) == {"wrong": [], "version": True, "dir": []}, order
+
+
+_NUMPY_ONLY = """
+import importlib, json, pkgutil, sys
+for name in ("scipy", "hypothesis", "mpmath", "pytest"):
+    sys.modules[name] = None
+import flocpriv
+for module in pkgutil.iter_modules(flocpriv.__path__):
+    importlib.import_module(f"flocpriv.{module.name}")
+from flocpriv import *
+from flocpriv.cli import main
+print(json.dumps([[argv[0], main(argv)] for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_runtime_needs_numpy_only(tmp_path):
+    """Every subcommand, on tables of two 8,192-row blocks, of rows of up to
+    60 domains, and of 4,000 machines a week (whose k = 1 maps refine deep
+    leaves), and preprocess --reference on a log that keeps no machine."""
+    (tmp_path / "one-line.tsv").write_text(
+        "machine_id\tsession_id\tdomain\tdate\ttime\tpages\tduration\tincome\trace\tzip\n"
+        "7\t1\ta.com\t20170101\t12:00:00\t1\t60\t4\t1\t36832\n"
+    )
+    (tmp_path / "reference.json").write_text(json.dumps({
+        attribute: {g: (i + 1) / 10 for i, g in enumerate(groups)}
+        for attribute, groups in (("race", RACE_GROUPS), ("income", INCOME_GROUPS))
+    }))
+    tmp = str(tmp_path)
+    synth, deep = f"{tmp}/synth/machine_weeks.tsv", f"{tmp}/deep/machine_weeks.tsv"
+    steps = [
+        ["ot-control", "--cohorts", "20", "--k", "5", "--out", f"{tmp}/ot"],
+        ["synth", "--machines", "60", "--weeks", "2", "--emit", "both", "--out", f"{tmp}/synth"],
+        ["preprocess", "--sessions", f"{tmp}/synth/sessions.tsv", "--out", f"{tmp}/pre"],
+        ["preprocess", "--sessions", f"{tmp}/synth/sessions.tsv", "--min-domains", "15",
+         "--out", f"{tmp}/cutoff"],
+        ["synth", "--machines", "60", "--vocab", "200", "--zipf-exponent", "2",
+         "--min-domains", "20", "--max-domains", "60", "--emit", "both", "--out", f"{tmp}/heavy"],
+        ["preprocess", "--sessions", f"{tmp}/heavy/sessions.tsv", "--out", f"{tmp}/heavy-pre"],
+        ["synth", "--machines", "2100", "--weeks", "4", "--seed", "3", "--emit", "both",
+         "--out", f"{tmp}/two-blocks"],
+        ["preprocess", "--sessions", f"{tmp}/two-blocks/sessions.tsv",
+         "--out", f"{tmp}/two-blocks-pre"],
+        ["preprocess", "--sessions", f"{tmp}/one-line.tsv", "--reference",
+         f"{tmp}/reference.json", "--out", f"{tmp}/no-machines"],
+        ["cohorts", "--table", f"{tmp}/pre/machine_weeks.tsv", "--k", "5",
+         "--out", f"{tmp}/cohorts"],
+        ["unicity", "--table", synth, "--k", "5", "--window", "2", "--out", f"{tmp}/unicity"],
+        ["unicity", "--table", synth, "--k", "10", "--window", "2", "--out", f"{tmp}/unicity-k10"],
+        ["sweep-k", "--table", synth, "--grid", "5,10", "--window", "2", "--out", f"{tmp}/sweep-k"],
+        ["sweep-n", "--table", synth, "--k", "5", "--grid", "30,60", "--window", "2",
+         "--out", f"{tmp}/sweep-n"],
+        ["t-closeness", "--table", synth, "--k", "5", "--panels", "2", "--target", "empirical",
+         "--out", f"{tmp}/t-closeness"],
+        ["chisq", "--table", synth, "--control-runs", "1", "--out", f"{tmp}/chisq"],
+        ["synth", "--machines", "4000", "--weeks", "1", "--vocab", "2000", "--out", f"{tmp}/deep"],
+        ["cohorts", "--table", deep, "--k", "1", "--out", f"{tmp}/cohorts-k1"],
+        ["cohorts", "--table", deep, "--k", "2", "--out", f"{tmp}/cohorts-k2"],
+        ["sweep-k", "--table", deep, "--grid", "1,5", "--window", "1",
+         "--out", f"{tmp}/sweep-k-deep"],
+        ["unicity", "--table", deep, "--k", "1", "--window", "1",
+         "--out", f"{tmp}/unicity-deep-k1"],
+        ["unicity", "--table", deep, "--k", "5", "--window", "1",
+         "--out", f"{tmp}/unicity-deep-k5"],
+        ["synth", "--machines", "3000", "--weeks", "4", "--out", f"{tmp}/blocks"],
+        ["cohorts", "--table", f"{tmp}/blocks/machine_weeks.tsv", "--out", f"{tmp}/blocks-cohorts"],
+    ]
+    steps.append(["report", *(argv[-1] for argv in steps), "--out", f"{tmp}/report"])
+    codes = _python(_NUMPY_ONLY, json.dumps(steps), options=["-W", "error::RuntimeWarning"])
+    assert codes == [[argv[0], 0] for argv in steps]
